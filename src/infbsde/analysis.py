@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import integrate
 
 from .fixedpoint import poly_weight
 from .model import Problem, SchemeParams
-from .simulate import RngLike, RngStream, sample_fk_batch
+from .simulate import RngStream, _as_stream, sample_fk_batch
 
 
 class InvalidP(ValueError):
@@ -140,7 +140,7 @@ class CEstimate:
 def estimate_c_constants(problem: Problem, params: SchemeParams,
                          weight_degree: float, probe_points: np.ndarray,
                          m: int, dt: Optional[float] = None,
-                         rng: RngLike = 0) -> CEstimate:
+                         rng: Union[int, RngStream] = 0) -> CEstimate:
     """Probe-max Monte Carlo estimate of the two kernel norms.
 
     The sup over all starting points is replaced by a max over the probe
@@ -149,7 +149,7 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if probes.shape[0] == 0:
         raise ValueError("probe set must be non-empty")
-    base = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    base = _as_stream(rng)
     a, a_t = params.discount_y, params.discount_z
     theta, theta_t = params.exp_rate, params.gamma_rate
 

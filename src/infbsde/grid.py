@@ -7,7 +7,6 @@ extends beyond the box by clamping the query to the box boundary.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -95,6 +94,10 @@ class GridFunction:
     grid: Grid
     u: np.ndarray
     ubar: np.ndarray
+    # (nodes, d' + d'*d): u and the flattened ubar side by side, so that
+    # interpolation gathers each corner once.  Built at construction, so u
+    # and ubar must not be modified in place afterwards.
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_nodes
@@ -102,6 +105,7 @@ class GridFunction:
             raise ValueError("value arrays must have one row per node")
         if self.ubar.shape != (n, self.u.shape[1], self.grid.dim):
             raise ValueError("ubar must be shaped (nodes, d', d)")
+        self.table = np.concatenate([self.u, self.ubar.reshape(n, -1)], axis=1)
 
     @property
     def dim_y(self) -> int:
@@ -133,27 +137,30 @@ def interpolate(phi: GridFunction, x) -> Tuple[np.ndarray, np.ndarray]:
     g = phi.grid
     pts = as_points(x, g.dim)
     m = pts.shape[0]
+    table = phi.table
     if g.n_side == 1:
-        return (
-            np.broadcast_to(phi.u[0], (m, phi.dim_y)).copy(),
-            np.broadcast_to(phi.ubar[0], (m, phi.dim_y, g.dim)).copy(),
-        )
-    clamped = clamp_to_box(pts, g.half_extent)
-    rel = (clamped + g.half_extent) / g.mesh
-    base = np.floor(rel).astype(np.int64)
-    np.clip(base, 0, g.n_side - 2, out=base)
-    frac = rel - base
-
-    out_u = np.zeros((m, phi.dim_y))
-    out_ubar = np.zeros((m, phi.dim_y, g.dim))
-    shape = (g.n_side,) * g.dim
-    for corner in itertools.product((0, 1), repeat=g.dim):
-        offs = np.asarray(corner)
-        wgt = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
-        flat = np.ravel_multi_index(tuple((base + offs).T), shape)
-        out_u += wgt[:, None] * phi.u[flat]
-        out_ubar += wgt[:, None, None] * phi.ubar[flat]
-    return out_u, out_ubar
+        out = np.broadcast_to(table[0], (m, table.shape[1])).copy()
+    else:
+        clamped = clamp_to_box(pts, g.half_extent)
+        rel = (clamped + g.half_extent) / g.mesh
+        base = np.floor(rel).astype(np.int64)
+        np.clip(base, 0, g.n_side - 2, out=base)
+        frac = rel - base
+        lower = 1.0 - frac
+        # (flat node offset, weight) per corner, in itertools.product order;
+        # each weight is the left-to-right product of its axis factors
+        corners = [(base @ (g.n_side ** np.arange(g.dim - 1, -1, -1)), None)]
+        for k in range(g.dim):
+            stride = g.n_side ** (g.dim - 1 - k)
+            corners = [
+                (flat + bit * stride, col if wgt is None else wgt * col)
+                for flat, wgt in corners
+                for bit, col in ((0, lower[:, k]), (1, frac[:, k]))
+            ]
+        out = np.zeros((m, table.shape[1]))
+        for flat, wgt in corners:
+            out += wgt[:, None] * np.take(table, flat, axis=0)
+    return out[:, :phi.dim_y], out[:, phi.dim_y:].reshape(m, phi.dim_y, g.dim)
 
 
 def _joint_node_norms(phi: GridFunction, psi: GridFunction) -> np.ndarray:

@@ -251,19 +251,27 @@ def manufacture_problem(
 
     def ubar(x):
         x = as_points(x, sde.dim)
+        if sde.is_brownian:
+            return grad_u(x)
         return np.einsum("mij,mjk->mik", grad_u(x), sde.diffusion(x))
 
-    def generator_operator(x):
-        # 1/2 Tr(hess_u sigma sigma^T) + drift . grad_u, shape (m, d')
+    def ubar_and_operator(x):
+        # ubar and 1/2 Tr(hess_u sigma sigma^T) + drift . grad_u, shape (m, d'),
+        # from one evaluation of grad_u and sigma
+        grad = grad_u(x)
+        if sde.is_brownian:
+            # sigma = I and drift = 0: the products with them change no value
+            return grad, 0.5 * np.trace(hess_u(x), axis1=2, axis2=3)
         sig = sde.diffusion(x)
         ssq = np.einsum("mak,mbk->mab", sig, sig)
-        out = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
-        out += np.einsum("mij,mj->mi", grad_u(x), sde.drift(x))
-        return out
+        op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
+        op += np.einsum("mij,mj->mi", grad, sde.drift(x))
+        return np.einsum("mij,mjk->mik", grad, sig), op
 
     def f(x, y, z):
         x = as_points(x, sde.dim)
-        return f0.f(x, y, z) - generator_operator(x) - f0.f(x, u(x), ubar(x))
+        ubar_x, op = ubar_and_operator(x)
+        return f0.f(x, y, z) - op - f0.f(x, u(x), ubar_x)
 
     gen = replace(f0, f=f)
     analytic = AnalyticSolution(u=lambda x: u(as_points(x, sde.dim)), ubar=ubar)

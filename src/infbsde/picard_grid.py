@@ -18,7 +18,7 @@ import numpy as np
 from .fixedpoint import NonFiniteValue, r_sample_batch, truncate_growth
 from .grid import Grid, GridFunction, truncated_nodes
 from .model import Problem, SchemeParams, problem_by_name
-from .simulate import RngStream, sample_fk_batch
+from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
 class FitUnderdetermined(ValueError):
@@ -81,37 +81,55 @@ class IterationReport:
     seconds: float
 
 
+# Draws per r_sample_batch call.  Nodes are grouped until a chunk holds about
+# this many rows, so each numpy call in the estimator is long enough to
+# release the GIL for the other worker; see CHANGES.md for how it was chosen.
+CHUNK_ROWS = 6000
+
+
 def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
                 problem: Optional[Problem] = None) -> GridFunction:
-    """One Picard update: fresh per-node samples against the interpolant of ``v``."""
+    """One Picard update: fresh per-node samples against the interpolant of ``v``.
+
+    Node ``i`` always draws from ``rng.substream(i)``; nodes are evaluated in
+    chunks of consecutive indices, which changes no value.
+    """
     if problem is None:
         problem = cfg.build_problem()
     grid = v.grid
     interpolant = v.as_candidate()
     dim_y = problem.gen.dim_y
+    m = cfg.m_samples
     u_new = np.empty((grid.n_nodes, dim_y))
     ubar_new = np.empty((grid.n_nodes, dim_y, grid.dim))
     nodes = grid.nodes
 
-    def update(node: int) -> None:
-        gen = rng.substream(node).generator()
-        fk = sample_fk_batch(problem, cfg.params, nodes[node], cfg.m_samples,
-                             cfg.dt, gen)
+    def update(chunk: range) -> None:
+        fk = FkBatch.concatenate([
+            sample_fk_batch(problem, cfg.params, nodes[node], m, cfg.dt,
+                            rng.substream(node).generator())
+            for node in chunk
+        ])
         comp1, comp2 = r_sample_batch(problem, cfg.params, interpolant, fk)
-        mean1 = comp1.mean(axis=0)
-        mean2 = comp2.mean(axis=0)
-        if not (np.isfinite(mean1).all() and np.isfinite(mean2).all()):
-            raise NonFiniteValue(f"non-finite update at node {node}")
-        u_new[node] = mean1
-        ubar_new[node] = mean2
+        for k, node in enumerate(chunk):
+            rows = slice(k * m, (k + 1) * m)
+            mean1 = comp1[rows].mean(axis=0)
+            mean2 = comp2[rows].mean(axis=0)
+            if not (np.isfinite(mean1).all() and np.isfinite(mean2).all()):
+                raise NonFiniteValue(f"non-finite update at node {node}")
+            u_new[node] = mean1
+            ubar_new[node] = mean2
 
-    workers = _worker_count()
+    per_chunk = max(1, CHUNK_ROWS // m)
+    chunks = [range(start, min(start + per_chunk, grid.n_nodes))
+              for start in range(0, grid.n_nodes, per_chunk)]
+    workers = min(_worker_count(), len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(update, range(grid.n_nodes)))
+            list(pool.map(update, chunks))
     else:
-        for node in range(grid.n_nodes):
-            update(node)
+        for chunk in chunks:
+            update(chunk)
 
     if cfg.truncation is not None:
         bound, degree = cfg.truncation

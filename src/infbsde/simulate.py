@@ -13,7 +13,7 @@ Randomness comes from counter-based Philox streams addressed by
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -52,15 +52,22 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_id, self.lineage + (int(index),))
 
 
-RngLike = Union[RngStream, np.random.Generator]
+RngLike = Union[int, RngStream, np.random.Generator]
+
+
+def _as_stream(rng: Union[int, RngStream]) -> RngStream:
+    """An int seed ``s`` names the stream ``RngStream(s)``."""
+    if isinstance(rng, RngStream):
+        return rng
+    if isinstance(rng, (int, np.integer)):
+        return RngStream(int(rng))
+    raise TypeError(f"cannot use {type(rng)!r} as a random stream")
 
 
 def _as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    return _as_stream(rng).generator()
 
 
 def sample_exponential(rng: RngLike, rate: float, size=None) -> np.ndarray:
@@ -101,6 +108,12 @@ class FkBatch:
 
     def __len__(self) -> int:
         return self.e_time.shape[0]
+
+    @classmethod
+    def concatenate(cls, batches: Sequence["FkBatch"]) -> "FkBatch":
+        """Stack batches row-wise, in order."""
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches])
+                     for f in fields(cls)))
 
     def row(self, i: int) -> FkSample:
         return FkSample(

@@ -1,6 +1,10 @@
 """Lattice geometry, hat-basis interpolation, sup norms, and CSV round trip."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infbsde import (Grid, GridFunction, GridMismatch, basis_weight,
                      clamp_to_box, interpolate, read_grid_csv, sup_diff,
@@ -119,6 +123,113 @@ class TestInterpolation:
         eu, eubar = interpolate(phi, pts)
         np.testing.assert_array_equal(u, eu)
         np.testing.assert_array_equal(ubar, eubar)
+
+
+def per_corner_interpolate(phi, x):
+    """Reference multilinear interpolation: separate u and ubar sums over the
+    2^d corners, each weight a masked product over the axes."""
+    g = phi.grid
+    pts = np.asarray(x, dtype=float)
+    m = pts.shape[0]
+    if g.n_side == 1:
+        return (np.broadcast_to(phi.u[0], (m, phi.dim_y)).copy(),
+                np.broadcast_to(phi.ubar[0], (m, phi.dim_y, g.dim)).copy())
+    rel = (clamp_to_box(pts, g.half_extent) + g.half_extent) / g.mesh
+    base = np.floor(rel).astype(np.int64)
+    np.clip(base, 0, g.n_side - 2, out=base)
+    frac = rel - base
+    out_u = np.zeros((m, phi.dim_y))
+    out_ubar = np.zeros((m, phi.dim_y, g.dim))
+    for corner in itertools.product((0, 1), repeat=g.dim):
+        offs = np.asarray(corner)
+        wgt = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
+        flat = np.ravel_multi_index(tuple((base + offs).T), (g.n_side,) * g.dim)
+        out_u += wgt[:, None] * phi.u[flat]
+        out_ubar += wgt[:, None, None] * phi.ubar[flat]
+    return out_u, out_ubar
+
+
+@st.composite
+def grid_cases(draw, dyadic=False):
+    """A grid of dimension 1-3, values on it and a generator for queries."""
+    dim = draw(st.integers(1, 3))
+    n_half = draw(st.integers(0, 3))
+    pad = draw(st.integers(0, 1))
+    if dyadic:
+        # dyadic meshes keep node coordinates and cell offsets exact
+        mesh = draw(st.integers(1, 12)) / draw(st.sampled_from([1, 2, 4, 8]))
+    else:
+        mesh = draw(st.floats(0.05, 2.0))
+    dim_y = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = Grid(dim=dim, n_half=n_half, mesh=mesh, pad=pad)
+    return random_grid_function(g, dim_y, seed), np.random.default_rng(seed)
+
+
+class TestInterpolationProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases(dyadic=True))
+    def test_reproduces_node_values_exactly(self, case):
+        phi, _ = case
+        u, ubar = interpolate(phi, phi.grid.nodes)
+        np.testing.assert_array_equal(u, phi.u)
+        np.testing.assert_array_equal(ubar, phi.ubar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases())
+    def test_reproduces_node_values(self, case):
+        phi, _ = case
+        u, ubar = interpolate(phi, phi.grid.nodes)
+        np.testing.assert_allclose(u, phi.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ubar, phi.ubar, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases())
+    def test_reproduces_affine_functions(self, case):
+        phi, gen = case
+        g = phi.grid
+        size = phi.dim_y * (1 + g.dim)
+        slope = gen.uniform(-2.0, 2.0, (g.dim, size))
+        level = gen.uniform(-2.0, 2.0, size)
+
+        def affine(x):
+            vals = x @ slope + level
+            return (vals[:, :phi.dim_y],
+                    vals[:, phi.dim_y:].reshape(-1, phi.dim_y, g.dim))
+
+        if g.n_side == 1:
+            slope[:] = 0.0
+        affine_phi = GridFunction(g, *affine(g.nodes))
+        pts = gen.uniform(-g.half_extent, g.half_extent, (40, g.dim))
+        u, ubar = interpolate(affine_phi, pts)
+        want_u, want_ubar = affine(pts)
+        np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ubar, want_ubar, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases())
+    def test_outside_query_equals_clamped_query(self, case):
+        phi, gen = case
+        g = phi.grid
+        reach = 3.0 * g.half_extent + 1.0
+        pts = gen.uniform(-reach, reach, (40, g.dim))
+        u, ubar = interpolate(phi, pts)
+        u_cl, ubar_cl = interpolate(phi, clamp_to_box(pts, g.half_extent))
+        np.testing.assert_array_equal(u, u_cl)
+        np.testing.assert_array_equal(ubar, ubar_cl)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases())
+    def test_equals_per_corner_reference(self, case):
+        phi, gen = case
+        g = phi.grid
+        reach = 1.5 * g.half_extent + 0.5
+        pts = gen.uniform(-reach, reach, (60, g.dim))
+        pts[:5] = g.nodes[gen.integers(0, g.n_nodes, 5)]
+        u, ubar = interpolate(phi, pts)
+        ref_u, ref_ubar = per_corner_interpolate(phi, pts)
+        np.testing.assert_array_equal(u, ref_u)
+        np.testing.assert_array_equal(ubar, ref_ubar)
 
 
 class TestSupDiffs:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from infbsde import model as model_mod
 from infbsde import (GeneratorSpec, InconsistentDerivatives, NonPositiveRate,
                      PROBLEM_NAMES, SchemeParams, UnknownProblem, brownian_sde,
                      manufacture_problem, problem_by_name, tanh_sigma_sde,
@@ -141,6 +142,53 @@ class TestManufacture:
                 grad_u=lambda x: 3.0 * x[:, None, :],
                 hess_u=lambda x: np.full((x.shape[0], 1, 1, 1), 2.0),
                 f0=f0, sde=sde)
+
+
+def _generic_driver(ingredients, sde):
+    """Reference driver: f0(x,y,z) - generator operator - f0(x, u, ubar), every
+    product with sigma and the drift written out."""
+    u, grad_u, hess_u, f0 = ingredients
+
+    def f(x, y, z):
+        sig = sde.diffusion(x)
+        ssq = np.einsum("mak,mbk->mab", sig, sig)
+        op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
+        op += np.einsum("mij,mj->mi", grad_u(x), sde.drift(x))
+        ubar = np.einsum("mij,mjk->mik", grad_u(x), sig)
+        return f0(x, y, z) - op - f0(x, u(x), ubar)
+
+    return f
+
+
+class TestBrownianDriverPath:
+    @pytest.mark.parametrize("name,dim", [
+        ("arctan-const-sigma", 1), ("arctan-const-sigma", 2),
+        ("arctan-const-sigma", 3), ("linear-constant", 2),
+        ("arctan-tanh-sigma", 1),
+    ])
+    def test_driver_equals_generic_formula(self, monkeypatch, name, dim):
+        captured = {}
+        real = model_mod.manufacture_problem
+
+        def spy(u, grad_u, hess_u, f0, sde, **kwargs):
+            captured["ingredients"] = (u, grad_u, hess_u, f0.f)
+            return real(u, grad_u, hess_u, f0, sde, **kwargs)
+
+        monkeypatch.setattr(model_mod, "manufacture_problem", spy)
+        problem = problem_by_name(name, dim)
+        sde = problem.sde
+        assert sde.is_brownian == (name != "arctan-tanh-sigma")
+        reference = _generic_driver(captured["ingredients"], sde)
+        gen = np.random.default_rng(dim)
+        m = 3000
+        x = gen.normal(0.0, 3.0, (m, dim))
+        y = gen.normal(size=(m, 1))
+        z = gen.normal(size=(m, 1, dim))
+        np.testing.assert_array_equal(problem.gen.f(x, y, z), reference(x, y, z))
+        grad_u = captured["ingredients"][1]
+        np.testing.assert_array_equal(
+            problem.analytic.ubar(x),
+            np.einsum("mij,mjk->mik", grad_u(x), sde.diffusion(x)))
 
 
 def _pde_residual_arctan(problem, x, c, kz, sigma, dsigma):

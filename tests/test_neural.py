@@ -40,6 +40,12 @@ class TestForward:
         for w in net.weights:
             assert np.abs(w).max() <= np.sqrt(6.0 / w.shape[0])
 
+    def test_init_int_seed_is_stream(self):
+        by_int = Mlp.init(2, 1, (5,), 4)
+        by_stream = Mlp.init(2, 1, (5,), RngStream(4))
+        for a, b in zip(by_int.weights, by_stream.weights):
+            np.testing.assert_array_equal(a, b)
+
     def test_batch_matches_per_sample(self):
         net = Mlp.init(2, 1, (7,), RngStream(2))
         x = np.random.default_rng(3).normal(size=(10, 2))

@@ -68,6 +68,13 @@ class TestRelativeErrors:
             relative_l2_errors(CandidatePair.zero(1, 1), blind, 16,
                                rng=RngStream(5))
 
+    def test_default_int_seed_is_stream_zero(self):
+        problem = problem_by_name("arctan-const-sigma", 2)
+        net = Mlp.init(2, 1, (6,), RngStream(6))
+        default = relative_l2_errors(net, problem)
+        assert np.isfinite(default).all()
+        assert default == relative_l2_errors(net, problem, rng=RngStream(0))
+
     def test_deterministic_in_rng(self):
         problem = problem_by_name("arctan-const-sigma", 2)
         net = Mlp.init(2, 1, (6,), RngStream(6))

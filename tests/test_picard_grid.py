@@ -4,7 +4,8 @@ import pytest
 
 from infbsde import (FitUnderdetermined, GridFunction, GridSolveConfig,
                      NonFiniteValue, RngStream, fit_rate_slope, picard_step,
-                     rate_study, solve)
+                     r_sample_batch, rate_study, sample_fk_batch, solve)
+from infbsde import picard_grid
 
 
 def config(**kwargs):
@@ -82,6 +83,38 @@ class TestDeterminism:
         b = solve(config(n_iters=2))
         np.testing.assert_array_equal(a.final.u, b.final.u)
         np.testing.assert_array_equal(a.final.ubar, b.final.ubar)
+
+    @pytest.mark.parametrize("name,dim,dt", [
+        ("arctan-const-sigma", 1, None),
+        ("arctan-const-sigma", 2, None),
+        ("arctan-tanh-sigma", 1, 0.1),
+    ])
+    def test_node_chunks_do_not_change_result(self, monkeypatch, name, dim, dt):
+        # three nodes per chunk; 7 and 25 nodes leave a short last chunk
+        m = picard_grid.CHUNK_ROWS // 3
+        cfg = config(problem=name, dim=dim, n_half=3 if dim == 1 else 2,
+                     half_width=2.0, m_samples=m, dt=dt)
+        grid = cfg.build_grid()
+        assert grid.n_nodes % 3 != 0
+        gen = np.random.default_rng(dim)
+        v = GridFunction(grid, gen.normal(size=(grid.n_nodes, 1)),
+                         gen.normal(size=(grid.n_nodes, 1, dim)))
+        rng = RngStream(cfg.seed).substream(1)
+        problem = cfg.build_problem()
+        ref_u = np.empty_like(v.u)
+        ref_ubar = np.empty_like(v.ubar)
+        for node, x in enumerate(grid.nodes):
+            fk = sample_fk_batch(problem, cfg.params, x, m, dt,
+                                 rng.substream(node).generator())
+            comp1, comp2 = r_sample_batch(problem, cfg.params,
+                                          v.as_candidate(), fk)
+            ref_u[node] = comp1.mean(axis=0)
+            ref_ubar[node] = comp2.mean(axis=0)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BSDE_THREADS", threads)
+            stepped = picard_step(v, cfg, rng, problem)
+            np.testing.assert_array_equal(stepped.u, ref_u)
+            np.testing.assert_array_equal(stepped.ubar, ref_ubar)
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
         baseline = solve(config())

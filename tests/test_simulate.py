@@ -201,6 +201,18 @@ class TestRngStream:
         grand = child.substream(1)
         assert grand.lineage == (7, 1)
 
+    def test_int_seed_names_stream(self):
+        problem = problem_by_name("arctan-const-sigma", 2)
+        a = sample_fk_batch(problem, PARAMS, np.zeros(2), 8, None, 3)
+        b = sample_fk_batch(problem, PARAMS, np.zeros(2), 8, None, RngStream(3))
+        np.testing.assert_array_equal(a.x_at_g, b.x_at_g)
+        np.testing.assert_array_equal(a.malliavin_at_g, b.malliavin_at_g)
+
+    @pytest.mark.parametrize("bad", [1.5, "3", None])
+    def test_non_seed_rejected(self, bad):
+        with pytest.raises(TypeError):
+            sample_exponential(bad, 1.0, 3)
+
     def test_substreams_differ(self):
         base = RngStream(5)
         a = base.substream(0).generator().standard_normal(4)
