@@ -19,13 +19,13 @@ from .grid import (Grid, GridFunction, GridMismatch, basis_weight,
                    clamp_to_box, interpolate, read_grid_csv, sup_diff,
                    sup_weighted_diff, truncated_nodes, write_grid_csv)
 from .model import (AnalyticSolution, GeneratorSpec, InconsistentDerivatives,
-                    NonPositiveRate, Problem, PROBLEM_NAMES, SchemeParams,
-                    SdeSpec, UnknownProblem, ValidationReport, brownian_sde,
-                    manufacture_problem, problem_by_name, tanh_sigma_sde,
-                    validate_params)
+                    NonPositiveRate, Problem, PROBLEM_NAMES, RunConfig,
+                    SchemeParams, SdeSpec, UnknownProblem, ValidationReport,
+                    brownian_sde, manufacture_problem, problem_by_name,
+                    tanh_sigma_sde, validate_params)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingAnalyticSolution,
-                         MissingDriverDerivatives, NnPicardConfig,
+                         MissingDriverDerivatives, NnConfig, NnPicardConfig,
                          NnSolveResult, NonFiniteLoss, TraceRow,
                          contraction_nn_solve, direct_nn_solve,
                          relative_l2_errors)

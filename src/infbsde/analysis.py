@@ -146,6 +146,8 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
     The sup over all starting points is replaced by a max over the probe
     set, so the estimate is a lower bound up to Monte Carlo error.
     """
+    if m < 2:
+        raise ValueError("need at least 2 samples for standard errors")
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if probes.shape[0] == 0:
         raise ValueError("probe set must be non-empty")

@@ -2,9 +2,11 @@
 
 Subcommands cover the three schemes plus the rate study, the contraction
 report, and the z-Lipschitz sweep.  Settings resolve in three layers:
-built-in defaults, then a JSON config file, then explicit flags.  Every
-run echoes its effective config to ``config_echo.json`` so it can be
-reproduced exactly; all CSV floats carry 17 significant digits.
+the config dataclasses' defaults, then a JSON config file, then explicit
+flags.  Each run's config objects are built, and so checked, before any
+output is written.  Every run echoes its effective config to
+``config_echo.json`` so it can be reproduced exactly; all CSV floats
+carry 17 significant digits.
 
 Exit codes: 0 success, 2 config error (nothing written), 1 numerical
 failure.
@@ -16,7 +18,9 @@ import csv
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from dataclasses import MISSING, fields, is_dataclass, replace
+from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -26,8 +30,7 @@ from .analysis import (ConstraintViolated, ContractionInputs, InvalidP,
                        contraction_report, estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_grid_csv
-from .model import (NonPositiveRate, SchemeParams, UnknownProblem,
-                    problem_by_name, validate_params)
+from .model import RunConfig, problem_by_name, validate_params
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, MissingAnalyticSolution, NnPicardConfig,
                          NonFiniteLoss, contraction_nn_solve, direct_nn_solve)
@@ -40,63 +43,96 @@ class ConfigParse(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-_PARAM_KEYS = ("discount_y", "discount_z", "exp_rate", "gamma_rate")
-_OVERRIDE_KEYS = ("c", "kz", "eps", "mu", "c0", "mu0_std")
+# config fields that the command line spreads over several flat float keys
+_SPREAD = {"overrides": ("c", "kz", "eps", "mu", "c0", "mu0_std"),
+           "truncation": ("trunc_bound", "trunc_degree")}
+_SCHEMES = ("nn-picard", "nn-direct")
 
-_GRID_DEFAULTS = {
-    "problem": None, "dim": 1, "n_half": 10, "pad": 0, "half_width": 3.0,
-    "m_samples": 40000, "n_iters": 10, "dt": None, "seed": 0,
-    "discount_y": 2.0, "discount_z": 2.0, "exp_rate": 1.5, "gamma_rate": 1.5,
-    "trunc_bound": None, "trunc_degree": None,
-    "c": None, "kz": None, "eps": None, "mu": None, "c0": None,
-    "mu0_std": None,
-}
-_RATE_DEFAULTS = {k: v for k, v in _GRID_DEFAULTS.items()
-                  if k not in ("n_half", "m_samples")}
-_RATE_DEFAULTS.update({"ntilde_list": [5, 8, 12, 16, 20], "k": 200.0})
 
-_NN_COMMON = {
-    "problem": None, "dim": 1, "dt": None, "seed": 0,
-    "discount_y": 2.0, "discount_z": 2.0, "exp_rate": 1.5, "gamma_rate": 1.5,
-    "hidden": None, "base_lr": 5e-4, "m_err": 1000,
-    "c": None, "kz": None, "eps": None, "mu": None, "c0": None,
-    "mu0_std": None,
-}
-_PICARD_DEFAULTS = dict(_NN_COMMON)
-_PICARD_DEFAULTS.update({"n_iters": 5, "m_samples": 512, "train_steps": 3000,
-                         "warm_start": True, "lr_decay": 0.9,
-                         "lr_decay_period": 1000})
-_DIRECT_DEFAULTS = dict(_NN_COMMON)
-_DIRECT_DEFAULTS.update({"n_epochs": 30, "steps_per_epoch": 75,
-                         "m_starts": 512, "m_inner": 100, "base_lr": 2e-3,
-                         "lr_decay": 0.8, "lr_decay_period": 300})
-_CONTRACTION_DEFAULTS = {
-    "problem": None, "dim": 1, "dt": None, "seed": 0,
-    "discount_y": 2.0, "discount_z": 2.0, "exp_rate": 1.5, "gamma_rate": 1.5,
-    "weight_degree": 0.0, "m_samples": 100000, "probe_n_half": 5,
-    "probe_half_width": 3.0, "n_mu0_probes": 16, "p": 2.0,
-    "c": None, "kz": None, "eps": None, "mu": None, "c0": None,
-    "mu0_std": None,
-}
-_SWEEP_DEFAULTS = {
-    "scheme": "nn-picard", "kz_list": [0.4, 1.6, 2.8, 4.0, 5.2], "reps": 5,
-}
-for _k, _v in _PICARD_DEFAULTS.items():
-    _SWEEP_DEFAULTS.setdefault(_k, _v)
-for _k, _v in _DIRECT_DEFAULTS.items():
-    _SWEEP_DEFAULTS.setdefault(_k, _v)
-del _SWEEP_DEFAULTS["kz"]
-# the two schemes want different schedules; None defers to each one's own
-for _k in ("base_lr", "lr_decay", "lr_decay_period"):
-    _SWEEP_DEFAULTS[_k] = None
+def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
+    """The flat command-line keys of a config class: ``key -> (type, default)``.
 
-_DEFAULTS = {
-    "grid-solve": _GRID_DEFAULTS,
-    "rate-study": _RATE_DEFAULTS,
-    "nn-picard": _PICARD_DEFAULTS,
-    "nn-direct": _DIRECT_DEFAULTS,
-    "contraction": _CONTRACTION_DEFAULTS,
-    "kz-sweep": _SWEEP_DEFAULTS,
+    A nested dataclass (``params``) spreads into its own fields and the
+    ``_SPREAD`` fields into their keys.  ``Optional[X]`` reads as ``X``;
+    a field without a default maps to None.
+    """
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            out.update(_flat_fields(kind))
+        elif f.name in _SPREAD:
+            out.update(dict.fromkeys(_SPREAD[f.name], (float, None)))
+        else:
+            if get_origin(kind) is Union:
+                kind = next(a for a in get_args(kind) if a is not type(None))
+            out[f.name] = (kind, None if f.default is MISSING else f.default)
+    return out
+
+
+_GRID = _flat_fields(GridSolveConfig)
+_PICARD = _flat_fields(NnPicardConfig)
+_DIRECT = _flat_fields(DirectConfig)
+# the literal entries are keys that no config class holds
+_PROBES = {
+    "weight_degree": (float, 0.0), "m_samples": (int, 100000),
+    "probe_n_half": (int, 5), "probe_half_width": (float, 3.0),
+    "n_mu0_probes": (int, 16), "p": (float, 2.0),
+}
+_FIELDS = {
+    "grid-solve": _GRID,
+    "rate-study": {
+        **{k: v for k, v in _GRID.items() if k not in ("n_half", "m_samples")},
+        "ntilde_list": (Tuple[int, ...], [5, 8, 12, 16, 20]),
+        "k": (float, 200.0)},
+    "nn-picard": _PICARD,
+    "nn-direct": _DIRECT,
+    "contraction": {**_flat_fields(RunConfig), **_PROBES},
+    "kz-sweep": {
+        **{k: v for k, v in {**_DIRECT, **_PICARD}.items() if k != "kz"},
+        "scheme": (str, "nn-picard"),
+        "kz_list": (Tuple[float, ...], [0.4, 1.6, 2.8, 4.0, 5.2]),
+        "reps": (int, 5),
+        # the two schemes want different schedules; None defers to each one's
+        **{k: (_PICARD[k][0], None)
+           for k in ("base_lr", "lr_decay", "lr_decay_period")}},
+}
+_DEFAULTS = {command: {k: default for k, (_, default) in table.items()}
+             for command, table in _FIELDS.items()}
+_KINDS = {k: kind for table in _FIELDS.values() for k, (kind, _) in table.items()}
+
+# command-line flag -> flat key
+_COMMON_FLAGS = {
+    "--problem": "problem", "--d": "dim", "--seed": "seed", "--dt": "dt",
+    "--a": "discount_y", "--a-tilde": "discount_z", "--theta": "exp_rate",
+    "--theta-tilde": "gamma_rate",
+    **{f"--{k.replace('_', '-')}": k for k in _SPREAD["overrides"]},
+}
+_GRID_FLAGS = {"--R": "half_width", "--iters": "n_iters", "--p": "pad",
+               "--trunc-bound": "trunc_bound", "--trunc-degree": "trunc_degree"}
+_NN_FLAGS = {"--hidden": "hidden", "--lr": "base_lr", "--decay": "lr_decay",
+             "--decay-period": "lr_decay_period", "--m-err": "m_err"}
+_PICARD_FLAGS = {"--M": "m_samples", "--iters": "n_iters",
+                 "--steps": "train_steps", "--warm-start": "warm_start"}
+_SUBCOMMANDS = {
+    "grid-solve": ("grid Picard scheme",
+                   {**_GRID_FLAGS, "--ntilde": "n_half", "--M": "m_samples"}),
+    "rate-study": ("mesh refinement study",
+                   {**_GRID_FLAGS, "--k": "k", "--ntilde-list": "ntilde_list"}),
+    "nn-picard": ("contraction-based NN scheme", {**_NN_FLAGS, **_PICARD_FLAGS}),
+    "nn-direct": ("direct NN scheme", {
+        **_NN_FLAGS, "--epochs": "n_epochs", "--steps": "steps_per_epoch",
+        "--M-x": "m_starts", "--M": "m_inner"}),
+    "contraction": ("contraction constant report", {
+        "--weight-degree": "weight_degree", "--M": "m_samples",
+        "--probe-ntilde": "probe_n_half", "--probe-R": "probe_half_width",
+        "--mu0-probes": "n_mu0_probes", "--p": "p"}),
+    "kz-sweep": ("z-Lipschitz robustness sweep", {
+        **_NN_FLAGS, **_PICARD_FLAGS, "--scheme": "scheme",
+        "--kz-list": "kz_list", "--reps": "reps", "--epochs": "n_epochs",
+        "--steps-per-epoch": "steps_per_epoch", "--M-x": "m_starts",
+        "--M-inner": "m_inner"}),
 }
 
 _NUMERIC_ERRORS = (NonFiniteValue, NonFiniteLoss, DegenerateDiffusion,
@@ -105,36 +141,22 @@ _NUMERIC_ERRORS = (NonFiniteValue, NonFiniteLoss, DegenerateDiffusion,
                    ArithmeticError)
 
 
-def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(item):
+    def parse(text: str) -> List:
+        return [item(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with config values")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--problem", dest="problem")
-    sub.add_argument("--d", dest="dim", type=int)
-    sub.add_argument("--seed", dest="seed", type=int)
-    sub.add_argument("--dt", dest="dt", type=float)
-    sub.add_argument("--a", dest="discount_y", type=float)
-    sub.add_argument("--a-tilde", dest="discount_z", type=float)
-    sub.add_argument("--theta", dest="exp_rate", type=float)
-    sub.add_argument("--theta-tilde", dest="gamma_rate", type=float)
-    for key in _OVERRIDE_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-
-
-def _add_nn_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hidden", dest="hidden", type=_int_list,
-                     help="comma-separated hidden widths")
-    sub.add_argument("--lr", dest="base_lr", type=float)
-    sub.add_argument("--decay", dest="lr_decay", type=float)
-    sub.add_argument("--decay-period", dest="lr_decay_period", type=int)
-    sub.add_argument("--m-err", dest="m_err", type=int)
+def _add_flag(sub: argparse.ArgumentParser, flag: str, key: str) -> None:
+    kind = _KINDS[key]
+    if kind is bool:
+        sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
+    elif get_origin(kind) is tuple:
+        sub.add_argument(flag, dest=key, type=_list_of(get_args(kind)[0]))
+    else:
+        sub.add_argument(flag, dest=key, type=kind,
+                         choices=_SCHEMES if key == "scheme" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,73 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="infbsde",
         description="Monte Carlo solvers for infinite-horizon BSDE systems")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    grid = subs.add_parser("grid-solve", help="grid Picard scheme")
-    _add_common(grid)
-    grid.add_argument("--ntilde", dest="n_half", type=int)
-    grid.add_argument("--R", dest="half_width", type=float)
-    grid.add_argument("--M", dest="m_samples", type=int)
-    grid.add_argument("--iters", dest="n_iters", type=int)
-    grid.add_argument("--p", dest="pad", type=int)
-    grid.add_argument("--trunc-bound", dest="trunc_bound", type=float)
-    grid.add_argument("--trunc-degree", dest="trunc_degree", type=float)
-
-    rate = subs.add_parser("rate-study", help="mesh refinement study")
-    _add_common(rate)
-    rate.add_argument("--R", dest="half_width", type=float)
-    rate.add_argument("--iters", dest="n_iters", type=int)
-    rate.add_argument("--p", dest="pad", type=int)
-    rate.add_argument("--k", dest="k", type=float)
-    rate.add_argument("--ntilde-list", dest="ntilde_list", type=_int_list)
-    rate.add_argument("--trunc-bound", dest="trunc_bound", type=float)
-    rate.add_argument("--trunc-degree", dest="trunc_degree", type=float)
-
-    picard = subs.add_parser("nn-picard", help="contraction-based NN scheme")
-    _add_common(picard)
-    _add_nn_common(picard)
-    picard.add_argument("--M", dest="m_samples", type=int)
-    picard.add_argument("--iters", dest="n_iters", type=int)
-    picard.add_argument("--steps", dest="train_steps", type=int)
-    picard.add_argument("--warm-start", dest="warm_start",
-                        action="store_true", default=None)
-    picard.add_argument("--no-warm-start", dest="warm_start",
-                        action="store_false", default=None)
-
-    direct = subs.add_parser("nn-direct", help="direct NN scheme")
-    _add_common(direct)
-    _add_nn_common(direct)
-    direct.add_argument("--epochs", dest="n_epochs", type=int)
-    direct.add_argument("--steps", dest="steps_per_epoch", type=int)
-    direct.add_argument("--M-x", dest="m_starts", type=int)
-    direct.add_argument("--M", dest="m_inner", type=int)
-
-    contr = subs.add_parser("contraction", help="contraction constant report")
-    _add_common(contr)
-    contr.add_argument("--weight-degree", dest="weight_degree", type=float)
-    contr.add_argument("--M", dest="m_samples", type=int)
-    contr.add_argument("--probe-ntilde", dest="probe_n_half", type=int)
-    contr.add_argument("--probe-R", dest="probe_half_width", type=float)
-    contr.add_argument("--mu0-probes", dest="n_mu0_probes", type=int)
-    contr.add_argument("--p", dest="p", type=float)
-
-    sweep = subs.add_parser("kz-sweep", help="z-Lipschitz robustness sweep")
-    _add_common(sweep)
-    _add_nn_common(sweep)
-    sweep.add_argument("--scheme", dest="scheme",
-                       choices=["nn-picard", "nn-direct"])
-    sweep.add_argument("--kz-list", dest="kz_list", type=_float_list)
-    sweep.add_argument("--reps", dest="reps", type=int)
-    sweep.add_argument("--M", dest="m_samples", type=int)
-    sweep.add_argument("--iters", dest="n_iters", type=int)
-    sweep.add_argument("--steps", dest="train_steps", type=int)
-    sweep.add_argument("--epochs", dest="n_epochs", type=int)
-    sweep.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
-    sweep.add_argument("--M-x", dest="m_starts", type=int)
-    sweep.add_argument("--M-inner", dest="m_inner", type=int)
-    sweep.add_argument("--warm-start", dest="warm_start",
-                       action="store_true", default=None)
-    sweep.add_argument("--no-warm-start", dest="warm_start",
-                       action="store_false", default=None)
+    for command, (text, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        sub.add_argument("--config", help="JSON file with config values")
+        sub.add_argument("--out", default=None, help="output directory")
+        for flag, key in {**_COMMON_FLAGS, **flags}.items():
+            _add_flag(sub, flag, key)
     return parser
 
 
@@ -230,29 +191,70 @@ def _merge(command: str, args: argparse.Namespace) -> Dict:
             raise ConfigParse(f"unknown config keys: {sorted(unknown)}")
         cfg.update({k: v for k, v in data.items()
                     if k not in ("out", "command")})
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg.update({k: v for k, v in vars(args).items()
+                if k in cfg and v is not None})
     if cfg.get("problem") in (None, ""):
         raise ConfigParse("a problem name is required (--problem or config)")
     return cfg
 
 
-def _params(cfg: Dict) -> SchemeParams:
-    return SchemeParams(*(float(cfg[k]) for k in _PARAM_KEYS))
+def _cast(kind, value, key: str):
+    """``value`` as a ``kind`` field value, or a ConfigParse.
+
+    A bool field takes only true/false, an int field only integral
+    numbers, a float field any number; a tuple field takes a list.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if get_origin(kind) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_cast(get_args(kind)[0], item, key) for item in value)
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    if kind is int and number and (isinstance(value, int)
+                                   or value.is_integer()):
+        return int(value)
+    if kind is float and number:
+        return float(value)
+    name = getattr(kind, "__name__", str(kind)).lower()
+    raise ConfigParse(f"{key} must be of type {name}, not {value!r}")
 
 
-def _overrides(cfg: Dict) -> Optional[Dict]:
-    out = {k: cfg[k] for k in _OVERRIDE_KEYS if cfg.get(k) is not None}
-    return out or None
+def _value(cfg: Dict, key: str):
+    return _cast(_KINDS[key], cfg[key], key)
 
 
-def _truncation(cfg: Dict):
-    bound, degree = cfg.get("trunc_bound"), cfg.get("trunc_degree")
-    if (bound is None) != (degree is None):
+def _truncation(cfg: Dict) -> Optional[Tuple[float, float]]:
+    keys = _SPREAD["truncation"]
+    given = [cfg.get(k) is not None for k in keys]
+    if any(given) != all(given):
         raise ConfigParse("trunc_bound and trunc_degree go together")
-    return None if bound is None else (float(bound), float(degree))
+    return tuple(_value(cfg, k) for k in keys) if all(given) else None
+
+
+def _build(cls, cfg: Dict):
+    """Config class ``cls`` from the flat keys of ``cfg``.
+
+    A missing or None value keeps the class default.  The class's own
+    checks raise ValueError.
+    """
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            kwargs[f.name] = _build(hints[f.name], cfg)
+        elif f.name == "overrides":
+            kwargs[f.name] = {k: _value(cfg, k) for k in _SPREAD[f.name]
+                              if cfg.get(k) is not None} or None
+        elif f.name == "truncation":
+            kwargs[f.name] = _truncation(cfg)
+        elif cfg.get(f.name) is not None:
+            kwargs[f.name] = _value(cfg, f.name)
+    return cls(**kwargs)
+
+
+def _checked(config):
+    """``config``, once its problem builds and its rates are positive."""
+    validate_params(config.params, config.build_problem().gen)
+    return config
 
 
 def _write_csv(path, header: List[str], rows: List[List]) -> None:
@@ -264,27 +266,19 @@ def _write_csv(path, header: List[str], rows: List[List]) -> None:
                              for v in row])
 
 
-def _echo_config(outdir: str, command: str, cfg: Dict) -> None:
-    payload = {"command": command}
-    payload.update(cfg)
-    with open(os.path.join(outdir, "config_echo.json"), "w",
-              encoding="utf-8") as handle:
+def _write_json(path, payload: Dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _grid_config(cfg: Dict) -> GridSolveConfig:
-    return GridSolveConfig(
-        problem=cfg["problem"], dim=int(cfg["dim"]), overrides=_overrides(cfg),
-        params=_params(cfg), n_half=int(cfg["n_half"]), pad=int(cfg["pad"]),
-        half_width=float(cfg["half_width"]), m_samples=int(cfg["m_samples"]),
-        n_iters=int(cfg["n_iters"]), truncation=_truncation(cfg),
-        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        seed=int(cfg["seed"]))
+def _echo_config(outdir: str, command: str, cfg: Dict) -> None:
+    _write_json(os.path.join(outdir, "config_echo.json"),
+                {"command": command, **cfg})
 
 
-def _run_grid_solve(cfg: Dict, outdir: str) -> int:
-    result = solve(_grid_config(cfg))
+def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
+    result = solve(config)
     _write_csv(os.path.join(outdir, "iterations.csv"),
                ["n", "sup_err_u", "sup_err_ubar", "seconds"],
                [[r.n,
@@ -304,29 +298,25 @@ def _run_grid_solve(cfg: Dict, outdir: str) -> int:
     return 0
 
 
-def _run_rate_study(cfg: Dict, outdir: str) -> int:
-    ntilde = [int(v) for v in cfg["ntilde_list"]]
+def _build_rate_study(cfg: Dict):
+    ntilde = list(_value(cfg, "ntilde_list"))
     if len(ntilde) < 3:
         raise ConfigParse("ntilde_list needs at least 3 entries")
-    template = GridSolveConfig(
-        problem=cfg["problem"], dim=int(cfg["dim"]), overrides=_overrides(cfg),
-        params=_params(cfg), n_half=ntilde[0], pad=int(cfg["pad"]),
-        half_width=float(cfg["half_width"]), m_samples=2,
-        n_iters=int(cfg["n_iters"]), truncation=_truncation(cfg),
-        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        seed=int(cfg["seed"]))
-    result = rate_study(template, ntilde, float(cfg["k"]))
+    template = _checked(replace(_build(GridSolveConfig, cfg),
+                                n_half=ntilde[0], m_samples=2))
+    return template, ntilde, _value(cfg, "k")
+
+
+def _run_rate_study(built, outdir: str) -> int:
+    result = rate_study(*built)
     _write_csv(os.path.join(outdir, "rate_study.csv"),
                ["ntilde", "M", "sup_err_u", "sup_err_ubar"],
                [[int(n), int(m), float(eu), float(eb)]
                 for n, m, eu, eb in zip(result.n_half, result.m_samples,
                                         result.sup_err_u,
                                         result.sup_err_ubar)])
-    with open(os.path.join(outdir, "rate_fit.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump({"slope": result.slope, "intercept": result.intercept},
-                  handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(os.path.join(outdir, "rate_fit.json"),
+                {"slope": result.slope, "intercept": result.intercept})
     worst = np.maximum(result.sup_err_u, result.sup_err_ubar)
     _svg.loglog_fit_plot(
         os.path.join(outdir, "rate_fit.svg"),
@@ -337,57 +327,13 @@ def _run_rate_study(cfg: Dict, outdir: str) -> int:
     return 0
 
 
-def _lr_kwargs(cfg: Dict) -> Dict:
-    out: Dict = {}
-    if cfg["base_lr"] is not None:
-        out["base_lr"] = float(cfg["base_lr"])
-    if cfg["lr_decay"] is not None:
-        out["lr_decay"] = float(cfg["lr_decay"])
-    if cfg["lr_decay_period"] is not None:
-        out["lr_decay_period"] = int(cfg["lr_decay_period"])
-    return out
-
-
-def _picard_config(cfg: Dict, kz: Optional[float] = None) -> NnPicardConfig:
-    overrides = _overrides(cfg) or {}
-    if kz is not None:
-        overrides["kz"] = kz
-    return NnPicardConfig(
-        problem=cfg["problem"], dim=int(cfg["dim"]),
-        overrides=overrides or None, params=_params(cfg),
-        n_iters=int(cfg["n_iters"]), m_samples=int(cfg["m_samples"]),
-        train_steps=int(cfg["train_steps"]),
-        hidden=None if cfg["hidden"] is None else tuple(cfg["hidden"]),
-        warm_start=bool(cfg["warm_start"]),
-        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        m_err=int(cfg["m_err"]), seed=int(cfg["seed"]), **_lr_kwargs(cfg))
-
-
-def _direct_config(cfg: Dict, kz: Optional[float] = None,
-                   seed: Optional[int] = None) -> DirectConfig:
-    overrides = _overrides(cfg) or {}
-    if kz is not None:
-        overrides["kz"] = kz
-    return DirectConfig(
-        problem=cfg["problem"], dim=int(cfg["dim"]),
-        overrides=overrides or None, params=_params(cfg),
-        n_epochs=int(cfg["n_epochs"]),
-        steps_per_epoch=int(cfg["steps_per_epoch"]),
-        m_starts=int(cfg["m_starts"]), m_inner=int(cfg["m_inner"]),
-        hidden=None if cfg["hidden"] is None else tuple(cfg["hidden"]),
-        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        m_err=int(cfg["m_err"]),
-        seed=int(cfg["seed"] if seed is None else seed), **_lr_kwargs(cfg))
-
-
 def _write_trace(outdir: str, trace) -> None:
     _write_csv(os.path.join(outdir, "nn_trace.csv"),
                ["n", "loss", "rel_err_u", "rel_err_ubar", "seconds"],
                [[row.n, row.loss, row.rel_err_u, row.rel_err_ubar,
                  row.seconds] for row in trace])
-    finite = [row for row in trace
-              if np.isfinite(row.rel_err_u) and row.rel_err_u > 0]
-    if finite:
+    if any(np.isfinite(row.rel_err_u) and row.rel_err_u > 0
+           for row in trace):
         _svg.line_plot(
             os.path.join(outdir, "nn_trace.svg"),
             [row.n for row in trace],
@@ -397,37 +343,46 @@ def _write_trace(outdir: str, trace) -> None:
             "Training trace", "iteration", "value", logy=True)
 
 
-def _run_nn_picard(cfg: Dict, outdir: str) -> int:
-    result = contraction_nn_solve(_picard_config(cfg), keep_nets=True)
+def _run_nn_picard(config: NnPicardConfig, outdir: str) -> int:
+    result = contraction_nn_solve(config, keep_nets=True)
     _write_trace(outdir, result.trace)
     for n, net in enumerate(result.nets, start=1):
         save_checkpoint(os.path.join(outdir, f"net_iter_{n:02d}.npz"), net)
     return 0
 
 
-def _run_nn_direct(cfg: Dict, outdir: str) -> int:
-    result = direct_nn_solve(_direct_config(cfg))
+def _run_nn_direct(config: DirectConfig, outdir: str) -> int:
+    result = direct_nn_solve(config)
     _write_trace(outdir, result.trace)
     save_checkpoint(os.path.join(outdir, "net_final.npz"), result.net)
     return 0
 
 
-def _run_contraction(cfg: Dict, outdir: str) -> int:
-    problem = problem_by_name(cfg["problem"], int(cfg["dim"]),
-                              _overrides(cfg))
-    params = _params(cfg)
-    report = validate_params(params, problem.gen)
-    grid = Grid(problem.sde.dim, int(cfg["probe_n_half"]),
-                float(cfg["probe_half_width"]) / int(cfg["probe_n_half"]))
-    mu0 = np.random.Generator(np.random.Philox(int(cfg["seed"]))) \
+def _build_contraction(cfg: Dict):
+    config = _build(RunConfig, cfg)
+    probe = {k: _value(cfg, k) for k in _PROBES}
+    for key, low in (("m_samples", 2), ("probe_n_half", 1),
+                     ("n_mu0_probes", 0)):
+        if probe[key] < low:
+            raise ConfigParse(f"{key} must be at least {low}")
+    problem = problem_by_name(config.problem, config.dim, config.overrides)
+    report = validate_params(config.params, problem.gen)
+    return config, problem, report, probe
+
+
+def _run_contraction(built, outdir: str) -> int:
+    config, problem, report, probe = built
+    params, seed = config.params, config.seed
+    grid = Grid(problem.sde.dim, probe["probe_n_half"],
+                probe["probe_half_width"] / probe["probe_n_half"])
+    mu0 = np.random.Generator(np.random.Philox(seed)) \
         .normal(0.0, problem.mu0_std,
-                size=(int(cfg["n_mu0_probes"]), problem.sde.dim))
+                size=(probe["n_mu0_probes"], problem.sde.dim))
     probes = np.vstack([grid.nodes, mu0])
     estimate = estimate_c_constants(
-        problem, params, float(cfg["weight_degree"]), probes,
-        int(cfg["m_samples"]),
-        None if cfg["dt"] is None else float(cfg["dt"]), int(cfg["seed"]))
-    if problem.sde.is_brownian and float(cfg["weight_degree"]) == 0.0:
+        problem, params, probe["weight_degree"], probes, probe["m_samples"],
+        config.dt, seed)
+    if problem.sde.is_brownian and probe["weight_degree"] == 0.0:
         c_inf, c_tilde = brownian_c_infinity(params.discount_y,
                                              params.discount_z,
                                              problem.sde.dim)
@@ -449,7 +404,7 @@ def _run_contraction(cfg: Dict, outdir: str) -> int:
             ["monotonicity_margin", report.monotonicity_margin,
              "ok" if report.monotonicity_margin > 0 else "non-positive"]]
     rows.extend([r.name, r.value, r.status]
-                for r in contraction_report(inputs, float(cfg["p"])))
+                for r in contraction_report(inputs, probe["p"]))
     _write_csv(os.path.join(outdir, "contraction_report.csv"),
                ["name", "value", "status"], rows)
     return 0
@@ -460,24 +415,36 @@ def _sweep_seed(base_seed: int, kz_index: int, rep: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_kz_sweep(cfg: Dict, outdir: str) -> int:
-    kz_values = [float(v) for v in cfg["kz_list"]]
-    reps = int(cfg["reps"])
-    scheme = cfg["scheme"]
+def _build_kz_sweep(cfg: Dict):
+    """The sweep's scheme, kz values and one config per (kz, rep) cell."""
+    scheme = _value(cfg, "scheme")
+    if scheme not in _SCHEMES:
+        raise ConfigParse(f"unknown scheme {scheme!r}")
+    kz_values = list(_value(cfg, "kz_list"))
+    if not kz_values:
+        raise ConfigParse("kz_list must be non-empty")
+    reps = _value(cfg, "reps")
+    if reps < 1:
+        raise ConfigParse("reps must be at least 1")
+    base = _build(NnPicardConfig if scheme == "nn-picard" else DirectConfig,
+                  cfg)
+    cells = [[_checked(replace(base, overrides={**(base.overrides or {}),
+                                                "kz": kz},
+                               seed=_sweep_seed(base.seed, i, rep)))
+              for rep in range(reps)] for i, kz in enumerate(kz_values)]
+    return scheme, kz_values, cells
+
+
+def _run_kz_sweep(built, outdir: str) -> int:
+    scheme, kz_values, cells = built
+    solver = contraction_nn_solve if scheme == "nn-picard" else direct_nn_solve
     rows = []
     per_kz: List[List[float]] = []
-    for i, kz in enumerate(kz_values):
+    for kz, configs in zip(kz_values, cells):
         errs = []
-        for rep in range(reps):
-            seed = _sweep_seed(int(cfg["seed"]), i, rep)
+        for rep, config in enumerate(configs):
             try:
-                if scheme == "nn-picard":
-                    run_cfg = _picard_config({**cfg, "seed": seed}, kz=kz)
-                    result = contraction_nn_solve(run_cfg)
-                else:
-                    run_cfg = _direct_config(cfg, kz=kz, seed=seed)
-                    result = direct_nn_solve(run_cfg)
-                last = result.trace[-1]
+                last = solver(config).trace[-1]
                 du, dubar = last.rel_err_u, last.rel_err_ubar
             except (NonFiniteLoss, NonFiniteValue):
                 du = dubar = float("inf")
@@ -486,25 +453,26 @@ def _run_kz_sweep(cfg: Dict, outdir: str) -> int:
         per_kz.append(errs)
     _write_csv(os.path.join(outdir, "kz_sweep.csv"),
                ["kz", "rep", "du", "dubar"], rows)
-    quantiles = []
-    for errs in per_kz:
-        arr = np.asarray(errs)
-        quantiles.append(list(np.quantile(arr, [0.1, 0.25, 0.5, 0.75, 0.9]))
-                         if np.isfinite(arr).all()
-                         else [float("inf")] * 5)
+    quantiles = [list(np.quantile(errs, [0.1, 0.25, 0.5, 0.75, 0.9]))
+                 if np.isfinite(errs).all() else [float("inf")] * 5
+                 for errs in per_kz]
     _svg.whisker_plot(os.path.join(outdir, "kz_sweep.svg"), kz_values,
                       quantiles, f"Error vs z-Lipschitz constant ({scheme})",
                       "K_z", "relative error of u", logy=True)
     return 0
 
 
-_RUNNERS = {
-    "grid-solve": _run_grid_solve,
-    "rate-study": _run_rate_study,
-    "nn-picard": _run_nn_picard,
-    "nn-direct": _run_nn_direct,
-    "contraction": _run_contraction,
-    "kz-sweep": _run_kz_sweep,
+# per subcommand: build the run from the flat config, then run it
+_COMMANDS = {
+    "grid-solve": (lambda cfg: _checked(_build(GridSolveConfig, cfg)),
+                   _run_grid_solve),
+    "rate-study": (_build_rate_study, _run_rate_study),
+    "nn-picard": (lambda cfg: _checked(_build(NnPicardConfig, cfg)),
+                  _run_nn_picard),
+    "nn-direct": (lambda cfg: _checked(_build(DirectConfig, cfg)),
+                  _run_nn_direct),
+    "contraction": (_build_contraction, _run_contraction),
+    "kz-sweep": (_build_kz_sweep, _run_kz_sweep),
 }
 
 
@@ -515,73 +483,22 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command
+    build, runner = _COMMANDS[command]
     try:
         cfg = _merge(command, args)
         # fail fast on bad names/values before creating any output
-        _DISPATCH_VALIDATE[command](cfg)
-    except (ConfigParse, UnknownProblem, NonPositiveRate, ValueError,
-            TypeError) as exc:
+        built = build(cfg)
+    except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = args.out if args.out else f"runs/{command}"
+    outdir = args.out or f"runs/{command}"
     os.makedirs(outdir, exist_ok=True)
     _echo_config(outdir, command, cfg)
     try:
-        return _RUNNERS[command](cfg, outdir)
+        return runner(built, outdir)
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-
-
-def _validate_grid(cfg: Dict) -> None:
-    _grid_config(cfg).build_problem()
-
-
-def _validate_rate(cfg: Dict) -> None:
-    if len(cfg["ntilde_list"]) < 3:
-        raise ConfigParse("ntilde_list needs at least 3 entries")
-    problem_by_name(cfg["problem"], int(cfg["dim"]), _overrides(cfg))
-    _params(cfg)
-    _truncation(cfg)
-
-
-def _validate_picard(cfg: Dict) -> None:
-    _picard_config(cfg).build_problem()
-
-
-def _validate_direct(cfg: Dict) -> None:
-    _direct_config(cfg).build_problem()
-
-
-def _validate_contraction(cfg: Dict) -> None:
-    problem_by_name(cfg["problem"], int(cfg["dim"]), _overrides(cfg))
-    if int(cfg["probe_n_half"]) < 1:
-        raise ConfigParse("probe_n_half must be at least 1")
-    _params(cfg)
-
-
-def _validate_sweep(cfg: Dict) -> None:
-    if cfg["scheme"] not in ("nn-picard", "nn-direct"):
-        raise ConfigParse(f"unknown scheme {cfg['scheme']!r}")
-    if not cfg["kz_list"]:
-        raise ConfigParse("kz_list must be non-empty")
-    if int(cfg["reps"]) < 1:
-        raise ConfigParse("reps must be at least 1")
-    # the sweep injects kz, so the problem must accept that override
-    overrides = dict(_overrides(cfg) or {})
-    overrides["kz"] = float(cfg["kz_list"][0])
-    problem_by_name(cfg["problem"], int(cfg["dim"]), overrides)
-    _params(cfg)
-
-
-_DISPATCH_VALIDATE = {
-    "grid-solve": _validate_grid,
-    "rate-study": _validate_rate,
-    "nn-picard": _validate_picard,
-    "nn-direct": _validate_direct,
-    "contraction": _validate_contraction,
-    "kz-sweep": _validate_sweep,
-}
 
 
 def main() -> None:

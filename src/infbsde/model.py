@@ -6,7 +6,7 @@ are ``(m, d)`` arrays; generator values are ``(m, d')``; gradient-side values
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,6 +100,20 @@ class SchemeParams:
     discount_z: float = 2.0
     exp_rate: float = 1.5
     gamma_rate: float = 1.5
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings every run shares: the problem and its constant overrides
+    (the start-law width ``mu0_std`` among them), the scheme parameters,
+    the Euler step ``dt`` (non-Brownian dynamics only) and the seed."""
+
+    problem: str
+    dim: int = 1
+    overrides: Optional[dict] = None
+    params: SchemeParams = field(default_factory=SchemeParams)
+    dt: Optional[float] = None
+    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,15 @@ so it does not need the map to contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .fixedpoint import (CandidatePair, as_candidate, one_draw_weights,
                          r_sample_batch)
 from .grid import GridFunction
-from .model import Problem, SchemeParams, problem_by_name
+from .model import Problem, RunConfig, SchemeParams, problem_by_name
 from .neural import AdamState, Mlp, adam_step
 from .simulate import FkBatch, RngLike, RngStream, _as_generator, sample_fk_batch
 
@@ -35,31 +35,12 @@ class MissingDriverDerivatives(ValueError):
 
 
 @dataclass(frozen=True)
-class NnPicardConfig:
-    """Contraction-based scheme: one regression problem per Picard iteration."""
+class NnConfig(RunConfig):
+    """Settings both neural schemes share; ``hidden`` defaults to two
+    layers of ``20 + dim`` units."""
 
-    problem: str
-    dim: int = 1
-    overrides: Optional[dict] = None
-    params: SchemeParams = field(default_factory=SchemeParams)
-    n_iters: int = 5
-    m_samples: int = 512
-    train_steps: int = 3000
     hidden: Optional[Tuple[int, ...]] = None
-    mu0_std: Optional[float] = None
-    warm_start: bool = True
-    base_lr: float = 5e-4
-    lr_decay: float = 0.9
-    lr_decay_period: int = 1000
-    dt: Optional[float] = None
     m_err: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.m_samples < 1:
-            raise ValueError("m_samples must be at least 1")
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be at least 1")
 
     def build_problem(self) -> Problem:
         return problem_by_name(self.problem, self.dim, self.overrides)
@@ -69,7 +50,26 @@ class NnPicardConfig:
 
 
 @dataclass(frozen=True)
-class DirectConfig:
+class NnPicardConfig(NnConfig):
+    """Contraction-based scheme: one regression problem per Picard iteration."""
+
+    n_iters: int = 5
+    m_samples: int = 512
+    train_steps: int = 3000
+    warm_start: bool = True
+    base_lr: float = 5e-4
+    lr_decay: float = 0.9
+    lr_decay_period: int = 1000
+
+    def __post_init__(self):
+        if self.m_samples < 1:
+            raise ValueError("m_samples must be at least 1")
+        if self.n_iters < 1:
+            raise ValueError("n_iters must be at least 1")
+
+
+@dataclass(frozen=True)
+class DirectConfig(NnConfig):
     """Direct scheme: a single net trained across epochs of fresh data.
 
     The residual landscape is noisy and, for strongly z-dependent drivers,
@@ -77,22 +77,13 @@ class DirectConfig:
     and decays faster than the Picard regression's.
     """
 
-    problem: str
-    dim: int = 1
-    overrides: Optional[dict] = None
-    params: SchemeParams = field(default_factory=SchemeParams)
     n_epochs: int = 30
     steps_per_epoch: int = 75
     m_starts: int = 512
     m_inner: int = 100
-    hidden: Optional[Tuple[int, ...]] = None
-    mu0_std: Optional[float] = None
     base_lr: float = 2e-3
     lr_decay: float = 0.8
     lr_decay_period: int = 300
-    dt: Optional[float] = None
-    m_err: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.m_starts < 1:
@@ -103,12 +94,6 @@ class DirectConfig:
             raise ValueError("n_epochs must be at least 1")
         if self.steps_per_epoch < 0:
             raise ValueError("steps_per_epoch must be non-negative")
-
-    def build_problem(self) -> Problem:
-        return problem_by_name(self.problem, self.dim, self.overrides)
-
-    def hidden_widths(self) -> Tuple[int, ...]:
-        return self.hidden if self.hidden is not None else (20 + self.dim,) * 2
 
 
 @dataclass(frozen=True)
@@ -152,19 +137,17 @@ def _rel_errors_at(candidate, problem: Problem,
 
 def relative_l2_errors(candidate: Union[Mlp, GridFunction, CandidatePair],
                        problem: Problem, m_err: int = 1000,
-                       mu0_err_std: Optional[float] = None,
                        rng: RngLike = 0) -> Tuple[float, float]:
-    """Relative L2 errors of the value and gradient blocks under mu0.
+    """Relative L2 errors of the value and gradient blocks under mu0, the
+    problem's start law.
 
     A zero-norm reference component yields 0 when the candidate matches it
     exactly and inf otherwise.
     """
     if problem.analytic is None:
         raise MissingAnalyticSolution(problem.name)
-    if mu0_err_std is None:
-        mu0_err_std = problem.mu0_std
-    gen = _as_generator(rng)
-    x = _sample_mu0(gen, m_err, problem.sde.dim, mu0_err_std)
+    x = _sample_mu0(_as_generator(rng), m_err, problem.sde.dim,
+                    problem.mu0_std)
     return _rel_errors_at(candidate, problem, x)
 
 
@@ -195,10 +178,9 @@ def contraction_nn_solve(cfg: NnPicardConfig,
     the map applied to the previous net, starting from the zero candidate."""
     problem = cfg.build_problem()
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
-    mu0_std = cfg.mu0_std if cfg.mu0_std is not None else problem.mu0_std
     base = RngStream(cfg.seed)
     eval_gen = RngStream(cfg.seed, stream_id=1).generator()
-    eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, mu0_std)
+    eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, problem.mu0_std)
 
     previous = CandidatePair.zero(dim, dim_y)
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
@@ -208,7 +190,7 @@ def contraction_nn_solve(cfg: NnPicardConfig,
         start_time = time.perf_counter()
         iter_stream = base.substream(n)
         gen = iter_stream.substream(0).generator()
-        x0 = _sample_mu0(gen, cfg.m_samples, dim, mu0_std)
+        x0 = _sample_mu0(gen, cfg.m_samples, dim, problem.mu0_std)
         fk = sample_fk_batch(problem, cfg.params, x0, cfg.m_samples, cfg.dt,
                              iter_stream.substream(1))
         target_u, target_ubar = r_sample_batch(problem, cfg.params, previous, fk)
@@ -333,10 +315,9 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
         raise MissingDriverDerivatives(
             f"problem {problem.name!r} supplies no driver Jacobians")
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
-    mu0_std = cfg.mu0_std if cfg.mu0_std is not None else problem.mu0_std
     base = RngStream(cfg.seed)
     eval_gen = RngStream(cfg.seed, stream_id=1).generator()
-    eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, mu0_std)
+    eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, problem.mu0_std)
 
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
     state = AdamState.init(net, cfg.base_lr, cfg.lr_decay, cfg.lr_decay_period)
@@ -345,7 +326,7 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
         start_time = time.perf_counter()
         ep_stream = base.substream(epoch)
         gen = ep_stream.substream(0).generator()
-        x0 = _sample_mu0(gen, cfg.m_starts, dim, mu0_std)
+        x0 = _sample_mu0(gen, cfg.m_starts, dim, problem.mu0_std)
         repeated = np.repeat(x0, cfg.m_inner, axis=0)
         fk = sample_fk_batch(problem, cfg.params, repeated,
                              cfg.m_starts * cfg.m_inner, cfg.dt,

@@ -10,14 +10,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fixedpoint import NonFiniteValue, r_sample_batch, truncate_growth
 from .grid import Grid, GridFunction, truncated_nodes
-from .model import Problem, SchemeParams, problem_by_name
+from .model import Problem, RunConfig, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
@@ -34,27 +34,21 @@ def _worker_count() -> int:
 
 
 @dataclass(frozen=True)
-class GridSolveConfig:
+class GridSolveConfig(RunConfig):
     """Configuration of one grid Picard run.
 
     ``half_width`` is the half side of the inner reporting box; the mesh is
     ``half_width / n_half`` and the grid extends ``pad`` extra layers.
     ``truncation`` is an optional (bound, growth degree) pair; it is off by
-    default.  ``dt`` only matters for non-Brownian dynamics.
+    default.
     """
 
-    problem: str
-    dim: int = 1
-    overrides: Optional[dict] = None
-    params: SchemeParams = field(default_factory=SchemeParams)
     n_half: int = 10
     pad: int = 0
     half_width: float = 3.0
     m_samples: int = 40000
     n_iters: int = 10
     truncation: Optional[Tuple[float, float]] = None
-    dt: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.m_samples < 2:

@@ -256,6 +256,14 @@ class TestEstimateC:
             estimate_c_constants(problem, SchemeParams(), 0.0,
                                  np.zeros((0, 1)), 10)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, m):
+        # one sample has no standard error; it used to come back as nan
+        problem = problem_by_name("arctan-const-sigma", 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            estimate_c_constants(problem, SchemeParams(), 0.0,
+                                 np.zeros((1, 1)), m)
+
 
 class TestReport:
     def test_rows_and_statuses(self):

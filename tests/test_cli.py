@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from infbsde import NnPicardConfig, SchemeParams, contraction_nn_solve
-from infbsde.cli import _format, _sweep_seed, run
+from infbsde import (DirectConfig, GridSolveConfig, NnPicardConfig,
+                     SchemeParams, contraction_nn_solve)
+from infbsde.cli import _DEFAULTS, _build, _format, _sweep_seed, run
 from infbsde.neural import load_checkpoint
 
 
@@ -330,3 +331,122 @@ def test_csv_floats_carry_full_precision(tmp_path):
     # float cells must survive a text round trip bit for bit
     for text in cells[2:]:
         assert text == _format(float(text))
+
+
+# one tiny seeded run per subcommand (both kz-sweep schemes)
+TINY_RUNS = {
+    "grid-solve": grid_args("unused")[:-2],
+    "rate-study": ["rate-study", "--problem", "linear-constant", "--R", "1.0",
+                   "--iters", "2", "--ntilde-list", "2,3,4", "--k", "4",
+                   "--seed", "1"],
+    "nn-picard": picard_args("unused")[:-2],
+    "nn-direct": ["nn-direct", "--problem", "linear-constant", "--epochs",
+                  "2", "--steps", "3", "--M-x", "8", "--M", "4", "--m-err",
+                  "32", "--hidden", "4", "--seed", "2"],
+    "contraction": ["contraction", "--problem", "arctan-const-sigma",
+                    "--M", "200", "--probe-ntilde", "1", "--mu0-probes", "2",
+                    "--seed", "5"],
+    "kz-sweep-picard": ["kz-sweep", "--problem", "arctan-const-sigma",
+                        "--kz-list", "0.5,1.5", "--reps", "2", "--M", "8",
+                        "--iters", "1", "--steps", "2", "--m-err", "16",
+                        "--hidden", "4", "--seed", "9"],
+    "kz-sweep-direct": ["kz-sweep", "--problem", "arctan-const-sigma",
+                        "--scheme", "nn-direct", "--kz-list", "0.5,2",
+                        "--reps", "2", "--epochs", "1", "--steps-per-epoch",
+                        "2", "--M-x", "4", "--M-inner", "4", "--m-err", "16",
+                        "--hidden", "4", "--seed", "11"],
+}
+
+
+def output_files(out):
+    """Every output file by name; CSVs as rows without a seconds column."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            rows = read_csv(path)
+            if "seconds" in rows[0]:
+                k = rows[0].index("seconds")
+                rows = [row[:k] + row[k + 1:] for row in rows]
+            files[path.name] = rows
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(TINY_RUNS))
+def test_config_echo_reproduces_run(tmp_path, capsys, name):
+    argv = TINY_RUNS[name]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(argv + ["--out", str(first)]) == 0
+    rc = run([argv[0], "--config", str(first / "config_echo.json"),
+              "--out", str(second)])
+    assert rc == 0
+    capsys.readouterr()
+    # echo, tables, checkpoints and plots all match byte for byte
+    assert output_files(first) == output_files(second)
+    assert len(output_files(first)) >= 2
+
+
+@pytest.mark.parametrize("command, cls", [
+    ("grid-solve", GridSolveConfig), ("nn-picard", NnPicardConfig),
+    ("nn-direct", DirectConfig)])
+def test_cli_defaults_are_the_class_defaults(command, cls):
+    cfg = dict(_DEFAULTS[command], problem="linear-constant")
+    assert _build(cls, cfg) == cls(problem="linear-constant")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--M", "0"],
+                 id="kz-sweep-M0"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--scheme",
+                  "nn-direct", "--M-inner", "1"], id="kz-sweep-M-inner1"),
+    pytest.param(["rate-study", "--problem", "linear-constant", "--iters",
+                  "0"], id="rate-study-iters0"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma",
+                  "--mu0-probes", "-1"], id="contraction-mu0-probes-1"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma", "--M",
+                  "1"], id="contraction-M1"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma",
+                  "--probe-ntilde", "0"], id="contraction-probe-ntilde0"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma",
+                  "--theta", "0"], id="contraction-theta0"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--iters",
+                  "0"], id="grid-solve-iters0"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--theta",
+                  "0"], id="grid-solve-theta0"),
+    pytest.param(["nn-picard", "--problem", "linear-constant", "--M", "0"],
+                 id="nn-picard-M0"),
+    pytest.param(["nn-direct", "--problem", "linear-constant", "--epochs",
+                  "0"], id="nn-direct-epochs0"),
+])
+def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("warm_start", "false"), ("warm_start", 0), ("n_iters", 1.7),
+    ("n_iters", True), ("m_samples", "32"), ("hidden", [8.5]),
+    ("hidden", 8), ("base_lr", "1e-3"), ("kz", "0.5"), ("problem", 3),
+])
+def test_wrong_typed_config_value_rejected(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "arctan-const-sigma", key: value}),
+                   encoding="utf-8")
+    out = tmp_path / "never"
+    assert run(["nn-picard", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+def test_config_values_cast_to_field_types():
+    cfg = dict(_DEFAULTS["nn-picard"], problem="linear-constant", n_iters=2.0,
+               discount_y=3, hidden=[8, 6], warm_start=False)
+    config = _build(NnPicardConfig, cfg)
+    assert config.n_iters == 2 and type(config.n_iters) is int
+    assert config.params.discount_y == 3.0
+    assert type(config.params.discount_y) is float
+    assert config.hidden == (8, 6) and config.warm_start is False

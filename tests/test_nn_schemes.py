@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from infbsde import (CandidatePair, DirectConfig, Grid, GridFunction, Mlp,
-                     MissingAnalyticSolution, NnPicardConfig, NonFiniteLoss,
-                     RngStream, contraction_nn_solve, direct_nn_solve,
-                     problem_by_name, relative_l2_errors)
+                     MissingAnalyticSolution, NnConfig, NnPicardConfig,
+                     NonFiniteLoss, RngStream, contraction_nn_solve,
+                     direct_nn_solve, problem_by_name, relative_l2_errors)
 
 LINEAR = problem_by_name("linear-constant", 1)
 
@@ -33,6 +33,16 @@ class TestConfigs:
             DirectConfig("linear-constant", steps_per_epoch=-1)
         # zero training steps per epoch is a legal (no-op) setting
         DirectConfig("linear-constant", steps_per_epoch=0)
+
+    def test_shared_fields_live_on_the_bases(self):
+        shared = [f.name for f in dataclasses.fields(NnConfig)]
+        assert shared == ["problem", "dim", "overrides", "params", "dt",
+                          "seed", "hidden", "m_err"]
+        for cls in (NnPicardConfig, DirectConfig):
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert names[:len(shared)] == shared
+            # the start-law width is a problem override only
+            assert "mu0_std" not in names
 
 
 class TestRelativeErrors:
