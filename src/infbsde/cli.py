@@ -36,7 +36,7 @@ from .nn_schemes import (DirectConfig, MissingAnalyticSolution, NnPicardConfig,
                          NonFiniteLoss, contraction_nn_solve, direct_nn_solve)
 from .picard_grid import (FitUnderdetermined, GridSolveConfig, rate_study,
                           solve)
-from .simulate import DegenerateDiffusion
+from .simulate import DegenerateDiffusion, check_step
 
 
 class ConfigParse(ValueError):
@@ -252,8 +252,17 @@ def _build(cls, cfg: Dict):
 
 
 def _checked(config):
-    """``config``, once its problem builds and its rates are positive."""
-    validate_params(config.params, config.build_problem().gen)
+    """``config``, once its problem builds, its rates are positive and its
+    dynamics have the Euler step they need."""
+    problem = config.build_problem()
+    validate_params(config.params, problem.gen)
+    check_step(problem.sde, config.dt)
+    return config
+
+
+def _build_grid_solve(cfg: Dict) -> GridSolveConfig:
+    config = _checked(_build(GridSolveConfig, cfg))
+    config.build_grid()
     return config
 
 
@@ -302,8 +311,12 @@ def _build_rate_study(cfg: Dict):
     ntilde = list(_value(cfg, "ntilde_list"))
     if len(ntilde) < 3:
         raise ConfigParse("ntilde_list needs at least 3 entries")
+    if min(ntilde) < 1:
+        raise ConfigParse("ntilde_list entries must be at least 1")
     template = _checked(replace(_build(GridSolveConfig, cfg),
                                 n_half=ntilde[0], m_samples=2))
+    # every mesh of the study shares the template's box, padding and dim
+    template.build_grid()
     return template, ntilde, _value(cfg, "k")
 
 
@@ -367,14 +380,15 @@ def _build_contraction(cfg: Dict):
             raise ConfigParse(f"{key} must be at least {low}")
     problem = problem_by_name(config.problem, config.dim, config.overrides)
     report = validate_params(config.params, problem.gen)
-    return config, problem, report, probe
+    check_step(problem.sde, config.dt)
+    grid = Grid(problem.sde.dim, probe["probe_n_half"],
+                probe["probe_half_width"] / probe["probe_n_half"])
+    return config, problem, report, probe, grid
 
 
 def _run_contraction(built, outdir: str) -> int:
-    config, problem, report, probe = built
+    config, problem, report, probe, grid = built
     params, seed = config.params, config.seed
-    grid = Grid(problem.sde.dim, probe["probe_n_half"],
-                probe["probe_half_width"] / probe["probe_n_half"])
     mu0 = np.random.Generator(np.random.Philox(seed)) \
         .normal(0.0, problem.mu0_std,
                 size=(probe["n_mu0_probes"], problem.sde.dim))
@@ -464,8 +478,7 @@ def _run_kz_sweep(built, outdir: str) -> int:
 
 # per subcommand: build the run from the flat config, then run it
 _COMMANDS = {
-    "grid-solve": (lambda cfg: _checked(_build(GridSolveConfig, cfg)),
-                   _run_grid_solve),
+    "grid-solve": (_build_grid_solve, _run_grid_solve),
     "rate-study": (_build_rate_study, _run_rate_study),
     "nn-picard": (lambda cfg: _checked(_build(NnPicardConfig, cfg)),
                   _run_nn_picard),

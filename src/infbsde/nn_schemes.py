@@ -42,6 +42,12 @@ class NnConfig(RunConfig):
     hidden: Optional[Tuple[int, ...]] = None
     m_err: int = 1000
 
+    def __post_init__(self):
+        if self.m_err < 1:
+            raise ValueError("m_err must be at least 1")
+        if any(width < 1 for width in self.hidden_widths()):
+            raise ValueError("hidden widths must be at least 1")
+
     def build_problem(self) -> Problem:
         return problem_by_name(self.problem, self.dim, self.overrides)
 
@@ -62,10 +68,13 @@ class NnPicardConfig(NnConfig):
     lr_decay_period: int = 1000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.m_samples < 1:
             raise ValueError("m_samples must be at least 1")
         if self.n_iters < 1:
             raise ValueError("n_iters must be at least 1")
+        if self.train_steps < 0:
+            raise ValueError("train_steps must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ class DirectConfig(NnConfig):
     lr_decay_period: int = 300
 
     def __post_init__(self):
+        super().__post_init__()
         if self.m_starts < 1:
             raise ValueError("m_starts must be at least 1")
         if self.m_inner < 2:

@@ -18,7 +18,7 @@ import numpy as np
 from .fixedpoint import NonFiniteValue, r_sample_batch, truncate_growth
 from .grid import Grid, GridFunction, truncated_nodes
 from .model import Problem, RunConfig, problem_by_name
-from .simulate import FkBatch, RngStream, sample_fk_batch
+from .simulate import RngStream, sample_fk_batch
 
 
 class FitUnderdetermined(ValueError):
@@ -51,6 +51,8 @@ class GridSolveConfig(RunConfig):
     truncation: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
+        if self.n_half < 1:
+            raise ValueError("n_half must be at least 1")
         if self.m_samples < 2:
             raise ValueError("m_samples must be at least 2")
         if self.n_iters < 1:
@@ -75,9 +77,10 @@ class IterationReport:
     seconds: float
 
 
-# Draws per r_sample_batch call.  Nodes are grouped until a chunk holds about
-# this many rows, so each numpy call in the estimator is long enough to
-# release the GIL for the other worker; see CHANGES.md for how it was chosen.
+# Draws per sample_fk_batch and r_sample_batch call.  Nodes are grouped until
+# a chunk holds about this many rows, so each numpy call in the estimator is
+# long enough to release the GIL for the other worker; see CHANGES.md for how
+# it was chosen.
 CHUNK_ROWS = 6000
 
 
@@ -86,7 +89,8 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
     """One Picard update: fresh per-node samples against the interpolant of ``v``.
 
     Node ``i`` always draws from ``rng.substream(i)``; nodes are evaluated in
-    chunks of consecutive indices, which changes no value.
+    chunks of consecutive indices, one sampler call per chunk, which changes
+    no value.
     """
     if problem is None:
         problem = cfg.build_problem()
@@ -99,11 +103,10 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
     nodes = grid.nodes
 
     def update(chunk: range) -> None:
-        fk = FkBatch.concatenate([
-            sample_fk_batch(problem, cfg.params, nodes[node], m, cfg.dt,
-                            rng.substream(node).generator())
-            for node in chunk
-        ])
+        fk = sample_fk_batch(problem, cfg.params,
+                             np.repeat(nodes[chunk.start:chunk.stop], m, axis=0),
+                             m * len(chunk), cfg.dt,
+                             [rng.substream(node) for node in chunk])
         comp1, comp2 = r_sample_batch(problem, cfg.params, interpolant, fk)
         for k, node in enumerate(chunk):
             rows = slice(k * m, (k + 1) * m)

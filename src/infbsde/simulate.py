@@ -13,7 +13,7 @@ Randomness comes from counter-based Philox streams addressed by
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -109,12 +109,6 @@ class FkBatch:
     def __len__(self) -> int:
         return self.e_time.shape[0]
 
-    @classmethod
-    def concatenate(cls, batches: Sequence["FkBatch"]) -> "FkBatch":
-        """Stack batches row-wise, in order."""
-        return cls(*(np.concatenate([getattr(b, f.name) for b in batches])
-                     for f in fields(cls)))
-
     def row(self, i: int) -> FkSample:
         return FkSample(
             float(self.e_time[i]),
@@ -136,13 +130,14 @@ class PathState:
 
 
 def _brownian_fk_batch(params: SchemeParams, starts: np.ndarray,
-                       gen: np.random.Generator) -> FkBatch:
+                       gens: Sequence[np.random.Generator]) -> FkBatch:
     m, d = starts.shape
-    e = gen.exponential(1.0 / params.exp_rate, m)
-    z = gen.standard_normal(m)
+    b = m // len(gens)
+    draws = [(gen.exponential(1.0 / params.exp_rate, b), gen.standard_normal(b),
+              gen.standard_normal((b, d)), gen.standard_normal((b, d)))
+             for gen in gens]
+    e, z, z1, z2 = (np.concatenate(part) for part in zip(*draws))
     g = z * z / (2.0 * params.gamma_rate)
-    z1 = gen.standard_normal((m, d))
-    z2 = gen.standard_normal((m, d))
     sqrt_g = np.sqrt(g)
     return FkBatch(
         e_time=e,
@@ -157,83 +152,169 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("mij,mij->m", a, a))
 
 
+def _euler_step(sde: SdeSpec, x: np.ndarray, tangent: np.ndarray,
+                integral: np.ndarray, dw: np.ndarray, dt: float,
+                step: int) -> None:
+    """Advance rows of (X, tangent, Malliavin integral) one Euler step in place.
+
+    Raises :class:`DegenerateDiffusion` when the diffusion is numerically
+    singular at any row.
+    """
+    sig = sde.diffusion(x)
+    siginv = sde.inverse_diffusion(x)
+    cond = np.max(_frobenius(sig) * _frobenius(siginv))
+    if cond > 1e12:
+        raise DegenerateDiffusion(f"condition estimate {cond:.3g} at step {step}")
+    # left-point Ito increments use the pre-update state and tangent
+    integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
+    if sde.diffusion_jacobian is not None:
+        dj = np.einsum("mikj,mjl,mk->mil", sde.diffusion_jacobian(x), tangent, dw)
+    else:
+        dj = 0.0
+    if sde.drift_jacobian is not None:
+        dj = dj + np.einsum("mij,mjl->mil", sde.drift_jacobian(x), tangent) * dt
+    x += sde.drift(x) * dt + np.einsum("mij,mj->mi", sig, dw)
+    if not np.isscalar(dj):
+        tangent += dj
+
+
+# Float64 normals drawn ahead per window of consecutive Euler steps; a window
+# holds at least one step.  Caps the increment buffer near 2 MB however many
+# steps a call runs, with one draw call per block and window instead of one
+# per block and step.
+WINDOW_VALUES = 1 << 18
+
+
+def _horizon_ends(n: np.ndarray, order: np.ndarray, n_steps: int):
+    """Rows whose horizon ``n`` ends at each step.
+
+    Returns their loop positions and output rows, grouped by step, and the
+    cut list: step ``j + 1`` owns entries ``cuts[j]:cuts[j + 1]``.
+    """
+    n_loop = n[order]
+    by_end = np.argsort(n_loop, kind="stable")
+    cuts = np.searchsorted(n_loop[by_end], np.arange(1, n_steps + 2))
+    return by_end, order[by_end], cuts.tolist()
+
+
 def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
-                    dt: float, gen: np.random.Generator) -> FkBatch:
-    """Simulate one path per sample, evaluated at both rounded horizons."""
+                    dt: float, gens: Sequence[np.random.Generator]) -> FkBatch:
+    """Simulate one path per row, evaluated at both rounded horizons.
+
+    Row block ``i`` takes from ``gens[i]`` exactly the draws a call on that
+    block alone would: its horizons, then per step one increment for each
+    of its running rows, in the block's stable order of step counts.  All
+    blocks share one Euler loop.
+    """
     m, d = starts.shape
-    e_raw = gen.exponential(1.0 / params.exp_rate, m)
-    zg = gen.standard_normal(m)
+    n_blocks = len(gens)
+    b = m // n_blocks
+    horizons = [(gen.exponential(1.0 / params.exp_rate, b), gen.standard_normal(b))
+                for gen in gens]
+    e_raw, zg = (np.concatenate(part) for part in zip(*horizons))
     g_raw = zg * zg / (2.0 * params.gamma_rate)
     n_e = np.maximum(np.ceil(e_raw / dt).astype(np.int64), 1)
     n_g = np.maximum(np.ceil(g_raw / dt).astype(np.int64), 1)
     n_max = np.maximum(n_e, n_g)
+    n_steps = int(n_max.max())
 
-    # ascending sort by total steps: the active set at step k is a suffix
+    # Loop over rows in stable ascending order of total steps: the rows
+    # running at step k are a suffix, and each block's rows keep the order
+    # in which that block draws their increments.
     order = np.argsort(n_max, kind="stable")
-    unsort = np.empty(m, dtype=np.int64)
-    unsort[order] = np.arange(m)
-    n_e_s = n_e[order]
-    n_g_s = n_g[order]
-    n_max_s = n_max[order]
+    width = n_steps + 1
+    # finished[i, j]: rows of block i done after j steps, so the other
+    # running[i, j] rows take step j + 1; drawn[i, j]: increments block i
+    # draws for steps 1..j; first[j]: loop position of the running suffix
+    finished = np.cumsum(np.bincount(np.arange(m) // b * width + n_max,
+                                     minlength=n_blocks * width)
+                         .reshape(n_blocks, width), axis=1)[:, :n_steps]
+    running = b - finished
+    drawn = np.zeros((n_blocks, width), dtype=np.int64)
+    np.cumsum(running, axis=1, out=drawn[:, 1:])
+    drawn_all = drawn.sum(axis=0)
+    first = (m - running.sum(axis=0)).tolist()
+    if n_blocks > 1:
+        block = order // b
+        rank = np.empty(m, dtype=np.int64)
+        rank[np.argsort(block, kind="stable")] = np.arange(m) % b
+    e_rows, e_dest, e_cuts = _horizon_ends(n_e, order, n_steps)
+    g_rows, g_dest, g_cuts = _horizon_ends(n_g, order, n_steps)
 
-    x = starts[order].copy()
+    x = starts[order]
     tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     integral = np.zeros((m, d))
     x_at_e = np.empty((m, d))
     x_at_g = np.empty((m, d))
     integral_at_g = np.empty((m, d))
-    sig_start = sde.diffusion(starts[order])
+    noise = np.empty(min(max(WINDOW_VALUES, m * d), int(drawn_all[-1]) * d))
     sqrt_dt = np.sqrt(dt)
 
-    for k in range(1, int(n_max_s[-1]) + 1):
-        s = np.searchsorted(n_max_s, k, side="left")
-        xa = x[s:]
-        ja = tangent[s:]
-        dw = gen.standard_normal((m - s, d)) * sqrt_dt
-        sig = sde.diffusion(xa)
-        siginv = sde.inverse_diffusion(xa)
-        cond = _frobenius(sig) * _frobenius(siginv)
-        if np.max(cond) > 1e12:
-            raise DegenerateDiffusion(
-                f"condition estimate {np.max(cond):.3g} at step {k}"
-            )
-        # left-point Ito increments use the pre-update state and tangent
-        integral[s:] += np.einsum("mi,mij->mj", dw, siginv @ ja)
-        if sde.diffusion_jacobian is not None:
-            dj = np.einsum("mikj,mjl,mk->mil", sde.diffusion_jacobian(xa), ja, dw)
+    j0 = 0
+    while j0 < n_steps:
+        j1 = int(np.searchsorted(drawn_all, drawn_all[j0] + WINDOW_VALUES // d,
+                                 side="right")) - 1
+        j1 = max(j1, j0 + 1)
+        per_block = drawn[:, j1] - drawn[:, j0]
+        base = np.cumsum(per_block) - per_block
+        for gen, lo, n in zip(gens, base.tolist(), per_block.tolist()):
+            gen.standard_normal(out=noise[lo * d:(lo + n) * d])
+        dws = noise[:int(per_block.sum()) * d].reshape(-1, d)
+        dws *= sqrt_dt
+        if n_blocks == 1:
+            # each step's increments follow the loop order of its rows
+            offsets = (drawn[0, j0:j1] - drawn[0, j0]).tolist()
         else:
-            dj = 0.0
-        if sde.drift_jacobian is not None:
-            dj = dj + np.einsum("mij,mjl->mil", sde.drift_jacobian(xa), ja) * dt
-        xa += sde.drift(xa) * dt + np.einsum("mij,mj->mi", sig, dw)
-        if not np.isscalar(dj):
-            ja += dj
-        done_e = n_e_s[s:] == k
-        if done_e.any():
-            x_at_e[s:][done_e] = xa[done_e]
-        done_g = n_g_s[s:] == k
-        if done_g.any():
-            x_at_g[s:][done_g] = xa[done_g]
-            integral_at_g[s:][done_g] = integral[s:][done_g]
+            # the step-(j+1) increment of the rank-r running row of block i
+            # sits at dws[shift[j - j0, i] + r]
+            shift = ((base - drawn[:, j0])[:, None] + drawn[:, j0:j1]
+                     - finished[:, j0:j1]).T
+        for j in range(j0, j1):
+            s = first[j]
+            if n_blocks == 1:
+                dw = dws[offsets[j - j0]:offsets[j - j0] + m - s]
+            else:
+                dw = dws[shift[j - j0][block[s:]] + rank[s:]]
+            _euler_step(sde, x[s:], tangent[s:], integral[s:], dw, dt, j + 1)
+            lo, hi = e_cuts[j], e_cuts[j + 1]
+            if lo < hi:
+                x_at_e[e_dest[lo:hi]] = x[e_rows[lo:hi]]
+            lo, hi = g_cuts[j], g_cuts[j + 1]
+            if lo < hi:
+                rows, dest = g_rows[lo:hi], g_dest[lo:hi]
+                x_at_g[dest] = x[rows]
+                integral_at_g[dest] = integral[rows]
+        j0 = j1
 
-    g_time_s = n_g_s * dt
-    malliavin = np.einsum("mi,mij->mj", integral_at_g, sig_start) / g_time_s[:, None]
+    g_time = n_g * dt
+    malliavin = np.einsum("mi,mij->mj", integral_at_g,
+                          sde.diffusion(starts)) / g_time[:, None]
     return FkBatch(
-        e_time=(n_e * dt).astype(float),
-        g_time=(n_g * dt).astype(float),
-        x_at_e=x_at_e[unsort],
-        x_at_g=x_at_g[unsort],
-        malliavin_at_g=malliavin[unsort],
+        e_time=n_e * dt,
+        g_time=g_time,
+        x_at_e=x_at_e,
+        x_at_g=x_at_g,
+        malliavin_at_g=malliavin,
     )
 
 
+def check_step(sde: SdeSpec, dt: Optional[float]) -> None:
+    """Raise ValueError unless ``sde`` is Brownian or ``dt`` is a positive step."""
+    if not sde.is_brownian and not (dt is not None and dt > 0):
+        raise ValueError("dt > 0 is required for non-Brownian dynamics")
+
+
 def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
-                    dt: Optional[float], rng: RngLike) -> FkBatch:
+                    dt: Optional[float],
+                    rng: Union[RngLike, Sequence[RngLike]]) -> FkBatch:
     """Draw ``m`` randomized-horizon samples.
 
     ``x`` is a single starting point or a batch of exactly ``m`` points
     (one sample per point).  ``dt`` is required for non-Brownian dynamics
-    and ignored otherwise.
+    and ignored otherwise.  ``rng`` is one stream, or a sequence of ``k``
+    streams with ``m`` a multiple of ``k``: rows ``[i*m/k, (i+1)*m/k)``
+    then come from ``rng[i]`` and equal a separate call on those rows with
+    ``rng[i]`` alone.
     """
     d = problem.sde.dim
     starts = as_points(x, d)
@@ -241,13 +322,15 @@ def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
         starts = np.broadcast_to(starts, (m, d))
     if starts.shape[0] != m:
         raise ValueError(f"need 1 or {m} starting points, got {starts.shape[0]}")
-    gen = _as_generator(rng)
+    gens = ([_as_generator(r) for r in rng] if isinstance(rng, Sequence)
+            else [_as_generator(rng)])
+    if not gens or m % len(gens):
+        raise ValueError(f"{m} rows do not split into {len(gens)} equal blocks")
+    check_step(problem.sde, dt)
+    starts = np.ascontiguousarray(starts, float)
     if problem.sde.is_brownian:
-        return _brownian_fk_batch(params, np.ascontiguousarray(starts, float), gen)
-    if dt is None or dt <= 0:
-        raise ValueError("dt > 0 is required for non-Brownian dynamics")
-    return _euler_fk_batch(problem.sde, params, np.ascontiguousarray(starts, float),
-                           dt, gen)
+        return _brownian_fk_batch(params, starts, gens)
+    return _euler_fk_batch(problem.sde, params, starts, dt, gens)
 
 
 def simulate_fk_sample(problem: Problem, params: SchemeParams, x,
@@ -299,20 +382,8 @@ def simulate_paths(sde: SdeSpec, x, horizon: float, dt: float, m: int,
     tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     integral = np.zeros((m, d))
     sqrt_dt = np.sqrt(dt)
-    for _ in range(n_steps):
+    for step in range(1, n_steps + 1):
         dw = gen.standard_normal((m, d)) * sqrt_dt
-        sig = sde.diffusion(x_cur)
-        siginv = sde.inverse_diffusion(x_cur)
-        integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
-        if sde.diffusion_jacobian is not None:
-            dj = np.einsum("mikj,mjl,mk->mil",
-                           sde.diffusion_jacobian(x_cur), tangent, dw)
-        else:
-            dj = 0.0
-        if sde.drift_jacobian is not None:
-            dj = dj + np.einsum("mij,mjl->mil", sde.drift_jacobian(x_cur), tangent) * dt
-        x_cur += sde.drift(x_cur) * dt + np.einsum("mij,mj->mi", sig, dw)
-        if not np.isscalar(dj):
-            tangent += dj
+        _euler_step(sde, x_cur, tangent, integral, dw, dt, step)
     return PathState(x=x_cur, tangent=tangent, malliavin_integral=integral,
                      t=n_steps * dt)

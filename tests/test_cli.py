@@ -418,6 +418,49 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                  id="nn-picard-M0"),
     pytest.param(["nn-direct", "--problem", "linear-constant", "--epochs",
                   "0"], id="nn-direct-epochs0"),
+    # Euler dynamics need a positive step in every subcommand
+    pytest.param(["grid-solve", "--problem", "arctan-tanh-sigma"],
+                 id="grid-solve-no-dt"),
+    pytest.param(["grid-solve", "--problem", "arctan-tanh-sigma", "--dt",
+                  "0"], id="grid-solve-dt0"),
+    pytest.param(["rate-study", "--problem", "arctan-tanh-sigma", "--dt",
+                  "-0.1"], id="rate-study-dt-negative"),
+    pytest.param(["nn-picard", "--problem", "arctan-tanh-sigma"],
+                 id="nn-picard-no-dt"),
+    pytest.param(["nn-direct", "--problem", "arctan-tanh-sigma"],
+                 id="nn-direct-no-dt"),
+    pytest.param(["contraction", "--problem", "arctan-tanh-sigma"],
+                 id="contraction-no-dt"),
+    pytest.param(["kz-sweep", "--problem", "arctan-tanh-sigma", "--dt", "0"],
+                 id="kz-sweep-dt0"),
+    # grid geometry
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--ntilde",
+                  "-1"], id="grid-solve-ntilde-1"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--ntilde",
+                  "0"], id="grid-solve-ntilde0"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--R", "0"],
+                 id="grid-solve-R0"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--d", "0"],
+                 id="grid-solve-d0"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--p", "-1"],
+                 id="grid-solve-p-1"),
+    pytest.param(["rate-study", "--problem", "linear-constant",
+                  "--ntilde-list", "0,1,2"], id="rate-study-ntilde-list0"),
+    pytest.param(["rate-study", "--problem", "linear-constant", "--R", "0"],
+                 id="rate-study-R0"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma",
+                  "--probe-R", "0"], id="contraction-probe-R0"),
+    # neural config bounds
+    pytest.param(["nn-picard", "--problem", "linear-constant", "--steps",
+                  "-1"], id="nn-picard-steps-1"),
+    pytest.param(["nn-picard", "--problem", "linear-constant", "--m-err",
+                  "0"], id="nn-picard-m-err0"),
+    pytest.param(["nn-picard", "--problem", "linear-constant", "--hidden",
+                  "0"], id="nn-picard-hidden0"),
+    pytest.param(["nn-direct", "--problem", "linear-constant", "--m-err",
+                  "0"], id="nn-direct-m-err0"),
+    pytest.param(["nn-direct", "--problem", "linear-constant", "--hidden",
+                  "8,0"], id="nn-direct-hidden8-0"),
 ])
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "never"

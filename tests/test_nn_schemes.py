@@ -34,6 +34,18 @@ class TestConfigs:
         # zero training steps per epoch is a legal (no-op) setting
         DirectConfig("linear-constant", steps_per_epoch=0)
 
+    @pytest.mark.parametrize("cls", [NnPicardConfig, DirectConfig])
+    @pytest.mark.parametrize("kwargs", [
+        {"m_err": 0}, {"hidden": (0,)}, {"hidden": (8, -1)}])
+    def test_shared_bounds(self, cls, kwargs):
+        with pytest.raises(ValueError):
+            cls("linear-constant", **kwargs)
+
+    def test_train_steps_bound(self):
+        with pytest.raises(ValueError):
+            NnPicardConfig("linear-constant", train_steps=-1)
+        NnPicardConfig("linear-constant", train_steps=0)
+
     def test_shared_fields_live_on_the_bases(self):
         shared = [f.name for f in dataclasses.fields(NnConfig)]
         assert shared == ["problem", "dim", "overrides", "params", "dt",

@@ -25,6 +25,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(n_iters=0)
 
+    def test_needs_a_reporting_layer(self):
+        # the mesh is half_width / n_half
+        with pytest.raises(ValueError):
+            config(n_half=0)
+
 
 class TestSingleStep:
     def test_first_iterate_level(self):

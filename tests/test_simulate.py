@@ -1,4 +1,6 @@
 """Random horizon samplers, path simulation, and the Malliavin weight."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,7 @@ from infbsde import (DegenerateDiffusion, RngStream, SchemeParams,
                      problem_by_name, sample_exponential, sample_fk_batch,
                      sample_gamma_half, simulate_batch, simulate_fk_sample,
                      simulate_paths)
+from infbsde import simulate
 from infbsde.model import SdeSpec
 
 PARAMS = SchemeParams(2.0, 2.0, 1.5, 1.5)
@@ -29,6 +32,60 @@ def ou_sde(rate=1.0):
                    diffusion_jacobian=None, drift_jacobian=drift_jac,
                    lip_drift=rate, lip_diffusion=0.0, bound_diffusion=1.0,
                    bound_inverse_diffusion=1.0, is_brownian=False)
+
+
+def coupled_sde():
+    """Two-dimensional dynamics with state-dependent drift and diffusion."""
+    a = np.array([[0.3, 0.1], [-0.2, 0.25]])
+
+    def drift(x):
+        return -np.sin(x) @ a.T
+
+    def drift_jac(x):
+        return -a[None] * np.cos(x)[:, None, :]
+
+    def diffusion(x):
+        s = np.zeros((x.shape[0], 2, 2))
+        s[:, 0, 0] = 1.0 + 0.3 * np.tanh(x[:, 0])
+        s[:, 1, 1] = 1.0 + 0.2 * np.tanh(x[:, 1])
+        s[:, 0, 1] = 0.1 * np.sin(x[:, 1])
+        return s
+
+    def diffusion_jac(x):
+        j = np.zeros((x.shape[0], 2, 2, 2))
+        j[:, 0, 0, 0] = 0.3 * (1.0 - np.tanh(x[:, 0]) ** 2)
+        j[:, 1, 1, 1] = 0.2 * (1.0 - np.tanh(x[:, 1]) ** 2)
+        j[:, 0, 1, 1] = 0.1 * np.cos(x[:, 1])
+        return j
+
+    return SdeSpec(dim=2, drift=drift, diffusion=diffusion,
+                   inverse_diffusion=lambda x: np.linalg.inv(diffusion(x)),
+                   diffusion_jacobian=diffusion_jac, drift_jacobian=drift_jac,
+                   lip_drift=0.4, lip_diffusion=0.3, bound_diffusion=1.4,
+                   bound_inverse_diffusion=1.5, is_brownian=False)
+
+
+def collapsing_sde():
+    """Driftless 2-d dynamics whose diffusion collapses where x_0 > 5."""
+    def scale(x):
+        return np.where(x[:, 0] > 5.0, 1e-13, 1.0)
+
+    def diag(x, second):
+        s = np.zeros((x.shape[0], 2, 2))
+        s[:, 0, 0] = 1.0
+        s[:, 1, 1] = second
+        return s
+
+    return SdeSpec(dim=2, drift=lambda x: np.zeros_like(x),
+                   diffusion=lambda x: diag(x, scale(x)),
+                   inverse_diffusion=lambda x: diag(x, 1.0 / scale(x)),
+                   is_brownian=False)
+
+
+def with_sde(sde, dim):
+    base = problem_by_name("arctan-const-sigma", dim)
+    return type(base)(name="custom", sde=sde, gen=base.gen, analytic=None,
+                      mu0_std=2.0)
 
 
 class TestHorizonSamplers:
@@ -187,6 +244,98 @@ class TestEulerScheme:
                             analytic=None, mu0_std=2.0)
         with pytest.raises(DegenerateDiffusion):
             sample_fk_batch(bad, PARAMS, np.zeros(2), 10, 0.05, RngStream(16))
+
+    def test_paths_check_degeneracy(self):
+        sde = collapsing_sde()
+        simulate_paths(sde, np.zeros(2), 0.1, 0.05, 10, RngStream(24))
+        with pytest.raises(DegenerateDiffusion):
+            simulate_paths(sde, np.array([10.0, 0.0]), 0.1, 0.05, 10,
+                           RngStream(24))
+
+
+FK_FIELDS = ("e_time", "g_time", "x_at_e", "x_at_g", "malliavin_at_g")
+
+
+def assert_blocks_match(problem, starts, m, dt, streams):
+    """One call over all blocks equals the per-block calls, concatenated."""
+    rows = np.repeat(starts, m, axis=0)
+    chunk = sample_fk_batch(problem, PARAMS, rows, m * len(streams), dt,
+                            streams)
+    parts = [sample_fk_batch(problem, PARAMS, x, m, dt, stream.generator())
+             for x, stream in zip(starts, streams)]
+    for name in FK_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(chunk, name),
+            np.concatenate([getattr(p, name) for p in parts]))
+    return chunk
+
+
+class TestStreamBlocks:
+    def test_chunk_of_nodes_matches_per_node_calls(self):
+        problem = problem_by_name("arctan-tanh-sigma", 1)
+        starts = np.linspace(-3.0, 3.0, 7)[:, None]
+        streams = [RngStream(17).substream(i) for i in range(7)]
+        assert_blocks_match(problem, starts, 300, 0.02, streams)
+
+    def test_coupled_two_dimensional_dynamics(self):
+        problem = with_sde(coupled_sde(), 2)
+        starts = np.array([[0.4, -0.2], [-1.0, 1.5], [2.0, 0.0]])
+        streams = [RngStream(18, stream_id=i) for i in range(3)]
+        assert_blocks_match(problem, starts, 150, 0.05, streams)
+
+    @pytest.mark.parametrize("window", [1, 40, 700])
+    def test_many_windows(self, monkeypatch, window):
+        monkeypatch.setattr(simulate, "WINDOW_VALUES", window)
+        problem = problem_by_name("arctan-tanh-sigma", 1)
+        starts = np.array([[-0.5], [0.0], [1.5], [2.5]])
+        streams = [RngStream(19).substream(i) for i in range(4)]
+        dt = 0.02
+        chunk = assert_blocks_match(problem, starts, 100, dt, streams)
+        steps = np.rint(np.maximum(chunk.e_time, chunk.g_time) / dt)
+        assert steps.sum() > 20 * window
+
+    def test_brownian_blocks(self):
+        problem = problem_by_name("arctan-const-sigma", 2)
+        starts = np.array([[0.0, 1.0], [-2.0, 0.5]])
+        streams = [RngStream(20).substream(i) for i in range(2)]
+        assert_blocks_match(problem, starts, 50, None, streams)
+
+    def test_one_stream_list_equals_plain_call(self):
+        problem = problem_by_name("arctan-tanh-sigma", 1)
+        listed = sample_fk_batch(problem, PARAMS, np.array([0.2]), 64, 0.05,
+                                 [RngStream(21)])
+        plain = sample_fk_batch(problem, PARAMS, np.array([0.2]), 64, 0.05,
+                                RngStream(21))
+        for name in FK_FIELDS:
+            np.testing.assert_array_equal(getattr(listed, name),
+                                          getattr(plain, name))
+
+    def test_rows_must_split_evenly(self):
+        problem = problem_by_name("arctan-tanh-sigma", 1)
+        with pytest.raises(ValueError):
+            sample_fk_batch(problem, PARAMS, np.array([0.2]), 10, 0.05,
+                            [RngStream(1), RngStream(2), RngStream(3)])
+
+    def test_degenerate_block_raises(self):
+        problem = with_sde(collapsing_sde(), 2)
+        starts = np.array([[0.0, 0.0], [10.0, 0.0], [-1.0, 0.0]])
+        streams = [RngStream(22).substream(i) for i in range(3)]
+        sample_fk_batch(problem, PARAMS, starts[0], 20, 0.05,
+                        streams[0].generator())
+        with pytest.raises(DegenerateDiffusion):
+            sample_fk_batch(problem, PARAMS, np.repeat(starts, 20, axis=0),
+                            60, 0.05, streams)
+
+    def test_peak_memory_of_a_large_call(self):
+        problem = problem_by_name("arctan-tanh-sigma", 1)
+        tracemalloc.start()
+        try:
+            sample_fk_batch(problem, PARAMS, np.array([0.3]), 40_000, 0.01,
+                            RngStream(23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestRngStream:
