@@ -21,8 +21,8 @@ from .grid import (Grid, GridFunction, GridMismatch, basis_weight,
 from .model import (AnalyticSolution, GeneratorSpec, InconsistentDerivatives,
                     NonPositiveRate, Problem, PROBLEM_NAMES, RunConfig,
                     SchemeParams, SdeSpec, UnknownProblem, ValidationReport,
-                    brownian_sde, manufacture_problem, problem_by_name,
-                    tanh_sigma_sde, validate_params)
+                    bind_driver, brownian_sde, manufacture_problem,
+                    problem_by_name, tanh_sigma_sde, validate_params)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingAnalyticSolution,
                          MissingDriverDerivatives, NnConfig, NnPicardConfig,

@@ -191,8 +191,13 @@ def _merge(command: str, args: argparse.Namespace) -> Dict:
             raise ConfigParse(f"unknown config keys: {sorted(unknown)}")
         cfg.update({k: v for k, v in data.items()
                     if k not in ("out", "command")})
-    cfg.update({k: v for k, v in vars(args).items()
-                if k in cfg and v is not None})
+    given = {k: v for k, v in vars(args).items()
+             if k not in ("command", "config", "out") and v is not None}
+    # kz-sweep sets kz itself, so the shared --kz flag is not its key
+    unused = sorted(set(given) - set(cfg))
+    if unused:
+        raise ConfigParse(f"{command} does not take {', '.join(unused)}")
+    cfg.update(given)
     if cfg.get("problem") in (None, ""):
         raise ConfigParse("a problem name is required (--problem or config)")
     return cfg

@@ -73,6 +73,10 @@ class GeneratorSpec:
     ``f_y(x, y, z) -> (m, d', d')`` and ``f_z(x, y, z) -> (m, d', d', d)``
     are the driver Jacobians in y and z; they are optional and only needed
     by solvers that differentiate through the driver.
+
+    ``x_terms(x)``, when supplied, computes the parts of f that depend on x
+    alone; ``f(x, y, z, x_terms=x_terms(x))`` then equals ``f(x, y, z)``
+    without recomputing them (see :func:`bind_driver`).
     """
 
     dim_y: int
@@ -85,6 +89,20 @@ class GeneratorSpec:
     depends_on_z: bool = True
     f_y: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     f_z: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    x_terms: Optional[Callable[[np.ndarray], tuple]] = None
+
+
+def bind_driver(gen: GeneratorSpec, x: np.ndarray) -> Callable[
+        [np.ndarray, np.ndarray], np.ndarray]:
+    """``(y, z) -> gen.f(x, y, z)`` for a batch of points evaluated often.
+
+    The x-only terms of a generator that supplies ``x_terms`` are computed
+    here, once; other generators evaluate ``gen.f`` in full on every call.
+    """
+    if gen.x_terms is None:
+        return lambda y, z: gen.f(x, y, z)
+    terms = gen.x_terms(x)
+    return lambda y, z: gen.f(x, y, z, x_terms=terms)
 
 
 @dataclass(frozen=True)
@@ -258,7 +276,9 @@ def manufacture_problem(
     equation  1/2 Tr(hess_u sigma sigma^T) + drift . grad_u + f(x, u, ubar) = 0
     with ubar = grad_u . sigma.  The correction does not change the
     Lipschitz/monotonicity constants, which are copied from ``f0``; the same
-    holds for the ``f_y``/``f_z`` Jacobians, carried over unchanged.
+    holds for the ``f_y``/``f_z`` Jacobians, carried over unchanged.  The
+    generator's ``x_terms`` are the two parts of ``g``: the operator term
+    and ``f0(x, u, ubar)``.
     """
     _finite_difference_check(u, grad_u, hess_u, sde.dim, f0.dim_y)
     _driver_derivative_check(f0, sde.dim)
@@ -282,12 +302,17 @@ def manufacture_problem(
         op += np.einsum("mij,mj->mi", grad, sde.drift(x))
         return np.einsum("mij,mjk->mik", grad, sig), op
 
-    def f(x, y, z):
+    def correction_terms(x):
         x = as_points(x, sde.dim)
         ubar_x, op = ubar_and_operator(x)
-        return f0.f(x, y, z) - op - f0.f(x, u(x), ubar_x)
+        return op, f0.f(x, u(x), ubar_x)
 
-    gen = replace(f0, f=f)
+    def f(x, y, z, x_terms=None):
+        x = as_points(x, sde.dim)
+        op, at_solution = correction_terms(x) if x_terms is None else x_terms
+        return f0.f(x, y, z) - op - at_solution
+
+    gen = replace(f0, f=f, x_terms=correction_terms)
     analytic = AnalyticSolution(u=lambda x: u(as_points(x, sde.dim)), ubar=ubar)
     return Problem(name=name, sde=sde, gen=gen, analytic=analytic, mu0_std=mu0_std)
 

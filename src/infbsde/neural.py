@@ -14,6 +14,9 @@ import numpy as np
 
 from .simulate import RngLike, _as_generator
 
+# per-layer pre-activation buffers, then per-hidden-layer activation buffers
+Workspace = Tuple[List[np.ndarray], List[np.ndarray]]
+
 
 class Mlp:
     """ReLU network returning a (value, gradient) pair per input point."""
@@ -50,16 +53,34 @@ class Mlp:
                    [w.copy() for w in self.weights],
                    [b.copy() for b in self.biases])
 
-    def _forward_cached(self, x: np.ndarray):
+    def workspace(self, m: int) -> Workspace:
+        """Buffers for a forward and backward pass on ``m`` rows: every
+        layer's pre-activation, then every hidden layer's activation."""
+        widths = [w.shape[1] for w in self.weights]
+        return ([np.empty((m, n)) for n in widths],
+                [np.empty((m, n)) for n in widths[:-1]])
+
+    def _forward_cached(self, x: np.ndarray, work: Optional[Workspace] = None):
+        """Every layer's activation and pre-activation on the batch ``x``.
+
+        Returns ``(acts, pre)``: ``acts[0]`` is the input and ``acts[k + 1]``
+        the output of layer ``k``; the output layer is linear, so
+        ``acts[-1] is pre[-1]``.  The layers are written into ``work``, a
+        ``workspace(len(x))`` that the next pass with it overwrites, or into
+        fresh buffers when it is omitted.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        pre, hidden = self.workspace(x.shape[0]) if work is None else work
         acts = [x]
-        pre = []
         h = x
-        last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = h @ w + b
-            pre.append(a)
-            h = a if k == last else np.maximum(a, 0.0)
+            a = pre[k]
+            if w.shape[0] == 1:  # the one-term matmul, as a broadcast product
+                np.multiply(h, w, out=a)
+            else:
+                np.matmul(h, w, out=a)
+            a += b
+            h = np.maximum(a, 0.0, out=hidden[k]) if k < len(hidden) else a
             acts.append(h)
         return acts, pre
 
@@ -88,15 +109,20 @@ class Mlp:
         """Parameter gradients of ``sum(delta * raw_output)``.
 
         ``acts``/``pre`` must come from ``_forward_cached`` on the same
-        input batch; ``delta`` is the upstream gradient on the raw (not yet
-        split) output layer, shape ``(m, dim_y + dim_y*dim_x)``.
+        input batch, and are used up: each hidden layer's ReLU mask is
+        written over its pre-activation and the delta below it over its
+        activation.  ``delta`` is the upstream gradient on the raw (not yet
+        split) output layer, shape ``(m, dim_y + dim_y*dim_x)``; it is left
+        as it is.
         """
         grads: List[np.ndarray] = []
         for k in range(len(self.weights) - 1, -1, -1):
             grads.append(delta.sum(axis=0))          # bias
             grads.append(acts[k].T @ delta)          # weight
             if k > 0:
-                delta = (delta @ self.weights[k].T) * (pre[k - 1] > 0)
+                mask = np.greater(pre[k - 1], 0.0, out=pre[k - 1])
+                delta = np.matmul(delta, self.weights[k].T, out=acts[k])
+                delta *= mask
         grads.reverse()
         return grads
 

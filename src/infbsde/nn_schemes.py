@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .fixedpoint import (CandidatePair, as_candidate, one_draw_weights,
                          r_sample_batch)
 from .grid import GridFunction
-from .model import Problem, RunConfig, SchemeParams, problem_by_name
-from .neural import AdamState, Mlp, adam_step
+from .model import (Problem, RunConfig, SchemeParams, bind_driver,
+                    problem_by_name)
+from .neural import AdamState, Mlp, Workspace, adam_step
 from .simulate import FkBatch, RngLike, RngStream, _as_generator, sample_fk_batch
 
 
@@ -250,8 +251,10 @@ def _half_upstream(r_a: np.ndarray, r_b: np.ndarray, m_starts: int,
 
 def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
                          x0: np.ndarray, fk: FkBatch, weight_e: np.ndarray,
-                         weight_g: np.ndarray, m_starts: int,
-                         m_inner: int) -> Tuple[float, List[np.ndarray]]:
+                         weight_g: np.ndarray, m_starts: int, m_inner: int,
+                         drivers: Optional[Tuple[Callable, Callable]] = None,
+                         work: Optional[Tuple[Workspace, Workspace]] = None,
+                         ) -> Tuple[float, List[np.ndarray]]:
     """Sampled fixed-point residual and its full parameter gradient.
 
     The loss pairs, per starting point, the residuals of the net against
@@ -261,34 +264,44 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     both occurrences of the net, so the inner evaluations at the two
     horizon states are backpropagated through the driver Jacobians.  The
     cross form can make an individual loss value negative.
+
+    A caller that steps many times on one batch passes what stays fixed
+    across the steps: ``drivers``, the driver bound to ``fk.x_at_e`` and to
+    ``fk.x_at_g`` (:func:`bind_driver`), and ``work``, a workspace of
+    ``net`` for the start points and one for the inner draws, which the two
+    horizon branches share since they run one after the other.  Without
+    them, both are made here.
     """
     gen = problem.gen
     a, a_z = params.discount_y, params.discount_z
     dy, d = net.dim_y, net.dim_x
     m_total = m_starts * m_inner
+    f_at_e, f_at_g = drivers or (bind_driver(gen, fk.x_at_e),
+                                 bind_driver(gen, fk.x_at_g))
+    work0, work_inner = work or (None, None)
 
-    acts0, pre0 = net._forward_cached(x0)
+    acts0, pre0 = net._forward_cached(x0, work0)
     u0, ubar0 = net._split(acts0[-1])
 
     # value-component branch; chain rule through f and the a*u shift
-    acts_e, pre_e = net._forward_cached(fk.x_at_e)
+    acts_e, pre_e = net._forward_cached(fk.x_at_e, work_inner)
     u_e, z_e = net._split(acts_e[-1])
-    f_e = gen.f(fk.x_at_e, u_e, z_e)
-    phi1 = (f_e + a * u_e) * weight_e[:, None]
+    phi1 = (f_at_e(u_e, z_e) + a * u_e) * weight_e[:, None]
     r1_a, r1_b = _half_residuals(u0, phi1, m_starts, m_inner)
     q1 = _half_upstream(r1_a, r1_b, m_starts, m_inner)
     q1 *= weight_e[:, None]
     d_u = np.einsum("mi,mij->mj", q1, gen.f_y(fk.x_at_e, u_e, z_e)) + a * q1
     d_ubar = np.einsum("mi,mijk->mjk", q1, gen.f_z(fk.x_at_e, u_e, z_e))
-    delta_e = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1)
+    # the output is spent once the Jacobians are in: its buffer takes delta
+    delta_e = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
+                             out=acts_e[-1])
     grads = net.backprop(acts_e, pre_e, delta_e)
     del acts_e, pre_e, q1, d_u, d_ubar, delta_e
 
     # gradient-component branch; the Malliavin factor contracts first
-    acts_g, pre_g = net._forward_cached(fk.x_at_g)
+    acts_g, pre_g = net._forward_cached(fk.x_at_g, work_inner)
     u_g, z_g = net._split(acts_g[-1])
-    f_g = gen.f(fk.x_at_g, u_g, z_g)
-    scaled = (f_g + a_z * u_g) * weight_g[:, None]
+    scaled = (f_at_g(u_g, z_g) + a_z * u_g) * weight_g[:, None]
     phi2 = scaled[:, :, None] * fk.malliavin_at_g[:, None, :]
     r2_a, r2_b = _half_residuals(ubar0, phi2, m_starts, m_inner)
     q2 = _half_upstream(r2_a, r2_b, m_starts, m_inner)
@@ -297,7 +310,8 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     q2 *= weight_g[:, None]
     d_u = np.einsum("mi,mij->mj", q2, gen.f_y(fk.x_at_g, u_g, z_g)) + a_z * q2
     d_ubar = np.einsum("mi,mijk->mjk", q2, gen.f_z(fk.x_at_g, u_g, z_g))
-    delta_g = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1)
+    delta_g = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
+                             out=acts_g[-1])
     for acc, g in zip(grads, net.backprop(acts_g, pre_g, delta_g)):
         acc += g
 
@@ -331,6 +345,8 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
 
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
     state = AdamState.init(net, cfg.base_lr, cfg.lr_decay, cfg.lr_decay_period)
+    work = (net.workspace(cfg.m_starts),
+            net.workspace(cfg.m_starts * cfg.m_inner))
     trace: List[TraceRow] = []
     for epoch in range(1, cfg.n_epochs + 1):
         start_time = time.perf_counter()
@@ -342,18 +358,20 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
                              cfg.m_starts * cfg.m_inner, cfg.dt,
                              ep_stream.substream(1))
         weight_e, weight_g = one_draw_weights(cfg.params, fk)
+        drivers = (bind_driver(problem.gen, fk.x_at_e),
+                   bind_driver(problem.gen, fk.x_at_g))
         loss = None
         for _ in range(cfg.steps_per_epoch):
             loss, grads = _residual_loss_grads(
                 net, problem, cfg.params, x0, fk, weight_e, weight_g,
-                cfg.m_starts, cfg.m_inner)
+                cfg.m_starts, cfg.m_inner, drivers, work)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss {loss} at step {state.step}")
             adam_step(net, grads, state)
         if loss is None:  # no training steps: report the standing residual
             loss, _ = _residual_loss_grads(
                 net, problem, cfg.params, x0, fk, weight_e, weight_g,
-                cfg.m_starts, cfg.m_inner)
+                cfg.m_starts, cfg.m_inner, drivers, work)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss {loss} at epoch {epoch}")
         du, dubar = _trace_errors(net, problem, eval_points)

@@ -400,6 +400,8 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                  id="kz-sweep-M0"),
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--scheme",
                   "nn-direct", "--M-inner", "1"], id="kz-sweep-M-inner1"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--kz",
+                  "2"], id="kz-sweep-kz"),
     pytest.param(["rate-study", "--problem", "linear-constant", "--iters",
                   "0"], id="rate-study-iters0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",

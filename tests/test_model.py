@@ -1,12 +1,15 @@
 """Problem registry, parameter validation, and manufactured generators."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infbsde import model as model_mod
 from infbsde import (GeneratorSpec, InconsistentDerivatives, NonPositiveRate,
                      PROBLEM_NAMES, SchemeParams, UnknownProblem, brownian_sde,
                      manufacture_problem, problem_by_name, tanh_sigma_sde,
                      validate_params)
+from infbsde.model import as_points
 
 
 def arctan_gen(c=2.0, kz=0.5):
@@ -322,3 +325,46 @@ class TestSdeSpecs:
             tanh_sigma_sde(1.0)
         with pytest.raises(ValueError):
             tanh_sigma_sde(-0.1)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestAsPointsProperties:
+    """Shape contract: ``(m, dim)`` out, values unchanged, else ValueError."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), finite)
+    def test_scalar_is_one_point_in_one_dimension_only(self, dim, value):
+        if dim == 1:
+            np.testing.assert_array_equal(as_points(value, 1), [[value]])
+        else:
+            with pytest.raises(ValueError):
+                as_points(value, dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.lists(finite, min_size=1, max_size=8))
+    def test_flat_array(self, dim, values):
+        flat = np.array(values)
+        if dim == 1:  # m points
+            np.testing.assert_array_equal(as_points(flat, 1), flat[:, None])
+        elif len(values) == dim:  # one point
+            np.testing.assert_array_equal(as_points(flat, dim), flat[None, :])
+        else:
+            with pytest.raises(ValueError):
+                as_points(flat, dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_batch_passes_only_at_its_width(self, dim, width, m, seed):
+        x = np.random.default_rng(seed).normal(size=(m, width))
+        if width == dim:
+            out = as_points(x, dim)
+            assert out.shape == (m, dim) and out.dtype == float
+            np.testing.assert_array_equal(out, x)
+        else:
+            with pytest.raises(ValueError):
+                as_points(x, dim)
+        with pytest.raises(ValueError):
+            as_points(x[None], dim)

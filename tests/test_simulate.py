@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from infbsde import (DegenerateDiffusion, RngStream, SchemeParams,
@@ -155,6 +157,52 @@ class TestBrownianFk:
                                 None, RngStream(5))
         assert sample.e_time == batch.e_time[0]
         np.testing.assert_array_equal(sample.x_at_g, batch.x_at_g[0])
+
+
+class TestBrownianMalliavinProperties:
+    """Moments of the Brownian weight W = Z / sqrt(G) at a fixed seed.
+
+    W itself has no mean (E|W| is infinite, since E[1/|Z|] is), so its
+    zero mean is checked as symmetry, P(W > 0) = 1/2, and as E[sqrt(G) W]
+    = 0, the form in which the estimator's sqrt(G) discount weight meets
+    it.  Each sample mean must lie within 5 of its standard errors;
+    the examples are derandomized, so the suite stays deterministic.
+    """
+
+    M = 20_000
+
+    @staticmethod
+    def weights(dim, gamma_rate, start):
+        problem = problem_by_name("arctan-const-sigma", dim)
+        params = SchemeParams(gamma_rate=gamma_rate, discount_z=gamma_rate + 1)
+        fk = sample_fk_batch(problem, params, np.full(dim, start),
+                             TestBrownianMalliavinProperties.M, None,
+                             RngStream(17))
+        return fk.g_time, fk.malliavin_at_g
+
+    @staticmethod
+    def assert_mean(samples, expected):
+        # samples: (M, k) draws of k statistics with the given means
+        se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+        assert np.all(np.abs(samples.mean(axis=0) - expected) <= 5 * se)
+
+    cases = given(st.integers(1, 3), st.floats(0.2, 5.0), st.floats(-3, 3))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @cases
+    def test_mean_zero(self, dim, gamma_rate, start):
+        g, w = self.weights(dim, gamma_rate, start)
+        self.assert_mean((w > 0).astype(float), 0.5)
+        self.assert_mean(np.sqrt(g)[:, None] * w, 0.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @cases
+    def test_time_scaled_second_moment_is_identity(self, dim, gamma_rate,
+                                                   start):
+        g, w = self.weights(dim, gamma_rate, start)
+        outer = g[:, None, None] * w[:, :, None] * w[:, None, :]
+        self.assert_mean(outer.reshape(self.M, dim * dim),
+                         np.eye(dim).ravel())
 
 
 class TestPerPointStreams:
