@@ -445,8 +445,10 @@ def _build_kz_sweep(cfg: Dict):
     reps = _value(cfg, "reps")
     if reps < 1:
         raise ConfigParse("reps must be at least 1")
-    base = _build(NnPicardConfig if scheme == "nn-picard" else DirectConfig,
-                  cfg)
+    # both schemes' configs are built, so the unchosen one's values are
+    # checked too
+    picard, direct = _build(NnPicardConfig, cfg), _build(DirectConfig, cfg)
+    base = picard if scheme == "nn-picard" else direct
     cells = [[_checked(replace(base, overrides={**(base.overrides or {}),
                                                 "kz": kz},
                                seed=_sweep_seed(base.seed, i, rep)))

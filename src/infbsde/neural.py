@@ -7,7 +7,8 @@ given the initialisation stream, and checkpoints restore bit-exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -18,15 +19,40 @@ from .simulate import RngLike, _as_generator
 Workspace = Tuple[List[np.ndarray], List[np.ndarray]]
 
 
+def _views(flat: np.ndarray, shapes) -> List[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        out.append(flat[start:stop].reshape(shape))
+        start = stop
+    return out
+
+
+def _pack(arrays) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """A float64 copy of ``arrays`` laid end to end, and its view per array."""
+    flat = np.concatenate(arrays, axis=None, dtype=float)
+    return flat, _views(flat, [np.shape(a) for a in arrays])
+
+
 class Mlp:
-    """ReLU network returning a (value, gradient) pair per input point."""
+    """ReLU network returning a (value, gradient) pair per input point.
+
+    Every weight and bias lives in one float64 vector, ``flat``, in the
+    order of ``parameters`` (``w0, b0, w1, b1, ...``); ``weights``,
+    ``biases`` and ``parameters`` are views into it, so writing into them
+    changes the net.
+    """
 
     def __init__(self, dim_x: int, dim_y: int,
                  weights: List[np.ndarray], biases: List[np.ndarray]):
         self.dim_x = dim_x
         self.dim_y = dim_y
-        self.weights = weights
-        self.biases = biases
+        self.flat, params = _pack([p for pair in zip(weights, biases)
+                                   for p in pair])
+        self._shapes = [p.shape for p in params]
+        self.weights = params[0::2]
+        self.biases = params[1::2]
 
     @classmethod
     def init(cls, dim_x: int, dim_y: int, hidden: Sequence[int],
@@ -49,9 +75,7 @@ class Mlp:
         return out
 
     def copy(self) -> "Mlp":
-        return Mlp(self.dim_x, self.dim_y,
-                   [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases])
+        return Mlp(self.dim_x, self.dim_y, self.weights, self.biases)
 
     def workspace(self, m: int) -> Workspace:
         """Buffers for a forward and backward pass on ``m`` rows: every
@@ -105,7 +129,8 @@ class Mlp:
         return float(res / m)
 
     def backprop(self, acts: List[np.ndarray], pre: List[np.ndarray],
-                 delta: np.ndarray) -> List[np.ndarray]:
+                 delta: np.ndarray, *,
+                 out: Optional[np.ndarray] = None) -> List[np.ndarray]:
         """Parameter gradients of ``sum(delta * raw_output)``.
 
         ``acts``/``pre`` must come from ``_forward_cached`` on the same
@@ -113,18 +138,29 @@ class Mlp:
         written over its pre-activation and the delta below it over its
         activation.  ``delta`` is the upstream gradient on the raw (not yet
         split) output layer, shape ``(m, dim_y + dim_y*dim_x)``; it is left
-        as it is.
+        as it is.  The gradients are written into ``out``, a vector laid
+        out as ``flat`` (a fresh one when omitted), and returned as its
+        per-parameter views.
         """
-        grads: List[np.ndarray] = []
+        if out is None:
+            out = np.empty_like(self.flat)
+        grads = _views(out, self._shapes)
         for k in range(len(self.weights) - 1, -1, -1):
-            grads.append(delta.sum(axis=0))          # bias
-            grads.append(acts[k].T @ delta)          # weight
+            # np.sum's ufunc, called without np.sum's per-call wrapper
+            np.add.reduce(delta, axis=0, out=grads[2 * k + 1])
+            np.matmul(acts[k].T, delta, out=grads[2 * k])
             if k > 0:
                 mask = np.greater(pre[k - 1], 0.0, out=pre[k - 1])
                 delta = np.matmul(delta, self.weights[k].T, out=acts[k])
                 delta *= mask
-        grads.reverse()
         return grads
+
+    def _raw_target(self, m: int, target_u: np.ndarray,
+                   target_ubar: np.ndarray) -> np.ndarray:
+        """``m`` value and gradient targets stacked as the raw output layer."""
+        target_u = np.asarray(target_u, dtype=float).reshape(m, self.dim_y)
+        flat_ubar = np.asarray(target_ubar, dtype=float).reshape(m, -1)
+        return np.concatenate([target_u, flat_ubar], axis=1)
 
     def mse_grad(self, x: np.ndarray, target_u: np.ndarray,
                  target_ubar: np.ndarray) -> Tuple[float, List[np.ndarray]]:
@@ -133,20 +169,35 @@ class Mlp:
         The loss is the batch mean of the squared residual summed over all
         value and gradient entries.
         """
-        acts, pre = self._forward_cached(x)
-        out = acts[-1]
-        m = out.shape[0]
-        target_u = np.asarray(target_u, dtype=float).reshape(m, self.dim_y)
-        flat_ubar = np.asarray(target_ubar, dtype=float).reshape(m, -1)
-        target = np.concatenate([target_u, flat_ubar], axis=1)
-        resid = out - target
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._mse_grad(x, self._raw_target(len(x), target_u,
+                                                 target_ubar))
+
+    def _mse_grad(self, x: np.ndarray, target: np.ndarray,
+                  work: Optional[Workspace] = None,
+                  grad: Optional[np.ndarray] = None,
+                  ) -> Tuple[float, List[np.ndarray]]:
+        """``mse_grad`` against a ``_raw_target``, for a caller that steps
+        many times on one batch: the layers go into ``work``, a
+        ``workspace(len(x))``, and the gradients into ``grad``, a vector
+        laid out as ``flat``; both are overwritten by the next call."""
+        acts, pre = self._forward_cached(x, work)
+        m = target.shape[0]
+        # the output is spent once read: its buffer takes the residual
+        resid = np.subtract(acts[-1], target, out=acts[-1])
         loss = float(np.sum(resid**2) / m)
-        return loss, self.backprop(acts, pre, (2.0 / m) * resid)
+        resid *= 2.0 / m
+        return loss, self.backprop(acts, pre, resid, out=grad)
 
 
 @dataclass
 class AdamState:
-    """Moment accumulators plus the stepped learning-rate schedule."""
+    """Moment accumulators plus the stepped learning-rate schedule.
+
+    Each moment lives in one vector laid out as ``Mlp.flat``
+    (``m_flat``, ``v_flat``); ``m`` and ``v`` are its per-parameter views.
+    The constructor copies the arrays it is given.
+    """
 
     step: int
     m: List[np.ndarray]
@@ -157,6 +208,12 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    m_flat: np.ndarray = field(init=False, repr=False)
+    v_flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m_flat, self.m = _pack(self.m)
+        self.v_flat, self.v = _pack(self.v)
 
     @classmethod
     def init(cls, net: Mlp, base_lr: float = 5e-4, decay: float = 0.9,
@@ -172,21 +229,26 @@ class AdamState:
 
 
 def adam_step(net: Mlp, grads: List[np.ndarray], state: AdamState) -> None:
-    """One in-place ADAM update of every parameter of ``net``."""
-    params = net.parameters
-    if len(grads) != len(params):
+    """One in-place ADAM update of every parameter of ``net``.
+
+    ``grads`` is the per-parameter list ``backprop`` returns; it is gathered
+    into one vector and the update runs on the flat parameter and moment
+    vectors.
+    """
+    g = np.concatenate(grads, axis=None)
+    if len(grads) != 2 * len(net.weights) or g.size != net.flat.size:
         raise ValueError("gradient list does not match parameter list")
     lr = state.learning_rate
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for p, g, mom, vel in zip(params, grads, state.m, state.v):
-        mom *= b1
-        mom += (1 - b1) * g
-        vel *= b2
-        vel += (1 - b2) * g**2
-        p -= lr * (mom / corr1) / (np.sqrt(vel / corr2) + state.eps)
+    mom, vel = state.m_flat, state.v_flat
+    mom *= b1
+    mom += (1 - b1) * g
+    vel *= b2
+    vel += (1 - b2) * g**2
+    net.flat -= lr * (mom / corr1) / (np.sqrt(vel / corr2) + state.eps)
     state.step = t
 
 

@@ -165,12 +165,18 @@ def relative_l2_errors(candidate: Union[Mlp, GridFunction, CandidatePair],
 def _train_regression(net: Mlp, x: np.ndarray, target_u: np.ndarray,
                       target_ubar: np.ndarray, state: AdamState,
                       steps: int) -> float:
-    """Full-batch ADAM on the empirical MSE; returns the last loss seen."""
+    """Full-batch ADAM on the empirical MSE; returns the last loss seen.
+
+    The steps share one workspace, one gradient vector and the stacked
+    target, all made once here.
+    """
     loss = net.mse_loss(x, target_u, target_ubar)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss {loss} before training")
+    target = net._raw_target(len(x), target_u, target_ubar)
+    work, grad = net.workspace(len(x)), np.empty_like(net.flat)
     for _ in range(steps):
-        loss, grads = net.mse_grad(x, target_u, target_ubar)
+        loss, grads = net._mse_grad(x, target, work, grad)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss {loss} at step {state.step}")
         adam_step(net, grads, state)
@@ -295,7 +301,8 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     # the output is spent once the Jacobians are in: its buffer takes delta
     delta_e = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
                              out=acts_e[-1])
-    grads = net.backprop(acts_e, pre_e, delta_e)
+    grad, scratch = np.empty_like(net.flat), np.empty_like(net.flat)
+    grads = net.backprop(acts_e, pre_e, delta_e, out=grad)
     del acts_e, pre_e, q1, d_u, d_ubar, delta_e
 
     # gradient-component branch; the Malliavin factor contracts first
@@ -312,15 +319,15 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     d_ubar = np.einsum("mi,mijk->mjk", q2, gen.f_z(fk.x_at_g, u_g, z_g))
     delta_g = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
                              out=acts_g[-1])
-    for acc, g in zip(grads, net.backprop(acts_g, pre_g, delta_g)):
-        acc += g
+    net.backprop(acts_g, pre_g, delta_g, out=scratch)
+    grad += scratch
 
     loss = float((np.sum(r1_a * r1_b) + np.sum(r2_a * r2_b)) / m_starts)
     delta0 = np.concatenate([r1_a + r1_b,
                              (r2_a + r2_b).reshape(m_starts, dy * d)], axis=1)
     delta0 /= m_starts
-    for acc, g in zip(grads, net.backprop(acts0, pre0, delta0)):
-        acc += g
+    net.backprop(acts0, pre0, delta0, out=scratch)
+    grad += scratch
     return loss, grads
 
 

@@ -402,6 +402,17 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "nn-direct", "--M-inner", "1"], id="kz-sweep-M-inner1"),
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--kz",
                   "2"], id="kz-sweep-kz"),
+    # the unchosen scheme's values are checked too (small budgets, so a
+    # sweep that wrongly runs ends fast)
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--epochs",
+                  "0", "--M-inner", "1", "--kz-list", "1", "--reps", "1",
+                  "--iters", "1", "--steps", "0", "--M", "2", "--m-err", "2"],
+                 id="kz-sweep-picard-direct-epochs0-M-inner1"),
+    pytest.param(["kz-sweep", "--scheme", "nn-direct", "--problem",
+                  "arctan-const-sigma", "--iters", "0", "--kz-list", "1",
+                  "--reps", "1", "--epochs", "1", "--steps-per-epoch", "0",
+                  "--M-x", "2", "--M-inner", "2", "--m-err", "2"],
+                 id="kz-sweep-direct-picard-iters0"),
     pytest.param(["rate-study", "--problem", "linear-constant", "--iters",
                   "0"], id="rate-study-iters0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",

@@ -1,6 +1,8 @@
 """Single-draw estimator, Monte Carlo reduction, and growth truncation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infbsde import (CandidatePair, NonFiniteValue, RngStream, SchemeParams,
                      as_candidate, estimate_phi, estimate_phi_from_samples,
@@ -165,6 +167,59 @@ class TestTruncateGrowth:
             si, sbi = truncate_growth((u[i], ub[i]), x[i], 0.5, 1.0)
             np.testing.assert_allclose(si, bat_u[i], atol=1e-14)
             np.testing.assert_allclose(sbi, bat_ub[i], atol=1e-14)
+
+
+@st.composite
+def truncation_cases(draw):
+    """Points, two values near each other, and a weighted ball: d = 1-3,
+    d' = 1-2, a single pair or a batch of 1-5 pairs."""
+    dim, dim_y = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lead = draw(st.sampled_from([(), (1,), (2,), (5,)]))
+    bound, degree = draw(st.floats(0.05, 5.0)), draw(st.floats(0.0, 4.0))
+    scale, gap = draw(st.floats(0.01, 100.0)), draw(st.floats(1e-6, 10.0))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(0.0, 2.0, size=lead + (dim,))
+    v = (scale * gen.normal(size=lead + (dim_y,)),
+         scale * gen.normal(size=lead + (dim_y, dim)))
+    w = tuple(a + gap * gen.normal(size=a.shape) for a in v)
+    return x, v, w, bound, degree
+
+
+def joint_rows(value):
+    """Each pair of a single or batched value as one joint row."""
+    u, ubar = value
+    rows = len(u) if u.ndim == 2 else 1
+    return np.hstack([u.reshape(rows, -1), ubar.reshape(rows, -1)])
+
+
+class TestTruncateGrowthProperties:
+    """The docstring's claims on random values, points, bounds and degrees."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(truncation_cases())
+    def test_lands_in_ball_and_is_idempotent(self, case):
+        x, v, _, bound, degree = case
+        once = truncate_growth(v, x, bound, degree)
+        radius = bound * np.atleast_1d(poly_weight(x, degree))
+        norms = np.linalg.norm(joint_rows(once), axis=1)
+        assert np.all(norms <= radius * (1 + 1e-12))
+        twice = truncate_growth(once, x, bound, degree)
+        for a, b in zip(twice, once):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(truncation_cases())
+    def test_one_lipschitz_in_the_value(self, case):
+        x, v, w, bound, degree = case
+        tv = joint_rows(truncate_growth(v, x, bound, degree))
+        tw = joint_rows(truncate_growth(w, x, bound, degree))
+        rv, rw = joint_rows(v), joint_rows(w)
+        after = np.linalg.norm(tv - tw, axis=1)
+        before = np.linalg.norm(rv - rw, axis=1)
+        slack = 1e-12 * (np.linalg.norm(rv, axis=1)
+                         + np.linalg.norm(rw, axis=1))
+        assert np.all(after <= before + slack)
 
 
 class TestAsCandidate:

@@ -1,21 +1,26 @@
-"""The direct scheme's reused buffers and bound drivers change no number.
+"""Reused buffers, the flat parameter vector and bound drivers change no
+number.
 
-The references below are the allocating forward pass, backprop and
-residual step that the buffered ones replaced; every comparison is exact.
+The references below are the allocating forward pass, backprop, MSE
+gradient and residual step, and the per-layer ADAM loop, that the buffered
+and flat ones replaced; every comparison is exact.
 """
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from infbsde import (DirectConfig, Mlp, PROBLEM_NAMES, RngStream, SchemeParams,
-                     adam_step, bind_driver, direct_nn_solve, problem_by_name,
+from infbsde import (CandidatePair, DirectConfig, Mlp, NnPicardConfig,
+                     PROBLEM_NAMES, RngStream, SchemeParams, adam_step,
+                     as_candidate, bind_driver, contraction_nn_solve,
+                     direct_nn_solve, load_checkpoint, problem_by_name,
                      r_sample_batch, sample_fk_batch)
 from infbsde.fixedpoint import one_draw_weights
 from infbsde.neural import AdamState
 from infbsde.nn_schemes import (TraceRow, _half_residuals, _half_upstream,
                                 _residual_loss_grads, _sample_mu0,
-                                _trace_errors)
+                                _trace_errors, _train_regression)
 
 
 def reference_forward(net, x):
@@ -39,6 +44,92 @@ def reference_backprop(net, acts, pre, delta):
             delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0)
     grads.reverse()
     return grads
+
+
+def reference_mse_grad(net, x, target_u, target_ubar):
+    acts, pre = reference_forward(net, x)
+    out = acts[-1]
+    m = out.shape[0]
+    target = np.concatenate([target_u.reshape(m, net.dim_y),
+                             target_ubar.reshape(m, -1)], axis=1)
+    resid = out - target
+    loss = float(np.sum(resid**2) / m)
+    return loss, reference_backprop(net, acts, pre, (2.0 / m) * resid)
+
+
+class ReferenceAdam:
+    """Per-parameter arrays and moments, stepped by the per-layer loop."""
+
+    def __init__(self, params, base_lr=5e-4, decay=0.9, decay_period=1000,
+                 beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = [np.array(p, dtype=float) for p in params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.step = 0
+        self.base_lr, self.decay, self.decay_period = base_lr, decay, decay_period
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def net(self, dim_y):
+        """The parameters as the weights and biases of a net."""
+        return SimpleNamespace(dim_y=dim_y, weights=self.params[0::2],
+                               biases=self.params[1::2])
+
+    def update(self, grads):
+        lr = self.base_lr * self.decay ** (self.step // self.decay_period)
+        t = self.step + 1
+        b1, b2 = self.beta1, self.beta2
+        corr1 = 1.0 - b1**t
+        corr2 = 1.0 - b2**t
+        for p, g, mom, vel in zip(self.params, grads, self.m, self.v):
+            mom *= b1
+            mom += (1 - b1) * g
+            vel *= b2
+            vel += (1 - b2) * g**2
+            p -= lr * (mom / corr1) / (np.sqrt(vel / corr2) + self.eps)
+        self.step = t
+
+
+def reference_train_regression(ref, dim_y, x, target_u, target_ubar, steps):
+    loss = None
+    for _ in range(steps):
+        loss, grads = reference_mse_grad(ref.net(dim_y), x, target_u,
+                                         target_ubar)
+        ref.update(grads)
+    return loss
+
+
+def reference_contraction_solve(cfg):
+    """The Picard scheme's iteration loop on the reference regression."""
+    problem = cfg.build_problem()
+    dim, dim_y = problem.sde.dim, problem.gen.dim_y
+    base = RngStream(cfg.seed)
+    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
+                              cfg.m_err, dim, problem.mu0_std)
+    previous = CandidatePair.zero(dim, dim_y)
+    params = Mlp.init(dim, dim_y, cfg.hidden_widths(),
+                      base.substream(0)).parameters
+    trace = []
+    for n in range(1, cfg.n_iters + 1):
+        iter_stream = base.substream(n)
+        x0 = _sample_mu0(iter_stream.substream(0).generator(), cfg.m_samples,
+                         dim, problem.mu0_std)
+        fk = sample_fk_batch(problem, cfg.params, x0, cfg.m_samples, cfg.dt,
+                             iter_stream.substream(1))
+        target_u, target_ubar = r_sample_batch(problem, cfg.params, previous,
+                                               fk)
+        if n > 1 and not cfg.warm_start:
+            params = Mlp.init(dim, dim_y, cfg.hidden_widths(),
+                              base.substream(0).substream(n)).parameters
+        ref = ReferenceAdam(params, cfg.base_lr, cfg.lr_decay,
+                            cfg.lr_decay_period)
+        loss = reference_train_regression(ref, dim_y, x0, target_u,
+                                          target_ubar, cfg.train_steps)
+        params = ref.params
+        frozen = Mlp(dim, dim_y, params[0::2], params[1::2])
+        previous = as_candidate(frozen, problem)
+        du, dubar = _trace_errors(frozen, problem, eval_points)
+        trace.append((n, loss, du, dubar))
+    return params, trace
 
 
 def reference_residual(net, problem, params, x0, fk, weight_e, weight_g,
@@ -266,3 +357,207 @@ class TestBoundDriver:
         x, y, z = np.ones((3, 1)), np.full((3, 1), 2.0), np.zeros((3, 1, 1))
         np.testing.assert_array_equal(bind_driver(plain, x)(y, z),
                                       gen.f(x, y, z))
+
+
+def regression_batch(dim, hidden, m, seed):
+    net = Mlp.init(dim, 1, hidden, RngStream(seed))
+    gen = np.random.default_rng(seed + 1)
+    x = gen.normal(0.0, 2.0, size=(m, dim))
+    return net, x, gen.normal(size=(m, 1)), gen.normal(size=(m, 1, dim))
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("hidden", WIDTHS)
+    def test_matches_per_layer_loop(self, dim, hidden):
+        net = Mlp.init(dim, 1, hidden, RngStream(80 + dim))
+        settings = dict(base_lr=1e-2, decay=0.7, decay_period=350)
+        state = AdamState.init(net, **settings)
+        ref = ReferenceAdam(net.parameters, **settings)
+        gen = np.random.default_rng(81)
+        for step in range(1, 2001):  # five schedule boundaries
+            scale = 10.0 ** gen.integers(-3, 3)
+            grads = [scale * gen.normal(size=p.shape) for p in ref.params]
+            adam_step(net, grads, state)
+            ref.update(grads)
+            if step % 500 == 0:
+                assert state.step == ref.step == step
+                assert state.learning_rate == ref.base_lr * ref.decay ** (
+                    step // ref.decay_period)
+                assert_all_equal(net.parameters, ref.params)
+                assert_all_equal(state.m, ref.m)
+                assert_all_equal(state.v, ref.v)
+
+    def test_rejects_same_count_but_wrong_sizes(self):
+        net = Mlp.init(1, 1, (3,), RngStream(82))
+        grads = [np.zeros(1) for _ in net.parameters]
+        state = AdamState.init(net)
+        with pytest.raises(ValueError):
+            adam_step(net, grads, state)
+        assert state.step == 0
+        assert all(np.all(m == 0.0) for m in state.m)
+
+
+class TestRegressionLoop:
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("hidden", WIDTHS)
+    def test_matches_allocating_reference(self, dim, hidden):
+        net, x, target_u, target_ubar = regression_batch(dim, hidden, 37,
+                                                         90 + dim)
+        settings = dict(base_lr=1e-2, decay=0.5, decay_period=40)
+        ref = ReferenceAdam(net.parameters, **settings)
+        state = AdamState.init(net, **settings)
+        loss = _train_regression(net, x, target_u, target_ubar, state, 150)
+        want = reference_train_regression(ref, 1, x, target_u, target_ubar,
+                                          150)
+        assert loss == want
+        assert_all_equal(net.parameters, ref.params)
+        assert_all_equal(state.m, ref.m)
+        assert_all_equal(state.v, ref.v)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_mse_grad_matches_reference(self, dim):
+        net, x, target_u, target_ubar = regression_batch(dim, (5, 7, 3), 23,
+                                                         95)
+        loss, grads = net.mse_grad(x, target_u, target_ubar)
+        want_loss, want = reference_mse_grad(net, x, target_u, target_ubar)
+        assert loss == want_loss
+        assert_all_equal(grads, want)
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_three_iteration_solve_matches_reference(self, warm_start):
+        cfg = NnPicardConfig("arctan-const-sigma", dim=2, n_iters=3,
+                             m_samples=48, train_steps=60, m_err=200,
+                             warm_start=warm_start, lr_decay_period=25,
+                             seed=96)
+        params, trace = reference_contraction_solve(cfg)
+        res = contraction_nn_solve(cfg)
+        assert_all_equal(res.net.parameters, params)
+        assert [(r.n, r.loss, r.rel_err_u, r.rel_err_ubar)
+                for r in res.trace] == trace
+
+
+class TestFlatParameters:
+    def test_views_share_the_flat_vector(self):
+        net = Mlp.init(2, 1, (4, 3), RngStream(100))
+        params = net.parameters
+        assert [p.shape for p in params] == [(2, 4), (4,), (4, 3), (3,),
+                                             (3, 3), (3,)]
+        assert net.flat.size == sum(p.size for p in params)
+        assert all(a is b for a, b in zip(params, [p for pair in zip(
+            net.weights, net.biases) for p in pair]))
+        np.testing.assert_array_equal(
+            net.flat, np.concatenate([p.ravel() for p in params]))
+        for p in params:
+            assert np.shares_memory(p, net.flat)
+
+    def test_parameter_write_reaches_flat_and_forward(self):
+        net = Mlp.init(2, 1, (4,), RngStream(101))
+        x = np.random.default_rng(102).normal(size=(6, 2))
+        before_u, before_ubar = net(x)
+        before = net.flat.copy()
+        net.parameters[3][1] += 0.5  # the output bias of ubar[:, 0, 0]
+        assert np.flatnonzero(net.flat != before).tolist() == [2 * 4 + 4
+                                                               + 4 * 3 + 1]
+        after_u, after_ubar = net(x)
+        np.testing.assert_array_equal(after_u, before_u)
+        np.testing.assert_array_equal(after_ubar[:, 0, 1],
+                                      before_ubar[:, 0, 1])
+        np.testing.assert_allclose(after_ubar[:, 0, 0],
+                                   before_ubar[:, 0, 0] + 0.5, rtol=1e-14)
+
+    def test_copy_is_independent_both_ways(self):
+        net = Mlp.init(1, 1, (4,), RngStream(103))
+        dup = net.copy()
+        assert not np.shares_memory(dup.flat, net.flat)
+        np.testing.assert_array_equal(dup.flat, net.flat)
+        keep = net.flat.copy()
+        dup.flat += 1.0
+        np.testing.assert_array_equal(net.flat, keep)
+        net.weights[0][0, 0] = 7.0
+        assert dup.weights[0][0, 0] != 7.0
+
+    def test_constructor_does_not_alias_caller_arrays(self):
+        weights = [np.ones((1, 2)), np.full((2, 2), 2.0)]
+        biases = [np.zeros(2), np.zeros(2)]
+        net = Mlp(1, 1, weights, biases)
+        for given in weights + biases:
+            assert not np.shares_memory(given, net.flat)
+        net.flat[:] = -1.0
+        np.testing.assert_array_equal(weights[0], np.ones((1, 2)))
+        np.testing.assert_array_equal(biases[1], np.zeros(2))
+        weights[1][0, 0] = 9.0
+        assert net.weights[1][0, 0] == -1.0
+
+    def test_constructor_takes_lists_and_ints_as_float64(self):
+        net = Mlp(1, 1, [[[1, -1]], [[1, 2], [3, 4]]], [[0, 0], [1, 0]])
+        assert net.flat.dtype == np.float64
+        assert [p.shape for p in net.parameters] == [(1, 2), (2,), (2, 2),
+                                                     (2,)]
+        u, ubar = net(np.array([[1.0]]))
+        np.testing.assert_array_equal(u, [[2.0]])
+        np.testing.assert_array_equal(ubar, [[[2.0]]])
+
+    def test_adam_moments_are_per_parameter_views(self):
+        net = Mlp.init(3, 2, (5, 4), RngStream(104))
+        state = AdamState.init(net)
+        shapes = [p.shape for p in net.parameters]
+        for moments, flat in ((state.m, state.m_flat), (state.v, state.v_flat)):
+            assert isinstance(moments, list)
+            assert [a.shape for a in moments] == shapes
+            assert flat.shape == net.flat.shape
+            for a in moments:
+                assert np.shares_memory(a, flat)
+        assert not np.shares_memory(state.m_flat, state.v_flat)
+        x = np.random.default_rng(105).normal(size=(9, 3))
+        _, grads = net.mse_grad(x, np.ones((9, 2)), np.ones((9, 2, 3)))
+        adam_step(net, grads, state)
+        np.testing.assert_array_equal(
+            state.m_flat, np.concatenate([a.ravel() for a in state.m]))
+        assert any(np.any(a != 0.0) for a in state.v)
+
+    def test_backprop_writes_into_the_given_vector(self):
+        net = Mlp.init(2, 1, (6,), RngStream(106))
+        x = np.random.default_rng(107).normal(size=(11, 2))
+        delta = np.random.default_rng(108).normal(size=(11, 3))
+        out = np.full_like(net.flat, np.nan)
+        grads = net.backprop(*net._forward_cached(x), delta, out=out)
+        assert np.isfinite(out).all()
+        for g in grads:
+            assert np.shares_memory(g, out)
+        assert_all_equal(grads, reference_backprop(
+            net, *reference_forward(net, x), delta))
+
+    def test_old_layout_checkpoint_resumes_bit_exactly(self, tmp_path):
+        x = np.linspace(-1, 1, 16)[:, None]
+        target_u, target_ubar = np.sin(x), np.cos(x)[:, :, None]
+        settings = dict(base_lr=1e-3, decay=0.8, decay_period=7)
+        start = Mlp.init(1, 1, (5, 4), RngStream(109)).parameters
+        straight = ReferenceAdam(start, **settings)
+        reference_train_regression(straight, 1, x, target_u, target_ubar, 40)
+
+        # one independent array per parameter and moment, as written
+        # before the flat layout
+        first = ReferenceAdam(start, **settings)
+        reference_train_regression(first, 1, x, target_u, target_ubar, 25)
+        payload = {"dims": np.array([1, 1, 3]),
+                   "adam_meta": np.array([first.step, 1e-3, 0.8, 7, 0.9,
+                                          0.999, 1e-8])}
+        for k in range(3):
+            payload[f"w{k}"] = first.params[2 * k]
+            payload[f"b{k}"] = first.params[2 * k + 1]
+        for k in range(6):
+            payload[f"m{k}"], payload[f"v{k}"] = first.m[k], first.v[k]
+        np.savez(tmp_path / "old.npz", **payload)
+
+        net, state = load_checkpoint(tmp_path / "old.npz")
+        assert state.step == 25
+        assert_all_equal(net.parameters, first.params)
+        assert_all_equal(state.m, first.m)
+        assert_all_equal(state.v, first.v)
+        for _ in range(15):
+            _, grads = net.mse_grad(x, target_u, target_ubar)
+            adam_step(net, grads, state)
+        assert_all_equal(net.parameters, straight.params)
+        assert_all_equal(state.m, straight.m)
+        assert_all_equal(state.v, straight.v)
