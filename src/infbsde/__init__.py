@@ -15,9 +15,9 @@ from .fixedpoint import (CandidatePair, NonFiniteValue, PhiEstimate,
                          as_candidate, estimate_phi, estimate_phi_from_samples,
                          poly_weight, r_sample, r_sample_batch,
                          truncate_growth)
-from .grid import (Grid, GridFunction, GridMismatch, basis_weight,
-                   clamp_to_box, interpolate, read_grid_csv, sup_diff,
-                   sup_weighted_diff, truncated_nodes, write_grid_csv)
+from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
+                   interpolate, read_grid_csv, sup_diff, sup_weighted_diff,
+                   truncated_nodes, write_grid_csv)
 from .model import (AnalyticSolution, GeneratorSpec, InconsistentDerivatives,
                     NonPositiveRate, Problem, PROBLEM_NAMES, RunConfig,
                     SchemeParams, SdeSpec, UnknownProblem, ValidationReport,

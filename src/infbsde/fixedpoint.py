@@ -66,11 +66,6 @@ class CandidatePair:
         return cls(fn, dim_x, u0.shape[0], "constant")
 
     @classmethod
-    def from_callables(cls, u_fn, ubar_fn, dim_x: int, dim_y: int,
-                       label: str = "callable") -> "CandidatePair":
-        return cls(lambda x: (u_fn(x), ubar_fn(x)), dim_x, dim_y, label)
-
-    @classmethod
     def from_analytic(cls, problem: Problem) -> "CandidatePair":
         if problem.analytic is None:
             raise ValueError(f"problem {problem.name!r} has no analytic solution")
@@ -109,18 +104,17 @@ def one_draw_weights(params: SchemeParams,
 def r_sample_batch(problem: Problem, params: SchemeParams, w: CandidatePair,
                    fk: FkBatch) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized single-draw estimates; no finiteness check (see callers)."""
-    a = params.discount_y
-    a_z = params.discount_z
     weight_e, weight_g = one_draw_weights(params, fk)
 
-    u_e, z_e = w(fk.x_at_e)
-    f_e = problem.gen.f(fk.x_at_e, u_e, z_e)
-    comp1 = (f_e + a * u_e) * weight_e[:, None]
+    def scaled(x, discount, weight):
+        # (f + discount * u) * weight at the candidate's values in x; the
+        # candidate's arrays are freed before the other branch runs
+        u, z = w(x)
+        return (problem.gen.f(x, u, z) + discount * u) * weight[:, None]
 
-    u_g, z_g = w(fk.x_at_g)
-    f_g = problem.gen.f(fk.x_at_g, u_g, z_g)
-    scaled = (f_g + a_z * u_g) * weight_g[:, None]
-    comp2 = scaled[:, :, None] * fk.malliavin_at_g[:, None, :]
+    comp1 = scaled(fk.x_at_e, params.discount_y, weight_e)
+    comp2 = (scaled(fk.x_at_g, params.discount_z, weight_g)[:, :, None]
+             * fk.malliavin_at_g[:, None, :])
     return comp1, comp2
 
 

@@ -79,14 +79,6 @@ class Grid:
         )
 
 
-def basis_weight(z, x, mesh: float) -> np.ndarray:
-    """Tensor hat function centered at node ``z``, evaluated at ``x``."""
-    znode = np.atleast_1d(np.asarray(z, dtype=float))
-    pts = np.asarray(x, dtype=float)
-    t = 1.0 - np.abs((pts - znode) / mesh)
-    return np.prod(np.maximum(t, 0.0), axis=-1)
-
-
 @dataclass
 class GridFunction:
     """Values of a candidate pair on the extended lattice."""
@@ -94,9 +86,11 @@ class GridFunction:
     grid: Grid
     u: np.ndarray
     ubar: np.ndarray
-    # (nodes, d' + d'*d): u and the flattened ubar side by side, so that
-    # interpolation gathers each corner once.  Built at construction, so u
-    # and ubar must not be modified in place afterwards.
+    # (d' + d'*d, nodes), column layout: one contiguous row per output
+    # column, those of u first, then those of the flattened ubar, so that
+    # interpolation gathers a corner with one take along the node axis into
+    # a column-major result.  Built at construction, so u and ubar must not
+    # be modified in place afterwards.
     table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,7 +99,7 @@ class GridFunction:
             raise ValueError("value arrays must have one row per node")
         if self.ubar.shape != (n, self.u.shape[1], self.grid.dim):
             raise ValueError("ubar must be shaped (nodes, d', d)")
-        self.table = np.concatenate([self.u, self.ubar.reshape(n, -1)], axis=1)
+        self.table = np.concatenate([self.u.T, self.ubar.reshape(n, -1).T])
 
     @property
     def dim_y(self) -> int:
@@ -128,39 +122,56 @@ class GridFunction:
         )
 
 
+def _cell_corners(g: Grid, pts: np.ndarray) -> list:
+    """(flat node index, weight) of each corner of the cell holding each
+    point, in itertools.product order, after clamping to the box.
+
+    Each weight is the left-to-right product of its axis factors; the
+    per-axis work runs on contiguous ``(m,)`` columns, and its temporaries
+    are freed on return, before :func:`interpolate` allocates its output.
+    """
+    clamped = clamp_to_box(pts, g.half_extent)
+    corners = [(None, None)]
+    for k in range(g.dim):
+        frac = clamped[:, k] + g.half_extent
+        frac /= g.mesh
+        # frac >= 0 after the clamp, so the truncating cast is the floor
+        low = frac.astype(np.int64)
+        np.clip(low, 0, g.n_side - 2, out=low)
+        frac -= low
+        stride = g.n_side ** (g.dim - 1 - k)
+        low *= stride
+        axis = ((low, 1.0 - frac), (low + stride, frac))
+        corners = [(offset if flat is None else flat + offset,
+                    col if wgt is None else wgt * col)
+                   for flat, wgt in corners for offset, col in axis]
+    return corners
+
+
 def interpolate(phi: GridFunction, x) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate the multilinear extension of ``phi`` at points ``x``.
 
     Inside the box this combines the 2^d nodes of the containing cell;
-    outside, the query is clamped to the box boundary first.
+    outside, the query is clamped to the box boundary first.  The arrays
+    returned are transposed views of one column-major result.
     """
     g = phi.grid
     pts = as_points(x, g.dim)
     m = pts.shape[0]
     table = phi.table
     if g.n_side == 1:
-        out = np.broadcast_to(table[0], (m, table.shape[1])).copy()
+        out = np.repeat(table, m, axis=1)
     else:
-        clamped = clamp_to_box(pts, g.half_extent)
-        rel = (clamped + g.half_extent) / g.mesh
-        base = np.floor(rel).astype(np.int64)
-        np.clip(base, 0, g.n_side - 2, out=base)
-        frac = rel - base
-        lower = 1.0 - frac
-        # (flat node offset, weight) per corner, in itertools.product order;
-        # each weight is the left-to-right product of its axis factors
-        corners = [(base @ (g.n_side ** np.arange(g.dim - 1, -1, -1)), None)]
-        for k in range(g.dim):
-            stride = g.n_side ** (g.dim - 1 - k)
-            corners = [
-                (flat + bit * stride, col if wgt is None else wgt * col)
-                for flat, wgt in corners
-                for bit, col in ((0, lower[:, k]), (1, frac[:, k]))
-            ]
-        out = np.zeros((m, table.shape[1]))
+        corners = _cell_corners(g, pts)
+        out = np.zeros((table.shape[0], m))
+        gathered = np.empty_like(out)
         for flat, wgt in corners:
-            out += wgt[:, None] * np.take(table, flat, axis=0)
-    return out[:, :phi.dim_y], out[:, phi.dim_y:].reshape(m, phi.dim_y, g.dim)
+            # every index lies on the lattice, so "clip" changes none; it
+            # only spares numpy the bounds-checked buffered gather
+            np.take(table, flat, axis=1, out=gathered, mode="clip")
+            gathered *= wgt
+            out += gathered
+    return out[:phi.dim_y].T, out[phi.dim_y:].T.reshape(m, phi.dim_y, g.dim)
 
 
 def _joint_node_norms(phi: GridFunction, psi: GridFunction) -> np.ndarray:

@@ -40,6 +40,25 @@ def as_points(x, dim: int) -> np.ndarray:
     return arr
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, bit for bit as numpy sums a C-ordered row.
+
+    Below 8 terms numpy adds a row left to right, but reduces a short last
+    axis slowly; adding it column by column gives the same bits faster.
+    From 8 terms numpy sums pairwise, but only along a last axis that is
+    the innermost in memory, so longer rows go to ``np.add.reduce`` on a
+    C-ordered copy (no copy when ``a`` already is one).  Either way the
+    result does not depend on the memory layout of ``a``.
+    """
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return np.add.reduce(np.ascontiguousarray(a), axis=-1)
+    out = a[..., 0].copy()
+    for k in range(1, n):
+        out += a[..., k]
+    return out
+
+
 @dataclass(frozen=True)
 class SdeSpec:
     """Forward dynamics dX = drift(X) dt + diffusion(X) dW.
@@ -295,7 +314,7 @@ def manufacture_problem(
         grad = grad_u(x)
         if sde.is_brownian:
             # sigma = I and drift = 0: the products with them change no value
-            return grad, 0.5 * np.trace(hess_u(x), axis1=2, axis2=3)
+            return grad, 0.5 * row_sum(np.diagonal(hess_u(x), axis1=2, axis2=3))
         sig = sde.diffusion(x)
         ssq = np.einsum("mak,mbk->mab", sig, sig)
         op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
@@ -377,7 +396,7 @@ def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,
 
     def u(x):
         x = as_points(x, dim)
-        return np.mean(np.arctan(x), axis=1, keepdims=True)
+        return (row_sum(np.arctan(x)) / dim)[:, None]
 
     def grad_u(x):
         x = as_points(x, dim)
@@ -392,16 +411,16 @@ def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,
         return out
 
     def f0(x, y, z):
-        xn = np.linalg.norm(x, axis=1, keepdims=True)
-        zn = np.linalg.norm(z, axis=2)
+        xn = np.sqrt(row_sum(x * x))[:, None]
+        zn = np.sqrt(row_sum(z * z))
         return -c * y + np.cos(y + xn) + kz * np.sin(zn)
 
     def f0_y(x, y, z):
-        xn = np.linalg.norm(x, axis=1, keepdims=True)
+        xn = np.sqrt(row_sum(x * x))[:, None]
         return (-c - np.sin(y + xn))[:, :, None]
 
     def f0_z(x, y, z):
-        zn = np.linalg.norm(z, axis=2, keepdims=True)
+        zn = np.sqrt(row_sum(z * z))[..., None]
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(zn > 0, z / zn, 0.0)
         return (kz * np.cos(zn) * unit)[:, :, None, :]

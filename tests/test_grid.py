@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infbsde import (Grid, GridFunction, GridMismatch, basis_weight,
-                     clamp_to_box, interpolate, read_grid_csv, sup_diff,
-                     sup_weighted_diff, truncated_nodes, write_grid_csv)
+from infbsde import (Grid, GridFunction, GridMismatch, clamp_to_box,
+                     interpolate, read_grid_csv, sup_diff, sup_weighted_diff,
+                     truncated_nodes, write_grid_csv)
 
 
 def random_grid_function(grid, dim_y=1, seed=0):
@@ -48,19 +48,38 @@ class TestGridGeometry:
         np.testing.assert_array_equal(out, [[2.0, -0.1], [-2.0, 0.0]])
 
 
+def basis_values(g, x):
+    """(m, nodes) hat-basis weights: interpolate the node indicators, one
+    output column per node."""
+    phi = GridFunction(g, np.eye(g.n_nodes),
+                       np.zeros((g.n_nodes, g.n_nodes, g.dim)))
+    return interpolate(phi, x)[0]
+
+
+def hat_weight(node, x, mesh):
+    """Tensor hat function centered at ``node``, evaluated at ``x``."""
+    t = 1.0 - np.abs((np.asarray(x, dtype=float) - node) / mesh)
+    return np.prod(np.maximum(t, 0.0), axis=-1)
+
+
 class TestBasis:
     def test_hat_values(self):
-        assert basis_weight([0.0], [0.0], 0.5) == 1.0
-        assert basis_weight([0.0], [0.25], 0.5) == 0.5
-        assert basis_weight([0.0], [0.5], 0.5) == 0.0
-        assert basis_weight([0.0, 0.0], [0.25, 0.25], 0.5) == 0.25
+        g1 = Grid(dim=1, n_half=1, mesh=0.5)
+        centre = 1  # nodes -0.5, 0, 0.5
+        np.testing.assert_array_equal(
+            basis_values(g1, [[0.0], [0.25], [0.5]])[:, centre], [1.0, 0.5, 0.0])
+        g2 = Grid(dim=2, n_half=1, mesh=0.5)
+        assert basis_values(g2, [[0.25, 0.25]])[0, g2.n_nodes // 2] == 0.25
 
     def test_partition_of_unity(self):
         g = Grid(dim=2, n_half=2, mesh=0.7)
         gen = np.random.default_rng(1)
         pts = gen.uniform(-g.half_extent, g.half_extent, size=(40, 2))
-        total = sum(basis_weight(node, pts, g.mesh) for node in g.nodes)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
+        weights = basis_values(g, pts)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        want = np.stack([hat_weight(node, pts, g.mesh) for node in g.nodes],
+                        axis=1)
+        np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
 
 
 class TestInterpolation:

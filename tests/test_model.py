@@ -9,7 +9,7 @@ from infbsde import (GeneratorSpec, InconsistentDerivatives, NonPositiveRate,
                      PROBLEM_NAMES, SchemeParams, UnknownProblem, brownian_sde,
                      manufacture_problem, problem_by_name, tanh_sigma_sde,
                      validate_params)
-from infbsde.model import as_points
+from infbsde.model import as_points, row_sum
 
 
 def arctan_gen(c=2.0, kz=0.5):
@@ -368,3 +368,111 @@ class TestAsPointsProperties:
                 as_points(x, dim)
         with pytest.raises(ValueError):
             as_points(x[None], dim)
+
+
+def spread(gen, shape):
+    """Normal draws scaled over 16 decades, so any change of summation
+    order shows in the last bits."""
+    return gen.normal(size=shape) * 10.0 ** gen.uniform(-8.0, 8.0, shape)
+
+
+class TestRowSum:
+    """``row_sum`` against numpy's own last-axis reduction, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_contiguous(self, n):
+        gen = np.random.default_rng(n)
+        for shape in ((500, n), (300, 2, n)):
+            a = spread(gen, shape)
+            np.testing.assert_array_equal(row_sum(a), np.add.reduce(a, axis=-1))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_strided(self, n):
+        gen = np.random.default_rng(100 + n)
+        every_other = spread(gen, (400, 2 * n))[:, ::2]
+        diagonal = np.diagonal(spread(gen, (400, 1, n, n)), axis1=2, axis2=3)
+        for a in (every_other, diagonal):
+            assert n == 1 or not a.flags.c_contiguous
+            np.testing.assert_array_equal(row_sum(a), np.add.reduce(a, axis=-1))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_layout_does_not_matter(self, n):
+        # the column-major layout interpolate returns sums as a C-ordered row
+        a = spread(np.random.default_rng(200 + n), (400, 1, n))
+        np.testing.assert_array_equal(row_sum(np.asfortranarray(a)),
+                                      np.add.reduce(a, axis=-1))
+
+
+def _old_arctan_formulas(dim, c, kz):
+    """The arctan family's formulas as they read with numpy's reductions."""
+
+    def u(x):
+        return np.mean(np.arctan(x), axis=1, keepdims=True)
+
+    def grad_u(x):
+        return (1.0 / (dim * (1.0 + x**2)))[:, None, :]
+
+    def hess_u(x):
+        out = np.zeros((x.shape[0], 1, dim, dim))
+        idx = np.arange(dim)
+        out[:, 0, idx, idx] = -2.0 * x / (dim * (1.0 + x**2) ** 2)
+        return out
+
+    def f0(x, y, z):
+        xn = np.linalg.norm(x, axis=1, keepdims=True)
+        zn = np.linalg.norm(z, axis=2)
+        return -c * y + np.cos(y + xn) + kz * np.sin(zn)
+
+    def f0_y(x, y, z):
+        xn = np.linalg.norm(x, axis=1, keepdims=True)
+        return (-c - np.sin(y + xn))[:, :, None]
+
+    def f0_z(x, y, z):
+        zn = np.linalg.norm(z, axis=2, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(zn > 0, z / zn, 0.0)
+        return (kz * np.cos(zn) * unit)[:, :, None, :]
+
+    def operator(x):
+        return 0.5 * np.trace(hess_u(x), axis1=2, axis2=3)
+
+    def f(x, y, z):
+        return f0(x, y, z) - operator(x) - f0(x, u(x), grad_u(x))
+
+    return u, f0, f0_y, f0_z, operator, f
+
+
+class TestShortAxisReductions:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+    def test_driver_equals_numpy_reductions(self, monkeypatch, dim):
+        captured = {}
+        real = model_mod.manufacture_problem
+
+        def spy(u, grad_u, hess_u, f0, sde, **kwargs):
+            captured["f0"] = f0
+            return real(u, grad_u, hess_u, f0, sde, **kwargs)
+
+        monkeypatch.setattr(model_mod, "manufacture_problem", spy)
+        problem = problem_by_name("arctan-const-sigma", dim,
+                                  {"c": 1.5, "kz": 0.7})
+        f0 = captured["f0"]
+        u, ref_f0, ref_f0_y, ref_f0_z, operator, f = _old_arctan_formulas(
+            dim, 1.5, 0.7)
+        gen = np.random.default_rng(dim)
+        m = 2000
+        x = gen.normal(0.0, 3.0, (m, dim))
+        y = gen.normal(size=(m, 1))
+        z = gen.normal(size=(m, 1, dim))
+        z[:5] = 0.0  # f0_z's zero-norm branch
+        # z in the column-major layout interpolate returns, and in C order
+        for z_in in (z, z.reshape(m, dim).T.copy().T.reshape(m, 1, dim)):
+            np.testing.assert_array_equal(f0.f(x, y, z_in), ref_f0(x, y, z))
+            np.testing.assert_array_equal(f0.f_y(x, y, z_in),
+                                          ref_f0_y(x, y, z))
+            np.testing.assert_array_equal(f0.f_z(x, y, z_in),
+                                          ref_f0_z(x, y, z))
+            np.testing.assert_array_equal(problem.gen.f(x, y, z_in),
+                                          f(x, y, z))
+        np.testing.assert_array_equal(problem.analytic.u(x), u(x))
+        op, _ = problem.gen.x_terms(x)
+        np.testing.assert_array_equal(op, operator(x))

@@ -60,6 +60,35 @@ class TestSingleStep:
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
             picard_step(v, cfg, RngStream(0))
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_node_is_named(self, monkeypatch, threads):
+        # chunks of four nodes: node 9 is the second of the chunk 8-11
+        monkeypatch.setenv("BSDE_THREADS", threads)
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 4 * 50)
+        cfg = config(problem="arctan-const-sigma", dim=2, n_half=2,
+                     m_samples=50)
+        grid = cfg.build_grid()
+        bad = 9
+        starts = {}
+        real_sample = picard_grid.sample_fk_batch
+        real_r = picard_grid.r_sample_batch
+
+        def sample(problem, params, x, m, dt, rng):
+            fk = real_sample(problem, params, x, m, dt, rng)
+            starts[id(fk)] = (fk, x)
+            return fk
+
+        def poisoned(problem, params, w, fk):
+            comp1, comp2 = real_r(problem, params, w, fk)
+            rows = np.all(starts[id(fk)][1] == grid.nodes[bad], axis=1)
+            comp1[rows] = np.nan
+            return comp1, comp2
+
+        monkeypatch.setattr(picard_grid, "sample_fk_batch", sample)
+        monkeypatch.setattr(picard_grid, "r_sample_batch", poisoned)
+        with pytest.raises(NonFiniteValue, match=f"at node {bad}$"):
+            picard_step(random_iterate(grid, 0), cfg, RngStream(0))
+
     def test_interpolation_clamps_outside_box(self, monkeypatch):
         from infbsde import grid as grid_mod
 
@@ -82,6 +111,34 @@ class TestSingleStep:
         assert joint.max() <= 0.2 + 1e-12
 
 
+def random_iterate(grid, seed):
+    gen = np.random.default_rng(seed)
+    return GridFunction(grid, gen.normal(size=(grid.n_nodes, 1)),
+                        gen.normal(size=(grid.n_nodes, 1, grid.dim)))
+
+
+def assert_equals_per_node_reference(monkeypatch, cfg):
+    """picard_step at 1 and 2 threads against one sampler call and one
+    mean per node."""
+    grid = cfg.build_grid()
+    v = random_iterate(grid, cfg.dim)
+    rng = RngStream(cfg.seed).substream(1)
+    problem = cfg.build_problem()
+    ref_u = np.empty_like(v.u)
+    ref_ubar = np.empty_like(v.ubar)
+    for node, x in enumerate(grid.nodes):
+        fk = sample_fk_batch(problem, cfg.params, x, cfg.m_samples, cfg.dt,
+                             rng.substream(node).generator())
+        comp1, comp2 = r_sample_batch(problem, cfg.params, v.as_candidate(), fk)
+        ref_u[node] = comp1.mean(axis=0)
+        ref_ubar[node] = comp2.mean(axis=0)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BSDE_THREADS", threads)
+        stepped = picard_step(v, cfg, rng, problem)
+        np.testing.assert_array_equal(stepped.u, ref_u)
+        np.testing.assert_array_equal(stepped.ubar, ref_ubar)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         a = solve(config(n_iters=2))
@@ -95,31 +152,22 @@ class TestDeterminism:
         ("arctan-tanh-sigma", 1, 0.1),
     ])
     def test_node_chunks_do_not_change_result(self, monkeypatch, name, dim, dt):
-        # three nodes per chunk; 7 and 25 nodes leave a short last chunk
+        # three nodes of 2,000 draws per chunk; 7 and 25 nodes leave a short
+        # last chunk
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 6000)
         m = picard_grid.CHUNK_ROWS // 3
         cfg = config(problem=name, dim=dim, n_half=3 if dim == 1 else 2,
                      half_width=2.0, m_samples=m, dt=dt)
-        grid = cfg.build_grid()
-        assert grid.n_nodes % 3 != 0
-        gen = np.random.default_rng(dim)
-        v = GridFunction(grid, gen.normal(size=(grid.n_nodes, 1)),
-                         gen.normal(size=(grid.n_nodes, 1, dim)))
-        rng = RngStream(cfg.seed).substream(1)
-        problem = cfg.build_problem()
-        ref_u = np.empty_like(v.u)
-        ref_ubar = np.empty_like(v.ubar)
-        for node, x in enumerate(grid.nodes):
-            fk = sample_fk_batch(problem, cfg.params, x, m, dt,
-                                 rng.substream(node).generator())
-            comp1, comp2 = r_sample_batch(problem, cfg.params,
-                                          v.as_candidate(), fk)
-            ref_u[node] = comp1.mean(axis=0)
-            ref_ubar[node] = comp2.mean(axis=0)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("BSDE_THREADS", threads)
-            stepped = picard_step(v, cfg, rng, problem)
-            np.testing.assert_array_equal(stepped.u, ref_u)
-            np.testing.assert_array_equal(stepped.ubar, ref_ubar)
+        assert cfg.build_grid().n_nodes % 3 != 0
+        assert_equals_per_node_reference(monkeypatch, cfg)
+
+    def test_default_chunk_size_does_not_change_result(self, monkeypatch):
+        # 25 nodes of 1,500 draws: full chunks and a short last one
+        per_chunk = picard_grid.CHUNK_ROWS // 1500
+        assert 1 < per_chunk < 25 and 25 % per_chunk != 0
+        cfg = config(problem="arctan-const-sigma", dim=2, n_half=2,
+                     half_width=2.0, m_samples=1500)
+        assert_equals_per_node_reference(monkeypatch, cfg)
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
         baseline = solve(config())
