@@ -4,6 +4,8 @@ Each iteration re-estimates the fixed-point map at every grid node from
 fresh samples, then interpolates multilinearly between nodes.  Errors fall
 geometrically until the Monte Carlo noise floor.
 """
+import os
+
 from infbsde import GridSolveConfig, SchemeParams, solve, write_grid_csv
 
 cfg = GridSolveConfig(
@@ -25,6 +27,7 @@ for rep in result.reports:
     print(f"{rep.n:>3} {rep.sup_err_u:>10.5f} {rep.sup_err_ubar:>12.5f} "
           f"{rep.seconds:>9.2f}")
 
-write_grid_csv(result.final, "grid_demo_solution.csv",
-               analytic=result.problem.analytic)
-print("\nfinal iterate written to grid_demo_solution.csv")
+out = os.path.join("runs", "demos", "grid_demo_solution.csv")
+os.makedirs(os.path.dirname(out), exist_ok=True)
+write_grid_csv(result.final, out, analytic=result.problem.analytic)
+print(f"\nfinal iterate written to {out}")

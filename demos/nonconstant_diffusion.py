@@ -5,19 +5,16 @@ Malliavin weights are no longer available in closed form, so everything is
 simulated by Euler stepping up to the randomized horizons.  The scheme
 itself is unchanged.
 """
-import numpy as np
-
 from infbsde import (GridSolveConfig, RngStream, SchemeParams, problem_by_name,
-                     simulate_fk_sample, solve)
+                     sample_fk_batch, solve)
 
 params = SchemeParams(2.0, 2.0, 1.5, 1.5)
 problem = problem_by_name("arctan-tanh-sigma", d=1, overrides={"kz": 0.1})
 
 # the tangent process starts at 1 and stays positive
-sample = simulate_fk_sample(problem, params, np.array([0.3]), 0.003,
-                            RngStream(5))
-print(f"one path: horizon {float(sample.e_time):.3f}, "
-      f"X at horizon {float(sample.x_at_e[0]):.3f}")
+fk = sample_fk_batch(problem, params, [0.3], 1, 0.003, RngStream(5))
+print(f"one path: horizon {fk.e_time[0]:.3f}, "
+      f"X at horizon {fk.x_at_e[0, 0]:.3f}")
 
 # a small run; dt controls the extra time-discretization bias
 cfg = GridSolveConfig(

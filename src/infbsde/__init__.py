@@ -13,16 +13,15 @@ from .analysis import (CEstimate, ConstraintViolated, ContractionInputs,
                        lipschitz_shift, simplified_contraction_check, tilde_cp_bis_bound)
 from .fixedpoint import (CandidatePair, NonFiniteValue, PhiEstimate,
                          as_candidate, estimate_phi, estimate_phi_from_samples,
-                         poly_weight, r_sample, r_sample_batch,
-                         truncate_growth)
+                         poly_weight, r_sample_batch, truncate_growth)
 from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
                    interpolate, read_grid_csv, sup_diff, sup_weighted_diff,
                    truncated_nodes, write_grid_csv)
 from .model import (AnalyticSolution, GeneratorSpec, InconsistentDerivatives,
                     NonPositiveRate, Problem, PROBLEM_NAMES, RunConfig,
-                    SchemeParams, SdeSpec, UnknownProblem, ValidationReport,
-                    bind_driver, brownian_sde, manufacture_problem,
-                    problem_by_name, tanh_sigma_sde, validate_params)
+                    SchemeParams, SdeSpec, UnknownProblem, bind_driver,
+                    brownian_sde, manufacture_problem, problem_by_name,
+                    tanh_sigma_sde, validate_params)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingAnalyticSolution,
                          MissingDriverDerivatives, NnConfig, NnPicardConfig,
@@ -32,9 +31,8 @@ from .nn_schemes import (DirectConfig, MissingAnalyticSolution,
 from .picard_grid import (FitUnderdetermined, GridSolveConfig, GridSolveResult,
                           IterationReport, RateStudyResult, fit_rate_slope,
                           picard_step, rate_study, solve)
-from .simulate import (DegenerateDiffusion, FkBatch, FkSample, RngStream,
-                       sample_exponential, sample_fk_batch, sample_gamma_half,
-                       simulate_batch, simulate_fk_sample, simulate_paths)
+from .simulate import (DegenerateDiffusion, FkBatch, RngStream,
+                       sample_fk_batch, simulate_paths)
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 from scipy import integrate
 
-from .fixedpoint import poly_weight
+from .fixedpoint import one_draw_weights, poly_weight
 from .model import Problem, SchemeParams
 from .simulate import RngStream, _as_stream, sample_fk_batch
 
@@ -152,27 +152,24 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
     if probes.shape[0] == 0:
         raise ValueError("probe set must be non-empty")
     base = _as_stream(rng)
-    a, a_t = params.discount_y, params.discount_z
-    theta, theta_t = params.exp_rate, params.gamma_rate
+
+    def mean_se(vals: np.ndarray, k: int) -> Tuple[float, float, int]:
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)), k
 
     best1 = (-np.inf, 0.0, 0)
     best2 = (-np.inf, 0.0, 0)
     for k, x in enumerate(probes):
         fk = sample_fk_batch(problem, params, x, m, dt, base.substream(k))
         w_x = poly_weight(x, weight_degree)
-        w1 = np.exp(-(a - theta) * fk.e_time) / theta \
-            * poly_weight(fk.x_at_e, weight_degree) / w_x
+        weight_e, weight_g = one_draw_weights(params, fk)
+        w1 = mean_se(weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x, k)
         u_norm = np.linalg.norm(fk.malliavin_at_g, axis=1)
-        w2 = np.sqrt(np.pi / theta_t) * np.sqrt(fk.g_time) \
-            * np.exp(-(a_t - theta_t) * fk.g_time) * u_norm \
-            * poly_weight(fk.x_at_g, weight_degree) / w_x
-        for best, vals in ((1, w1), (2, w2)):
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(m))
-            if best == 1 and mean > best1[0]:
-                best1 = (mean, se, k)
-            elif best == 2 and mean > best2[0]:
-                best2 = (mean, se, k)
+        w2 = mean_se(weight_g * u_norm
+                     * poly_weight(fk.x_at_g, weight_degree) / w_x, k)
+        if w1[0] > best1[0]:
+            best1 = w1
+        if w2[0] > best2[0]:
+            best2 = w2
     return CEstimate(best1[0], best1[1], best2[0], best2[1],
                      (best1[2], best2[2]))
 

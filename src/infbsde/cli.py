@@ -384,15 +384,15 @@ def _build_contraction(cfg: Dict):
         if probe[key] < low:
             raise ConfigParse(f"{key} must be at least {low}")
     problem = problem_by_name(config.problem, config.dim, config.overrides)
-    report = validate_params(config.params, problem.gen)
+    margin = validate_params(config.params, problem.gen)
     check_step(problem.sde, config.dt)
     grid = Grid(problem.sde.dim, probe["probe_n_half"],
                 probe["probe_half_width"] / probe["probe_n_half"])
-    return config, problem, report, probe, grid
+    return config, problem, margin, probe, grid
 
 
 def _run_contraction(built, outdir: str) -> int:
-    config, problem, report, probe, grid = built
+    config, problem, margin, probe, grid = built
     params, seed = config.params, config.seed
     mu0 = np.random.Generator(np.random.Philox(seed)) \
         .normal(0.0, problem.mu0_std,
@@ -420,8 +420,8 @@ def _run_contraction(built, outdir: str) -> int:
             ["c_tilde_inf_estimate", estimate.c_tilde_inf,
              f"se={_format(estimate.c_tilde_inf_se)}"],
             ["c_source", float("nan"), c_source],
-            ["monotonicity_margin", report.monotonicity_margin,
-             "ok" if report.monotonicity_margin > 0 else "non-positive"]]
+            ["monotonicity_margin", margin,
+             "ok" if margin > 0 else "non-positive"]]
     rows.extend([r.name, r.value, r.status]
                 for r in contraction_report(inputs, probe["p"]))
     _write_csv(os.path.join(outdir, "contraction_report.csv"),

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .model import Problem, SchemeParams, as_points
-from .simulate import FkBatch, FkSample, RngLike, sample_fk_batch
+from .simulate import FkBatch, RngLike, sample_fk_batch
 
 
 class NonFiniteValue(ArithmeticError):
@@ -74,7 +74,7 @@ class CandidatePair:
                    problem.sde.dim, problem.gen.dim_y, "analytic")
 
 
-def as_candidate(obj, problem: Optional[Problem] = None) -> CandidatePair:
+def as_candidate(obj) -> CandidatePair:
     """Coerce a CandidatePair, network, or grid function to a CandidatePair."""
     if isinstance(obj, CandidatePair):
         return obj
@@ -116,26 +116,6 @@ def r_sample_batch(problem: Problem, params: SchemeParams, w: CandidatePair,
     comp2 = (scaled(fk.x_at_g, params.discount_z, weight_g)[:, :, None]
              * fk.malliavin_at_g[:, None, :])
     return comp1, comp2
-
-
-def r_sample(problem: Problem, params: SchemeParams, w: CandidatePair, x,
-             fk: FkSample) -> Tuple[np.ndarray, np.ndarray]:
-    """One draw of the estimator pair at ``x`` given a sampled horizon.
-
-    The first component estimates the value map, the second the
-    gradient-side map (outer product with the Malliavin weight row).
-    """
-    batch = FkBatch(
-        e_time=np.array([fk.e_time]),
-        g_time=np.array([fk.g_time]),
-        x_at_e=np.asarray(fk.x_at_e, float)[None, :],
-        x_at_g=np.asarray(fk.x_at_g, float)[None, :],
-        malliavin_at_g=np.asarray(fk.malliavin_at_g, float)[None, :],
-    )
-    comp1, comp2 = r_sample_batch(problem, params, w, batch)
-    if not (np.isfinite(comp1).all() and np.isfinite(comp2).all()):
-        raise NonFiniteValue("estimator draw is not finite")
-    return comp1[0], comp2[0]
 
 
 @dataclass(frozen=True)

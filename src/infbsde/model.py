@@ -176,30 +176,13 @@ class Problem:
     mu0_std: float = 2.0
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    name: str
-    passed: bool
-    detail: str
+def validate_params(params: SchemeParams, gen: GeneratorSpec) -> float:
+    """Raise :class:`NonPositiveRate` unless every rate is positive.
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-    monotonicity_margin: float
-    warnings: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def validate_params(params: SchemeParams, gen: GeneratorSpec) -> ValidationReport:
-    """Check representation parameters against the generator constants.
-
-    Raises :class:`NonPositiveRate` when any rate is not positive; every
-    other constraint is reported pass/fail.  The monotonicity margin
-    ``2*monotonicity - lip_z**2`` is attached as a warning when negative.
+    Returns the monotonicity margin ``2*monotonicity - lip_z**2``; the
+    representation may fail to contract where it is negative.  The
+    discount-above-rate conditions are reported by
+    ``analysis.contraction_report``.
     """
     rates = {
         "discount_y": params.discount_y,
@@ -210,28 +193,7 @@ def validate_params(params: SchemeParams, gen: GeneratorSpec) -> ValidationRepor
     bad = [k for k, v in rates.items() if v <= 0]
     if bad:
         raise NonPositiveRate(f"non-positive parameter(s): {', '.join(bad)}")
-    checks = (
-        ConstraintCheck(
-            "rates positive", True,
-            ", ".join(f"{k}={v:g}" for k, v in rates.items()),
-        ),
-        ConstraintCheck(
-            "discount_y > exp_rate", params.discount_y > params.exp_rate,
-            f"{params.discount_y:g} > {params.exp_rate:g}",
-        ),
-        ConstraintCheck(
-            "discount_z > gamma_rate", params.discount_z > params.gamma_rate,
-            f"{params.discount_z:g} > {params.gamma_rate:g}",
-        ),
-    )
-    margin = 2.0 * gen.monotonicity - gen.lip_z**2
-    warnings = ()
-    if margin < 0:
-        warnings = (
-            f"monotonicity margin 2*mu - lip_z^2 = {margin:g} is negative; "
-            "the representation may fail to contract",
-        )
-    return ValidationReport(checks, margin, warnings)
+    return 2.0 * gen.monotonicity - gen.lip_z**2
 
 
 def _finite_difference_check(u, grad_u, hess_u, dim: int, dim_y: int) -> None:

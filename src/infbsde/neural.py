@@ -162,25 +162,19 @@ class Mlp:
         flat_ubar = np.asarray(target_ubar, dtype=float).reshape(m, -1)
         return np.concatenate([target_u, flat_ubar], axis=1)
 
-    def mse_grad(self, x: np.ndarray, target_u: np.ndarray,
-                 target_ubar: np.ndarray) -> Tuple[float, List[np.ndarray]]:
-        """Loss and its gradient in every weight and bias, by backprop.
-
-        The loss is the batch mean of the squared residual summed over all
-        value and gradient entries.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._mse_grad(x, self._raw_target(len(x), target_u,
-                                                 target_ubar))
-
     def _mse_grad(self, x: np.ndarray, target: np.ndarray,
                   work: Optional[Workspace] = None,
                   grad: Optional[np.ndarray] = None,
                   ) -> Tuple[float, List[np.ndarray]]:
-        """``mse_grad`` against a ``_raw_target``, for a caller that steps
-        many times on one batch: the layers go into ``work``, a
-        ``workspace(len(x))``, and the gradients into ``grad``, a vector
-        laid out as ``flat``; both are overwritten by the next call."""
+        """Loss against a ``_raw_target`` and its gradient in every weight
+        and bias, by backprop.
+
+        The loss is the batch mean of the squared residual summed over all
+        value and gradient entries.  For a caller that steps many times on
+        one batch, the layers go into ``work``, a ``workspace(len(x))``,
+        and the gradients into ``grad``, a vector laid out as ``flat``;
+        both are overwritten by the next call.
+        """
         acts, pre = self._forward_cached(x, work)
         m = target.shape[0]
         # the output is spent once read: its buffer takes the residual

@@ -135,7 +135,7 @@ def _ratio(num_sq: float, den_sq: float) -> float:
 
 def _rel_errors_at(candidate, problem: Problem,
                    x: np.ndarray) -> Tuple[float, float]:
-    w = as_candidate(candidate, problem)
+    w = as_candidate(candidate)
     u_hat, ubar_hat = w(x)
     u_ref = problem.analytic.u(x)
     ubar_ref = problem.analytic.ubar(x)
@@ -221,7 +221,7 @@ def contraction_nn_solve(cfg: NnPicardConfig,
                                cfg.lr_decay_period)
         loss = _train_regression(net, x0, target_u, target_ubar, state,
                                  cfg.train_steps)
-        previous = as_candidate(net.copy(), problem)
+        previous = as_candidate(net.copy())
         if keep_nets:
             nets.append(net.copy())
         du, dubar = _trace_errors(net, problem, eval_points)

@@ -1,9 +1,10 @@
 """Randomized-horizon sampling of the forward SDE and its Malliavin weight.
 
 Horizons are drawn as E ~ Exp(exp_rate) for the value component and
-G ~ Gamma(1/2, gamma_rate) for the gradient component.  Brownian dynamics
-are sampled exactly; general dynamics run Euler-Maruyama jointly for the
-state and its tangent process, with a left-point Ito sum for the Malliavin
+G ~ Gamma(1/2, gamma_rate) for the gradient component, the latter exactly
+as Z^2/(2*gamma_rate) with Z standard normal.  Brownian dynamics are
+sampled exactly; general dynamics run Euler-Maruyama jointly for the state
+and its tangent process, with a left-point Ito sum for the Malliavin
 integral.  Horizons are rounded up to the time grid so paths land exactly
 on their stopping index.
 
@@ -12,7 +13,6 @@ Randomness comes from counter-based Philox streams addressed by
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -70,32 +70,6 @@ def _as_generator(rng: RngLike) -> np.random.Generator:
     return _as_stream(rng).generator()
 
 
-def sample_exponential(rng: RngLike, rate: float, size=None) -> np.ndarray:
-    """Draw Exp(rate) horizons (mean 1/rate)."""
-    return _as_generator(rng).exponential(1.0 / rate, size=size)
-
-
-def sample_gamma_half(rng: RngLike, rate: float, size=None) -> np.ndarray:
-    """Draw Gamma(1/2, rate) horizons as Z^2/(2*rate), Z standard normal.
-
-    The representation is exact: Gamma(1/2, 1) is the law of Z^2/2 and a
-    rate change rescales by 1/rate.
-    """
-    z = _as_generator(rng).standard_normal(size=size)
-    return z * z / (2.0 * rate)
-
-
-@dataclass(frozen=True)
-class FkSample:
-    """One randomized-horizon draw used by the fixed-point estimator."""
-
-    e_time: float
-    g_time: float
-    x_at_e: np.ndarray
-    x_at_g: np.ndarray
-    malliavin_at_g: np.ndarray
-
-
 @dataclass(frozen=True)
 class FkBatch:
     """Vectorized draws: times are (m,), states (m, d)."""
@@ -108,15 +82,6 @@ class FkBatch:
 
     def __len__(self) -> int:
         return self.e_time.shape[0]
-
-    def row(self, i: int) -> FkSample:
-        return FkSample(
-            float(self.e_time[i]),
-            float(self.g_time[i]),
-            self.x_at_e[i].copy(),
-            self.x_at_g[i].copy(),
-            self.malliavin_at_g[i].copy(),
-        )
 
 
 @dataclass
@@ -331,37 +296,6 @@ def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
     if problem.sde.is_brownian:
         return _brownian_fk_batch(params, starts, gens)
     return _euler_fk_batch(problem.sde, params, starts, dt, gens)
-
-
-def simulate_fk_sample(problem: Problem, params: SchemeParams, x,
-                       dt: Optional[float], rng: RngLike) -> FkSample:
-    """Draw a single randomized-horizon sample at ``x``."""
-    return sample_fk_batch(problem, params, x, 1, dt, rng).row(0)
-
-
-def _point_stream(rng: RngStream, point: np.ndarray) -> RngStream:
-    """Derive a stream keyed by the point's coordinates, not its position."""
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(point, dtype=float).tobytes(), digest_size=8
-    ).digest()
-    return rng.substream(int.from_bytes(digest, "little"))
-
-
-def simulate_batch(problem: Problem, params: SchemeParams, xs,
-                   m: int, dt: Optional[float], rng: RngStream) -> list:
-    """Draw ``m`` independent FkSamples per starting point.
-
-    Returns one :class:`FkBatch` per point.  Each point consumes a stream
-    derived from its own coordinates, so per-point sample sets do not
-    depend on the ordering of ``xs``.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    points = as_points(xs, problem.sde.dim)
-    return [
-        sample_fk_batch(problem, params, p, m, dt, _point_stream(rng, p))
-        for p in points
-    ]
 
 
 def simulate_paths(sde: SdeSpec, x, horizon: float, dt: float, m: int,

@@ -302,3 +302,23 @@ class TestReport:
                                    c_inf=0.5, c_tilde_inf=1.0)
         rows = contraction_report(inputs)
         assert "violated" in {r.name: r for r in rows}["discount_y"].status
+
+    @pytest.mark.parametrize("discount, rate", [("discount_y", "exp_rate"),
+                                                ("discount_z", "gamma_rate")])
+    def test_discount_not_above_rate_fails(self, discount, rate):
+        def statuses(**change):
+            inputs = ContractionInputs(**{
+                "lip_y": 2.0, "lip_z": 0.5, "monotonicity": 1.0,
+                "discount_y": 2.0, "discount_z": 2.0, "exp_rate": 1.5,
+                "gamma_rate": 1.5, "c_inf": 0.5, "c_tilde_inf": 1.0,
+                **change})
+            rows = contraction_report(inputs)
+            return {r.name: r.status for r in rows}
+
+        paper = statuses()
+        assert paper["discount_y"] == paper["discount_z"] == "ok"
+        # the inequality is strict: a discount equal to its rate fails
+        failed = statuses(**{discount: 1.5})
+        assert failed[discount] == f"violated: {discount} <= {rate}"
+        other = "discount_z" if discount == "discount_y" else "discount_y"
+        assert failed[other] == "ok"

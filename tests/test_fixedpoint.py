@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from infbsde import (CandidatePair, NonFiniteValue, RngStream, SchemeParams,
                      as_candidate, estimate_phi, estimate_phi_from_samples,
-                     poly_weight, problem_by_name, r_sample, r_sample_batch,
+                     poly_weight, problem_by_name, r_sample_batch,
                      sample_fk_batch, truncate_growth)
-from infbsde.simulate import FkSample
+from infbsde.simulate import FkBatch
 
 PARAMS = SchemeParams(2.0, 2.0, 1.5, 1.5)
 
@@ -29,11 +29,13 @@ class TestSingleDraw:
         # f(x, y, z) = 3 - 2y; w constant (1, 0.4); horizon draw fixed below
         problem = problem_by_name("linear-constant", 1)
         w = CandidatePair.constant(1.0, [0.4], 1)
-        fk = FkSample(e_time=0.5, g_time=0.25, x_at_e=np.array([0.1]),
-                      x_at_g=np.array([-0.2]), malliavin_at_g=np.array([1.2]))
-        comp1, comp2 = r_sample(problem, PARAMS, w, np.array([0.0]), fk)
-        np.testing.assert_allclose(comp1, [1.5576015661428098], rtol=1e-14)
-        np.testing.assert_allclose(comp2, [[2.2988731170743946]], rtol=1e-14)
+        fk = FkBatch(e_time=np.array([0.5]), g_time=np.array([0.25]),
+                     x_at_e=np.array([[0.1]]), x_at_g=np.array([[-0.2]]),
+                     malliavin_at_g=np.array([[1.2]]))
+        comp1, comp2 = r_sample_batch(problem, PARAMS, w, fk)
+        np.testing.assert_allclose(comp1, [[1.5576015661428098]], rtol=1e-14)
+        np.testing.assert_allclose(comp2, [[[2.2988731170743946]]],
+                                   rtol=1e-14)
 
     def test_zero_candidate_zero_source(self):
         problem = problem_by_name("linear-constant", 1, {"c0": 0.0})
@@ -51,10 +53,10 @@ class TestSingleDraw:
             return np.full((m, 1), np.inf), np.zeros((m, 1, 1))
 
         w = CandidatePair(blown, 1, 1, "inf")
-        fk = FkSample(0.5, 0.25, np.array([0.0]), np.array([0.0]),
-                      np.array([1.0]))
+        fk = FkBatch(np.array([0.5, 0.75]), np.array([0.25, 0.5]),
+                     np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            r_sample(problem, PARAMS, w, np.array([0.0]), fk)
+            estimate_phi_from_samples(problem, PARAMS, w, fk)
 
     def test_batch_matches_row_draws(self):
         problem = problem_by_name("arctan-const-sigma", 1)
@@ -62,10 +64,13 @@ class TestSingleDraw:
         fk = sample_fk_batch(problem, PARAMS, np.array([0.4]), 8, None,
                              RngStream(2))
         comp1, comp2 = r_sample_batch(problem, PARAMS, w, fk)
+        fields = (fk.e_time, fk.g_time, fk.x_at_e, fk.x_at_g,
+                  fk.malliavin_at_g)
         for i in range(8):
-            c1, c2 = r_sample(problem, PARAMS, w, np.array([0.4]), fk.row(i))
-            np.testing.assert_allclose(c1, comp1[i], rtol=1e-13)
-            np.testing.assert_allclose(c2, comp2[i], rtol=1e-13)
+            row = FkBatch(*(a[i:i + 1] for a in fields))
+            c1, c2 = r_sample_batch(problem, PARAMS, w, row)
+            np.testing.assert_array_equal(c1, comp1[i:i + 1])
+            np.testing.assert_array_equal(c2, comp2[i:i + 1])
 
 
 class TestPhiEstimate:

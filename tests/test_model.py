@@ -17,27 +17,18 @@ def arctan_gen(c=2.0, kz=0.5):
 
 
 class TestValidateParams:
-    def test_paper_settings_pass(self):
-        gen = arctan_gen()
-        report = validate_params(SchemeParams(2.0, 2.0, 1.5, 1.5), gen)
-        assert report.ok
-        assert all(check.passed for check in report.checks)
-        # 2*mu - K_z^2 = 2*1 - 0.25
-        assert report.monotonicity_margin == pytest.approx(1.75)
+    """Positive rates and the monotonicity margin; the discount-above-rate
+    conditions are ``contraction_report`` rows (test_analysis.py)."""
 
-    def test_discount_not_above_rate_fails(self):
-        report = validate_params(SchemeParams(1.0, 2.0, 1.0, 1.5), arctan_gen())
-        assert not report.ok
-        failed = [c for c in report.checks if not c.passed]
-        assert len(failed) == 1
-        assert "exp_rate" in failed[0].name or "discount_y" in failed[0].name
+    def test_paper_settings_pass(self):
+        margin = validate_params(SchemeParams(2.0, 2.0, 1.5, 1.5), arctan_gen())
+        # 2*mu - K_z^2 = 2*1 - 0.25
+        assert margin == pytest.approx(1.75)
 
     def test_negative_margin_is_warning_not_failure(self):
-        report = validate_params(SchemeParams(2.0, 2.0, 1.5, 1.5),
+        margin = validate_params(SchemeParams(2.0, 2.0, 1.5, 1.5),
                                  arctan_gen(kz=2.0))
-        assert report.monotonicity_margin == pytest.approx(-2.0)
-        assert report.warnings
-        assert report.ok
+        assert margin == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("params", [
         SchemeParams(0.0, 2.0, 1.5, 1.5),

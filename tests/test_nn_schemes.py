@@ -167,7 +167,7 @@ class TestContractionScheme:
                                    + np.sum((aub - bub) ** 2, axis=(1, 2))))
 
         cands = [CandidatePair.zero(1, 1)]
-        cands += [as_candidate(net, problem) for net in res.nets]
+        cands += [as_candidate(net) for net in res.nets]
         for n in range(1, 5):
             cur_u, cur_ub = cands[n](pts)
             e_n = joint_l2(cur_u, cur_ub, star_u, star_ub)

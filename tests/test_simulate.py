@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from infbsde import (DegenerateDiffusion, RngStream, SchemeParams,
-                     problem_by_name, sample_exponential, sample_fk_batch,
-                     sample_gamma_half, simulate_batch, simulate_fk_sample,
-                     simulate_paths)
+                     problem_by_name, sample_fk_batch, simulate_paths)
 from infbsde import simulate
 from infbsde.model import SdeSpec
 
@@ -91,29 +89,37 @@ def with_sde(sde, dim):
 
 
 class TestHorizonSamplers:
+    """Horizon laws as drawn by the Brownian sampler at rate 1.5."""
+
+    @staticmethod
+    def horizons(seed, m, stream_id=0):
+        problem = problem_by_name("arctan-const-sigma", 1)
+        return sample_fk_batch(problem, PARAMS, np.zeros(1), m, None,
+                               RngStream(seed, stream_id=stream_id))
+
     def test_exponential_moments(self):
-        draws = sample_exponential(RngStream(7), 1.5, size=1_000_000)
+        draws = self.horizons(7, 1_000_000).e_time
         assert abs(draws.mean() - 2.0 / 3.0) < 0.003
         assert abs(draws.var() - 4.0 / 9.0) < 0.01
 
     def test_exponential_deterministic(self):
-        a = sample_exponential(RngStream(7, stream_id=3), 1.5, size=5)
-        b = sample_exponential(RngStream(7, stream_id=3), 1.5, size=5)
+        a = self.horizons(7, 5, stream_id=3).e_time
+        b = self.horizons(7, 5, stream_id=3).e_time
         np.testing.assert_array_equal(a, b)
 
     def test_gamma_half_moments(self):
-        draws = sample_gamma_half(RngStream(8), 1.5, size=1_000_000)
+        draws = self.horizons(8, 1_000_000).g_time
         assert abs(draws.mean() - 1.0 / 3.0) < 0.003
         assert abs(draws.var() - 2.0 / 9.0) < 0.01
 
     def test_gamma_half_distribution(self):
-        draws = sample_gamma_half(RngStream(9), 1.5, size=200_000)
+        draws = self.horizons(9, 200_000).g_time
         stat = stats.kstest(draws, stats.gamma(a=0.5, scale=1 / 1.5).cdf).statistic
         assert stat < 0.005
 
     def test_gamma_half_laplace_transform(self):
         # E[e^{-s G}] = (1 + s/rate)^{-1/2}
-        draws = sample_gamma_half(RngStream(10), 1.5, size=500_000)
+        draws = self.horizons(10, 500_000).g_time
         assert abs(np.exp(-draws).mean() - (1 + 1 / 1.5) ** -0.5) < 0.002
 
 
@@ -149,14 +155,6 @@ class TestBrownianFk:
                              RngStream(4))
         stat = fk.g_time * np.sum(fk.malliavin_at_g**2, axis=1)
         assert abs(stat.mean() - dim) < 0.02 * dim
-
-    def test_single_sample_matches_batch_row(self):
-        sample = simulate_fk_sample(self.problem, PARAMS, np.array([0.5]),
-                                    None, RngStream(5))
-        batch = sample_fk_batch(self.problem, PARAMS, np.array([0.5]), 1,
-                                None, RngStream(5))
-        assert sample.e_time == batch.e_time[0]
-        np.testing.assert_array_equal(sample.x_at_g, batch.x_at_g[0])
 
 
 class TestBrownianMalliavinProperties:
@@ -205,23 +203,6 @@ class TestBrownianMalliavinProperties:
                          np.eye(dim).ravel())
 
 
-class TestPerPointStreams:
-    def test_swap_order_invariance(self):
-        problem = problem_by_name("arctan-const-sigma", 2)
-        pts = np.array([[0.5, -1.0], [2.0, 0.25]])
-        fwd = simulate_batch(problem, PARAMS, pts, 50, None, RngStream(6))
-        rev = simulate_batch(problem, PARAMS, pts[::-1], 50, None, RngStream(6))
-        np.testing.assert_array_equal(fwd[0].x_at_e, rev[1].x_at_e)
-        np.testing.assert_array_equal(fwd[1].malliavin_at_g,
-                                      rev[0].malliavin_at_g)
-
-    def test_distinct_points_distinct_draws(self):
-        problem = problem_by_name("arctan-const-sigma", 1)
-        batches = simulate_batch(problem, PARAMS, [[0.0], [0.3]], 10, None,
-                                 RngStream(6))
-        assert not np.array_equal(batches[0].e_time, batches[1].e_time)
-
-
 class TestEulerScheme:
     def test_marginal_law_matches_closed_form(self):
         sde = ou_sde(1.0)
@@ -264,6 +245,20 @@ class TestEulerScheme:
                                    atol=1e-12)
         np.testing.assert_allclose(np.round(fk.g_time / dt) * dt, fk.g_time,
                                    atol=1e-12)
+
+    def test_horizons_round_up_the_exact_draws(self):
+        # both samplers draw the Exp block, then the normal block, first
+        dt = 0.01
+        euler = sample_fk_batch(problem_by_name("arctan-tanh-sigma", 1),
+                                PARAMS, np.array([0.2]), 500, dt,
+                                RngStream(25))
+        exact = sample_fk_batch(problem_by_name("arctan-const-sigma", 1),
+                                PARAMS, np.array([0.2]), 500, None,
+                                RngStream(25))
+        for got, raw in ((euler.e_time, exact.e_time),
+                         (euler.g_time, exact.g_time)):
+            np.testing.assert_array_equal(
+                got, np.maximum(np.ceil(raw / dt), 1) * dt)
 
     def test_euler_brownian_limit_agrees_with_exact(self):
         # eps=0 degenerates the tanh dynamics to unit-diffusion noise
@@ -407,8 +402,9 @@ class TestRngStream:
 
     @pytest.mark.parametrize("bad", [1.5, "3", None])
     def test_non_seed_rejected(self, bad):
+        problem = problem_by_name("arctan-const-sigma", 1)
         with pytest.raises(TypeError):
-            sample_exponential(bad, 1.0, 3)
+            sample_fk_batch(problem, PARAMS, np.zeros(1), 3, None, rng=bad)
 
     def test_substreams_differ(self):
         base = RngStream(5)

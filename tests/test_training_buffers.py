@@ -126,7 +126,7 @@ def reference_contraction_solve(cfg):
                                           target_ubar, cfg.train_steps)
         params = ref.params
         frozen = Mlp(dim, dim_y, params[0::2], params[1::2])
-        previous = as_candidate(frozen, problem)
+        previous = as_candidate(frozen)
         du, dubar = _trace_errors(frozen, problem, eval_points)
         trace.append((n, loss, du, dubar))
     return params, trace
@@ -419,7 +419,8 @@ class TestRegressionLoop:
     def test_mse_grad_matches_reference(self, dim):
         net, x, target_u, target_ubar = regression_batch(dim, (5, 7, 3), 23,
                                                          95)
-        loss, grads = net.mse_grad(x, target_u, target_ubar)
+        loss, grads = net._mse_grad(
+            x, net._raw_target(len(x), target_u, target_ubar))
         want_loss, want = reference_mse_grad(net, x, target_u, target_ubar)
         assert loss == want_loss
         assert_all_equal(grads, want)
@@ -510,7 +511,8 @@ class TestFlatParameters:
                 assert np.shares_memory(a, flat)
         assert not np.shares_memory(state.m_flat, state.v_flat)
         x = np.random.default_rng(105).normal(size=(9, 3))
-        _, grads = net.mse_grad(x, np.ones((9, 2)), np.ones((9, 2, 3)))
+        _, grads = net._mse_grad(
+            x, net._raw_target(9, np.ones((9, 2)), np.ones((9, 2, 3))))
         adam_step(net, grads, state)
         np.testing.assert_array_equal(
             state.m_flat, np.concatenate([a.ravel() for a in state.m]))
@@ -556,7 +558,8 @@ class TestFlatParameters:
         assert_all_equal(state.m, first.m)
         assert_all_equal(state.v, first.v)
         for _ in range(15):
-            _, grads = net.mse_grad(x, target_u, target_ubar)
+            _, grads = net._mse_grad(
+                x, net._raw_target(len(x), target_u, target_ubar))
             adam_step(net, grads, state)
         assert_all_equal(net.parameters, straight.params)
         assert_all_equal(state.m, straight.m)
