@@ -8,6 +8,7 @@ so it does not need the map to contract.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
@@ -19,7 +20,7 @@ from .fixedpoint import (CandidatePair, as_candidate, one_draw_weights,
 from .grid import GridFunction
 from .model import (Problem, RunConfig, SchemeParams, bind_driver,
                     problem_by_name)
-from .neural import AdamState, Mlp, Workspace, adam_step
+from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
 from .simulate import FkBatch, RngLike, RngStream, _as_generator, sample_fk_batch
 
 
@@ -56,6 +57,18 @@ class NnConfig(RunConfig):
         return self.hidden if self.hidden is not None else (20 + self.dim,) * 2
 
 
+def _check_schedule(base_lr: float, lr_decay: float,
+                    lr_decay_period: int) -> None:
+    """ADAM's step size ``base_lr * lr_decay**(step // lr_decay_period)``
+    must be a finite positive number that does not grow."""
+    if not 0.0 < base_lr < math.inf:
+        raise ValueError("base_lr must be finite and positive")
+    if not 0.0 < lr_decay <= 1.0:
+        raise ValueError("lr_decay must lie in (0, 1]")
+    if lr_decay_period < 1:
+        raise ValueError("lr_decay_period must be at least 1")
+
+
 @dataclass(frozen=True)
 class NnPicardConfig(NnConfig):
     """Contraction-based scheme: one regression problem per Picard iteration."""
@@ -76,6 +89,7 @@ class NnPicardConfig(NnConfig):
             raise ValueError("n_iters must be at least 1")
         if self.train_steps < 0:
             raise ValueError("train_steps must be non-negative")
+        _check_schedule(self.base_lr, self.lr_decay, self.lr_decay_period)
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,7 @@ class DirectConfig(NnConfig):
             raise ValueError("n_epochs must be at least 1")
         if self.steps_per_epoch < 0:
             raise ValueError("steps_per_epoch must be non-negative")
+        _check_schedule(self.base_lr, self.lr_decay, self.lr_decay_period)
 
 
 @dataclass(frozen=True)
@@ -174,12 +189,12 @@ def _train_regression(net: Mlp, x: np.ndarray, target_u: np.ndarray,
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss {loss} before training")
     target = net._raw_target(len(x), target_u, target_ubar)
-    work, grad = net.workspace(len(x)), np.empty_like(net.flat)
+    work, grad = net.workspace(len(x)), net.gradient()
     for _ in range(steps):
-        loss, grads = net._mse_grad(x, target, work, grad)
+        loss, flat_grad = net._mse_grad(x, target, work, grad)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss {loss} at step {state.step}")
-        adam_step(net, grads, state)
+        adam_step(net, flat_grad, state)
     return loss
 
 
@@ -260,7 +275,8 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
                          weight_g: np.ndarray, m_starts: int, m_inner: int,
                          drivers: Optional[Tuple[Callable, Callable]] = None,
                          work: Optional[Tuple[Workspace, Workspace]] = None,
-                         ) -> Tuple[float, List[np.ndarray]]:
+                         grads: Optional[Tuple[Gradient, Gradient]] = None,
+                         ) -> Tuple[float, np.ndarray]:
     """Sampled fixed-point residual and its full parameter gradient.
 
     The loss pairs, per starting point, the residuals of the net against
@@ -273,10 +289,12 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
 
     A caller that steps many times on one batch passes what stays fixed
     across the steps: ``drivers``, the driver bound to ``fk.x_at_e`` and to
-    ``fk.x_at_g`` (:func:`bind_driver`), and ``work``, a workspace of
-    ``net`` for the start points and one for the inner draws, which the two
-    horizon branches share since they run one after the other.  Without
-    them, both are made here.
+    ``fk.x_at_g`` (:func:`bind_driver`); ``work``, a workspace of ``net``
+    for the start points and one for the inner draws, which the two
+    horizon branches share since they run one after the other; and
+    ``grads``, two ``net.gradient()``s, the returned sum and a scratch
+    one.  Without them, they are made here.  The gradient is returned as
+    a vector laid out as ``net.flat``.
     """
     gen = problem.gen
     a, a_z = params.discount_y, params.discount_z
@@ -285,6 +303,7 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     f_at_e, f_at_g = drivers or (bind_driver(gen, fk.x_at_e),
                                  bind_driver(gen, fk.x_at_g))
     work0, work_inner = work or (None, None)
+    grad, scratch = grads or (net.gradient(), net.gradient())
 
     acts0, pre0 = net._forward_cached(x0, work0)
     u0, ubar0 = net._split(acts0[-1])
@@ -301,8 +320,7 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     # the output is spent once the Jacobians are in: its buffer takes delta
     delta_e = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
                              out=acts_e[-1])
-    grad, scratch = np.empty_like(net.flat), np.empty_like(net.flat)
-    grads = net.backprop(acts_e, pre_e, delta_e, out=grad)
+    total = net.backprop(acts_e, pre_e, delta_e, out=grad)
     del acts_e, pre_e, q1, d_u, d_ubar, delta_e
 
     # gradient-component branch; the Malliavin factor contracts first
@@ -319,16 +337,14 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     d_ubar = np.einsum("mi,mijk->mjk", q2, gen.f_z(fk.x_at_g, u_g, z_g))
     delta_g = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
                              out=acts_g[-1])
-    net.backprop(acts_g, pre_g, delta_g, out=scratch)
-    grad += scratch
+    total += net.backprop(acts_g, pre_g, delta_g, out=scratch)
 
     loss = float((np.sum(r1_a * r1_b) + np.sum(r2_a * r2_b)) / m_starts)
     delta0 = np.concatenate([r1_a + r1_b,
                              (r2_a + r2_b).reshape(m_starts, dy * d)], axis=1)
     delta0 /= m_starts
-    net.backprop(acts0, pre0, delta0, out=scratch)
-    grad += scratch
-    return loss, grads
+    total += net.backprop(acts0, pre0, delta0, out=scratch)
+    return loss, total
 
 
 def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
@@ -354,6 +370,7 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
     state = AdamState.init(net, cfg.base_lr, cfg.lr_decay, cfg.lr_decay_period)
     work = (net.workspace(cfg.m_starts),
             net.workspace(cfg.m_starts * cfg.m_inner))
+    grads = (net.gradient(), net.gradient())
     trace: List[TraceRow] = []
     for epoch in range(1, cfg.n_epochs + 1):
         start_time = time.perf_counter()
@@ -369,16 +386,16 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
                    bind_driver(problem.gen, fk.x_at_g))
         loss = None
         for _ in range(cfg.steps_per_epoch):
-            loss, grads = _residual_loss_grads(
+            loss, grad = _residual_loss_grads(
                 net, problem, cfg.params, x0, fk, weight_e, weight_g,
-                cfg.m_starts, cfg.m_inner, drivers, work)
+                cfg.m_starts, cfg.m_inner, drivers, work, grads)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss {loss} at step {state.step}")
-            adam_step(net, grads, state)
+            adam_step(net, grad, state)
         if loss is None:  # no training steps: report the standing residual
             loss, _ = _residual_loss_grads(
                 net, problem, cfg.params, x0, fk, weight_e, weight_g,
-                cfg.m_starts, cfg.m_inner, drivers, work)
+                cfg.m_starts, cfg.m_inner, drivers, work, grads)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss {loss} at epoch {epoch}")
         du, dubar = _trace_errors(net, problem, eval_points)

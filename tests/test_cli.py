@@ -474,6 +474,25 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "0"], id="nn-direct-m-err0"),
     pytest.param(["nn-direct", "--problem", "linear-constant", "--hidden",
                   "8,0"], id="nn-direct-hidden8-0"),
+    # learning-rate schedules: a finite positive rate that does not grow
+    *[pytest.param([command, "--problem", "linear-constant", flag, value],
+                   id=f"{command}{flag}{value}")
+      for command in ("nn-picard", "nn-direct")
+      for flag, value in (("--decay-period", "0"), ("--decay-period", "-5"),
+                          ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan"),
+                          ("--lr", "inf"), ("--decay", "0"),
+                          ("--decay", "-1"), ("--decay", "nan"),
+                          ("--decay", "1.5"))],
+    # kz-sweep builds both schemes' configs: the unchosen one's too
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--scheme",
+                  "nn-direct", "--decay-period", "0", "--kz-list", "1",
+                  "--reps", "1", "--epochs", "1", "--steps-per-epoch", "0",
+                  "--M-x", "2", "--M-inner", "2", "--m-err", "2"],
+                 id="kz-sweep-direct-decay-period0"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--lr",
+                  "nan", "--kz-list", "1", "--reps", "1", "--iters", "1",
+                  "--steps", "0", "--M", "2", "--m-err", "2"],
+                 id="kz-sweep-picard-lr-nan"),
 ])
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "never"

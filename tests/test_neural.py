@@ -7,7 +7,13 @@ from infbsde import (AdamState, Mlp, RngStream, adam_step, load_checkpoint,
 
 
 def loss_grad(net, x, target_u, target_ubar):
-    return net._mse_grad(x, net._raw_target(len(x), target_u, target_ubar))
+    """The MSE loss and its gradient: a ``net.gradient()``, whose ``flat``
+    vector is what ``adam_step`` takes and ``parts`` its per-parameter
+    views."""
+    grad = net.gradient()
+    loss, _ = net._mse_grad(x, net._raw_target(len(x), target_u, target_ubar),
+                            grad=grad)
+    return loss, grad
 
 
 def hand_net():
@@ -71,9 +77,9 @@ class TestGradients:
         net = Mlp.init(2, 1, (6,), RngStream(5))
         x = np.random.default_rng(6).normal(size=(8, 2))
         tu, tub = net(x)
-        loss, grads = loss_grad(net, x, tu, tub)
+        loss, grad = loss_grad(net, x, tu, tub)
         assert loss == 0.0
-        assert all(np.all(g == 0.0) for g in grads)
+        assert not grad.flat.any()
 
     def test_loss_scales_quadratically(self):
         net = Mlp.init(1, 1, (5,), RngStream(7))
@@ -91,7 +97,7 @@ class TestGradients:
         x = gen.normal(size=(12, 2))
         tu = gen.normal(size=(12, 1))
         tub = gen.normal(size=(12, 1, 2))
-        _, grads = loss_grad(net, x, tu, tub)
+        grads = loss_grad(net, x, tu, tub)[1].parts
         h = 1e-5
         params = net.parameters
         for _ in range(25):
@@ -108,11 +114,13 @@ class TestGradients:
 
     def test_grad_count_matches_parameters(self):
         net = Mlp.init(1, 1, (4, 4), RngStream(12))
-        _, grads = loss_grad(net, np.zeros((2, 1)), np.zeros((2, 1)),
-                                np.zeros((2, 1, 1)))
-        assert len(grads) == len(net.parameters) == 6
-        for g, p in zip(grads, net.parameters):
+        _, grad = loss_grad(net, np.zeros((2, 1)), np.zeros((2, 1)),
+                            np.zeros((2, 1, 1)))
+        assert grad.flat.shape == net.flat.shape
+        assert len(grad.parts) == len(net.parameters) == 6
+        for g, p in zip(grad.parts, net.parameters):
             assert g.shape == p.shape
+            assert np.shares_memory(g, grad.flat)
 
 
 class TestAdam:
@@ -120,7 +128,7 @@ class TestAdam:
         net = Mlp.init(1, 1, (4,), RngStream(13))
         before = [p.copy() for p in net.parameters]
         state = AdamState.init(net)
-        adam_step(net, [np.zeros_like(p) for p in net.parameters], state)
+        adam_step(net, np.zeros_like(net.flat), state)
         for b, p in zip(before, net.parameters):
             np.testing.assert_array_equal(b, p)
         assert state.step == 1
@@ -139,8 +147,12 @@ class TestAdam:
 
     def test_mismatched_gradients_rejected(self):
         net = Mlp.init(1, 1, (2,), RngStream(15))
+        state = AdamState.init(net)
         with pytest.raises(ValueError):
-            adam_step(net, [np.zeros((1, 2))], AdamState.init(net))
+            adam_step(net, np.zeros(2), state)
+        with pytest.raises(ValueError):  # the per-parameter list
+            adam_step(net, [np.zeros_like(p) for p in net.parameters], state)
+        assert state.step == 0
 
     def test_training_reduces_loss_100x(self):
         x = np.linspace(-1, 1, 128)[:, None]
@@ -150,8 +162,7 @@ class TestAdam:
         state = AdamState.init(net, base_lr=5e-3, decay=1.0)
         loss0 = net.mse_loss(x, tu, tub)
         for _ in range(500):
-            _, grads = loss_grad(net, x, tu, tub)
-            adam_step(net, grads, state)
+            adam_step(net, loss_grad(net, x, tu, tub)[1].flat, state)
         assert net.mse_loss(x, tu, tub) < loss0 / 100
 
     def test_training_is_deterministic(self):
@@ -161,8 +172,8 @@ class TestAdam:
             state = AdamState.init(net)
             x = np.linspace(-1, 1, 32)[:, None]
             for _ in range(50):
-                _, grads = loss_grad(net, x, np.sin(x), np.cos(x)[:, :, None])
-                adam_step(net, grads, state)
+                _, grad = loss_grad(net, x, np.sin(x), np.cos(x)[:, :, None])
+                adam_step(net, grad.flat, state)
             runs.append([p.copy() for p in net.parameters])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
@@ -184,8 +195,8 @@ class TestCheckpoint:
         state = AdamState.init(net, base_lr=1e-3, decay=0.8, decay_period=77)
         x = np.linspace(-1, 1, 16)[:, None]
         for _ in range(9):
-            _, grads = loss_grad(net, x, x, np.ones_like(x)[:, :, None])
-            adam_step(net, grads, state)
+            _, grad = loss_grad(net, x, x, np.ones_like(x)[:, :, None])
+            adam_step(net, grad.flat, state)
         path = tmp_path / "net.npz"
         save_checkpoint(path, net, state)
         back_net, back_state = load_checkpoint(path)
@@ -204,8 +215,7 @@ class TestCheckpoint:
 
         def train(net, state, steps):
             for _ in range(steps):
-                _, grads = loss_grad(net, x, tu, tub)
-                adam_step(net, grads, state)
+                adam_step(net, loss_grad(net, x, tu, tub)[1].flat, state)
 
         straight = Mlp.init(1, 1, (5,), RngStream(19))
         s_state = AdamState.init(straight)

@@ -238,18 +238,17 @@ class TestDirectScheme:
             return _residual_loss_grads(net, problem, params, x0, fk,
                                         weight_e, weight_g, m_starts, m_inner)
 
-        _, grads = at()
+        _, grad = at()  # laid out as net.flat
+        assert grad.shape == net.flat.shape
         h, worst = 1e-6, 0.0
-        for p, g in zip(net.parameters, grads):
-            flat_p, flat_g = p.ravel(), g.ravel()
-            for idx in range(flat_p.size):
-                keep = flat_p[idx]
-                flat_p[idx] = keep + h
-                up = at()[0]
-                flat_p[idx] = keep - h
-                down = at()[0]
-                flat_p[idx] = keep
-                worst = max(worst, abs((up - down) / (2 * h) - flat_g[idx]))
+        for idx in range(net.flat.size):
+            keep = net.flat[idx]
+            net.flat[idx] = keep + h
+            up = at()[0]
+            net.flat[idx] = keep - h
+            down = at()[0]
+            net.flat[idx] = keep
+            worst = max(worst, abs((up - down) / (2 * h) - grad[idx]))
         assert worst < 1e-4
 
     def test_driver_without_jacobians_rejected(self, monkeypatch):

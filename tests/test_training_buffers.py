@@ -3,9 +3,11 @@ number.
 
 The references below are the allocating forward pass, backprop, MSE
 gradient and residual step, and the per-layer ADAM loop, that the buffered
-and flat ones replaced; every comparison is exact.
+and flat ones replaced; every comparison is exact, and gradients are
+compared byte for byte, so a sum that turns -0.0 into +0.0 shows.
 """
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,7 +204,7 @@ def reference_direct_solve(cfg):
             loss, grads = reference_residual(
                 net, problem, cfg.params, x0, fk, weight_e, weight_g,
                 cfg.m_starts, cfg.m_inner)
-            adam_step(net, grads, state)
+            adam_step(net, flatten(grads), state)
         du, dubar = _trace_errors(net, problem, eval_points)
         trace.append(TraceRow(epoch, loss, du, dubar, 0.0))
     return net, trace
@@ -227,6 +229,20 @@ def assert_all_equal(got, want):
         np.testing.assert_array_equal(g, w)
 
 
+def flatten(arrays):
+    """Per-parameter arrays laid end to end, as ``Mlp.flat`` is."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def assert_same_bytes(got, want):
+    """``got``, a gradient vector, holds the bytes of the per-parameter
+    arrays ``want`` laid end to end; unlike ``assert_array_equal`` this
+    tells -0.0 from +0.0."""
+    assert got.dtype == np.float64 and got.shape == (sum(
+        np.size(w) for w in want),)
+    assert got.tobytes() == flatten(want).tobytes()
+
+
 class TestMlpBuffers:
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("hidden", WIDTHS + ((1, 4),))
@@ -238,14 +254,38 @@ class TestMlpBuffers:
         keep = delta.copy()
         want_acts, want_pre = reference_forward(net, x)
         want = reference_backprop(net, want_acts, want_pre, delta)
-        work = net.workspace(len(x))
+        work, grad = net.workspace(len(x)), net.gradient()
         for _ in range(2):  # a second pass over the same buffers
             acts, pre = net._forward_cached(x, work)
             assert_all_equal(acts, want_acts)
             assert_all_equal(pre, want_pre)
-            assert_all_equal(net.backprop(acts, pre, delta), want)
+            assert_same_bytes(net.backprop(acts, pre, delta, out=grad), want)
         np.testing.assert_array_equal(delta, keep)
-        assert_all_equal(net.backprop(*net._forward_cached(x), delta), want)
+        assert_same_bytes(net.backprop(*net._forward_cached(x), delta), want)
+
+    @pytest.mark.parametrize("hidden", ((1, 4), (21, 21)))
+    def test_backprop_keeps_signed_zeros_of_the_reference(self, hidden):
+        net = Mlp.init(2, 1, hidden, RngStream(37))
+        gen = np.random.default_rng(38)
+        x = gen.normal(size=(64, 2))
+        delta = gen.normal(size=(64, 3))
+        delta[:, 1] = -0.0  # a whole column of negative zeros
+        delta[::3, 2] = -0.0
+        delta[1::3, 2] = 0.0
+        want = reference_backprop(net, *reference_forward(net, x), delta)
+        assert_same_bytes(net.backprop(*net._forward_cached(x), delta), want)
+
+    @pytest.mark.parametrize("m", (1, 2, 57, 512, 6400))
+    @pytest.mark.parametrize("order", ("C", "F"))
+    def test_bias_sums_match_the_axis_sum_in_any_layout(self, m, order):
+        net = Mlp.init(1, 2, (1, 5), RngStream(39))  # a one-column layer
+        gen = np.random.default_rng(m)
+        x = gen.normal(size=(m, 1))
+        # values over 16 decades, so a change of summation order shows
+        delta = gen.normal(size=(m, 4)) * 10.0 ** gen.integers(-8, 8, (m, 4))
+        delta = np.asarray(delta, order=order)
+        want = reference_backprop(net, *reference_forward(net, x), delta)
+        assert_same_bytes(net.backprop(*net._forward_cached(x), delta), want)
 
     def test_consecutive_calls_return_independent_arrays(self):
         net = Mlp.init(2, 1, (8, 8), RngStream(33))
@@ -287,26 +327,28 @@ class TestResidualStep:
         drivers = (bind_driver(problem.gen, fk.x_at_e),
                    bind_driver(problem.gen, fk.x_at_g))
         work = (net.workspace(m_starts), net.workspace(m_starts * m_inner))
+        grads = (net.gradient(), net.gradient())
         for _ in range(3):
-            loss, grads = _residual_loss_grads(
+            loss, grad = _residual_loss_grads(
                 net, problem, params, x0, fk, weight_e, weight_g, m_starts,
-                m_inner, drivers, work)
+                m_inner, drivers, work, grads)
             want_loss, want = reference_residual(
                 ref, problem, params, x0, fk, weight_e, weight_g, m_starts,
                 m_inner)
             assert loss == want_loss
-            assert_all_equal(grads, want)
-            adam_step(net, grads, state)
-            adam_step(ref, want, ref_state)
+            assert grad is grads[0].flat
+            assert_same_bytes(grad, want)
+            adam_step(net, grad, state)
+            adam_step(ref, flatten(want), ref_state)
 
     def test_without_bound_drivers_or_buffers(self):
         problem, params, x0, fk, weight_e, weight_g = direct_batch(1, 4, 6, 50)
         net = Mlp.init(1, 1, (6,), RngStream(51))
         args = (net, problem, params, x0, fk, weight_e, weight_g, 4, 6)
-        loss, grads = _residual_loss_grads(*args)
+        loss, grad = _residual_loss_grads(*args)
         want_loss, want = reference_residual(*args)
         assert loss == want_loss
-        assert_all_equal(grads, want)
+        assert_same_bytes(grad, want)
 
     def test_three_epoch_solve_matches_reference(self):
         cfg = DirectConfig("arctan-const-sigma", dim=2, n_epochs=3,
@@ -378,7 +420,7 @@ class TestFlatAdam:
         for step in range(1, 2001):  # five schedule boundaries
             scale = 10.0 ** gen.integers(-3, 3)
             grads = [scale * gen.normal(size=p.shape) for p in ref.params]
-            adam_step(net, grads, state)
+            adam_step(net, flatten(grads), state)
             ref.update(grads)
             if step % 500 == 0:
                 assert state.step == ref.step == step
@@ -390,12 +432,18 @@ class TestFlatAdam:
 
     def test_rejects_same_count_but_wrong_sizes(self):
         net = Mlp.init(1, 1, (3,), RngStream(82))
-        grads = [np.zeros(1) for _ in net.parameters]
+        size = net.flat.size
         state = AdamState.init(net)
-        with pytest.raises(ValueError):
-            adam_step(net, grads, state)
+        keep = net.flat.copy()
+        for bad in ([np.zeros(1) for _ in net.parameters],  # a list per layer
+                    [np.zeros_like(p) for p in net.parameters],
+                    np.ones(size - 1), np.ones(size + 1),
+                    np.ones((1, size))):
+            with pytest.raises(ValueError):
+                adam_step(net, bad, state)
         assert state.step == 0
-        assert all(np.all(m == 0.0) for m in state.m)
+        assert not state.m_flat.any() and not state.v_flat.any()
+        np.testing.assert_array_equal(net.flat, keep)
 
 
 class TestRegressionLoop:
@@ -419,11 +467,11 @@ class TestRegressionLoop:
     def test_mse_grad_matches_reference(self, dim):
         net, x, target_u, target_ubar = regression_batch(dim, (5, 7, 3), 23,
                                                          95)
-        loss, grads = net._mse_grad(
+        loss, grad = net._mse_grad(
             x, net._raw_target(len(x), target_u, target_ubar))
         want_loss, want = reference_mse_grad(net, x, target_u, target_ubar)
         assert loss == want_loss
-        assert_all_equal(grads, want)
+        assert_same_bytes(grad, want)
 
     @pytest.mark.parametrize("warm_start", [True, False])
     def test_three_iteration_solve_matches_reference(self, warm_start):
@@ -522,13 +570,28 @@ class TestFlatParameters:
         net = Mlp.init(2, 1, (6,), RngStream(106))
         x = np.random.default_rng(107).normal(size=(11, 2))
         delta = np.random.default_rng(108).normal(size=(11, 3))
-        out = np.full_like(net.flat, np.nan)
-        grads = net.backprop(*net._forward_cached(x), delta, out=out)
-        assert np.isfinite(out).all()
-        for g in grads:
-            assert np.shares_memory(g, out)
-        assert_all_equal(grads, reference_backprop(
-            net, *reference_forward(net, x), delta))
+        out = net.gradient()
+        out.flat[:] = np.nan
+        parts = list(out.parts)
+        got = net.backprop(*net._forward_cached(x), delta, out=out)
+        assert got is out.flat
+        assert np.isfinite(out.flat).all()
+        assert all(a is b for a, b in zip(out.parts, parts))
+        want = reference_backprop(net, *reference_forward(net, x), delta)
+        assert_same_bytes(got, want)
+        assert_all_equal(out.parts, want)
+
+    def test_gradient_views_follow_the_parameter_layout(self):
+        net = Mlp.init(3, 2, (5, 4), RngStream(110))
+        grad = net.gradient()
+        assert grad.flat.shape == net.flat.shape
+        assert not np.shares_memory(grad.flat, net.flat)
+        assert [g.shape for g in grad.parts] == [p.shape
+                                                 for p in net.parameters]
+        grad.flat[:] = np.arange(grad.flat.size)
+        np.testing.assert_array_equal(flatten(grad.parts), grad.flat)
+        other = net.gradient()
+        assert not np.shares_memory(other.flat, grad.flat)
 
     def test_old_layout_checkpoint_resumes_bit_exactly(self, tmp_path):
         x = np.linspace(-1, 1, 16)[:, None]
@@ -564,3 +627,30 @@ class TestFlatParameters:
         assert_all_equal(net.parameters, straight.params)
         assert_all_equal(state.m, straight.m)
         assert_all_equal(state.v, straight.v)
+
+
+class TestAllocations:
+    def test_training_step_allocates_no_layer_sized_buffer(self):
+        rows, width = 512, 21
+        net, x, target_u, target_ubar = regression_batch(1, (width, width),
+                                                         rows, 120)
+        target = net._raw_target(rows, target_u, target_ubar)
+        work, grad = net.workspace(rows), net.gradient()
+        state = AdamState.init(net)
+
+        def step():
+            _, g = net._mse_grad(x, target, work, grad)
+            adam_step(net, g, state)
+
+        step()  # warm-up
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.step == 21
+        # every layer-sized array of a step lives in the reused buffers
+        assert peak - start < rows * width * np.dtype(float).itemsize
