@@ -40,8 +40,10 @@ class Grid:
     node_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1 or self.n_half < 0 or self.pad < 0 or self.mesh <= 0:
-            raise ValueError("grid requires dim >= 1, n_half, pad >= 0, mesh > 0")
+        if (self.dim < 1 or self.n_half < 0 or self.pad < 0
+                or not 0 < self.mesh < np.inf):
+            raise ValueError("grid requires dim >= 1, n_half, pad >= 0 and "
+                             "a finite mesh > 0")
         half = self.n_half + self.pad
         axis = np.arange(-half, half + 1)
         idx = np.stack(

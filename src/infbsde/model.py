@@ -177,7 +177,7 @@ class Problem:
 
 
 def validate_params(params: SchemeParams, gen: GeneratorSpec) -> float:
-    """Raise :class:`NonPositiveRate` unless every rate is positive.
+    """Raise :class:`NonPositiveRate` unless every rate is finite and positive.
 
     Returns the monotonicity margin ``2*monotonicity - lip_z**2``; the
     representation may fail to contract where it is negative.  The
@@ -190,9 +190,10 @@ def validate_params(params: SchemeParams, gen: GeneratorSpec) -> float:
         "exp_rate": params.exp_rate,
         "gamma_rate": params.gamma_rate,
     }
-    bad = [k for k, v in rates.items() if v <= 0]
+    bad = [k for k, v in rates.items() if not 0 < v < np.inf]
     if bad:
-        raise NonPositiveRate(f"non-positive parameter(s): {', '.join(bad)}")
+        raise NonPositiveRate(
+            f"non-positive or non-finite parameter(s): {', '.join(bad)}")
     return 2.0 * gen.monotonicity - gen.lip_z**2
 
 
@@ -465,6 +466,8 @@ def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> 
     """
     ov = dict(overrides or {})
     mu0_std = float(ov.pop("mu0_std", 2.0))
+    if not 0 <= mu0_std < np.inf:
+        raise ValueError(f"mu0_std must be finite and non-negative, not {mu0_std}")
     if name == "arctan-const-sigma":
         c = float(ov.pop("c", 2.0))
         kz = float(ov.pop("kz", 0.5))

@@ -102,6 +102,7 @@ def _brownian_fk_batch(params: SchemeParams, starts: np.ndarray,
               gen.standard_normal((b, d)), gen.standard_normal((b, d)))
              for gen in gens]
     e, z, z1, z2 = (np.concatenate(part) for part in zip(*draws))
+    del draws  # each node's draws would otherwise outlive their concatenation
     g = z * z / (2.0 * params.gamma_rate)
     sqrt_g = np.sqrt(g)
     return FkBatch(
@@ -123,14 +124,36 @@ def _euler_step(sde: SdeSpec, x: np.ndarray, tangent: np.ndarray,
     """Advance rows of (X, tangent, Malliavin integral) one Euler step in place.
 
     Raises :class:`DegenerateDiffusion` when the diffusion is numerically
-    singular at any row.
+    singular, or its condition estimate not finite, at any row.
+
+    In one dimension each contraction is a plain product, taken in the
+    einsum's order, and the condition estimate is |sigma * sigma^-1|, the
+    Frobenius product wherever neither square over- or underflows.  A
+    one-term einsum sum turns a -0.0 product into +0.0 where the product
+    keeps it; that changes a sum only when it is added to a -0.0.  Rows
+    never hold one: the samplers add +0.0 to the start states and start the
+    tangent at 1 and the integral at +0.0, and ``a + b`` is -0.0 only when
+    both are.  So the two paths give the same bits.
     """
     sig = sde.diffusion(x)
     siginv = sde.inverse_diffusion(x)
-    cond = np.max(_frobenius(sig) * _frobenius(siginv))
-    if cond > 1e12:
+    scalar = x.shape[1] == 1
+    cond = (np.abs(sig[:, 0] * siginv[:, 0]) if scalar
+            else _frobenius(sig) * _frobenius(siginv)).max()
+    if not cond <= 1e12:
         raise DegenerateDiffusion(f"condition estimate {cond:.3g} at step {step}")
     # left-point Ito increments use the pre-update state and tangent
+    if scalar:
+        t = tangent[:, 0]
+        integral += dw * (siginv[:, 0] * t)
+        dj = 0.0
+        if sde.diffusion_jacobian is not None:
+            dj = sde.diffusion_jacobian(x)[:, 0, 0] * t * dw
+        if sde.drift_jacobian is not None:
+            dj = dj + sde.drift_jacobian(x)[:, 0] * t * dt
+        x += sde.drift(x) * dt + sig[:, 0] * dw
+        t += dj
+        return
     integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
     if sde.diffusion_jacobian is not None:
         dj = np.einsum("mikj,mjl,mk->mil", sde.diffusion_jacobian(x), tangent, dw)
@@ -206,7 +229,7 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
     e_rows, e_dest, e_cuts = _horizon_ends(n_e, order, n_steps)
     g_rows, g_dest, g_cuts = _horizon_ends(n_g, order, n_steps)
 
-    x = starts[order]
+    x = starts[order] + 0.0  # no -0.0 rows (see _euler_step)
     tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     integral = np.zeros((m, d))
     x_at_e = np.empty((m, d))
@@ -264,9 +287,10 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
 
 
 def check_step(sde: SdeSpec, dt: Optional[float]) -> None:
-    """Raise ValueError unless ``sde`` is Brownian or ``dt`` is a positive step."""
-    if not sde.is_brownian and not (dt is not None and dt > 0):
-        raise ValueError("dt > 0 is required for non-Brownian dynamics")
+    """Raise ValueError unless ``sde`` is Brownian or ``dt`` is a finite
+    positive step."""
+    if not sde.is_brownian and not (dt is not None and 0 < dt < np.inf):
+        raise ValueError("a finite dt > 0 is required for non-Brownian dynamics")
 
 
 def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
@@ -312,7 +336,7 @@ def simulate_paths(sde: SdeSpec, x, horizon: float, dt: float, m: int,
         starts = np.broadcast_to(starts, (m, d))
     gen = _as_generator(rng)
     n_steps = max(int(np.ceil(horizon / dt)), 1)
-    x_cur = np.ascontiguousarray(starts, float).copy()
+    x_cur = starts + 0.0  # no -0.0 rows (see _euler_step)
     tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     integral = np.zeros((m, d))
     sqrt_dt = np.sqrt(dt)

@@ -446,6 +446,26 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                  id="contraction-no-dt"),
     pytest.param(["kz-sweep", "--problem", "arctan-tanh-sigma", "--dt", "0"],
                  id="kz-sweep-dt0"),
+    # ... and a finite one
+    *[pytest.param([command, "--problem", "arctan-tanh-sigma", "--dt", "inf"],
+                   id=f"{command}-dt-inf")
+      for command in ("grid-solve", "rate-study", "nn-picard", "nn-direct",
+                      "contraction")],
+    pytest.param(["grid-solve", "--problem", "arctan-tanh-sigma", "--dt",
+                  "nan"], id="grid-solve-dt-nan"),
+    pytest.param(["kz-sweep", "--problem", "arctan-tanh-sigma", "--dt", "inf",
+                  "--kz-list", "1", "--reps", "1", "--iters", "1", "--steps",
+                  "0", "--M", "2", "--m-err", "2"], id="kz-sweep-dt-inf"),
+    # rates must be finite and positive
+    *[pytest.param(["grid-solve", "--problem", "linear-constant", flag, value],
+                   id=f"grid-solve{flag}{value}")
+      for flag, value in (("--theta", "nan"), ("--theta", "inf"),
+                          ("--a", "nan"), ("--a-tilde", "inf"),
+                          ("--theta-tilde", "nan"))],
+    # the start law's width must be finite and non-negative
+    *[pytest.param(["nn-picard", "--problem", "linear-constant", "--mu0-std",
+                    value], id=f"nn-picard-mu0-std{value}")
+      for value in ("-1", "nan", "inf")],
     # grid geometry
     pytest.param(["grid-solve", "--problem", "linear-constant", "--ntilde",
                   "-1"], id="grid-solve-ntilde-1"),
@@ -453,6 +473,10 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "0"], id="grid-solve-ntilde0"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--R", "0"],
                  id="grid-solve-R0"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--R", "inf"],
+                 id="grid-solve-R-inf"),
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--R", "nan"],
+                 id="grid-solve-R-nan"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--d", "0"],
                  id="grid-solve-d0"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--p", "-1"],
@@ -463,6 +487,8 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                  id="rate-study-R0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
                   "--probe-R", "0"], id="contraction-probe-R0"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma",
+                  "--probe-R", "inf"], id="contraction-probe-R-inf"),
     # neural config bounds
     pytest.param(["nn-picard", "--problem", "linear-constant", "--steps",
                   "-1"], id="nn-picard-steps-1"),

@@ -82,6 +82,69 @@ def collapsing_sde():
                    is_brownian=False)
 
 
+def collapsing_sde_1d():
+    """Driftless 1-d dynamics whose diffusion is zero where x > 5.
+
+    A 1x1 diffusion has condition number 1 wherever it is invertible, so
+    the collapse shows as the non-finite estimate 0 * inf.
+    """
+    def sig(x):
+        return np.where(x > 5.0, 0.0, 1.0)[:, :, None]
+
+    def siginv(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / sig(x)
+
+    return SdeSpec(dim=1, drift=lambda x: np.zeros_like(x), diffusion=sig,
+                   inverse_diffusion=siginv, is_brownian=False)
+
+
+def driftless_sde():
+    """1-d dynamics with diffusion 2 + sin(x) and neither Jacobian given."""
+    def sig(x):
+        return (2.0 + np.sin(x))[:, :, None]
+
+    return SdeSpec(dim=1, drift=lambda x: np.zeros_like(x), diffusion=sig,
+                   inverse_diffusion=lambda x: 1.0 / sig(x), is_brownian=False)
+
+
+def mean_reverting_tanh_sde():
+    """1-d dynamics with drift -x/2, diffusion 1 + tanh(x)/2, both Jacobians."""
+    def drift_jac(x):
+        return np.full((x.shape[0], 1, 1), -0.5)
+
+    base = problem_by_name("arctan-tanh-sigma", 1, {"eps": 0.5}).sde
+    return SdeSpec(dim=1, drift=lambda x: -0.5 * x, diffusion=base.diffusion,
+                   inverse_diffusion=base.inverse_diffusion,
+                   diffusion_jacobian=base.diffusion_jacobian,
+                   drift_jacobian=drift_jac, is_brownian=False)
+
+
+# one-dimensional dynamics covering each pair of present or absent Jacobians
+SCALAR_SDES = {
+    "tanh-sigma": lambda: problem_by_name("arctan-tanh-sigma", 1).sde,
+    "ou": lambda: ou_sde(0.7), "driftless": driftless_sde,
+    "both-jacobians": mean_reverting_tanh_sde}
+
+
+def reference_euler_step(sde, x, tangent, integral, dw, dt):
+    """The einsum Euler step, as ``simulate._euler_step`` runs it for d >= 2."""
+    sig = sde.diffusion(x)
+    siginv = sde.inverse_diffusion(x)
+    integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
+    if sde.diffusion_jacobian is not None:
+        dj = np.einsum("mikj,mjl,mk->mil", sde.diffusion_jacobian(x), tangent,
+                       dw)
+    else:
+        dj = 0.0
+    if sde.drift_jacobian is not None:
+        dj = dj + np.einsum("mij,mjl->mil", sde.drift_jacobian(x),
+                            tangent) * dt
+    x += sde.drift(x) * dt + np.einsum("mij,mj->mi", sig, dw)
+    if not np.isscalar(dj):
+        tangent += dj
+
+
 def with_sde(sde, dim):
     base = problem_by_name("arctan-const-sigma", dim)
     return type(base)(name="custom", sde=sde, gen=base.gen, analytic=None,
@@ -295,6 +358,47 @@ class TestEulerScheme:
             simulate_paths(sde, np.array([10.0, 0.0]), 0.1, 0.05, 10,
                            RngStream(24))
 
+    def test_paths_check_degeneracy_in_one_dimension(self):
+        sde = collapsing_sde_1d()
+        simulate_paths(sde, np.zeros(1), 0.1, 0.05, 10, RngStream(24))
+        with pytest.raises(DegenerateDiffusion):
+            simulate_paths(sde, np.array([10.0]), 0.1, 0.05, 10,
+                           RngStream(24))
+
+
+class TestScalarEulerStep:
+    """The d == 1 branch of ``_euler_step`` against the einsum step.
+
+    Rows are as the samplers feed them: finite, with no -0.0 in the state,
+    the tangent or the integral (see ``simulate._euler_step``), but with
+    exact zeros there and increments that are exactly +0.0 or -0.0.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(SCALAR_SDES)), st.integers(0, 2**32 - 1),
+           st.integers(1, 64), st.floats(1e-4, 0.5))
+    def test_same_bytes_as_einsum_step(self, kind, seed, m, dt):
+        rng = np.random.default_rng(seed)
+
+        def column(scale, zeros):
+            col = rng.normal(0.0, scale, (m, 1)) \
+                * 10.0 ** rng.integers(-3, 4, (m, 1))
+            col[rng.random((m, 1)) < zeros] = 0.0
+            return col
+
+        x, integral = column(2.0, 0.1), column(1.0, 0.3)
+        tangent = column(1.0, 0.1)[:, :, None]
+        dw = column(np.sqrt(dt), 0.0)
+        zero = rng.random((m, 1)) < 0.3
+        dw[zero] = rng.choice([0.0, -0.0], zero.sum())
+        sde = SCALAR_SDES[kind]()
+        got = [x, tangent, integral]
+        want = [a.copy() for a in got]
+        simulate._euler_step(sde, *got, dw, dt, 1)
+        reference_euler_step(sde, *want, dw, dt)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
 
 FK_FIELDS = ("e_time", "g_time", "x_at_e", "x_at_g", "malliavin_at_g")
 
@@ -369,6 +473,16 @@ class TestStreamBlocks:
             sample_fk_batch(problem, PARAMS, np.repeat(starts, 20, axis=0),
                             60, 0.05, streams)
 
+    def test_degenerate_block_raises_in_one_dimension(self):
+        problem = with_sde(collapsing_sde_1d(), 1)
+        starts = np.array([[0.0], [10.0], [-1.0]])
+        streams = [RngStream(22).substream(i) for i in range(3)]
+        sample_fk_batch(problem, PARAMS, starts[[0, 2]].repeat(20, axis=0),
+                        40, 0.05, [streams[0], streams[2]])
+        with pytest.raises(DegenerateDiffusion):
+            sample_fk_batch(problem, PARAMS, np.repeat(starts, 20, axis=0),
+                            60, 0.05, streams)
+
     def test_peak_memory_of_a_large_call(self):
         problem = problem_by_name("arctan-tanh-sigma", 1)
         tracemalloc.start()
@@ -379,6 +493,22 @@ class TestStreamBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_peak_memory_of_a_brownian_call(self):
+        # the outputs, one concatenated copy of the draws and one (m, d)
+        # temporary; the per-node draws must not outlive their concatenation
+        m, d = 12_000, 2
+        problem = problem_by_name("arctan-const-sigma", d)
+        starts = np.zeros((m, d))
+        streams = [RngStream(23).substream(i) for i in range(8)]
+        sample_fk_batch(problem, PARAMS, starts, m, None, streams)
+        tracemalloc.start()
+        try:
+            sample_fk_batch(problem, PARAMS, starts, m, None, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * ((2 + 3 * d) + (2 + 2 * d) + d)
 
 
 class TestRngStream:
