@@ -17,11 +17,12 @@ from .fixedpoint import (CandidatePair, NonFiniteValue, PhiEstimate,
 from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
                    interpolate, read_grid_csv, sup_diff, sup_weighted_diff,
                    truncated_nodes, write_grid_csv)
-from .model import (AnalyticSolution, GeneratorSpec, InconsistentDerivatives,
-                    NonPositiveRate, Problem, PROBLEM_NAMES, RunConfig,
-                    SchemeParams, SdeSpec, UnknownProblem, bind_driver,
-                    brownian_sde, manufacture_problem, problem_by_name,
-                    tanh_sigma_sde, validate_params)
+from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
+                    InconsistentDerivatives, NonPositiveRate, Problem,
+                    PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,
+                    UnknownProblem, bind_driver, brownian_sde,
+                    manufacture_problem, problem_by_name, tanh_sigma_sde,
+                    validate_params)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingAnalyticSolution,
                          MissingDriverDerivatives, NnConfig, NnPicardConfig,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -159,7 +160,9 @@ def _add_flag(sub: argparse.ArgumentParser, flag: str, key: str) -> None:
                          choices=_SCHEMES if key == "scheme" else None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="infbsde",
         description="Monte Carlo solvers for infinite-horizon BSDE systems")

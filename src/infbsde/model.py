@@ -7,7 +7,7 @@ are ``(m, d)`` arrays; generator values are ``(m, d')``; gradient-side values
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,25 +59,32 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class Coefficients(NamedTuple):
+    """An SDE's coefficients at ``(m, d)`` points, from one evaluation.
+
+    ``drift`` is ``(m, d)``; ``diffusion_jacobian[m, i, k, j]`` is the
+    derivative of diffusion entry (i, k) in direction j.  ``None`` stands
+    for a drift or Jacobian that is zero everywhere.
+    """
+
+    drift: Optional[np.ndarray]
+    diffusion: np.ndarray
+    inverse_diffusion: np.ndarray
+    diffusion_jacobian: Optional[np.ndarray] = None
+    drift_jacobian: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True)
 class SdeSpec:
     """Forward dynamics dX = drift(X) dt + diffusion(X) dW.
 
-    ``diffusion_jacobian(x)[m, i, k, j]`` is the derivative of entry (i, k)
-    of the diffusion matrix in direction j; it is required whenever the
-    tangent process must be simulated (non-Brownian dynamics).
+    ``coefficients(x)`` returns them, the inverse diffusion and the
+    Jacobians that the tangent process of non-Brownian dynamics needs.
     """
 
     dim: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
-    inverse_diffusion: Callable[[np.ndarray], np.ndarray]
-    diffusion_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lip_drift: float = 0.0
-    lip_diffusion: float = 0.0
+    coefficients: Callable[[np.ndarray], Coefficients]
     bound_diffusion: float = 1.0
-    bound_inverse_diffusion: float = 1.0
     is_brownian: bool = False
 
 
@@ -269,7 +276,8 @@ def manufacture_problem(
         x = as_points(x, sde.dim)
         if sde.is_brownian:
             return grad_u(x)
-        return np.einsum("mij,mjk->mik", grad_u(x), sde.diffusion(x))
+        return np.einsum("mij,mjk->mik", grad_u(x),
+                         sde.coefficients(x).diffusion)
 
     def ubar_and_operator(x):
         # ubar and 1/2 Tr(hess_u sigma sigma^T) + drift . grad_u, shape (m, d'),
@@ -278,10 +286,13 @@ def manufacture_problem(
         if sde.is_brownian:
             # sigma = I and drift = 0: the products with them change no value
             return grad, 0.5 * row_sum(np.diagonal(hess_u(x), axis1=2, axis2=3))
-        sig = sde.diffusion(x)
+        coef = sde.coefficients(x)
+        sig = coef.diffusion
         ssq = np.einsum("mak,mbk->mab", sig, sig)
         op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
-        op += np.einsum("mij,mj->mi", grad, sde.drift(x))
+        # skipping a zero drift is exact: op, an einsum sum, is never -0.0
+        if coef.drift is not None:
+            op += np.einsum("mij,mj->mi", grad, coef.drift)
         return np.einsum("mij,mjk->mik", grad, sig), op
 
     def correction_terms(x):
@@ -303,23 +314,12 @@ def brownian_sde(dim: int) -> SdeSpec:
     """Driftless unit-diffusion dynamics, flagged for exact sampling."""
     eye = np.eye(dim)
 
-    def drift(x):
-        return np.zeros_like(x)
+    def coefficients(x):
+        unit = np.broadcast_to(eye, (x.shape[0], dim, dim))
+        return Coefficients(drift=None, diffusion=unit, inverse_diffusion=unit)
 
-    def constant_eye(x):
-        return np.broadcast_to(eye, (x.shape[0], dim, dim))
-
-    return SdeSpec(
-        dim=dim,
-        drift=drift,
-        diffusion=constant_eye,
-        inverse_diffusion=constant_eye,
-        lip_drift=0.0,
-        lip_diffusion=0.0,
-        bound_diffusion=1.0,
-        bound_inverse_diffusion=1.0,
-        is_brownian=True,
-    )
+    return SdeSpec(dim=dim, coefficients=coefficients, bound_diffusion=1.0,
+                   is_brownian=True)
 
 
 def tanh_sigma_sde(eps: float) -> SdeSpec:
@@ -327,30 +327,15 @@ def tanh_sigma_sde(eps: float) -> SdeSpec:
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1) so the diffusion stays positive")
 
-    def drift(x):
-        return np.zeros_like(x)
+    def coefficients(x):
+        th = np.tanh(x)
+        sig = (1.0 + eps * th)[:, :, None]
+        return Coefficients(
+            drift=None, diffusion=sig, inverse_diffusion=1.0 / sig,
+            diffusion_jacobian=(eps * (1.0 - th ** 2))[:, :, None, None])
 
-    def diffusion(x):
-        return (1.0 + eps * np.tanh(x))[:, :, None]
-
-    def inverse_diffusion(x):
-        return 1.0 / (1.0 + eps * np.tanh(x))[:, :, None]
-
-    def diffusion_jacobian(x):
-        return (eps * (1.0 - np.tanh(x) ** 2))[:, :, None, None]
-
-    return SdeSpec(
-        dim=1,
-        drift=drift,
-        diffusion=diffusion,
-        inverse_diffusion=inverse_diffusion,
-        diffusion_jacobian=diffusion_jacobian,
-        lip_drift=0.0,
-        lip_diffusion=eps,
-        bound_diffusion=1.0 + eps,
-        bound_inverse_diffusion=1.0 / (1.0 - eps),
-        is_brownian=False,
-    )
+    return SdeSpec(dim=1, coefficients=coefficients, bound_diffusion=1.0 + eps,
+                   is_brownian=False)
 
 
 def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,

@@ -123,8 +123,9 @@ def _euler_step(sde: SdeSpec, x: np.ndarray, tangent: np.ndarray,
                 step: int) -> None:
     """Advance rows of (X, tangent, Malliavin integral) one Euler step in place.
 
-    Raises :class:`DegenerateDiffusion` when the diffusion is numerically
-    singular, or its condition estimate not finite, at any row.
+    Evaluates ``sde.coefficients`` once.  Raises :class:`DegenerateDiffusion`
+    when the diffusion is numerically singular, or its condition estimate
+    not finite, at any row.
 
     In one dimension each contraction is a plain product, taken in the
     einsum's order, and the condition estimate is |sigma * sigma^-1|, the
@@ -133,37 +134,40 @@ def _euler_step(sde: SdeSpec, x: np.ndarray, tangent: np.ndarray,
     keeps it; that changes a sum only when it is added to a -0.0.  Rows
     never hold one: the samplers add +0.0 to the start states and start the
     tangent at 1 and the integral at +0.0, and ``a + b`` is -0.0 only when
-    both are.  So the two paths give the same bits.
+    both are.  So the two paths give the same bits, and so does leaving out
+    the +0.0 of a zero (``None``) drift.
     """
-    sig = sde.diffusion(x)
-    siginv = sde.inverse_diffusion(x)
+    coef = sde.coefficients(x)
+    sig, siginv = coef.diffusion, coef.inverse_diffusion
+    dsig, db = coef.diffusion_jacobian, coef.drift_jacobian
     scalar = x.shape[1] == 1
-    cond = (np.abs(sig[:, 0] * siginv[:, 0]) if scalar
-            else _frobenius(sig) * _frobenius(siginv)).max()
+    # a 1-d diffusion collapsed to zero shows as 0 * inf = nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        cond = (np.abs(sig[:, 0] * siginv[:, 0]) if scalar
+                else _frobenius(sig) * _frobenius(siginv)).max()
     if not cond <= 1e12:
         raise DegenerateDiffusion(f"condition estimate {cond:.3g} at step {step}")
     # left-point Ito increments use the pre-update state and tangent
     if scalar:
         t = tangent[:, 0]
         integral += dw * (siginv[:, 0] * t)
-        dj = 0.0
-        if sde.diffusion_jacobian is not None:
-            dj = sde.diffusion_jacobian(x)[:, 0, 0] * t * dw
-        if sde.drift_jacobian is not None:
-            dj = dj + sde.drift_jacobian(x)[:, 0] * t * dt
-        x += sde.drift(x) * dt + sig[:, 0] * dw
+        dj = 0.0 if dsig is None else dsig[:, 0, 0] * t * dw
+        if db is not None:
+            dj = dj + db[:, 0] * t * dt
+        dx = sig[:, 0] * dw
         t += dj
-        return
-    integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
-    if sde.diffusion_jacobian is not None:
-        dj = np.einsum("mikj,mjl,mk->mil", sde.diffusion_jacobian(x), tangent, dw)
     else:
-        dj = 0.0
-    if sde.drift_jacobian is not None:
-        dj = dj + np.einsum("mij,mjl->mil", sde.drift_jacobian(x), tangent) * dt
-    x += sde.drift(x) * dt + np.einsum("mij,mj->mi", sig, dw)
-    if not np.isscalar(dj):
-        tangent += dj
+        integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
+        dj = 0.0 if dsig is None else np.einsum("mikj,mjl,mk->mil", dsig,
+                                                tangent, dw)
+        if db is not None:
+            dj = dj + np.einsum("mij,mjl->mil", db, tangent) * dt
+        dx = np.einsum("mij,mj->mi", sig, dw)
+        if not np.isscalar(dj):
+            tangent += dj
+    if coef.drift is not None:
+        dx += coef.drift * dt
+    x += dx
 
 
 # Float64 normals drawn ahead per window of consecutive Euler steps; a window
@@ -232,9 +236,8 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
     x = starts[order] + 0.0  # no -0.0 rows (see _euler_step)
     tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     integral = np.zeros((m, d))
-    x_at_e = np.empty((m, d))
-    x_at_g = np.empty((m, d))
-    integral_at_g = np.empty((m, d))
+    # states at each row's horizons, in order of the step that ends them
+    x_e, x_g, integral_g = (np.empty((m, d)) for _ in range(3))
     noise = np.empty(min(max(WINDOW_VALUES, m * d), int(drawn_all[-1]) * d))
     sqrt_dt = np.sqrt(dt)
 
@@ -262,21 +265,28 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
             if n_blocks == 1:
                 dw = dws[offsets[j - j0]:offsets[j - j0] + m - s]
             else:
-                dw = dws[shift[j - j0][block[s:]] + rank[s:]]
+                # in-range indices: take(mode="clip") is indexing, unbuffered
+                at = shift[j - j0].take(block[s:], mode="clip")
+                at += rank[s:]
+                dw = dws.take(at, axis=0, mode="clip")
             _euler_step(sde, x[s:], tangent[s:], integral[s:], dw, dt, j + 1)
             lo, hi = e_cuts[j], e_cuts[j + 1]
             if lo < hi:
-                x_at_e[e_dest[lo:hi]] = x[e_rows[lo:hi]]
+                x.take(e_rows[lo:hi], axis=0, out=x_e[lo:hi], mode="clip")
             lo, hi = g_cuts[j], g_cuts[j + 1]
             if lo < hi:
-                rows, dest = g_rows[lo:hi], g_dest[lo:hi]
-                x_at_g[dest] = x[rows]
-                integral_at_g[dest] = integral[rows]
+                rows = g_rows[lo:hi]
+                x.take(rows, axis=0, out=x_g[lo:hi], mode="clip")
+                integral.take(rows, axis=0, out=integral_g[lo:hi], mode="clip")
         j0 = j1
+
+    # the spent loop arrays x and integral take the outputs in row order
+    x_at_e, integral_at_g, x_at_g = x, integral, np.empty((m, d))
+    x_at_e[e_dest], integral_at_g[g_dest], x_at_g[g_dest] = x_e, integral_g, x_g
 
     g_time = n_g * dt
     malliavin = np.einsum("mi,mij->mj", integral_at_g,
-                          sde.diffusion(starts)) / g_time[:, None]
+                          sde.coefficients(starts).diffusion) / g_time[:, None]
     return FkBatch(
         e_time=n_e * dt,
         g_time=g_time,

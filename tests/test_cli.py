@@ -1,14 +1,21 @@
 """Command line runner: outputs, exit codes, reproducibility."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infbsde import (DirectConfig, GridSolveConfig, NnPicardConfig,
                      SchemeParams, contraction_nn_solve)
-from infbsde.cli import _DEFAULTS, _build, _format, _sweep_seed, run
+from infbsde.cli import (_DEFAULTS, _build, _format, _sweep_seed, build_parser,
+                         run)
 from infbsde.neural import load_checkpoint
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def read_csv(path):
@@ -147,6 +154,25 @@ class TestConfigErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "grid-solve" in capsys.readouterr().out
+
+    def test_parser_shared_across_calls(self, tmp_path, capsys):
+        # the parser is built once per process: a call that fails in it
+        # must leave the next call as a fresh process would run it
+        assert build_parser() is build_parser()
+        bad = tmp_path / "bad"
+        assert run(grid_args(bad) + ["--M", "x"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert not bad.exists()
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        assert run(grid_args(again)) == 0
+        subprocess.run([sys.executable, "-c",
+                        "from infbsde.cli import main; main()",
+                        *grid_args(fresh)], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": SRC})
+        for name in ("config_echo.json", "grid_solution.csv"):
+            assert (again / name).read_bytes() == (fresh / name).read_bytes()
+        assert without_seconds(read_csv(again / "iterations.csv")) == \
+            without_seconds(read_csv(fresh / "iterations.csv"))
 
 
 def test_default_output_directory(tmp_path, monkeypatch):

@@ -144,10 +144,12 @@ def _generic_driver(ingredients, sde):
     u, grad_u, hess_u, f0 = ingredients
 
     def f(x, y, z):
-        sig = sde.diffusion(x)
+        coef = sde.coefficients(x)
+        sig = coef.diffusion
+        drift = np.zeros_like(x) if coef.drift is None else coef.drift
         ssq = np.einsum("mak,mbk->mab", sig, sig)
         op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
-        op += np.einsum("mij,mj->mi", grad_u(x), sde.drift(x))
+        op += np.einsum("mij,mj->mi", grad_u(x), drift)
         ubar = np.einsum("mij,mjk->mik", grad_u(x), sig)
         return f0(x, y, z) - op - f0(x, u(x), ubar)
 
@@ -176,13 +178,16 @@ class TestBrownianDriverPath:
         gen = np.random.default_rng(dim)
         m = 3000
         x = gen.normal(0.0, 3.0, (m, dim))
+        x[:6] = np.array([0.0, -0.0, 1e-300, -1e60, 1e12, -1e-12])[:, None]
         y = gen.normal(size=(m, 1))
         z = gen.normal(size=(m, 1, dim))
-        np.testing.assert_array_equal(problem.gen.f(x, y, z), reference(x, y, z))
+        # bytes, so that a -0.0 where the formula has +0.0 shows
+        assert problem.gen.f(x, y, z).tobytes() == reference(x, y, z).tobytes()
         grad_u = captured["ingredients"][1]
         np.testing.assert_array_equal(
             problem.analytic.ubar(x),
-            np.einsum("mij,mjk->mik", grad_u(x), sde.diffusion(x)))
+            np.einsum("mij,mjk->mik", grad_u(x),
+                      sde.coefficients(x).diffusion))
 
 
 def _pde_residual_arctan(problem, x, c, kz, sigma, dsigma):
@@ -291,25 +296,43 @@ class TestSdeSpecs:
     def test_brownian_flags(self):
         sde = brownian_sde(3)
         x = np.zeros((4, 3))
+        coef = sde.coefficients(x)
         assert sde.is_brownian
-        np.testing.assert_allclose(sde.drift(x), 0.0)
-        np.testing.assert_allclose(sde.diffusion(x),
-                                   np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert coef.drift is None
+        for unit in (coef.diffusion, coef.inverse_diffusion):
+            np.testing.assert_array_equal(
+                unit, np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert coef.diffusion_jacobian is None and coef.drift_jacobian is None
 
     def test_tanh_sigma_inverse(self):
-        sde = tanh_sigma_sde(0.9)
-        x = np.linspace(-5, 5, 41)[:, None]
-        prod = np.einsum("mij,mjk->mik", sde.diffusion(x),
-                         sde.inverse_diffusion(x))
+        coef = tanh_sigma_sde(0.9).coefficients(np.linspace(-5, 5, 41)[:, None])
+        prod = np.einsum("mij,mjk->mik", coef.diffusion,
+                         coef.inverse_diffusion)
         np.testing.assert_allclose(prod, np.ones((41, 1, 1)), atol=1e-10)
 
     def test_tanh_sigma_jacobian_matches_derivative(self):
         sde = tanh_sigma_sde(0.9)
         x = np.linspace(-2, 2, 9)[:, None]
         h = 1e-6
-        fd = (sde.diffusion(x + h) - sde.diffusion(x - h)) / (2 * h)
-        np.testing.assert_allclose(sde.diffusion_jacobian(x)[:, :, :, 0], fd,
-                                   atol=1e-8)
+        fd = (sde.coefficients(x + h).diffusion
+              - sde.coefficients(x - h).diffusion) / (2 * h)
+        np.testing.assert_allclose(
+            sde.coefficients(x).diffusion_jacobian[:, :, :, 0], fd, atol=1e-8)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.9, 0.999])
+    def test_tanh_sigma_coefficients_equal_the_separate_formulas(self, eps):
+        # one tanh feeds all three arrays; the bytes are those of the three
+        # formulas evaluated separately, as the coefficients once were
+        mags = np.concatenate([np.logspace(-300, 300, 601), [5e-324, np.inf]])
+        x = np.concatenate([mags, -mags, [0.0, -0.0, np.nan]])[:, None]
+        coef = tanh_sigma_sde(eps).coefficients(x)
+        assert coef.drift is None and coef.drift_jacobian is None
+        want = ((1.0 + eps * np.tanh(x))[:, :, None],
+                1.0 / (1.0 + eps * np.tanh(x))[:, :, None],
+                (eps * (1.0 - np.tanh(x) ** 2))[:, :, None, None])
+        got = (coef.diffusion, coef.inverse_diffusion, coef.diffusion_jacobian)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_eps_range_validated(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 """Random horizon samplers, path simulation, and the Malliavin weight."""
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,76 +12,59 @@ from scipy import stats
 from infbsde import (DegenerateDiffusion, RngStream, SchemeParams,
                      problem_by_name, sample_fk_batch, simulate_paths)
 from infbsde import simulate
-from infbsde.model import SdeSpec
+from infbsde.model import Coefficients, SdeSpec
 
 PARAMS = SchemeParams(2.0, 2.0, 1.5, 1.5)
 
 
 def ou_sde(rate=1.0):
     """dX = -rate*X dt + dW; X_t ~ N(x e^{-rt}, (1-e^{-2rt})/(2r))."""
-    def drift(x):
-        return -rate * x
-
-    def drift_jac(x):
+    def coefficients(x):
         m, d = x.shape
-        return np.broadcast_to(-rate * np.eye(d), (m, d, d))
+        eye = np.broadcast_to(np.eye(d), (m, d, d))
+        return Coefficients(drift=-rate * x, diffusion=eye,
+                            inverse_diffusion=eye, drift_jacobian=-rate * eye)
 
-    def eye(x):
-        m, d = x.shape
-        return np.broadcast_to(np.eye(d), (m, d, d))
-
-    return SdeSpec(dim=1, drift=drift, diffusion=eye, inverse_diffusion=eye,
-                   diffusion_jacobian=None, drift_jacobian=drift_jac,
-                   lip_drift=rate, lip_diffusion=0.0, bound_diffusion=1.0,
-                   bound_inverse_diffusion=1.0, is_brownian=False)
+    return SdeSpec(dim=1, coefficients=coefficients, bound_diffusion=1.0,
+                   is_brownian=False)
 
 
 def coupled_sde():
     """Two-dimensional dynamics with state-dependent drift and diffusion."""
     a = np.array([[0.3, 0.1], [-0.2, 0.25]])
 
-    def drift(x):
-        return -np.sin(x) @ a.T
-
-    def drift_jac(x):
-        return -a[None] * np.cos(x)[:, None, :]
-
-    def diffusion(x):
+    def coefficients(x):
         s = np.zeros((x.shape[0], 2, 2))
         s[:, 0, 0] = 1.0 + 0.3 * np.tanh(x[:, 0])
         s[:, 1, 1] = 1.0 + 0.2 * np.tanh(x[:, 1])
         s[:, 0, 1] = 0.1 * np.sin(x[:, 1])
-        return s
-
-    def diffusion_jac(x):
         j = np.zeros((x.shape[0], 2, 2, 2))
         j[:, 0, 0, 0] = 0.3 * (1.0 - np.tanh(x[:, 0]) ** 2)
         j[:, 1, 1, 1] = 0.2 * (1.0 - np.tanh(x[:, 1]) ** 2)
         j[:, 0, 1, 1] = 0.1 * np.cos(x[:, 1])
-        return j
+        return Coefficients(drift=-np.sin(x) @ a.T, diffusion=s,
+                            inverse_diffusion=np.linalg.inv(s),
+                            diffusion_jacobian=j,
+                            drift_jacobian=-a[None] * np.cos(x)[:, None, :])
 
-    return SdeSpec(dim=2, drift=drift, diffusion=diffusion,
-                   inverse_diffusion=lambda x: np.linalg.inv(diffusion(x)),
-                   diffusion_jacobian=diffusion_jac, drift_jacobian=drift_jac,
-                   lip_drift=0.4, lip_diffusion=0.3, bound_diffusion=1.4,
-                   bound_inverse_diffusion=1.5, is_brownian=False)
+    return SdeSpec(dim=2, coefficients=coefficients, bound_diffusion=1.4,
+                   is_brownian=False)
 
 
 def collapsing_sde():
     """Driftless 2-d dynamics whose diffusion collapses where x_0 > 5."""
-    def scale(x):
-        return np.where(x[:, 0] > 5.0, 1e-13, 1.0)
-
     def diag(x, second):
         s = np.zeros((x.shape[0], 2, 2))
         s[:, 0, 0] = 1.0
         s[:, 1, 1] = second
         return s
 
-    return SdeSpec(dim=2, drift=lambda x: np.zeros_like(x),
-                   diffusion=lambda x: diag(x, scale(x)),
-                   inverse_diffusion=lambda x: diag(x, 1.0 / scale(x)),
-                   is_brownian=False)
+    def coefficients(x):
+        scale = np.where(x[:, 0] > 5.0, 1e-13, 1.0)
+        return Coefficients(drift=None, diffusion=diag(x, scale),
+                            inverse_diffusion=diag(x, 1.0 / scale))
+
+    return SdeSpec(dim=2, coefficients=coefficients, is_brownian=False)
 
 
 def collapsing_sde_1d():
@@ -88,36 +73,34 @@ def collapsing_sde_1d():
     A 1x1 diffusion has condition number 1 wherever it is invertible, so
     the collapse shows as the non-finite estimate 0 * inf.
     """
-    def sig(x):
-        return np.where(x > 5.0, 0.0, 1.0)[:, :, None]
-
-    def siginv(x):
+    def coefficients(x):
+        sig = np.where(x > 5.0, 0.0, 1.0)[:, :, None]
         with np.errstate(divide="ignore"):
-            return 1.0 / sig(x)
+            return Coefficients(drift=None, diffusion=sig,
+                                inverse_diffusion=1.0 / sig)
 
-    return SdeSpec(dim=1, drift=lambda x: np.zeros_like(x), diffusion=sig,
-                   inverse_diffusion=siginv, is_brownian=False)
+    return SdeSpec(dim=1, coefficients=coefficients, is_brownian=False)
 
 
 def driftless_sde():
     """1-d dynamics with diffusion 2 + sin(x) and neither Jacobian given."""
-    def sig(x):
-        return (2.0 + np.sin(x))[:, :, None]
+    def coefficients(x):
+        sig = (2.0 + np.sin(x))[:, :, None]
+        return Coefficients(drift=None, diffusion=sig,
+                            inverse_diffusion=1.0 / sig)
 
-    return SdeSpec(dim=1, drift=lambda x: np.zeros_like(x), diffusion=sig,
-                   inverse_diffusion=lambda x: 1.0 / sig(x), is_brownian=False)
+    return SdeSpec(dim=1, coefficients=coefficients, is_brownian=False)
 
 
 def mean_reverting_tanh_sde():
     """1-d dynamics with drift -x/2, diffusion 1 + tanh(x)/2, both Jacobians."""
-    def drift_jac(x):
-        return np.full((x.shape[0], 1, 1), -0.5)
-
     base = problem_by_name("arctan-tanh-sigma", 1, {"eps": 0.5}).sde
-    return SdeSpec(dim=1, drift=lambda x: -0.5 * x, diffusion=base.diffusion,
-                   inverse_diffusion=base.inverse_diffusion,
-                   diffusion_jacobian=base.diffusion_jacobian,
-                   drift_jacobian=drift_jac, is_brownian=False)
+
+    def coefficients(x):
+        return base.coefficients(x)._replace(
+            drift=-0.5 * x, drift_jacobian=np.full((x.shape[0], 1, 1), -0.5))
+
+    return SdeSpec(dim=1, coefficients=coefficients, is_brownian=False)
 
 
 # one-dimensional dynamics covering each pair of present or absent Jacobians
@@ -128,19 +111,21 @@ SCALAR_SDES = {
 
 
 def reference_euler_step(sde, x, tangent, integral, dw, dt):
-    """The einsum Euler step, as ``simulate._euler_step`` runs it for d >= 2."""
-    sig = sde.diffusion(x)
-    siginv = sde.inverse_diffusion(x)
-    integral += np.einsum("mi,mij->mj", dw, siginv @ tangent)
-    if sde.diffusion_jacobian is not None:
-        dj = np.einsum("mikj,mjl,mk->mil", sde.diffusion_jacobian(x), tangent,
+    """The einsum Euler step with an explicit zero drift, as
+    ``simulate._euler_step`` ran it for d >= 2 before a ``None`` drift
+    skipped the drift term."""
+    coef = sde.coefficients(x)
+    drift = np.zeros_like(x) if coef.drift is None else coef.drift
+    integral += np.einsum("mi,mij->mj", dw, coef.inverse_diffusion @ tangent)
+    if coef.diffusion_jacobian is not None:
+        dj = np.einsum("mikj,mjl,mk->mil", coef.diffusion_jacobian, tangent,
                        dw)
     else:
         dj = 0.0
-    if sde.drift_jacobian is not None:
-        dj = dj + np.einsum("mij,mjl->mil", sde.drift_jacobian(x),
+    if coef.drift_jacobian is not None:
+        dj = dj + np.einsum("mij,mjl->mil", coef.drift_jacobian,
                             tangent) * dt
-    x += sde.drift(x) * dt + np.einsum("mij,mj->mi", sig, dw)
+    x += drift * dt + np.einsum("mij,mj->mi", coef.diffusion, dw)
     if not np.isscalar(dj):
         tangent += dj
 
@@ -332,18 +317,15 @@ class TestEulerScheme:
         assert stats.kstest(z, stats.norm.cdf).statistic < 0.01
 
     def test_degenerate_diffusion_raises(self):
-        def sig(x):
+        def coefficients(x):
             m = x.shape[0]
-            return np.broadcast_to(np.diag([1.0, 1e-13]), (m, 2, 2))
+            return Coefficients(
+                drift=None,
+                diffusion=np.broadcast_to(np.diag([1.0, 1e-13]), (m, 2, 2)),
+                inverse_diffusion=np.broadcast_to(np.diag([1.0, 1e13]),
+                                                  (m, 2, 2)))
 
-        def siginv(x):
-            m = x.shape[0]
-            return np.broadcast_to(np.diag([1.0, 1e13]), (m, 2, 2))
-
-        sde = SdeSpec(dim=2, drift=lambda x: np.zeros_like(x), diffusion=sig,
-                      inverse_diffusion=siginv, diffusion_jacobian=None,
-                      drift_jacobian=None, lip_drift=0.0, lip_diffusion=0.0,
-                      bound_diffusion=1.0, bound_inverse_diffusion=1e13,
+        sde = SdeSpec(dim=2, coefficients=coefficients, bound_diffusion=1.0,
                       is_brownian=False)
         problem = problem_by_name("arctan-const-sigma", 2)
         bad = type(problem)(name="degenerate", sde=sde, gen=problem.gen,
@@ -398,6 +380,38 @@ class TestScalarEulerStep:
         reference_euler_step(sde, *want, dw, dt)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+def counting(sde):
+    """``sde`` with ``coefficients`` wrapped to record each call's row count."""
+    calls = []
+
+    def coefficients(x):
+        calls.append(len(x))
+        return sde.coefficients(x)
+
+    return dataclasses.replace(sde, coefficients=coefficients), calls
+
+
+class TestCoefficientCalls:
+    @pytest.mark.parametrize("kind", sorted(SCALAR_SDES) + ["coupled"])
+    def test_one_evaluation_per_step(self, kind):
+        sde, calls = counting(coupled_sde() if kind == "coupled"
+                              else SCALAR_SDES[kind]())
+        m, d = 5, sde.dim
+        x = np.linspace(-1.0, 1.0, m * d).reshape(m, d)
+        tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+        dw = np.full((m, d), 0.1)
+        simulate._euler_step(sde, x, tangent, np.zeros((m, d)), dw, 0.01, 1)
+        assert calls == [m]
+
+    def test_one_evaluation_per_loop_step_and_one_at_the_starts(self):
+        sde, calls = counting(problem_by_name("arctan-tanh-sigma", 1).sde)
+        dt = 0.05
+        fk = sample_fk_batch(with_sde(sde, 1), PARAMS, np.array([0.2]), 40,
+                             dt, RngStream(26))
+        steps = int(np.rint(np.maximum(fk.e_time, fk.g_time).max() / dt))
+        assert len(calls) == steps + 1 and calls[-1] == 40
 
 
 FK_FIELDS = ("e_time", "g_time", "x_at_e", "x_at_g", "malliavin_at_g")
@@ -509,6 +523,57 @@ class TestStreamBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * ((2 + 3 * d) + (2 + 2 * d) + d)
+
+
+def fk_digest(fk):
+    h = hashlib.sha256()
+    for name in FK_FIELDS:
+        h.update(np.ascontiguousarray(getattr(fk, name)).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """SHA-256 of all five ``FkBatch`` arrays at fixed seeds and block counts.
+
+    Recorded before ``SdeSpec.coefficients`` replaced the five coefficient
+    callables, so that no later kernel edit moves a bit unseen.
+    """
+
+    CASES = {
+        "tanh-sigma-1": (lambda: problem_by_name("arctan-tanh-sigma", 1),
+                         1, 0.02, 400,
+                         "20a6366c1d7e73dc1b1fb4b5fc0f5673"
+                         "d712236645e6a353b6b9b872f359c719"),
+        "tanh-sigma-5": (lambda: problem_by_name("arctan-tanh-sigma", 1),
+                         5, 0.02, 120,
+                         "38f50b79903a08813151e10dc6893765"
+                         "319881d3eb60bfc65999052805ab6dc4"),
+        "brownian-d2-1": (lambda: problem_by_name("arctan-const-sigma", 2),
+                          1, None, 400,
+                          "1d8f721cf314d0f987cb602001f164d3"
+                          "4e6ddbe1bdc59b0cb64145b465a027ed"),
+        "brownian-d2-4": (lambda: problem_by_name("arctan-const-sigma", 2),
+                          4, None, 100,
+                          "ab09a9e32b63ccd1d785752b929b5102"
+                          "b81f1505d2421423f3b858d1b6e0b1b4"),
+        "coupled-d2-3": (lambda: with_sde(coupled_sde(), 2), 3, 0.05, 80,
+                         "2c94056a5ab0388e9d80f07411e40b0d"
+                         "126a855980097a584fc3b4f5a57b7366"),
+        "ou-2": (lambda: with_sde(ou_sde(0.7), 1), 2, 0.05, 150,
+                 "13c85862b3c0d982f3411b463e47130"
+                 "982a0f6307f0d4ba8023a82d130743a12"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case):
+        make, k, dt, m, want = self.CASES[case]
+        problem = make()
+        d = problem.sde.dim
+        starts = np.repeat(np.linspace(-2.0, 2.0, k * d).reshape(k, d), m,
+                           axis=0)
+        streams = [RngStream(41).substream(i) for i in range(k)]
+        fk = sample_fk_batch(problem, PARAMS, starts, k * m, dt, streams)
+        assert fk_digest(fk) == want
 
 
 class TestRngStream:
