@@ -5,18 +5,18 @@ schemes here iterate or directly solve a fixed-point map built from
 randomized-horizon Feynman-Kac representations of the value and of its
 diffusion-weighted gradient.
 """
-from .analysis import (CEstimate, ConstraintViolated, ContractionInputs,
-                       InvalidP, QuadratureFailure, bound_c_general,
-                       brownian_c_infinity, brownian_cp_constants,
-                       contraction_report, estimate_c_constants,
-                       gaussian_radial_moment, kappa_infinity, kappa_p,
-                       lipschitz_shift, simplified_contraction_check, tilde_cp_bis_bound)
+from .analysis import (CEstimate, ContractionInputs, InvalidP,
+                       QuadratureFailure, brownian_c_infinity,
+                       brownian_cp_constants, contraction_report,
+                       estimate_c_constants, gaussian_radial_moment,
+                       kappa_infinity, kappa_p, lipschitz_shift,
+                       simplified_contraction_check)
 from .fixedpoint import (CandidatePair, NonFiniteValue, PhiEstimate,
                          as_candidate, estimate_phi, estimate_phi_from_samples,
                          poly_weight, r_sample_batch, truncate_growth)
 from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                   interpolate, read_grid_csv, sup_diff, sup_weighted_diff,
-                   truncated_nodes, write_grid_csv)
+                   interpolate, sup_diff, sup_weighted_diff, truncated_nodes,
+                   write_grid_csv)
 from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     InconsistentDerivatives, NonPositiveRate, Problem,
                     PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,
@@ -24,16 +24,14 @@ from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     manufacture_problem, problem_by_name, tanh_sigma_sde,
                     validate_params)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
-from .nn_schemes import (DirectConfig, MissingAnalyticSolution,
-                         MissingDriverDerivatives, NnConfig, NnPicardConfig,
-                         NnSolveResult, NonFiniteLoss, TraceRow,
-                         contraction_nn_solve, direct_nn_solve,
-                         relative_l2_errors)
+from .nn_schemes import (DirectConfig, MissingDriverDerivatives, NnConfig,
+                         NnPicardConfig, NnSolveResult, NonFiniteLoss,
+                         TraceRow, contraction_nn_solve, direct_nn_solve)
 from .picard_grid import (FitUnderdetermined, GridSolveConfig, GridSolveResult,
                           IterationReport, RateStudyResult, fit_rate_slope,
                           picard_step, rate_study, solve)
 from .simulate import (DegenerateDiffusion, FkBatch, RngStream,
-                       sample_fk_batch, simulate_paths)
+                       sample_fk_batch)
 
 __version__ = "0.1.0"
 

@@ -24,10 +24,6 @@ class InvalidP(ValueError):
     """The integrability exponent violates a constraint."""
 
 
-class ConstraintViolated(ValueError):
-    """A parameter inequality required by a bound fails."""
-
-
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
@@ -39,8 +35,8 @@ class ContractionInputs:
     ``lip_y``/``lip_z``/``monotonicity`` describe the generator;
     ``discount_y``/``discount_z`` and the two sampling rates come from the
     scheme; ``c_inf``/``c_tilde_inf`` are the kernel norms (exact or
-    estimated); c1..c5 are the growth constants of the diffusion moment
-    bounds and the m/k/l fields are coefficient bounds.
+    estimated); ``c_p``/``c_tilde_p``/``c_tilde_p_bis`` are the integral
+    constants that :func:`kappa_p` needs.
     """
 
     lip_y: float
@@ -56,18 +52,10 @@ class ContractionInputs:
     c_p: Optional[float] = None
     c_tilde_p: Optional[float] = None
     c_tilde_p_bis: Optional[float] = None
-    c1: float = 0.0
-    c2: float = 0.0
-    c3: float = 0.0
-    c4: float = 0.0
-    c5: float = 0.0
-    m_sigma: float = 1.0
-    m_sigma_inv: float = 1.0
 
     def __post_init__(self):
         for name in ("lip_y", "lip_z", "discount_y", "discount_z",
-                     "exp_rate", "gamma_rate", "c_inf", "c_tilde_inf",
-                     "c1", "c2", "c3", "c4", "c5", "m_sigma", "m_sigma_inv"):
+                     "exp_rate", "gamma_rate", "c_inf", "c_tilde_inf"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -174,25 +162,6 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
                      (best1[2], best2[2]))
 
 
-def bound_c_general(inputs: ContractionInputs) -> Tuple[float, float]:
-    """Closed-form upper bounds on the kernel norms from growth constants."""
-    a, a_t = inputs.discount_y, inputs.discount_z
-    c1, c2, c3, c4, c5 = (inputs.c1, inputs.c2, inputs.c3, inputs.c4,
-                          inputs.c5)
-    if a <= c3:
-        raise ConstraintViolated(f"discount_y must exceed c3: {a} <= {c3}")
-    if a_t <= c3 + c5:
-        raise ConstraintViolated(
-            f"discount_z must exceed c3 + c5: {a_t} <= {c3 + c5}")
-    c_bound = max(1.0 / a + c1 / (a - c3), c2 / (a - c3))
-    prefactor = inputs.m_sigma * inputs.m_sigma_inv * c4 * math.sqrt(math.pi)
-    c_tilde_bound = prefactor * max(
-        1.0 / math.sqrt(a_t - c5) + c1 / math.sqrt(a_t - c5 - c3),
-        c2 / math.sqrt(a_t - c5 - c3),
-    )
-    return c_bound, c_tilde_bound
-
-
 _QUAD_RTOL = 1e-8
 
 
@@ -244,21 +213,6 @@ def brownian_cp_constants(p: float, growth_degree: float, dim: int,
         1.0, np.inf)
     y_int = gaussian_radial_moment(q, dim)
     return (t_int * y_int) ** (1.0 / p), (t_int_tilde * y_int) ** (1.0 / p)
-
-
-def tilde_cp_bis_bound(p: float, discount_z: float, gamma_rate: float,
-                       c4: float, c5: float, m_sigma: float,
-                       m_sigma_inv: float) -> float:
-    """Closed-form bound on the conjugate-exponent gradient-weight norm."""
-    if p < 2:
-        raise ConstraintViolated("bound requires p >= 2")
-    margin = discount_z * p - gamma_rate - c5 * p
-    if margin <= 0:
-        raise ConstraintViolated(
-            f"need discount_z*p - gamma_rate - c5*p > 0, got {margin}")
-    num = (math.sqrt(math.pi) * m_sigma * m_sigma_inv * c4) ** p \
-        * (p - 1.0) ** ((p - 1.0) / 2.0)
-    return num / (math.sqrt(gamma_rate) * margin ** ((p - 1.0) / 2.0))
 
 
 def simplified_contraction_check(

@@ -26,17 +26,17 @@ from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from . import _svg
-from .analysis import (ConstraintViolated, ContractionInputs, InvalidP,
-                       QuadratureFailure, brownian_c_infinity,
-                       contraction_report, estimate_c_constants)
+from .analysis import (ContractionInputs, InvalidP, QuadratureFailure,
+                       brownian_c_infinity, contraction_report,
+                       estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_grid_csv
 from .model import RunConfig, problem_by_name, validate_params
 from .neural import save_checkpoint
-from .nn_schemes import (DirectConfig, MissingAnalyticSolution, NnPicardConfig,
-                         NonFiniteLoss, contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (FitUnderdetermined, GridSolveConfig, rate_study,
-                          solve)
+from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
+                         contraction_nn_solve, direct_nn_solve)
+from .picard_grid import (FitUnderdetermined, GridSolveConfig, _worker_count,
+                          rate_study, solve)
 from .simulate import DegenerateDiffusion, check_step
 
 
@@ -137,8 +137,7 @@ _SUBCOMMANDS = {
 }
 
 _NUMERIC_ERRORS = (NonFiniteValue, NonFiniteLoss, DegenerateDiffusion,
-                   QuadratureFailure, ConstraintViolated, InvalidP,
-                   MissingAnalyticSolution, FitUnderdetermined,
+                   QuadratureFailure, InvalidP, FitUnderdetermined,
                    ArithmeticError)
 
 
@@ -268,9 +267,11 @@ def _checked(config):
     return config
 
 
-def _build_grid_solve(cfg: Dict) -> GridSolveConfig:
-    config = _checked(_build(GridSolveConfig, cfg))
-    config.build_grid()
+def _checked_grid(config: GridSolveConfig) -> GridSolveConfig:
+    """``config`` as :func:`_checked` passes it, once its grid builds and
+    ``BSDE_THREADS`` is a valid thread count."""
+    _checked(config).build_grid()
+    _worker_count()
     return config
 
 
@@ -321,10 +322,9 @@ def _build_rate_study(cfg: Dict):
         raise ConfigParse("ntilde_list needs at least 3 entries")
     if min(ntilde) < 1:
         raise ConfigParse("ntilde_list entries must be at least 1")
-    template = _checked(replace(_build(GridSolveConfig, cfg),
-                                n_half=ntilde[0], m_samples=2))
     # every mesh of the study shares the template's box, padding and dim
-    template.build_grid()
+    template = _checked_grid(replace(_build(GridSolveConfig, cfg),
+                                     n_half=ntilde[0], m_samples=2))
     return template, ntilde, _value(cfg, "k")
 
 
@@ -365,7 +365,7 @@ def _write_trace(outdir: str, trace) -> None:
 
 
 def _run_nn_picard(config: NnPicardConfig, outdir: str) -> int:
-    result = contraction_nn_solve(config, keep_nets=True)
+    result = contraction_nn_solve(config)
     _write_trace(outdir, result.trace)
     for n, net in enumerate(result.nets, start=1):
         save_checkpoint(os.path.join(outdir, f"net_iter_{n:02d}.npz"), net)
@@ -386,6 +386,8 @@ def _build_contraction(cfg: Dict):
                      ("n_mu0_probes", 0)):
         if probe[key] < low:
             raise ConfigParse(f"{key} must be at least {low}")
+    if not 0 <= probe["weight_degree"] < np.inf:
+        raise ConfigParse("weight_degree must be finite and non-negative")
     problem = problem_by_name(config.problem, config.dim, config.overrides)
     margin = validate_params(config.params, problem.gen)
     check_step(problem.sde, config.dt)
@@ -488,7 +490,8 @@ def _run_kz_sweep(built, outdir: str) -> int:
 
 # per subcommand: build the run from the flat config, then run it
 _COMMANDS = {
-    "grid-solve": (_build_grid_solve, _run_grid_solve),
+    "grid-solve": (lambda cfg: _checked_grid(_build(GridSolveConfig, cfg)),
+                   _run_grid_solve),
     "rate-study": (_build_rate_study, _run_rate_study),
     "nn-picard": (lambda cfg: _checked(_build(NnPicardConfig, cfg)),
                   _run_nn_picard),

@@ -52,20 +52,6 @@ class CandidatePair:
         return cls(fn, dim_x, dim_y, "zero")
 
     @classmethod
-    def constant(cls, u_value, ubar_value, dim_x: int) -> "CandidatePair":
-        u0 = np.atleast_1d(np.asarray(u_value, dtype=float))
-        ub0 = np.asarray(ubar_value, dtype=float).reshape(u0.shape[0], dim_x)
-
-        def fn(x):
-            m = x.shape[0]
-            return (
-                np.broadcast_to(u0, (m, u0.shape[0])).copy(),
-                np.broadcast_to(ub0, (m, *ub0.shape)).copy(),
-            )
-
-        return cls(fn, dim_x, u0.shape[0], "constant")
-
-    @classmethod
     def from_analytic(cls, problem: Problem) -> "CandidatePair":
         if problem.analytic is None:
             raise ValueError(f"problem {problem.name!r} has no analytic solution")
@@ -159,24 +145,12 @@ def truncate_growth(value: Tuple[np.ndarray, np.ndarray], x, bound: float,
 
     ``value/poly_weight(x, degree)`` is projected onto the Euclidean ball of
     radius ``bound`` in the joint (d' + d'*d)-dimensional space, then
-    rescaled.  Accepts a single pair or per-node batches (leading axis).
-    Idempotent and 1-Lipschitz in the value.
+    rescaled, for per-node batches ``u`` ``(n, d')``, ``ubar`` ``(n, d', d)``
+    at points ``x`` ``(n, d)``.  Idempotent and 1-Lipschitz in the value.
     """
     u, ubar = value
-    u = np.asarray(u, dtype=float)
-    ubar = np.asarray(ubar, dtype=float)
-    single = u.ndim == 1
-    if single:
-        u = u[None, :]
-        ubar = ubar[None, :, :]
-        rho = np.atleast_1d(poly_weight(x, degree))
-    else:
-        rho = poly_weight(x, degree)
+    rho = poly_weight(x, degree)
     norm = np.sqrt(np.sum(u**2, axis=1) + np.sum(ubar**2, axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norm > 0, np.minimum(1.0, bound * rho / norm), 1.0)
-    u_out = u * scale[:, None]
-    ubar_out = ubar * scale[:, None, None]
-    if single:
-        return u_out[0], ubar_out[0]
-    return u_out, ubar_out
+    return u * scale[:, None], ubar * scale[:, None, None]

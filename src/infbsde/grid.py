@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class GridFunction:
             np.zeros((grid.n_nodes, dim_y)),
             np.zeros((grid.n_nodes, dim_y, grid.dim)),
         )
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.u.copy(), self.ubar.copy())
 
     def as_candidate(self) -> CandidatePair:
         return CandidatePair(
@@ -241,26 +238,3 @@ def write_grid_csv(phi: GridFunction, path, analytic=None) -> None:
                 row += [_format(err_u[n]), _format(err_ubar[n])]
             writer.writerow(row)
 
-
-def read_grid_csv(path, grid: Grid, dim_y: int) -> GridFunction:
-    """Load node values written by :func:`write_grid_csv` onto ``grid``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    expected = grid_csv_header(grid.dim, dim_y, False)
-    if header[: len(expected)] != expected:
-        raise GridMismatch(f"unexpected columns in {path}")
-    if len(rows) != grid.n_nodes:
-        raise GridMismatch(f"expected {grid.n_nodes} rows, found {len(rows)}")
-    u = np.empty((grid.n_nodes, dim_y))
-    ubar = np.empty((grid.n_nodes, dim_y, grid.dim))
-    base = 2 * grid.dim
-    for n, row in enumerate(rows):
-        idx = np.array([int(v) for v in row[: grid.dim]])
-        if not np.array_equal(idx, grid.node_indices[n]):
-            raise GridMismatch(f"node ordering mismatch at row {n}")
-        u[n] = [float(v) for v in row[base: base + dim_y]]
-        flat = row[base + dim_y: base + dim_y + dim_y * grid.dim]
-        ubar[n] = np.array([float(v) for v in flat]).reshape(dim_y, grid.dim)
-    return GridFunction(grid, u, ubar)

@@ -84,7 +84,6 @@ class SdeSpec:
 
     dim: int
     coefficients: Callable[[np.ndarray], Coefficients]
-    bound_diffusion: float = 1.0
     is_brownian: bool = False
 
 
@@ -93,8 +92,7 @@ class GeneratorSpec:
     """Driver f(x, y, z) together with its structural constants.
 
     ``lip_y``/``lip_z`` are Lipschitz constants in y and z, ``monotonicity``
-    is the dissipativity constant of f in y, ``growth_bound`` bounds
-    |f| <= growth_bound * (1 + |x|^growth_degree + |y| + |z|).
+    is the dissipativity constant of f in y.
 
     ``f_y(x, y, z) -> (m, d', d')`` and ``f_z(x, y, z) -> (m, d', d', d)``
     are the driver Jacobians in y and z; they are optional and only needed
@@ -110,8 +108,6 @@ class GeneratorSpec:
     lip_y: float
     lip_z: float
     monotonicity: float
-    growth_bound: float
-    growth_degree: float = 0.0
     depends_on_z: bool = True
     f_y: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     f_z: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
@@ -318,8 +314,7 @@ def brownian_sde(dim: int) -> SdeSpec:
         unit = np.broadcast_to(eye, (x.shape[0], dim, dim))
         return Coefficients(drift=None, diffusion=unit, inverse_diffusion=unit)
 
-    return SdeSpec(dim=dim, coefficients=coefficients, bound_diffusion=1.0,
-                   is_brownian=True)
+    return SdeSpec(dim=dim, coefficients=coefficients, is_brownian=True)
 
 
 def tanh_sigma_sde(eps: float) -> SdeSpec:
@@ -334,8 +329,7 @@ def tanh_sigma_sde(eps: float) -> SdeSpec:
             drift=None, diffusion=sig, inverse_diffusion=1.0 / sig,
             diffusion_jacobian=(eps * (1.0 - th ** 2))[:, :, None, None])
 
-    return SdeSpec(dim=1, coefficients=coefficients, bound_diffusion=1.0 + eps,
-                   is_brownian=False)
+    return SdeSpec(dim=1, coefficients=coefficients, is_brownian=False)
 
 
 def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,
@@ -373,18 +367,12 @@ def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,
             unit = np.where(zn > 0, z / zn, 0.0)
         return (kz * np.cos(zn) * unit)[:, :, None, :]
 
-    # |d/dx x/(1+x^2)^2| peaks at 9/(16 sqrt(3)); used only in the growth bound
-    corr_bound = (
-        0.5 * sde.bound_diffusion**2 * 0.6495 + c * np.pi / 2 + 1.0 + kz
-    )
     gen0 = GeneratorSpec(
         dim_y=1,
         f=f0,
         lip_y=c + 1.0,
         lip_z=kz,
         monotonicity=c - 1.0,
-        growth_bound=max(c, 1.0 + kz + corr_bound),
-        growth_degree=0.0,
         depends_on_z=kz != 0.0,
         f_y=f0_y,
         f_z=f0_z,
@@ -425,8 +413,6 @@ def _linear_constant(dim: int, mu: float, c0: float, mu0_std: float) -> Problem:
         lip_y=mu,
         lip_z=0.0,
         monotonicity=mu,
-        growth_bound=max(mu, abs(c0)),
-        growth_degree=0.0,
         depends_on_z=False,
         f_y=f0_y,
         f_z=f0_z,

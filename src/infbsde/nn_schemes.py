@@ -11,25 +11,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .fixedpoint import (CandidatePair, as_candidate, one_draw_weights,
                          r_sample_batch)
-from .grid import GridFunction
 from .model import (Problem, RunConfig, SchemeParams, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
-from .simulate import FkBatch, RngLike, RngStream, _as_generator, sample_fk_batch
+from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
 class NonFiniteLoss(ArithmeticError):
     """Training loss became NaN or infinite."""
-
-
-class MissingAnalyticSolution(ValueError):
-    """The requested error metric needs a known solution."""
 
 
 class MissingDriverDerivatives(ValueError):
@@ -150,6 +145,12 @@ def _ratio(num_sq: float, den_sq: float) -> float:
 
 def _rel_errors_at(candidate, problem: Problem,
                    x: np.ndarray) -> Tuple[float, float]:
+    """Relative L2 errors of the value and gradient blocks over the points
+    ``x``, against the problem's analytic solution.
+
+    A zero-norm reference component yields 0 when the candidate matches it
+    exactly and inf otherwise.
+    """
     w = as_candidate(candidate)
     u_hat, ubar_hat = w(x)
     u_ref = problem.analytic.u(x)
@@ -159,22 +160,6 @@ def _rel_errors_at(candidate, problem: Problem,
     dubar = _ratio(np.mean(np.sum((ubar_hat - ubar_ref) ** 2, axis=(1, 2))),
                    np.mean(np.sum(ubar_ref**2, axis=(1, 2))))
     return du, dubar
-
-
-def relative_l2_errors(candidate: Union[Mlp, GridFunction, CandidatePair],
-                       problem: Problem, m_err: int = 1000,
-                       rng: RngLike = 0) -> Tuple[float, float]:
-    """Relative L2 errors of the value and gradient blocks under mu0, the
-    problem's start law.
-
-    A zero-norm reference component yields 0 when the candidate matches it
-    exactly and inf otherwise.
-    """
-    if problem.analytic is None:
-        raise MissingAnalyticSolution(problem.name)
-    x = _sample_mu0(_as_generator(rng), m_err, problem.sde.dim,
-                    problem.mu0_std)
-    return _rel_errors_at(candidate, problem, x)
 
 
 def _train_regression(net: Mlp, x: np.ndarray, target_u: np.ndarray,
@@ -204,10 +189,12 @@ def _trace_errors(net: Mlp, problem: Problem, eval_points) -> Tuple[float, float
     return _rel_errors_at(net, problem, eval_points)
 
 
-def contraction_nn_solve(cfg: NnPicardConfig,
-                         keep_nets: bool = False) -> NnSolveResult:
+def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     """Picard iteration in network space: regress onto one-draw targets of
-    the map applied to the previous net, starting from the zero candidate."""
+    the map applied to the previous net, starting from the zero candidate.
+
+    ``nets`` holds each iteration's net, frozen as the next one's candidate.
+    """
     problem = cfg.build_problem()
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
@@ -236,13 +223,12 @@ def contraction_nn_solve(cfg: NnPicardConfig,
                                cfg.lr_decay_period)
         loss = _train_regression(net, x0, target_u, target_ubar, state,
                                  cfg.train_steps)
-        previous = as_candidate(net.copy())
-        if keep_nets:
-            nets.append(net.copy())
+        nets.append(net.copy())
+        previous = as_candidate(nets[-1])
         du, dubar = _trace_errors(net, problem, eval_points)
         trace.append(TraceRow(n, loss, du, dubar,
                               time.perf_counter() - start_time))
-    return NnSolveResult(net, trace, nets if keep_nets else None)
+    return NnSolveResult(net, trace, nets)
 
 
 def _half_residuals(value: np.ndarray, phi: np.ndarray, m_starts: int,

@@ -26,11 +26,18 @@ class FitUnderdetermined(ValueError):
 
 
 def _worker_count() -> int:
+    """Threads of the node loop: ``BSDE_THREADS``, or 1 when it is unset.
+
+    Raises ValueError unless the variable is a positive integer.
+    """
     raw = os.environ.get("BSDE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"BSDE_THREADS must be a positive integer, not {raw!r}")
+    return count
 
 
 @dataclass(frozen=True)

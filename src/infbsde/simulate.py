@@ -84,16 +84,6 @@ class FkBatch:
         return self.e_time.shape[0]
 
 
-@dataclass
-class PathState:
-    """Terminal state of Euler paths run to a common horizon (batched)."""
-
-    x: np.ndarray
-    tangent: np.ndarray
-    malliavin_integral: np.ndarray
-    t: float
-
-
 def _brownian_fk_batch(params: SchemeParams, starts: np.ndarray,
                        gens: Sequence[np.random.Generator]) -> FkBatch:
     m, d = starts.shape
@@ -132,7 +122,7 @@ def _euler_step(sde: SdeSpec, x: np.ndarray, tangent: np.ndarray,
     Frobenius product wherever neither square over- or underflows.  A
     one-term einsum sum turns a -0.0 product into +0.0 where the product
     keeps it; that changes a sum only when it is added to a -0.0.  Rows
-    never hold one: the samplers add +0.0 to the start states and start the
+    never hold one: the sampler adds +0.0 to the start states and starts the
     tangent at 1 and the integral at +0.0, and ``a + b`` is -0.0 only when
     both are.  So the two paths give the same bits, and so does leaving out
     the +0.0 of a zero (``None``) drift.
@@ -331,27 +321,3 @@ def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
         return _brownian_fk_batch(params, starts, gens)
     return _euler_fk_batch(problem.sde, params, starts, dt, gens)
 
-
-def simulate_paths(sde: SdeSpec, x, horizon: float, dt: float, m: int,
-                   rng: RngLike) -> PathState:
-    """Run ``m`` Euler paths of (X, tangent, Malliavin integral) to a fixed time.
-
-    The horizon is rounded up to a whole number of steps.  Used for
-    diagnostics and tests; the production samplers round each random
-    horizon the same way.
-    """
-    d = sde.dim
-    starts = as_points(x, d)
-    if starts.shape[0] == 1 and m > 1:
-        starts = np.broadcast_to(starts, (m, d))
-    gen = _as_generator(rng)
-    n_steps = max(int(np.ceil(horizon / dt)), 1)
-    x_cur = starts + 0.0  # no -0.0 rows (see _euler_step)
-    tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-    integral = np.zeros((m, d))
-    sqrt_dt = np.sqrt(dt)
-    for step in range(1, n_steps + 1):
-        dw = gen.standard_normal((m, d)) * sqrt_dt
-        _euler_step(sde, x_cur, tangent, integral, dw, dt, step)
-    return PathState(x=x_cur, tangent=tangent, malliavin_integral=integral,
-                     t=n_steps * dt)

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from infbsde import (CEstimate, ConstraintViolated, ContractionInputs,
-                     InvalidP, RngStream, SchemeParams, bound_c_general,
-                     brownian_c_infinity, brownian_cp_constants,
+from infbsde import (CEstimate, ContractionInputs, InvalidP, RngStream,
+                     SchemeParams, brownian_c_infinity, brownian_cp_constants,
                      contraction_report, estimate_c_constants,
                      gaussian_radial_moment, kappa_infinity, kappa_p,
                      lipschitz_shift, problem_by_name,
-                     simplified_contraction_check, tilde_cp_bis_bound)
+                     simplified_contraction_check)
 
 
 class TestLipschitzShift:
@@ -116,32 +115,6 @@ class TestKappaP:
             kappa_p(ContractionInputs(lip_y=1.0, depends_on_z=False), 2.0)
 
 
-class TestGeneralBounds:
-    def test_value_bound_example(self):
-        inputs = ContractionInputs(lip_y=1.0, discount_y=3.0, discount_z=3.0,
-                                   c1=0.0, c2=1.0, c3=1.0, c4=1.0)
-        c_bound, _ = bound_c_general(inputs)
-        assert c_bound == pytest.approx(0.5)   # max(1/3, 1/2)
-
-    def test_gradient_bound_formula(self):
-        inputs = ContractionInputs(lip_y=1.0, discount_y=3.0, discount_z=3.0,
-                                   c1=0.5, c2=2.0, c3=1.0, c4=1.5, c5=0.5,
-                                   m_sigma=2.0, m_sigma_inv=3.0)
-        _, ct_bound = bound_c_general(inputs)
-        pre = 2.0 * 3.0 * 1.5 * math.sqrt(math.pi)
-        expected = pre * max(1 / math.sqrt(2.5) + 0.5 / math.sqrt(1.5),
-                             2.0 / math.sqrt(1.5))
-        assert ct_bound == pytest.approx(expected, rel=1e-14)
-
-    def test_constraints(self):
-        with pytest.raises(ConstraintViolated):
-            bound_c_general(ContractionInputs(lip_y=1.0, discount_y=1.0,
-                                              c3=1.0))
-        with pytest.raises(ConstraintViolated):
-            bound_c_general(ContractionInputs(lip_y=1.0, discount_y=3.0,
-                                              discount_z=1.5, c3=1.0, c5=0.5))
-
-
 class TestGaussianRadialMoment:
     def test_closed_forms(self):
         assert gaussian_radial_moment(2, 1) == pytest.approx(
@@ -190,22 +163,6 @@ class TestBrownianCp:
             c2, ct2 = brownian_cp_constants(2.0, growth, 3, 1.5, 1.5)
             assert np.isfinite(c2) and np.isfinite(ct2)
             assert c2 > 0 and ct2 > 0
-
-
-class TestTildeCpBis:
-    def test_example(self):
-        val = tilde_cp_bis_bound(2.0, 2.0, 1.0, c4=1.0, c5=0.0, m_sigma=1.0,
-                                 m_sigma_inv=1.0)
-        assert val == pytest.approx(math.pi / math.sqrt(3), rel=1e-14)
-
-    def test_zero_c4_gives_zero(self):
-        assert tilde_cp_bis_bound(2.0, 2.0, 1.0, 0.0, 0.0, 1.0, 1.0) == 0.0
-
-    def test_constraints(self):
-        with pytest.raises(ConstraintViolated):
-            tilde_cp_bis_bound(1.5, 2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ConstraintViolated):
-            tilde_cp_bis_bound(2.0, 0.5, 1.0, 1.0, 0.0, 1.0, 1.0)
 
 
 class TestSimplifiedBound:

@@ -515,6 +515,11 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "--probe-R", "0"], id="contraction-probe-R0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
                   "--probe-R", "inf"], id="contraction-probe-R-inf"),
+    # the probe weight's degree must be finite and non-negative
+    *[pytest.param(["contraction", "--problem", "arctan-const-sigma",
+                    "--weight-degree", value],
+                   id=f"contraction-weight-degree{value}")
+      for value in ("nan", "inf", "-1")],
     # neural config bounds
     pytest.param(["nn-picard", "--problem", "linear-constant", "--steps",
                   "-1"], id="nn-picard-steps-1"),
@@ -551,6 +556,15 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+@pytest.mark.parametrize("command", ["grid-solve", "rate-study"])
+def test_bad_thread_count_exits_two_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, threads):
+    monkeypatch.setenv("BSDE_THREADS", threads)
+    test_bad_input_exits_two_and_writes_nothing(
+        tmp_path, capsys, [command, "--problem", "linear-constant"])
 
 
 @pytest.mark.parametrize("key, value", [

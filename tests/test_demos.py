@@ -1,21 +1,30 @@
-"""Every name a demo script imports from infbsde exists.
+"""Every name a demo script or a README code block imports from infbsde exists.
 
-The demos are parsed, not run, so this costs milliseconds; it catches a
-demo left behind when a public name is removed or renamed.
+The sources are parsed, not run, so this costs milliseconds; it catches a
+demo or a doc example left behind when a public name is removed or renamed.
 """
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.M | re.S)
+SOURCES = ([pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+            for path in DEMOS]
+           + [pytest.param(block, id=f"README.md-python-{i}")
+              for i, block in enumerate(README_BLOCKS, start=1)])
 
 
-def package_imports(path):
-    """``(module, name)`` for each import from infbsde in ``path``; ``name``
-    is None for a plain ``import infbsde[.module]``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def package_imports(source):
+    """``(module, name)`` for each import from infbsde in ``source``;
+    ``name`` is None for a plain ``import infbsde[.module]``."""
+    tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             modules = [(node.module or "", [a.name for a in node.names])]
@@ -41,12 +50,13 @@ def resolves(module, name):
 
 def test_demos_found():
     assert len(DEMOS) >= 7
+    assert README_BLOCKS
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_imported_names_resolve(path):
-    imports = list(package_imports(path))
-    assert imports, f"{path.name} imports nothing from infbsde"
+@pytest.mark.parametrize("source", SOURCES)
+def test_imported_names_resolve(source):
+    imports = list(package_imports(source))
+    assert imports, "imports nothing from infbsde"
     missing = [module if name is None else f"{module}.{name}"
                for module, name in imports if not resolves(module, name)]
-    assert not missing, f"{path.name} imports missing names: {missing}"
+    assert not missing, f"imports missing names: {missing}"

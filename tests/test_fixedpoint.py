@@ -28,7 +28,8 @@ class TestSingleDraw:
     def test_hand_computed_draw(self):
         # f(x, y, z) = 3 - 2y; w constant (1, 0.4); horizon draw fixed below
         problem = problem_by_name("linear-constant", 1)
-        w = CandidatePair.constant(1.0, [0.4], 1)
+        w = CandidatePair(lambda x: (np.full((len(x), 1), 1.0),
+                                     np.full((len(x), 1, 1), 0.4)), 1, 1)
         fk = FkBatch(e_time=np.array([0.5]), g_time=np.array([0.25]),
                      x_at_e=np.array([[0.1]]), x_at_g=np.array([[-0.2]]),
                      malliavin_at_g=np.array([[1.2]]))
@@ -120,18 +121,19 @@ class TestPhiEstimate:
 
 class TestTruncateGrowth:
     def test_inside_ball_unchanged(self):
-        u = np.array([0.3])
-        ub = np.array([[0.4]])
-        out_u, out_ub = truncate_growth((u, ub), np.array([1.0]), 1.0, 1.0)
+        u = np.array([[0.3]])
+        ub = np.array([[[0.4]]])
+        out_u, out_ub = truncate_growth((u, ub), np.array([[1.0]]), 1.0, 1.0)
         np.testing.assert_array_equal(out_u, u)
         np.testing.assert_array_equal(out_ub, ub)
 
     def test_projection_example(self):
         # joint norm 5 against radius bound*rho = 1*2 -> scale 2/5
-        out_u, out_ub = truncate_growth((np.array([3.0]), np.array([[4.0]])),
-                                        np.array([1.0]), 1.0, 1.0)
-        np.testing.assert_allclose(out_u, [1.2], rtol=1e-15)
-        np.testing.assert_allclose(out_ub, [[1.6]], rtol=1e-15)
+        out_u, out_ub = truncate_growth(
+            (np.array([[3.0]]), np.array([[[4.0]]])), np.array([[1.0]]),
+            1.0, 1.0)
+        np.testing.assert_allclose(out_u, [[1.2]], rtol=1e-15)
+        np.testing.assert_allclose(out_ub, [[[1.6]]], rtol=1e-15)
 
     def test_idempotent(self):
         gen = np.random.default_rng(5)
@@ -146,19 +148,18 @@ class TestTruncateGrowth:
     def test_one_lipschitz(self):
         gen = np.random.default_rng(6)
         for _ in range(50):
-            v = (gen.normal(size=(1,)) * 4, gen.normal(size=(1, 1)) * 4)
-            w = (gen.normal(size=(1,)) * 4, gen.normal(size=(1, 1)) * 4)
-            x = gen.normal(size=(1,))
+            v = (gen.normal(size=(1, 1)) * 4, gen.normal(size=(1, 1, 1)) * 4)
+            w = (gen.normal(size=(1, 1)) * 4, gen.normal(size=(1, 1, 1)) * 4)
+            x = gen.normal(size=(1, 1))
             tv = truncate_growth(v, x, 1.0, 1.0)
             tw = truncate_growth(w, x, 1.0, 1.0)
-            before = np.sqrt((v[0] - w[0])[0] ** 2 + (v[1] - w[1])[0, 0] ** 2)
-            after = np.sqrt((tv[0] - tw[0])[0] ** 2
-                            + (tv[1] - tw[1])[0, 0] ** 2)
+            before = np.hypot(v[0] - w[0], v[1][0] - w[1][0])
+            after = np.hypot(tv[0] - tw[0], tv[1][0] - tw[1][0])
             assert after <= before + 1e-12
 
     def test_zero_value_stays_zero(self):
-        out_u, out_ub = truncate_growth((np.zeros(1), np.zeros((1, 1))),
-                                        np.array([0.0]), 1.0, 2.0)
+        out_u, out_ub = truncate_growth((np.zeros((1, 1)), np.zeros((1, 1, 1))),
+                                        np.zeros((1, 1)), 1.0, 2.0)
         assert np.all(out_u == 0.0) and np.all(out_ub == 0.0)
         assert np.isfinite(out_u).all()
 
@@ -169,17 +170,18 @@ class TestTruncateGrowth:
         x = gen.normal(size=(5, 2))
         bat_u, bat_ub = truncate_growth((u, ub), x, 0.5, 1.0)
         for i in range(5):
-            si, sbi = truncate_growth((u[i], ub[i]), x[i], 0.5, 1.0)
-            np.testing.assert_allclose(si, bat_u[i], atol=1e-14)
-            np.testing.assert_allclose(sbi, bat_ub[i], atol=1e-14)
+            si, sbi = truncate_growth((u[i:i + 1], ub[i:i + 1]), x[i:i + 1],
+                                      0.5, 1.0)
+            np.testing.assert_allclose(si, bat_u[i:i + 1], atol=1e-14)
+            np.testing.assert_allclose(sbi, bat_ub[i:i + 1], atol=1e-14)
 
 
 @st.composite
 def truncation_cases(draw):
     """Points, two values near each other, and a weighted ball: d = 1-3,
-    d' = 1-2, a single pair or a batch of 1-5 pairs."""
+    d' = 1-2, a batch of 1-5 pairs."""
     dim, dim_y = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    lead = draw(st.sampled_from([(), (1,), (2,), (5,)]))
+    lead = draw(st.sampled_from([(1,), (2,), (5,)]))
     bound, degree = draw(st.floats(0.05, 5.0)), draw(st.floats(0.0, 4.0))
     scale, gap = draw(st.floats(0.01, 100.0)), draw(st.floats(1e-6, 10.0))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -191,10 +193,9 @@ def truncation_cases(draw):
 
 
 def joint_rows(value):
-    """Each pair of a single or batched value as one joint row."""
+    """Each pair of a batched value as one joint row."""
     u, ubar = value
-    rows = len(u) if u.ndim == 2 else 1
-    return np.hstack([u.reshape(rows, -1), ubar.reshape(rows, -1)])
+    return np.hstack([u, ubar.reshape(len(u), -1)])
 
 
 class TestTruncateGrowthProperties:
@@ -205,7 +206,7 @@ class TestTruncateGrowthProperties:
     def test_lands_in_ball_and_is_idempotent(self, case):
         x, v, _, bound, degree = case
         once = truncate_growth(v, x, bound, degree)
-        radius = bound * np.atleast_1d(poly_weight(x, degree))
+        radius = bound * poly_weight(x, degree)
         norms = np.linalg.norm(joint_rows(once), axis=1)
         assert np.all(norms <= radius * (1 + 1e-12))
         twice = truncate_growth(once, x, bound, degree)

@@ -1,4 +1,5 @@
-"""Lattice geometry, hat-basis interpolation, sup norms, and CSV round trip."""
+"""Lattice geometry, hat-basis interpolation, sup norms, and CSV output."""
+import csv
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infbsde import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                     interpolate, read_grid_csv, sup_diff, sup_weighted_diff,
+                     interpolate, sup_diff, sup_weighted_diff,
                      truncated_nodes, write_grid_csv)
 
 
@@ -282,15 +283,26 @@ class TestSupDiffs:
                          np.zeros((g.n_nodes - 1, 1, 2)))
 
 
+def read_columns(path):
+    """The header of a grid CSV and its body as a float array."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array([[float(v) for v in row] for row in rows])
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         g = Grid(dim=2, n_half=2, mesh=1 / 3, pad=1)
         phi = random_grid_function(g, dim_y=2, seed=8)
         path = tmp_path / "grid.csv"
         write_grid_csv(phi, path)
-        back = read_grid_csv(path, g, 2)
-        np.testing.assert_array_equal(back.u, phi.u)
-        np.testing.assert_array_equal(back.ubar, phi.ubar)
+        header, body = read_columns(path)
+        assert header == ["i1", "i2", "x1", "x2", "u_1", "u_2", "ubar_11",
+                          "ubar_12", "ubar_21", "ubar_22"]
+        np.testing.assert_array_equal(body[:, :2], g.node_indices)
+        np.testing.assert_array_equal(body[:, 2:4], g.nodes)
+        np.testing.assert_array_equal(body[:, 4:6], phi.u)
+        np.testing.assert_array_equal(body[:, 6:], phi.ubar.reshape(-1, 4))
 
     def test_analytic_columns(self, tmp_path):
         from infbsde import problem_by_name
@@ -307,31 +319,9 @@ class TestCsv:
         body = path.read_text().splitlines()[1:]
         assert all(row.split(",")[-1] == "0" and row.split(",")[-2] == "0"
                    for row in body)
-        back = read_grid_csv(path, g, 1)
-        np.testing.assert_array_equal(back.u, phi.u)
-
-    def test_read_validates_row_count(self, tmp_path):
-        g = Grid(dim=1, n_half=1, mesh=1.0)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(GridFunction.zero(g, 1), path)
-        with pytest.raises(GridMismatch):
-            read_grid_csv(path, Grid(dim=1, n_half=2, mesh=1.0), 1)
-
-    def test_read_validates_header(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(GridMismatch):
-            read_grid_csv(path, Grid(dim=1, n_half=0, mesh=1.0), 1)
-
-    def test_read_validates_node_order(self, tmp_path):
-        g = Grid(dim=1, n_half=1, mesh=1.0)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(random_grid_function(g, seed=9), path)
-        lines = path.read_text().splitlines()
-        shuffled = "\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n"
-        path.write_text(shuffled)
-        with pytest.raises(GridMismatch):
-            read_grid_csv(path, g, 1)
+        _, values = read_columns(path)
+        np.testing.assert_array_equal(values[:, 2:3], phi.u)
+        np.testing.assert_array_equal(values[:, 4:5], phi.u)
 
     def test_seventeen_digit_floats(self, tmp_path):
         g = Grid(dim=1, n_half=0, mesh=1.0)

@@ -128,8 +128,7 @@ class TestManufacture:
         f0 = GeneratorSpec(
             dim_y=1,
             f=lambda x, y, z: -y,
-            lip_y=1.0, lip_z=0.0, monotonicity=1.0,
-            growth_bound=1.0, growth_degree=0.0, depends_on_z=False)
+            lip_y=1.0, lip_z=0.0, monotonicity=1.0, depends_on_z=False)
         with pytest.raises(InconsistentDerivatives):
             manufacture_problem(
                 u=lambda x: x**2,
@@ -255,8 +254,7 @@ class TestDriverJacobians:
         f0 = GeneratorSpec(
             dim_y=1,
             f=lambda x, y, z: -y,
-            lip_y=1.0, lip_z=0.0, monotonicity=1.0,
-            growth_bound=1.0, growth_degree=0.0, depends_on_z=False,
+            lip_y=1.0, lip_z=0.0, monotonicity=1.0, depends_on_z=False,
             f_y=lambda x, y, z: np.full((x.shape[0], 1, 1), 2.0))
         with pytest.raises(InconsistentDerivatives):
             manufacture_problem(

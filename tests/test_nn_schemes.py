@@ -5,11 +5,23 @@ import numpy as np
 import pytest
 
 from infbsde import (CandidatePair, DirectConfig, Grid, GridFunction, Mlp,
-                     MissingAnalyticSolution, NnConfig, NnPicardConfig,
-                     NonFiniteLoss, RngStream, contraction_nn_solve,
-                     direct_nn_solve, problem_by_name, relative_l2_errors)
+                     NnConfig, NnPicardConfig, NonFiniteLoss, RngStream,
+                     contraction_nn_solve, direct_nn_solve, problem_by_name)
+from infbsde.nn_schemes import _rel_errors_at, _trace_errors
 
 LINEAR = problem_by_name("linear-constant", 1)
+
+
+def start_points(problem, m, seed):
+    """``m`` draws of the problem's start law."""
+    return RngStream(seed).generator().normal(0.0, problem.mu0_std,
+                                              (m, problem.sde.dim))
+
+
+def constant_pair(u, ubar):
+    """The candidate equal to (u, [[ubar]]) everywhere, in one dimension."""
+    return CandidatePair(lambda x: (np.full((len(x), 1), u),
+                                    np.full((len(x), 1, 1), ubar)), 1, 1)
 
 
 class TestConfigs:
@@ -60,49 +72,43 @@ class TestConfigs:
 class TestRelativeErrors:
     def test_exact_candidate_is_zero(self):
         w = CandidatePair.from_analytic(LINEAR)
-        assert relative_l2_errors(w, LINEAR, 64, rng=RngStream(1)) == (0.0, 0.0)
+        x = start_points(LINEAR, 64, 1)
+        assert _rel_errors_at(w, LINEAR, x) == (0.0, 0.0)
 
     def test_constant_offset_ratio(self):
         # reference u = 3/2 and ubar = 0; offset 0.3 gives exactly 0.2
-        w = CandidatePair.constant(1.8, [0.0], 1)
-        du, dubar = relative_l2_errors(w, LINEAR, 64, rng=RngStream(2))
+        du, dubar = _rel_errors_at(constant_pair(1.8, 0.0), LINEAR,
+                                   start_points(LINEAR, 64, 2))
         assert du == pytest.approx(0.2, abs=1e-14)
         assert dubar == 0.0
 
     def test_zero_reference_component_conventions(self):
-        zero = CandidatePair.zero(1, 1)
-        du, dubar = relative_l2_errors(zero, LINEAR, 64, rng=RngStream(3))
+        x = start_points(LINEAR, 64, 3)
+        du, dubar = _rel_errors_at(CandidatePair.zero(1, 1), LINEAR, x)
         assert du == pytest.approx(1.0, abs=1e-14)
         assert dubar == 0.0
-        off = CandidatePair.constant(1.5, [0.7], 1)
-        _, dubar_off = relative_l2_errors(off, LINEAR, 64, rng=RngStream(3))
+        _, dubar_off = _rel_errors_at(constant_pair(1.5, 0.7), LINEAR, x)
         assert dubar_off == np.inf
 
     def test_grid_function_candidate_accepted(self):
         g = Grid(dim=1, n_half=2, mesh=1.0)
         phi = GridFunction.zero(g, 1)
-        du, dubar = relative_l2_errors(phi, LINEAR, 32, rng=RngStream(4))
+        du, dubar = _rel_errors_at(phi, LINEAR, start_points(LINEAR, 32, 4))
         assert du == pytest.approx(1.0, abs=1e-14) and dubar == 0.0
 
     def test_requires_analytic_solution(self):
+        # a trace without a known solution reports nan errors
         blind = dataclasses.replace(LINEAR, analytic=None)
-        with pytest.raises(MissingAnalyticSolution):
-            relative_l2_errors(CandidatePair.zero(1, 1), blind, 16,
-                               rng=RngStream(5))
-
-    def test_default_int_seed_is_stream_zero(self):
-        problem = problem_by_name("arctan-const-sigma", 2)
-        net = Mlp.init(2, 1, (6,), RngStream(6))
-        default = relative_l2_errors(net, problem)
-        assert np.isfinite(default).all()
-        assert default == relative_l2_errors(net, problem, rng=RngStream(0))
+        net = Mlp.init(1, 1, (4,), RngStream(5))
+        du, dubar = _trace_errors(net, blind, start_points(LINEAR, 16, 5))
+        assert np.isnan(du) and np.isnan(dubar)
 
     def test_deterministic_in_rng(self):
         problem = problem_by_name("arctan-const-sigma", 2)
         net = Mlp.init(2, 1, (6,), RngStream(6))
-        a = relative_l2_errors(net, problem, 128, rng=RngStream(7))
-        b = relative_l2_errors(net, problem, 128, rng=RngStream(7))
-        assert a == b
+        a = _rel_errors_at(net, problem, start_points(problem, 128, 7))
+        b = _rel_errors_at(net, problem, start_points(problem, 128, 7))
+        assert np.isfinite(a).all() and a == b
 
 
 class TestContractionScheme:
@@ -150,7 +156,7 @@ class TestContractionScheme:
         cfg = NnPicardConfig("linear-constant", overrides={"mu": 1.8},
                              n_iters=4, m_samples=512, train_steps=1500,
                              seed=12)
-        res = contraction_nn_solve(cfg, keep_nets=True)
+        res = contraction_nn_solve(cfg)
         problem = cfg.build_problem()
         c2, _ = brownian_cp_constants(2.0, 0.0, 1, 1.5, 1.5)
         kappa2 = kappa_p(ContractionInputs(
@@ -202,11 +208,11 @@ class TestContractionScheme:
         assert any(not np.array_equal(a, b) for a, b in
                    zip(warm.net.parameters, cold.net.parameters))
 
-    def test_keep_nets_returns_iterates(self):
+    def test_returns_iterates(self):
         cfg = NnPicardConfig("linear-constant", n_iters=3, m_samples=64,
                              train_steps=30, seed=9)
-        res = contraction_nn_solve(cfg, keep_nets=True)
-        assert len(res.nets) == 3
+        res = contraction_nn_solve(cfg)
+        assert len(res.nets) == 3 and res.nets[-1] is not res.net
         for a, b in zip(res.nets[-1].parameters, res.net.parameters):
             np.testing.assert_array_equal(a, b)
 
