@@ -7,13 +7,12 @@ up to Monte Carlo noise.  This demo checks that at a few points.
 """
 import numpy as np
 
-from infbsde import (CandidatePair, RngStream, SchemeParams, estimate_phi,
-                     problem_by_name)
+from infbsde import RngStream, SchemeParams, estimate_phi, problem_by_name
 
 problem = problem_by_name("arctan-const-sigma", d=1)
 params = SchemeParams(discount_y=2.0, discount_z=2.0, exp_rate=1.5,
                       gamma_rate=1.5)
-w_star = CandidatePair.from_analytic(problem)
+w_star = problem.analytic
 m = 20000
 
 print("plugging the analytic solution into the one-draw map, M =", m)

@@ -11,12 +11,12 @@ from .analysis import (CEstimate, ContractionInputs, InvalidP,
                        estimate_c_constants, gaussian_radial_moment,
                        kappa_infinity, kappa_p, lipschitz_shift,
                        simplified_contraction_check)
-from .fixedpoint import (CandidatePair, NonFiniteValue, PhiEstimate,
-                         as_candidate, estimate_phi, estimate_phi_from_samples,
-                         poly_weight, r_sample_batch, truncate_growth)
+from .fixedpoint import (NonFiniteValue, PhiEstimate, estimate_phi,
+                         estimate_phi_from_samples, poly_weight,
+                         r_sample_batch, truncate_growth)
 from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                   interpolate, sup_diff, sup_weighted_diff, truncated_nodes,
-                   write_grid_csv)
+                   interpolate, node_errors, sup_diff, sup_weighted_diff,
+                   truncated_nodes, write_grid_csv)
 from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     InconsistentDerivatives, NonPositiveRate, Problem,
                     PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,

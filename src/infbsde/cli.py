@@ -35,8 +35,8 @@ from .model import RunConfig, problem_by_name, validate_params
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
                          contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (FitUnderdetermined, GridSolveConfig, _worker_count,
-                          rate_study, solve)
+from .picard_grid import (FitUnderdetermined, GridSolveConfig,
+                          _check_rate_study, _worker_count, rate_study, solve)
 from .simulate import DegenerateDiffusion, check_step
 
 
@@ -317,15 +317,14 @@ def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
 
 
 def _build_rate_study(cfg: Dict):
-    ntilde = list(_value(cfg, "ntilde_list"))
-    if len(ntilde) < 3:
-        raise ConfigParse("ntilde_list needs at least 3 entries")
+    ntilde, k = list(_value(cfg, "ntilde_list")), _value(cfg, "k")
+    _check_rate_study(ntilde, k)
     if min(ntilde) < 1:
         raise ConfigParse("ntilde_list entries must be at least 1")
     # every mesh of the study shares the template's box, padding and dim
     template = _checked_grid(replace(_build(GridSolveConfig, cfg),
                                      n_half=ntilde[0], m_samples=2))
-    return template, ntilde, _value(cfg, "k")
+    return template, ntilde, k
 
 
 def _run_rate_study(built, outdir: str) -> int:

@@ -1,9 +1,9 @@
 """Single-draw estimator of the fixed-point map, its MC mean, and truncation.
 
-A candidate pair ``w = (w1, w2)`` maps points to a value in R^{d'} and a
-gradient-side value in R^{d' x d}.  One randomized-horizon draw turns ``w``
-into an unbiased sample of the fixed-point map applied to ``w``; averaging
-draws estimates the map itself.
+A candidate pair ``w`` is any callable from ``(m, d)`` points to a value
+block ``(m, d')`` and a gradient-side block ``(m, d', d)``.  One
+randomized-horizon draw turns ``w`` into an unbiased sample of the
+fixed-point map applied to ``w``; averaging draws estimates the map itself.
 """
 from __future__ import annotations
 
@@ -12,8 +12,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .model import Problem, SchemeParams, as_points
+from .model import Problem, SchemeParams
 from .simulate import FkBatch, RngLike, sample_fk_batch
+
+
+Candidate = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 class NonFiniteValue(ArithmeticError):
@@ -26,52 +29,6 @@ def poly_weight(x, degree: float) -> np.ndarray:
     if pts.ndim <= 1:
         return 1.0 + np.linalg.norm(np.atleast_1d(pts)) ** degree
     return 1.0 + np.linalg.norm(pts, axis=1) ** degree
-
-
-class CandidatePair:
-    """Evaluatable pair; calling with (m, d) points yields ((m, d'), (m, d', d))."""
-
-    def __init__(self, fn: Callable, dim_x: int, dim_y: int, label: str = "candidate"):
-        self._fn = fn
-        self.dim_x = dim_x
-        self.dim_y = dim_y
-        self.label = label
-
-    def __call__(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        return self._fn(as_points(x, self.dim_x))
-
-    def __repr__(self) -> str:
-        return f"CandidatePair({self.label}, d={self.dim_x}, d'={self.dim_y})"
-
-    @classmethod
-    def zero(cls, dim_x: int, dim_y: int) -> "CandidatePair":
-        def fn(x):
-            m = x.shape[0]
-            return np.zeros((m, dim_y)), np.zeros((m, dim_y, dim_x))
-
-        return cls(fn, dim_x, dim_y, "zero")
-
-    @classmethod
-    def from_analytic(cls, problem: Problem) -> "CandidatePair":
-        if problem.analytic is None:
-            raise ValueError(f"problem {problem.name!r} has no analytic solution")
-        sol = problem.analytic
-        return cls(lambda x: (sol.u(x), sol.ubar(x)),
-                   problem.sde.dim, problem.gen.dim_y, "analytic")
-
-
-def as_candidate(obj) -> CandidatePair:
-    """Coerce a CandidatePair, network, or grid function to a CandidatePair."""
-    if isinstance(obj, CandidatePair):
-        return obj
-    from .grid import GridFunction  # local import keeps module layering acyclic
-
-    if isinstance(obj, GridFunction):
-        return obj.as_candidate()
-    if callable(obj) and hasattr(obj, "dim_x") and hasattr(obj, "dim_y"):
-        return CandidatePair(lambda x: obj(x), obj.dim_x, obj.dim_y,
-                             getattr(obj, "label", type(obj).__name__))
-    raise TypeError(f"cannot interpret {type(obj)!r} as a candidate pair")
 
 
 def one_draw_weights(params: SchemeParams,
@@ -87,7 +44,7 @@ def one_draw_weights(params: SchemeParams,
     return weight_e, weight_g
 
 
-def r_sample_batch(problem: Problem, params: SchemeParams, w: CandidatePair,
+def r_sample_batch(problem: Problem, params: SchemeParams, w: Candidate,
                    fk: FkBatch) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized single-draw estimates; no finiteness check (see callers)."""
     weight_e, weight_g = one_draw_weights(params, fk)
@@ -114,7 +71,7 @@ class PhiEstimate:
 
 
 def estimate_phi_from_samples(problem: Problem, params: SchemeParams,
-                              w: CandidatePair, fk: FkBatch) -> PhiEstimate:
+                              w: Candidate, fk: FkBatch) -> PhiEstimate:
     """Reduce an existing sample batch to a PhiEstimate."""
     m = len(fk)
     if m < 2:
@@ -132,7 +89,7 @@ def estimate_phi_from_samples(problem: Problem, params: SchemeParams,
     )
 
 
-def estimate_phi(problem: Problem, params: SchemeParams, w: CandidatePair, x,
+def estimate_phi(problem: Problem, params: SchemeParams, w: Candidate, x,
                  m: int, dt: Optional[float], rng: RngLike) -> PhiEstimate:
     """Monte Carlo estimate of the fixed-point map applied to ``w`` at ``x``."""
     fk = sample_fk_batch(problem, params, x, m, dt, rng)

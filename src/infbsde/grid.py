@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fixedpoint import CandidatePair, poly_weight
+from .fixedpoint import Candidate, poly_weight
 from .model import as_points
 
 
@@ -72,18 +72,11 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return self.node_indices * self.mesh
 
-    def same_lattice(self, other: "Grid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.n_half == other.n_half
-            and self.pad == other.pad
-            and self.mesh == other.mesh
-        )
-
 
 @dataclass
 class GridFunction:
-    """Values of a candidate pair on the extended lattice."""
+    """Values of a candidate pair on the extended lattice; calling it
+    interpolates them."""
 
     grid: Grid
     u: np.ndarray
@@ -115,10 +108,8 @@ class GridFunction:
             np.zeros((grid.n_nodes, dim_y, grid.dim)),
         )
 
-    def as_candidate(self) -> CandidatePair:
-        return CandidatePair(
-            lambda x: interpolate(self, x), self.grid.dim, self.dim_y, "grid"
-        )
+    def __call__(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        return interpolate(self, x)
 
 
 def _cell_corners(g: Grid, pts: np.ndarray) -> list:
@@ -174,7 +165,8 @@ def interpolate(phi: GridFunction, x) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _joint_node_norms(phi: GridFunction, psi: GridFunction) -> np.ndarray:
-    if not phi.grid.same_lattice(psi.grid):
+    # node_indices is not compared, so this compares the lattice itself
+    if phi.grid != psi.grid:
         raise GridMismatch("grid functions live on different lattices")
     du = phi.u - psi.u
     dubar = phi.ubar - psi.ubar
@@ -203,38 +195,34 @@ def _format(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def grid_csv_header(dim: int, dim_y: int, analytic: bool) -> list:
-    cols = [f"i{k + 1}" for k in range(dim)]
-    cols += [f"x{k + 1}" for k in range(dim)]
-    cols += [f"u_{i + 1}" for i in range(dim_y)]
-    cols += [f"ubar_{i + 1}{j + 1}" for i in range(dim_y) for j in range(dim)]
-    if analytic:
-        cols += [f"u_exact_{i + 1}" for i in range(dim_y)]
-        cols += [f"ubar_exact_{i + 1}{j + 1}" for i in range(dim_y) for j in range(dim)]
-        cols += ["err_u", "err_ubar"]
-    return cols
+def node_errors(phi: GridFunction,
+                analytic: Candidate) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-node gaps of ``u`` and of ``ubar`` to the analytic solution."""
+    u_ex, ubar_ex = analytic(phi.grid.nodes)
+    err_u = np.linalg.norm(phi.u - u_ex, axis=1)
+    err_ubar = np.sqrt(np.sum((phi.ubar - ubar_ex) ** 2, axis=(1, 2)))
+    return err_u, err_ubar
 
 
 def write_grid_csv(phi: GridFunction, path, analytic=None) -> None:
     """Serialize node values (plus exact values and errors when known)."""
     g = phi.grid
     nodes = g.nodes
+    values = [f"u_{i + 1}" for i in range(phi.dim_y)]
+    values += [f"ubar_{i + 1}{j + 1}" for i in range(phi.dim_y) for j in range(g.dim)]
+    header = [f"{axis}{k + 1}" for axis in "ix" for k in range(g.dim)] + values
+    # the float columns in header order, one row per node
+    blocks = [nodes, phi.u, phi.ubar.reshape(g.n_nodes, -1)]
     if analytic is not None:
-        u_ex = analytic.u(nodes)
-        ubar_ex = analytic.ubar(nodes)
-        err_u = np.linalg.norm(phi.u - u_ex, axis=1)
-        err_ubar = np.sqrt(np.sum((phi.ubar - ubar_ex) ** 2, axis=(1, 2)))
+        u_ex, ubar_ex = analytic(nodes)
+        header += [v.replace("_", "_exact_", 1) for v in values]
+        header += ["err_u", "err_ubar"]
+        blocks += [u_ex, ubar_ex.reshape(g.n_nodes, -1),
+                   np.column_stack(node_errors(phi, analytic))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(grid_csv_header(g.dim, phi.dim_y, analytic is not None))
-        for n in range(g.n_nodes):
-            row = [str(int(i)) for i in g.node_indices[n]]
-            row += [_format(v) for v in nodes[n]]
-            row += [_format(v) for v in phi.u[n]]
-            row += [_format(v) for v in phi.ubar[n].ravel()]
-            if analytic is not None:
-                row += [_format(v) for v in u_ex[n]]
-                row += [_format(v) for v in ubar_ex[n].ravel()]
-                row += [_format(err_u[n]), _format(err_ubar[n])]
-            writer.writerow(row)
+        writer.writerow(header)
+        for idx, row in zip(g.node_indices, np.concatenate(blocks, axis=1)):
+            writer.writerow([str(int(i)) for i in idx]
+                            + [_format(v) for v in row])
 

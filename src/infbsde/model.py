@@ -7,7 +7,7 @@ are ``(m, d)`` arrays; generator values are ``(m, d')``; gradient-side values
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -158,10 +158,14 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class AnalyticSolution:
-    """Known solution pair: u(x) -> (m, d') and ubar(x) -> (m, d', d)."""
+    """Known solution pair: u(x) -> (m, d') and ubar(x) -> (m, d', d);
+    calling it gives both, as a candidate pair."""
 
     u: Callable[[np.ndarray], np.ndarray]
     ubar: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        return self.u(x), self.ubar(x)
 
 
 @dataclass(frozen=True)

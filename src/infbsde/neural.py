@@ -13,6 +13,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .model import as_points
 from .simulate import RngLike, _as_generator
 
 # per-layer pre-activation buffers, then per-hidden-layer activation buffers
@@ -70,11 +71,11 @@ class Mlp:
                  weights: List[np.ndarray], biases: List[np.ndarray]):
         self.dim_x = dim_x
         self.dim_y = dim_y
-        self.flat, params = _pack([p for pair in zip(weights, biases)
-                                   for p in pair])
-        self._shapes = [p.shape for p in params]
-        self.weights = params[0::2]
-        self.biases = params[1::2]
+        self.flat, self.parameters = _pack([p for pair in zip(weights, biases)
+                                            for p in pair])
+        self._shapes = [p.shape for p in self.parameters]
+        self.weights = self.parameters[0::2]
+        self.biases = self.parameters[1::2]
 
     @classmethod
     def init(cls, dim_x: int, dim_y: int, hidden: Sequence[int],
@@ -88,13 +89,6 @@ class Mlp:
             weights.append(gen.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(dim_x, dim_y, weights, biases)
-
-    @property
-    def parameters(self) -> List[np.ndarray]:
-        out: List[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
 
     def copy(self) -> "Mlp":
         return Mlp(self.dim_x, self.dim_y, self.weights, self.biases)
@@ -146,16 +140,13 @@ class Mlp:
         ubar = out[:, self.dim_y:].reshape(m, self.dim_y, self.dim_x)
         return u, ubar
 
-    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        acts, _ = self._forward_cached(x)
+    def __call__(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        acts, _ = self._forward_cached(as_points(x, self.dim_x))
         return self._split(acts[-1])
-
-    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.forward(x)
 
     def mse_loss(self, x: np.ndarray, target_u: np.ndarray,
                  target_ubar: np.ndarray) -> float:
-        u, ubar = self.forward(x)
+        u, ubar = self(x)
         m = u.shape[0]
         res = np.sum((u - target_u) ** 2) + np.sum((ubar - target_ubar) ** 2)
         return float(res / m)

@@ -15,8 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import (CandidatePair, as_candidate, one_draw_weights,
-                         r_sample_batch)
+from .fixedpoint import Candidate, one_draw_weights, r_sample_batch
 from .model import (Problem, RunConfig, SchemeParams, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
@@ -143,18 +142,18 @@ def _ratio(num_sq: float, den_sq: float) -> float:
     return float(np.sqrt(num_sq / den_sq))
 
 
-def _rel_errors_at(candidate, problem: Problem,
+def _rel_errors_at(candidate: Candidate, problem: Problem,
                    x: np.ndarray) -> Tuple[float, float]:
     """Relative L2 errors of the value and gradient blocks over the points
-    ``x``, against the problem's analytic solution.
+    ``x``, against the problem's analytic solution, or nan without one.
 
     A zero-norm reference component yields 0 when the candidate matches it
     exactly and inf otherwise.
     """
-    w = as_candidate(candidate)
-    u_hat, ubar_hat = w(x)
-    u_ref = problem.analytic.u(x)
-    ubar_ref = problem.analytic.ubar(x)
+    if problem.analytic is None:
+        return np.nan, np.nan
+    u_hat, ubar_hat = candidate(x)
+    u_ref, ubar_ref = problem.analytic(x)
     du = _ratio(np.mean(np.sum((u_hat - u_ref) ** 2, axis=1)),
                 np.mean(np.sum(u_ref**2, axis=1)))
     dubar = _ratio(np.mean(np.sum((ubar_hat - ubar_ref) ** 2, axis=(1, 2))),
@@ -183,12 +182,6 @@ def _train_regression(net: Mlp, x: np.ndarray, target_u: np.ndarray,
     return loss
 
 
-def _trace_errors(net: Mlp, problem: Problem, eval_points) -> Tuple[float, float]:
-    if problem.analytic is None:
-        return np.nan, np.nan
-    return _rel_errors_at(net, problem, eval_points)
-
-
 def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     """Picard iteration in network space: regress onto one-draw targets of
     the map applied to the previous net, starting from the zero candidate.
@@ -201,7 +194,10 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     eval_gen = RngStream(cfg.seed, stream_id=1).generator()
     eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, problem.mu0_std)
 
-    previous = CandidatePair.zero(dim, dim_y)
+    def zero_candidate(x):
+        return np.zeros((len(x), dim_y)), np.zeros((len(x), dim_y, dim))
+
+    previous: Candidate = zero_candidate
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
     trace: List[TraceRow] = []
     nets: List[Mlp] = []
@@ -224,8 +220,8 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
         loss = _train_regression(net, x0, target_u, target_ubar, state,
                                  cfg.train_steps)
         nets.append(net.copy())
-        previous = as_candidate(nets[-1])
-        du, dubar = _trace_errors(net, problem, eval_points)
+        previous = nets[-1]
+        du, dubar = _rel_errors_at(net, problem, eval_points)
         trace.append(TraceRow(n, loss, du, dubar,
                               time.perf_counter() - start_time))
     return NnSolveResult(net, trace, nets)
@@ -384,7 +380,7 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
                 cfg.m_starts, cfg.m_inner, drivers, work, grads)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss {loss} at epoch {epoch}")
-        du, dubar = _trace_errors(net, problem, eval_points)
+        du, dubar = _rel_errors_at(net, problem, eval_points)
         trace.append(TraceRow(epoch, loss, du, dubar,
                               time.perf_counter() - start_time))
     return NnSolveResult(net, trace)

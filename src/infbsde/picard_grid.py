@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .fixedpoint import NonFiniteValue, r_sample_batch, truncate_growth
-from .grid import Grid, GridFunction, truncated_nodes
+from .grid import Grid, GridFunction, node_errors, truncated_nodes
 from .model import Problem, RunConfig, problem_by_name
 from .simulate import RngStream, sample_fk_batch
 
@@ -92,17 +92,14 @@ CHUNK_ROWS = 12000
 
 
 def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
-                problem: Optional[Problem] = None) -> GridFunction:
+                problem: Problem) -> GridFunction:
     """One Picard update: fresh per-node samples against the interpolant of ``v``.
 
     Node ``i`` always draws from ``rng.substream(i)``; nodes are evaluated in
     chunks of consecutive indices, one sampler call per chunk, which changes
     no value.
     """
-    if problem is None:
-        problem = cfg.build_problem()
     grid = v.grid
-    interpolant = v.as_candidate()
     dim_y = problem.gen.dim_y
     m = cfg.m_samples
     u_new = np.empty((grid.n_nodes, dim_y))
@@ -114,7 +111,7 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
                              np.repeat(nodes[chunk.start:chunk.stop], m, axis=0),
                              m * len(chunk), cfg.dt,
                              [rng.substream(node) for node in chunk])
-        comp1, comp2 = r_sample_batch(problem, cfg.params, interpolant, fk)
+        comp1, comp2 = r_sample_batch(problem, cfg.params, v, fk)
         # one mean per node over its m rows; equal bit for bit to a
         # separate mean over each node's slice
         k = len(chunk)
@@ -149,8 +146,6 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
 class GridSolveResult:
     final: GridFunction
     reports: list
-    node_err_u: Optional[np.ndarray]
-    node_err_ubar: Optional[np.ndarray]
     problem: Problem
 
     @property
@@ -160,14 +155,6 @@ class GridSolveResult:
     @property
     def sup_err_ubar(self) -> Optional[float]:
         return self.reports[-1].sup_err_ubar
-
-
-def _node_errors(v: GridFunction, problem: Problem):
-    sol = problem.analytic
-    nodes = v.grid.nodes
-    err_u = np.linalg.norm(v.u - sol.u(nodes), axis=1)
-    err_ubar = np.sqrt(np.sum((v.ubar - sol.ubar(nodes)) ** 2, axis=(1, 2)))
-    return err_u, err_ubar
 
 
 def solve(cfg: GridSolveConfig,
@@ -185,26 +172,27 @@ def solve(cfg: GridSolveConfig,
         start = time.perf_counter()
         v = picard_step(v, cfg, base_stream.substream(n), problem)
         elapsed = time.perf_counter() - start
+        sup_u = sup_ubar = None
         if problem.analytic is not None:
-            err_u, err_ubar = _node_errors(v, problem)
-            reports.append(IterationReport(
-                n, float(err_u[inner].max()), float(err_ubar[inner].max()), elapsed
-            ))
-        else:
-            reports.append(IterationReport(n, None, None, elapsed))
+            err_u, err_ubar = node_errors(v, problem.analytic)
+            sup_u, sup_ubar = float(err_u[inner].max()), float(err_ubar[inner].max())
+        reports.append(IterationReport(n, sup_u, sup_ubar, elapsed))
+    return GridSolveResult(v, reports, problem)
 
-    if problem.analytic is not None:
-        node_err_u, node_err_ubar = _node_errors(v, problem)
-    else:
-        node_err_u = node_err_ubar = None
-    return GridSolveResult(v, reports, node_err_u, node_err_ubar, problem)
+
+def _check_rate_study(n_half_values: Sequence[int], k: float = 1.0) -> None:
+    """Raise unless there are 3 distinct mesh sizes and ``0 < k < inf``."""
+    if len(np.unique(n_half_values)) < 3:
+        raise FitUnderdetermined(
+            "need at least 3 distinct mesh sizes to fit a slope")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be finite and positive")
 
 
 def fit_rate_slope(n_half_values: Sequence[int],
                    errors: Sequence[float]) -> Tuple[float, float]:
     """Least-squares slope of log error against log(2 + n_half)."""
-    if len(n_half_values) < 3:
-        raise FitUnderdetermined("need at least 3 mesh sizes to fit a slope")
+    _check_rate_study(n_half_values)
     if len(n_half_values) != len(errors):
         raise ValueError("mismatched inputs")
     x = np.log(2.0 + np.asarray(n_half_values, dtype=float))
@@ -232,8 +220,7 @@ def rate_study(cfg_template: GridSolveConfig, n_half_values: Sequence[int],
     error over the inner nodes at the final iterate is recorded.  The
     fitted slope uses the larger of the two component errors.
     """
-    if len(n_half_values) < 3:
-        raise FitUnderdetermined("need at least 3 mesh sizes to fit a slope")
+    _check_rate_study(n_half_values, k)
     r4 = cfg_template.half_width**4
     sup_u, sup_ubar, samples = [], [], []
     for run, nh in enumerate(n_half_values):

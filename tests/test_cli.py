@@ -511,6 +511,14 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "--ntilde-list", "0,1,2"], id="rate-study-ntilde-list0"),
     pytest.param(["rate-study", "--problem", "linear-constant", "--R", "0"],
                  id="rate-study-R0"),
+    # the rate study's sample constant must be finite and positive, and a
+    # slope needs three distinct mesh sizes
+    *[pytest.param(["rate-study", "--problem", "linear-constant",
+                    "--ntilde-list", "2,3,4", "--k", value],
+                   id=f"rate-study-k{value}")
+      for value in ("nan", "inf", "-5", "0")],
+    pytest.param(["rate-study", "--problem", "linear-constant",
+                  "--ntilde-list", "2,2,2"], id="rate-study-ntilde-list2-2-2"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
                   "--probe-R", "0"], id="contraction-probe-R0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
@@ -591,3 +599,47 @@ def test_config_values_cast_to_field_types():
     assert config.params.discount_y == 3.0
     assert type(config.params.discount_y) is float
     assert config.hidden == (8, 6) and config.warm_start is False
+
+
+def test_traced_entry_points_are_reached(tmp_path, monkeypatch):
+    """The per-layer benchmark metrics (``perfbench/tracer.py``) wrap these
+    module globals and methods from the outside, so the library must reach
+    each of them through that name."""
+    from infbsde import _svg, cli, grid, neural, nn_schemes, picard_grid
+
+    traced = {
+        picard_grid: ("sample_fk_batch", "r_sample_batch", "picard_step",
+                      "problem_by_name"),
+        nn_schemes: ("sample_fk_batch", "r_sample_batch", "adam_step",
+                     "problem_by_name"),
+        grid: ("interpolate",),
+        neural.Mlp: ("_forward_cached", "backprop"),
+        cli: ("problem_by_name", "contraction_nn_solve", "direct_nn_solve",
+              "_write_csv", "_echo_config", "write_grid_csv",
+              "save_checkpoint"),
+        _svg: ("line_plot",),
+    }
+    reached = set()
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            reached.add(key)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, names in traced.items():
+        for name in names:
+            key = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name,
+                                counting(key, getattr(owner, name)))
+    for argv in (grid_args(tmp_path / "g"), picard_args(tmp_path / "p"),
+                 ["nn-direct", "--problem", "linear-constant", "--epochs",
+                  "1", "--steps", "2", "--M-x", "8", "--M", "4", "--m-err",
+                  "16", "--hidden", "4", "--out", str(tmp_path / "d")],
+                 ["contraction", "--problem", "arctan-const-sigma", "--M",
+                  "50", "--probe-ntilde", "1", "--mu0-probes", "1", "--out",
+                  str(tmp_path / "c")]):
+        assert run(argv) == 0
+    expected = {f"{owner.__name__}.{name}"
+                for owner, names in traced.items() for name in names}
+    assert sorted(expected - reached) == []

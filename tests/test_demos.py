@@ -2,10 +2,13 @@
 
 The sources are parsed, not run, so this costs milliseconds; it catches a
 demo or a doc example left behind when a public name is removed or renamed.
+The one-draw estimator demo, which feeds the analytic solution in as a
+candidate pair, also runs (about half a second).
 """
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,10 @@ def test_imported_names_resolve(source):
     missing = [module if name is None else f"{module}.{name}"
                for module, name in imports if not resolves(module, name)]
     assert not missing, f"imports missing names: {missing}"
+
+
+def test_randomized_representation_demo_runs(capsys):
+    runpy.run_path(str(ROOT / "demos" / "randomized_representation.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "ubar(0.5): exact" in out

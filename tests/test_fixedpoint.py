@@ -4,13 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infbsde import (CandidatePair, NonFiniteValue, RngStream, SchemeParams,
-                     as_candidate, estimate_phi, estimate_phi_from_samples,
+from infbsde import (Grid, GridFunction, Mlp, NonFiniteValue, RngStream,
+                     SchemeParams, estimate_phi, estimate_phi_from_samples,
                      poly_weight, problem_by_name, r_sample_batch,
                      sample_fk_batch, truncate_growth)
 from infbsde.simulate import FkBatch
 
 PARAMS = SchemeParams(2.0, 2.0, 1.5, 1.5)
+
+
+def zero_candidate(dim, dim_y):
+    """The candidate pair that is zero everywhere."""
+    def w(x):
+        return np.zeros((len(x), dim_y)), np.zeros((len(x), dim_y, dim))
+    return w
 
 
 class TestPolyWeight:
@@ -28,8 +35,9 @@ class TestSingleDraw:
     def test_hand_computed_draw(self):
         # f(x, y, z) = 3 - 2y; w constant (1, 0.4); horizon draw fixed below
         problem = problem_by_name("linear-constant", 1)
-        w = CandidatePair(lambda x: (np.full((len(x), 1), 1.0),
-                                     np.full((len(x), 1, 1), 0.4)), 1, 1)
+        def w(x):
+            return np.full((len(x), 1), 1.0), np.full((len(x), 1, 1), 0.4)
+
         fk = FkBatch(e_time=np.array([0.5]), g_time=np.array([0.25]),
                      x_at_e=np.array([[0.1]]), x_at_g=np.array([[-0.2]]),
                      malliavin_at_g=np.array([[1.2]]))
@@ -40,7 +48,7 @@ class TestSingleDraw:
 
     def test_zero_candidate_zero_source(self):
         problem = problem_by_name("linear-constant", 1, {"c0": 0.0})
-        w = CandidatePair.zero(1, 1)
+        w = zero_candidate(1, 1)
         fk = sample_fk_batch(problem, PARAMS, np.array([0.7]), 64, None,
                              RngStream(1))
         comp1, comp2 = r_sample_batch(problem, PARAMS, w, fk)
@@ -53,15 +61,14 @@ class TestSingleDraw:
             m = x.shape[0]
             return np.full((m, 1), np.inf), np.zeros((m, 1, 1))
 
-        w = CandidatePair(blown, 1, 1, "inf")
         fk = FkBatch(np.array([0.5, 0.75]), np.array([0.25, 0.5]),
                      np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            estimate_phi_from_samples(problem, PARAMS, w, fk)
+            estimate_phi_from_samples(problem, PARAMS, blown, fk)
 
     def test_batch_matches_row_draws(self):
         problem = problem_by_name("arctan-const-sigma", 1)
-        w = CandidatePair.from_analytic(problem)
+        w = problem.analytic
         fk = sample_fk_batch(problem, PARAMS, np.array([0.4]), 8, None,
                              RngStream(2))
         comp1, comp2 = r_sample_batch(problem, PARAMS, w, fk)
@@ -74,11 +81,34 @@ class TestSingleDraw:
             np.testing.assert_array_equal(c2, comp2[i:i + 1])
 
 
+def candidate_of_kind(kind, dim):
+    """A grid function, a network or an analytic solution in ``dim``."""
+    if kind == "grid":
+        g = Grid(dim=dim, n_half=2, mesh=0.5)
+        gen = np.random.default_rng(dim)
+        return GridFunction(g, gen.normal(size=(g.n_nodes, 1)),
+                            gen.normal(size=(g.n_nodes, 1, dim)))
+    if kind == "net":
+        return Mlp.init(dim, 1, (5,), RngStream(dim))
+    return problem_by_name("arctan-const-sigma", dim).analytic
+
+
+@pytest.mark.parametrize("kind", ["grid", "net", "analytic"])
+def test_candidates_read_points_alike(kind):
+    # d = 1: a flat array is m points; d = 2: a flat pair is one point
+    for dim, flat, points in ((1, [0.1, -0.7, 2.3], [[0.1], [-0.7], [2.3]]),
+                              (2, [0.1, -0.7], [[0.1, -0.7]])):
+        w = candidate_of_kind(kind, dim)
+        for got, want in zip(w(np.array(flat)), w(np.array(points))):
+            assert got.shape == want.shape and got.shape[0] == len(points)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestPhiEstimate:
     def test_zero_candidate_mean_is_source_over_discount(self):
         # E[(c0) e^{-(a-th)E}]/th = c0/a for E ~ Exp(th)
         problem = problem_by_name("linear-constant", 1)
-        est = estimate_phi(problem, PARAMS, CandidatePair.zero(1, 1),
+        est = estimate_phi(problem, PARAMS, zero_candidate(1, 1),
                            np.array([0.0]), 100_000, None, RngStream(3))
         mean1, mean2 = est.value
         se1, se2 = est.std_err
@@ -88,7 +118,7 @@ class TestPhiEstimate:
     @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.0, 1.0, 2.0])
     def test_analytic_solution_is_fixed_point(self, x0):
         problem = problem_by_name("arctan-const-sigma", 1)
-        w = CandidatePair.from_analytic(problem)
+        w = problem.analytic
         est = estimate_phi(problem, PARAMS, w, np.array([x0]), 40_000, None,
                            RngStream(int(10 * x0) + 40))
         u_true = problem.analytic.u(np.array([[x0]]))[0]
@@ -101,7 +131,7 @@ class TestPhiEstimate:
     def test_requires_two_samples(self):
         problem = problem_by_name("linear-constant", 1)
         with pytest.raises(ValueError):
-            estimate_phi(problem, PARAMS, CandidatePair.zero(1, 1),
+            estimate_phi(problem, PARAMS, zero_candidate(1, 1),
                          np.array([0.0]), 1, None, RngStream(0))
 
     def test_duplicated_samples_zero_std_err(self):
@@ -114,7 +144,7 @@ class TestPhiEstimate:
                         ("e_time", "g_time", "x_at_e", "x_at_g",
                          "malliavin_at_g")))
         est = estimate_phi_from_samples(problem, PARAMS,
-                                        CandidatePair.zero(1, 1), rep)
+                                        zero_candidate(1, 1), rep)
         assert np.all(est.std_err[0] == 0.0) and np.all(est.std_err[1] == 0.0)
         assert est.m == 6
 
@@ -227,24 +257,3 @@ class TestTruncateGrowthProperties:
                          + np.linalg.norm(rw, axis=1))
         assert np.all(after <= before + slack)
 
-
-class TestAsCandidate:
-    def test_passthrough(self):
-        w = CandidatePair.zero(1, 1)
-        assert as_candidate(w) is w
-
-    def test_wraps_duck_typed_callable(self):
-        class Net:
-            dim_x = 2
-            dim_y = 1
-
-            def __call__(self, x):
-                return np.ones((x.shape[0], 1)), np.zeros((x.shape[0], 1, 2))
-
-        w = as_candidate(Net())
-        u, ub = w(np.zeros((3, 2)))
-        assert u.shape == (3, 1) and ub.shape == (3, 1, 2)
-
-    def test_rejects_plain_object(self):
-        with pytest.raises(TypeError):
-            as_candidate(42)

@@ -134,12 +134,11 @@ class TestInterpolation:
         np.testing.assert_array_equal(u, [[2.5]] * 3)
         np.testing.assert_array_equal(ubar, [[[0.5]]] * 3)
 
-    def test_as_candidate_matches_interpolate(self):
+    def test_call_matches_interpolate(self):
         g = Grid(dim=1, n_half=2, mesh=0.5)
         phi = random_grid_function(g, seed=7)
-        w = phi.as_candidate()
         pts = np.array([[0.3], [-0.9]])
-        u, ubar = w(pts)
+        u, ubar = phi(pts)
         eu, eubar = interpolate(phi, pts)
         np.testing.assert_array_equal(u, eu)
         np.testing.assert_array_equal(ubar, eubar)

@@ -4,10 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from infbsde import (CandidatePair, DirectConfig, Grid, GridFunction, Mlp,
-                     NnConfig, NnPicardConfig, NonFiniteLoss, RngStream,
+from infbsde import (DirectConfig, Grid, GridFunction, Mlp, NnConfig,
+                     NnPicardConfig, NonFiniteLoss, RngStream,
                      contraction_nn_solve, direct_nn_solve, problem_by_name)
-from infbsde.nn_schemes import _rel_errors_at, _trace_errors
+from infbsde.nn_schemes import _rel_errors_at
 
 LINEAR = problem_by_name("linear-constant", 1)
 
@@ -20,8 +20,9 @@ def start_points(problem, m, seed):
 
 def constant_pair(u, ubar):
     """The candidate equal to (u, [[ubar]]) everywhere, in one dimension."""
-    return CandidatePair(lambda x: (np.full((len(x), 1), u),
-                                    np.full((len(x), 1, 1), ubar)), 1, 1)
+    def w(x):
+        return np.full((len(x), 1), u), np.full((len(x), 1, 1), ubar)
+    return w
 
 
 class TestConfigs:
@@ -71,9 +72,8 @@ class TestConfigs:
 
 class TestRelativeErrors:
     def test_exact_candidate_is_zero(self):
-        w = CandidatePair.from_analytic(LINEAR)
         x = start_points(LINEAR, 64, 1)
-        assert _rel_errors_at(w, LINEAR, x) == (0.0, 0.0)
+        assert _rel_errors_at(LINEAR.analytic, LINEAR, x) == (0.0, 0.0)
 
     def test_constant_offset_ratio(self):
         # reference u = 3/2 and ubar = 0; offset 0.3 gives exactly 0.2
@@ -84,7 +84,7 @@ class TestRelativeErrors:
 
     def test_zero_reference_component_conventions(self):
         x = start_points(LINEAR, 64, 3)
-        du, dubar = _rel_errors_at(CandidatePair.zero(1, 1), LINEAR, x)
+        du, dubar = _rel_errors_at(constant_pair(0.0, 0.0), LINEAR, x)
         assert du == pytest.approx(1.0, abs=1e-14)
         assert dubar == 0.0
         _, dubar_off = _rel_errors_at(constant_pair(1.5, 0.7), LINEAR, x)
@@ -100,7 +100,7 @@ class TestRelativeErrors:
         # a trace without a known solution reports nan errors
         blind = dataclasses.replace(LINEAR, analytic=None)
         net = Mlp.init(1, 1, (4,), RngStream(5))
-        du, dubar = _trace_errors(net, blind, start_points(LINEAR, 16, 5))
+        du, dubar = _rel_errors_at(net, blind, start_points(LINEAR, 16, 5))
         assert np.isnan(du) and np.isnan(dubar)
 
     def test_deterministic_in_rng(self):
@@ -150,8 +150,7 @@ class TestContractionScheme:
         # e_n <= kappa_2 * e_{n-1} + 2 * r_n with kappa_2 from the analysis
         # module and r_n the measured regression residual per iteration
         from infbsde import (ContractionInputs, brownian_cp_constants,
-                             kappa_p, r_sample_batch, sample_fk_batch,
-                             as_candidate)
+                             kappa_p, r_sample_batch, sample_fk_batch)
 
         cfg = NnPicardConfig("linear-constant", overrides={"mu": 1.8},
                              n_iters=4, m_samples=512, train_steps=1500,
@@ -172,8 +171,7 @@ class TestContractionScheme:
             return np.sqrt(np.mean(np.sum((au - bu) ** 2, axis=1)
                                    + np.sum((aub - bub) ** 2, axis=(1, 2))))
 
-        cands = [CandidatePair.zero(1, 1)]
-        cands += [as_candidate(net) for net in res.nets]
+        cands = [constant_pair(0.0, 0.0), *res.nets]
         for n in range(1, 5):
             cur_u, cur_ub = cands[n](pts)
             e_n = joint_l2(cur_u, cur_ub, star_u, star_ub)

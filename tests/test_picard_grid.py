@@ -48,7 +48,8 @@ class TestSingleStep:
         result = solve(cfg)
         grid = cfg.build_grid()
         v0 = GridFunction.zero(grid, 1)
-        stepped = picard_step(v0, cfg, RngStream(cfg.seed).substream(1))
+        stepped = picard_step(v0, cfg, RngStream(cfg.seed).substream(1),
+                              cfg.build_problem())
         np.testing.assert_array_equal(result.final.u, stepped.u)
         np.testing.assert_array_equal(result.final.ubar, stepped.ubar)
 
@@ -58,7 +59,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, RngStream(0))
+            picard_step(v, cfg, RngStream(0), cfg.build_problem())
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_node_is_named(self, monkeypatch, threads):
@@ -87,7 +88,8 @@ class TestSingleStep:
         monkeypatch.setattr(picard_grid, "sample_fk_batch", sample)
         monkeypatch.setattr(picard_grid, "r_sample_batch", poisoned)
         with pytest.raises(NonFiniteValue, match=f"at node {bad}$"):
-            picard_step(random_iterate(grid, 0), cfg, RngStream(0))
+            picard_step(random_iterate(grid, 0), cfg, RngStream(0),
+                        cfg.build_problem())
 
     def test_interpolation_clamps_outside_box(self, monkeypatch):
         from infbsde import grid as grid_mod
@@ -129,7 +131,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
     for node, x in enumerate(grid.nodes):
         fk = sample_fk_batch(problem, cfg.params, x, cfg.m_samples, cfg.dt,
                              rng.substream(node).generator())
-        comp1, comp2 = r_sample_batch(problem, cfg.params, v.as_candidate(), fk)
+        comp1, comp2 = r_sample_batch(problem, cfg.params, v, fk)
         ref_u[node] = comp1.mean(axis=0)
         ref_ubar[node] = comp2.mean(axis=0)
     for threads in ("1", "2"):
@@ -181,8 +183,8 @@ class TestContraction:
     def test_envelope_with_analysis_constant(self):
         # kappa from the closed-form kernel norm; noise allowance is five
         # times the largest per-node standard error at the fixed point
-        from infbsde import (CandidatePair, ContractionInputs, RngStream,
-                             estimate_phi, kappa_infinity)
+        from infbsde import (ContractionInputs, RngStream, estimate_phi,
+                             kappa_infinity)
 
         cfg = config(overrides={"mu": 1.0}, m_samples=20000, n_iters=6)
         result = solve(cfg)
@@ -191,7 +193,7 @@ class TestContraction:
             depends_on_z=False))
         assert kappa == 0.5
         problem = cfg.build_problem()
-        w_star = CandidatePair.from_analytic(problem)
+        w_star = problem.analytic
         se_u = []
         for k, node in enumerate(cfg.build_grid().nodes):
             est = estimate_phi(problem, cfg.params, w_star, node,
@@ -229,6 +231,17 @@ class TestRateFit:
             fit_rate_slope([5, 8], [0.1, 0.05])
         with pytest.raises(ValueError):
             fit_rate_slope([5, 8, 12], [0.1, 0.05])
+
+    def test_repeated_sizes_count_once(self):
+        with pytest.raises(FitUnderdetermined):
+            fit_rate_slope([2, 2, 2], [0.1, 0.05, 0.03])
+        with pytest.raises(FitUnderdetermined):
+            rate_study(config(), [2, 3, 3, 2], k=10.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -5.0, 0.0])
+    def test_rate_study_needs_finite_positive_k(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            rate_study(config(), [2, 3, 4], k=k)
 
     def test_rate_study_smoke(self):
         cfg = config(overrides={"mu": 1.0}, half_width=2.0, n_iters=4)

@@ -13,16 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from infbsde import (CandidatePair, DirectConfig, Mlp, NnPicardConfig,
-                     PROBLEM_NAMES, RngStream, SchemeParams, adam_step,
-                     as_candidate, bind_driver, contraction_nn_solve,
-                     direct_nn_solve, load_checkpoint, problem_by_name,
-                     r_sample_batch, sample_fk_batch)
+from infbsde import (DirectConfig, Mlp, NnPicardConfig, PROBLEM_NAMES,
+                     RngStream, SchemeParams, adam_step, bind_driver,
+                     contraction_nn_solve, direct_nn_solve, load_checkpoint,
+                     problem_by_name, r_sample_batch, sample_fk_batch)
 from infbsde.fixedpoint import one_draw_weights
 from infbsde.neural import AdamState
 from infbsde.nn_schemes import (TraceRow, _half_residuals, _half_upstream,
-                                _residual_loss_grads, _sample_mu0,
-                                _trace_errors, _train_regression)
+                                _rel_errors_at, _residual_loss_grads,
+                                _sample_mu0, _train_regression)
 
 
 def reference_forward(net, x):
@@ -107,7 +106,10 @@ def reference_contraction_solve(cfg):
     base = RngStream(cfg.seed)
     eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
                               cfg.m_err, dim, problem.mu0_std)
-    previous = CandidatePair.zero(dim, dim_y)
+
+    def previous(x):
+        return np.zeros((len(x), dim_y)), np.zeros((len(x), dim_y, dim))
+
     params = Mlp.init(dim, dim_y, cfg.hidden_widths(),
                       base.substream(0)).parameters
     trace = []
@@ -128,8 +130,8 @@ def reference_contraction_solve(cfg):
                                           target_ubar, cfg.train_steps)
         params = ref.params
         frozen = Mlp(dim, dim_y, params[0::2], params[1::2])
-        previous = as_candidate(frozen)
-        du, dubar = _trace_errors(frozen, problem, eval_points)
+        previous = frozen
+        du, dubar = _rel_errors_at(frozen, problem, eval_points)
         trace.append((n, loss, du, dubar))
     return params, trace
 
@@ -205,7 +207,7 @@ def reference_direct_solve(cfg):
                 net, problem, cfg.params, x0, fk, weight_e, weight_g,
                 cfg.m_starts, cfg.m_inner)
             adam_step(net, flatten(grads), state)
-        du, dubar = _trace_errors(net, problem, eval_points)
+        du, dubar = _rel_errors_at(net, problem, eval_points)
         trace.append(TraceRow(epoch, loss, du, dubar, 0.0))
     return net, trace
 
