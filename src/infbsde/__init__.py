@@ -5,12 +5,11 @@ schemes here iterate or directly solve a fixed-point map built from
 randomized-horizon Feynman-Kac representations of the value and of its
 diffusion-weighted gradient.
 """
-from .analysis import (CEstimate, ContractionInputs, InvalidP,
-                       QuadratureFailure, brownian_c_infinity,
-                       brownian_cp_constants, contraction_report,
-                       estimate_c_constants, gaussian_radial_moment,
-                       kappa_infinity, kappa_p, lipschitz_shift,
-                       simplified_contraction_check)
+from .analysis import (CEstimate, InvalidP, QuadratureFailure,
+                       brownian_c_infinity, brownian_cp_constants,
+                       contraction_report, estimate_c_constants,
+                       gaussian_radial_moment, kappa_infinity, kappa_p,
+                       lipschitz_shift, simplified_contraction_check)
 from .fixedpoint import (NonFiniteValue, PhiEstimate, estimate_phi,
                          estimate_phi_from_samples, poly_weight,
                          r_sample_batch, truncate_growth)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from .fixedpoint import one_draw_weights, poly_weight
-from .model import Problem, SchemeParams
+from .model import GeneratorSpec, Problem, SchemeParams
 from .simulate import RngStream, _as_stream, sample_fk_batch
 
 
@@ -26,38 +26,6 @@ class InvalidP(ValueError):
 
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class ContractionInputs:
-    """Constants feeding the contraction formulas.
-
-    ``lip_y``/``lip_z``/``monotonicity`` describe the generator;
-    ``discount_y``/``discount_z`` and the two sampling rates come from the
-    scheme; ``c_inf``/``c_tilde_inf`` are the kernel norms (exact or
-    estimated); ``c_p``/``c_tilde_p``/``c_tilde_p_bis`` are the integral
-    constants that :func:`kappa_p` needs.
-    """
-
-    lip_y: float
-    lip_z: float = 0.0
-    monotonicity: float = 0.0
-    discount_y: float = 2.0
-    discount_z: float = 2.0
-    exp_rate: float = 1.5
-    gamma_rate: float = 1.5
-    c_inf: float = 0.0
-    c_tilde_inf: float = 0.0
-    depends_on_z: bool = True
-    c_p: Optional[float] = None
-    c_tilde_p: Optional[float] = None
-    c_tilde_p_bis: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("lip_y", "lip_z", "discount_y", "discount_z",
-                     "exp_rate", "gamma_rate", "c_inf", "c_tilde_inf"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 def lipschitz_shift(lip_y: float, monotonicity: float, discount: float) -> float:
@@ -77,42 +45,42 @@ def brownian_c_infinity(discount_y: float, discount_z: float,
     return c_inf, c_tilde
 
 
-def kappa_infinity(inputs: ContractionInputs) -> float:
-    """Contraction constant of the fixed-point map in the weighted sup norm."""
-    shift_y = lipschitz_shift(inputs.lip_y, inputs.monotonicity,
-                              inputs.discount_y)
-    if not inputs.depends_on_z:
-        return inputs.c_inf * shift_y
-    shift_z = lipschitz_shift(inputs.lip_y, inputs.monotonicity,
-                              inputs.discount_z)
-    return math.sqrt(
-        inputs.c_inf**2 * max(shift_y, inputs.lip_z) ** 2
-        + inputs.c_tilde_inf**2 * max(shift_z, inputs.lip_z) ** 2
-    )
+def kappa_infinity(gen: GeneratorSpec, params: SchemeParams, c_inf: float,
+                   c_tilde_inf: float) -> float:
+    """Contraction constant of the fixed-point map in the weighted sup norm,
+    from the kernel norms ``c_inf`` and ``c_tilde_inf``."""
+    shift_y = lipschitz_shift(gen.lip_y, gen.monotonicity, params.discount_y)
+    if gen.lip_z == 0:
+        return c_inf * shift_y
+    shift_z = lipschitz_shift(gen.lip_y, gen.monotonicity, params.discount_z)
+    return math.sqrt(c_inf**2 * max(shift_y, gen.lip_z) ** 2
+                     + c_tilde_inf**2 * max(shift_z, gen.lip_z) ** 2)
 
 
-def kappa_p(inputs: ContractionInputs, p: float) -> float:
-    """Contraction constant in the p-mean norm over the start distribution."""
+def kappa_p(gen: GeneratorSpec, params: SchemeParams, p: float, c_p: float,
+            c_tilde_p: Optional[float] = None,
+            c_tilde_p_bis: Optional[float] = None) -> float:
+    """Contraction constant in the p-mean norm over the start distribution.
+
+    ``c_p``, ``c_tilde_p`` and ``c_tilde_p_bis`` are the integral
+    constants; a driver that depends on z (``lip_z > 0``) needs all three.
+    """
     if p <= 1:
         raise InvalidP("p must exceed 1")
-    a, a_t, theta = inputs.discount_y, inputs.discount_z, inputs.exp_rate
+    a, theta = params.discount_y, params.exp_rate
     if a * p <= theta:
         raise InvalidP(f"need discount_y * p > exp_rate, got {a * p} <= {theta}")
-    shift_y = lipschitz_shift(inputs.lip_y, inputs.monotonicity, a)
-    if not inputs.depends_on_z:
-        if inputs.c_p is None:
-            raise ValueError("c_p is required")
+    shift_y = lipschitz_shift(gen.lip_y, gen.monotonicity, a)
+    if gen.lip_z == 0:
         return ((1.0 / theta) ** (1.0 / p)
                 * ((p - 1.0) / (a * p - theta)) ** ((p - 1.0) / p)
-                * inputs.c_p * shift_y)
-    if inputs.c_p is None or inputs.c_tilde_p is None \
-            or inputs.c_tilde_p_bis is None:
-        raise ValueError("c_p, c_tilde_p and c_tilde_p_bis are required")
-    shift_z = lipschitz_shift(inputs.lip_y, inputs.monotonicity, a_t)
+                * c_p * shift_y)
+    if c_tilde_p is None or c_tilde_p_bis is None:
+        raise ValueError("c_tilde_p and c_tilde_p_bis are required")
+    shift_z = lipschitz_shift(gen.lip_y, gen.monotonicity, params.discount_z)
     term1 = (1.0 / theta) * ((p - 1.0) / (a * p - theta)) ** (p - 1.0) \
-        * inputs.c_p**p * max(shift_y, inputs.lip_z) ** p
-    term2 = inputs.c_tilde_p_bis * inputs.c_tilde_p**p \
-        * max(shift_z, inputs.lip_z) ** p
+        * c_p**p * max(shift_y, gen.lip_z) ** p
+    term2 = c_tilde_p_bis * c_tilde_p**p * max(shift_z, gen.lip_z) ** p
     return (term1 + term2) ** (1.0 / p)
 
 
@@ -122,7 +90,6 @@ class CEstimate:
     c_inf_se: float
     c_tilde_inf: float
     c_tilde_inf_se: float
-    probe_argmax: Tuple[int, int]
 
 
 def estimate_c_constants(problem: Problem, params: SchemeParams,
@@ -141,25 +108,21 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
         raise ValueError("probe set must be non-empty")
     base = _as_stream(rng)
 
-    def mean_se(vals: np.ndarray, k: int) -> Tuple[float, float, int]:
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)), k
+    def mean_se(vals: np.ndarray) -> Tuple[float, float]:
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
 
-    best1 = (-np.inf, 0.0, 0)
-    best2 = (-np.inf, 0.0, 0)
+    best1 = best2 = (-np.inf, 0.0)
     for k, x in enumerate(probes):
         fk = sample_fk_batch(problem, params, x, m, dt, base.substream(k))
         w_x = poly_weight(x, weight_degree)
         weight_e, weight_g = one_draw_weights(params, fk)
-        w1 = mean_se(weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x, k)
+        w1 = mean_se(weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x)
         u_norm = np.linalg.norm(fk.malliavin_at_g, axis=1)
         w2 = mean_se(weight_g * u_norm
-                     * poly_weight(fk.x_at_g, weight_degree) / w_x, k)
-        if w1[0] > best1[0]:
-            best1 = w1
-        if w2[0] > best2[0]:
-            best2 = w2
-    return CEstimate(best1[0], best1[1], best2[0], best2[1],
-                     (best1[2], best2[2]))
+                     * poly_weight(fk.x_at_g, weight_degree) / w_x)
+        best1 = max(best1, w1, key=lambda t: t[0])
+        best2 = max(best2, w2, key=lambda t: t[0])
+    return CEstimate(*best1, *best2)
 
 
 _QUAD_RTOL = 1e-8
@@ -235,42 +198,30 @@ class ReportRow:
     status: str
 
 
-def contraction_report(inputs: ContractionInputs,
-                       p: Optional[float] = None) -> List[ReportRow]:
+def contraction_report(gen: GeneratorSpec, params: SchemeParams,
+                       c_inf: float, c_tilde_inf: float) -> List[ReportRow]:
     """Named constants and pass/fail notes, ready for CSV serialization."""
-    rows = [
-        ReportRow("lip_y", inputs.lip_y, ""),
-        ReportRow("lip_z", inputs.lip_z, ""),
-        ReportRow("monotonicity", inputs.monotonicity, ""),
-        ReportRow("discount_y", inputs.discount_y,
-                  "ok" if inputs.discount_y > inputs.exp_rate
-                  else "violated: discount_y <= exp_rate"),
-        ReportRow("discount_z", inputs.discount_z,
-                  "ok" if inputs.discount_z > inputs.gamma_rate
-                  else "violated: discount_z <= gamma_rate"),
-        ReportRow("shift_y",
-                  lipschitz_shift(inputs.lip_y, inputs.monotonicity,
-                                  inputs.discount_y), ""),
-        ReportRow("shift_z",
-                  lipschitz_shift(inputs.lip_y, inputs.monotonicity,
-                                  inputs.discount_z), ""),
-        ReportRow("c_inf", inputs.c_inf, ""),
-        ReportRow("c_tilde_inf", inputs.c_tilde_inf, ""),
-    ]
-    k_inf = kappa_infinity(inputs)
-    rows.append(ReportRow("kappa_inf", k_inf,
-                          "contraction" if k_inf < 1 else "not a contraction"))
+    k_inf = kappa_infinity(gen, params, c_inf, c_tilde_inf)
     bound, ok = simplified_contraction_check(
-        inputs.lip_y, inputs.monotonicity, inputs.lip_z, inputs.c_inf,
-        inputs.c_tilde_inf)
-    rows.append(ReportRow("simplified_bound", bound,
-                          "contraction" if ok else "not a contraction"))
-    if p is not None:
-        try:
-            k_p = kappa_p(inputs, p)
-            rows.append(ReportRow(f"kappa_p(p={p:g})", k_p,
-                                  "contraction" if k_p < 1
-                                  else "not a contraction"))
-        except (InvalidP, ValueError) as exc:
-            rows.append(ReportRow(f"kappa_p(p={p:g})", float("nan"), str(exc)))
-    return rows
+        gen.lip_y, gen.monotonicity, gen.lip_z, c_inf, c_tilde_inf)
+    return [
+        ReportRow("lip_y", gen.lip_y, ""),
+        ReportRow("lip_z", gen.lip_z, ""),
+        ReportRow("monotonicity", gen.monotonicity, ""),
+        ReportRow("discount_y", params.discount_y,
+                  "ok" if params.discount_y > params.exp_rate
+                  else "violated: discount_y <= exp_rate"),
+        ReportRow("discount_z", params.discount_z,
+                  "ok" if params.discount_z > params.gamma_rate
+                  else "violated: discount_z <= gamma_rate"),
+        ReportRow("shift_y", lipschitz_shift(gen.lip_y, gen.monotonicity,
+                                             params.discount_y), ""),
+        ReportRow("shift_z", lipschitz_shift(gen.lip_y, gen.monotonicity,
+                                             params.discount_z), ""),
+        ReportRow("c_inf", c_inf, ""),
+        ReportRow("c_tilde_inf", c_tilde_inf, ""),
+        ReportRow("kappa_inf", k_inf,
+                  "contraction" if k_inf < 1 else "not a contraction"),
+        ReportRow("simplified_bound", bound,
+                  "contraction" if ok else "not a contraction"),
+    ]

@@ -26,8 +26,7 @@ from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from . import _svg
-from .analysis import (ContractionInputs, InvalidP, QuadratureFailure,
-                       brownian_c_infinity, contraction_report,
+from .analysis import (brownian_c_infinity, contraction_report,
                        estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_grid_csv
@@ -36,8 +35,9 @@ from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
                          contraction_nn_solve, direct_nn_solve)
 from .picard_grid import (FitUnderdetermined, GridSolveConfig,
-                          _check_rate_study, _worker_count, rate_study, solve)
-from .simulate import DegenerateDiffusion, check_step
+                          _check_rate_study, _sample_counts, _worker_count,
+                          rate_study, solve)
+from .simulate import DegenerateDiffusion, RngStream, check_step
 
 
 class ConfigParse(ValueError):
@@ -79,7 +79,7 @@ _DIRECT = _flat_fields(DirectConfig)
 _PROBES = {
     "weight_degree": (float, 0.0), "m_samples": (int, 100000),
     "probe_n_half": (int, 5), "probe_half_width": (float, 3.0),
-    "n_mu0_probes": (int, 16), "p": (float, 2.0),
+    "n_mu0_probes": (int, 16),
 }
 _FIELDS = {
     "grid-solve": _GRID,
@@ -128,7 +128,7 @@ _SUBCOMMANDS = {
     "contraction": ("contraction constant report", {
         "--weight-degree": "weight_degree", "--M": "m_samples",
         "--probe-ntilde": "probe_n_half", "--probe-R": "probe_half_width",
-        "--mu0-probes": "n_mu0_probes", "--p": "p"}),
+        "--mu0-probes": "n_mu0_probes"}),
     "kz-sweep": ("z-Lipschitz robustness sweep", {
         **_NN_FLAGS, **_PICARD_FLAGS, "--scheme": "scheme",
         "--kz-list": "kz_list", "--reps": "reps", "--epochs": "n_epochs",
@@ -137,8 +137,7 @@ _SUBCOMMANDS = {
 }
 
 _NUMERIC_ERRORS = (NonFiniteValue, NonFiniteLoss, DegenerateDiffusion,
-                   QuadratureFailure, InvalidP, FitUnderdetermined,
-                   ArithmeticError)
+                   FitUnderdetermined, ArithmeticError)
 
 
 def _list_of(item):
@@ -324,6 +323,7 @@ def _build_rate_study(cfg: Dict):
     # every mesh of the study shares the template's box, padding and dim
     template = _checked_grid(replace(_build(GridSolveConfig, cfg),
                                      n_half=ntilde[0], m_samples=2))
+    _sample_counts(ntilde, k, template.half_width)
     return template, ntilde, k
 
 
@@ -398,9 +398,8 @@ def _build_contraction(cfg: Dict):
 def _run_contraction(built, outdir: str) -> int:
     config, problem, margin, probe, grid = built
     params, seed = config.params, config.seed
-    mu0 = np.random.Generator(np.random.Philox(seed)) \
-        .normal(0.0, problem.mu0_std,
-                size=(probe["n_mu0_probes"], problem.sde.dim))
+    mu0 = RngStream(seed, stream_id=1).generator().normal(
+        0.0, problem.mu0_std, size=(probe["n_mu0_probes"], problem.sde.dim))
     probes = np.vstack([grid.nodes, mu0])
     estimate = estimate_c_constants(
         problem, params, probe["weight_degree"], probes, probe["m_samples"],
@@ -413,21 +412,14 @@ def _run_contraction(built, outdir: str) -> int:
     else:
         c_inf, c_tilde = estimate.c_inf, estimate.c_tilde_inf
         c_source = "probe-max estimate (lower bound)"
-    inputs = ContractionInputs(
-        lip_y=problem.gen.lip_y, lip_z=problem.gen.lip_z,
-        monotonicity=problem.gen.monotonicity,
-        discount_y=params.discount_y, discount_z=params.discount_z,
-        exp_rate=params.exp_rate, gamma_rate=params.gamma_rate,
-        c_inf=c_inf, c_tilde_inf=c_tilde,
-        depends_on_z=problem.gen.depends_on_z)
     rows = [["c_inf_estimate", estimate.c_inf, f"se={_format(estimate.c_inf_se)}"],
             ["c_tilde_inf_estimate", estimate.c_tilde_inf,
              f"se={_format(estimate.c_tilde_inf_se)}"],
             ["c_source", float("nan"), c_source],
             ["monotonicity_margin", margin,
              "ok" if margin > 0 else "non-positive"]]
-    rows.extend([r.name, r.value, r.status]
-                for r in contraction_report(inputs, probe["p"]))
+    report = contraction_report(problem.gen, params, c_inf, c_tilde)
+    rows.extend([r.name, r.value, r.status] for r in report)
     _write_csv(os.path.join(outdir, "contraction_report.csv"),
                ["name", "value", "status"], rows)
     return 0

@@ -6,7 +6,7 @@ are ``(m, d)`` arrays; generator values are ``(m, d')``; gradient-side values
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -92,7 +92,9 @@ class GeneratorSpec:
     """Driver f(x, y, z) together with its structural constants.
 
     ``lip_y``/``lip_z`` are Lipschitz constants in y and z, ``monotonicity``
-    is the dissipativity constant of f in y.
+    is the dissipativity constant of f in y.  ``lip_z == 0`` means f does
+    not depend on z.  The constants must be finite, the Lipschitz ones
+    non-negative, and ``monotonicity`` at most ``lip_y``.
 
     ``f_y(x, y, z) -> (m, d', d')`` and ``f_z(x, y, z) -> (m, d', d', d)``
     are the driver Jacobians in y and z; they are optional and only needed
@@ -108,10 +110,17 @@ class GeneratorSpec:
     lip_y: float
     lip_z: float
     monotonicity: float
-    depends_on_z: bool = True
     f_y: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     f_z: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     x_terms: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def __post_init__(self):
+        constants = (self.lip_y, self.lip_z, self.monotonicity)
+        if not np.isfinite(constants).all() or min(constants[:2]) < 0:
+            raise ValueError("driver constants must be finite, lip_y and lip_z "
+                             f"non-negative; got {constants}")
+        if self.monotonicity > self.lip_y:
+            raise ValueError("monotonicity cannot exceed lip_y")
 
 
 def bind_driver(gen: GeneratorSpec, x: np.ndarray) -> Callable[
@@ -191,13 +200,7 @@ def validate_params(params: SchemeParams, gen: GeneratorSpec) -> float:
     discount-above-rate conditions are reported by
     ``analysis.contraction_report``.
     """
-    rates = {
-        "discount_y": params.discount_y,
-        "discount_z": params.discount_z,
-        "exp_rate": params.exp_rate,
-        "gamma_rate": params.gamma_rate,
-    }
-    bad = [k for k, v in rates.items() if not 0 < v < np.inf]
+    bad = [k for k, v in asdict(params).items() if not 0 < v < np.inf]
     if bad:
         raise NonPositiveRate(
             f"non-positive or non-finite parameter(s): {', '.join(bad)}")
@@ -371,13 +374,13 @@ def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,
             unit = np.where(zn > 0, z / zn, 0.0)
         return (kz * np.cos(zn) * unit)[:, :, None, :]
 
+    # |f0_y| <= |c| + 1 and |f0_z| <= |kz|, whatever the signs of c and kz
     gen0 = GeneratorSpec(
         dim_y=1,
         f=f0,
-        lip_y=c + 1.0,
-        lip_z=kz,
+        lip_y=abs(c) + 1.0,
+        lip_z=abs(kz),
         monotonicity=c - 1.0,
-        depends_on_z=kz != 0.0,
         f_y=f0_y,
         f_z=f0_z,
     )
@@ -417,7 +420,6 @@ def _linear_constant(dim: int, mu: float, c0: float, mu0_std: float) -> Problem:
         lip_y=mu,
         lip_z=0.0,
         monotonicity=mu,
-        depends_on_z=False,
         f_y=f0_y,
         f_z=f0_z,
     )
@@ -439,26 +441,29 @@ def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> 
         ``c``, ``kz`` (arctan family), ``eps`` (tanh diffusion),
         ``mu``, ``c0`` (linear-constant), and ``mu0_std``.
     """
-    ov = dict(overrides or {})
-    mu0_std = float(ov.pop("mu0_std", 2.0))
-    if not 0 <= mu0_std < np.inf:
-        raise ValueError(f"mu0_std must be finite and non-negative, not {mu0_std}")
+    ov = {key: float(value) for key, value in (overrides or {}).items()}
+    bad = {key: value for key, value in ov.items() if not np.isfinite(value)}
+    if bad:
+        raise ValueError(f"problem overrides must be finite, not {bad}")
+    mu0_std = ov.pop("mu0_std", 2.0)
+    if mu0_std < 0:
+        raise ValueError(f"mu0_std must be non-negative, not {mu0_std}")
     if name == "arctan-const-sigma":
-        c = float(ov.pop("c", 2.0))
-        kz = float(ov.pop("kz", 0.5))
+        c = ov.pop("c", 2.0)
+        kz = ov.pop("kz", 0.5)
         _reject_unknown(name, ov)
         return _arctan_family(d, c, kz, brownian_sde(d), mu0_std, name)
     if name == "arctan-tanh-sigma":
         if d != 1:
             raise ValueError("arctan-tanh-sigma is one-dimensional")
-        c = float(ov.pop("c", 2.0))
-        kz = float(ov.pop("kz", 0.5))
-        eps = float(ov.pop("eps", 0.9))
+        c = ov.pop("c", 2.0)
+        kz = ov.pop("kz", 0.5)
+        eps = ov.pop("eps", 0.9)
         _reject_unknown(name, ov)
         return _arctan_family(1, c, kz, tanh_sigma_sde(eps), mu0_std, name)
     if name == "linear-constant":
-        mu = float(ov.pop("mu", 2.0))
-        c0 = float(ov.pop("c0", 3.0))
+        mu = ov.pop("mu", 2.0)
+        c0 = ov.pop("c0", 3.0)
         _reject_unknown(name, ov)
         return _linear_constant(d, mu, c0, mu0_std)
     raise UnknownProblem(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")

@@ -11,7 +11,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,6 +166,7 @@ def solve(cfg: GridSolveConfig,
     inner = truncated_nodes(grid)
     if base_stream is None:
         base_stream = RngStream(cfg.seed)
+    exact = None if problem.analytic is None else problem.analytic(grid.nodes)
 
     reports = []
     for n in range(1, cfg.n_iters + 1):
@@ -173,8 +174,8 @@ def solve(cfg: GridSolveConfig,
         v = picard_step(v, cfg, base_stream.substream(n), problem)
         elapsed = time.perf_counter() - start
         sup_u = sup_ubar = None
-        if problem.analytic is not None:
-            err_u, err_ubar = node_errors(v, problem.analytic)
+        if exact is not None:
+            err_u, err_ubar = node_errors(v, *exact)
             sup_u, sup_ubar = float(err_u[inner].max()), float(err_ubar[inner].max())
         reports.append(IterationReport(n, sup_u, sup_ubar, elapsed))
     return GridSolveResult(v, reports, problem)
@@ -187,6 +188,23 @@ def _check_rate_study(n_half_values: Sequence[int], k: float = 1.0) -> None:
             "need at least 3 distinct mesh sizes to fit a slope")
     if not 0 < k < np.inf:
         raise ValueError("k must be finite and positive")
+
+
+def _sample_counts(n_half_values: Sequence[int], k: float,
+                   half_width: float) -> List[int]:
+    """Per-node sample counts of a rate study, ``round(k * n_half^4 /
+    half_width^4)`` but at least 2; :func:`_check_rate_study` must pass
+    and every count fit in int64, or ValueError."""
+    _check_rate_study(n_half_values, k)
+    try:
+        counts = [max(2, round(k * nh**4 / half_width**4))
+                  for nh in n_half_values]
+    except ArithmeticError:  # an infinite count, or half_width**4 out of range
+        counts = [2**63]
+    if max(counts) >= 2**63:
+        raise ValueError(f"no int64 sample counts for k = {k} and "
+                         f"half_width = {half_width}")
+    return counts
 
 
 def fit_rate_slope(n_half_values: Sequence[int],
@@ -220,16 +238,13 @@ def rate_study(cfg_template: GridSolveConfig, n_half_values: Sequence[int],
     error over the inner nodes at the final iterate is recorded.  The
     fitted slope uses the larger of the two component errors.
     """
-    _check_rate_study(n_half_values, k)
-    r4 = cfg_template.half_width**4
-    sup_u, sup_ubar, samples = [], [], []
-    for run, nh in enumerate(n_half_values):
-        m = max(2, int(round(k * nh**4 / r4)))
+    samples = _sample_counts(n_half_values, k, cfg_template.half_width)
+    sup_u, sup_ubar = [], []
+    for run, (nh, m) in enumerate(zip(n_half_values, samples)):
         cfg = replace(cfg_template, n_half=int(nh), m_samples=m)
         result = solve(cfg, base_stream=RngStream(cfg.seed, stream_id=run + 1))
         if result.sup_err_u is None:
             raise ValueError("rate study requires an analytic solution")
-        samples.append(m)
         sup_u.append(result.sup_err_u)
         sup_ubar.append(result.sup_err_ubar)
     worst = np.maximum(sup_u, sup_ubar)

@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from infbsde import (CEstimate, ContractionInputs, InvalidP, RngStream,
+from infbsde import (CEstimate, GeneratorSpec, InvalidP, RngStream,
                      SchemeParams, brownian_c_infinity, brownian_cp_constants,
                      contraction_report, estimate_c_constants,
                      gaussian_radial_moment, kappa_infinity, kappa_p,
                      lipschitz_shift, problem_by_name,
                      simplified_contraction_check)
+
+
+def driver(lip_y, lip_z=0.0, monotonicity=0.0):
+    """A generator that carries only the constants the formulas read."""
+    return GeneratorSpec(dim_y=1, f=lambda x, y, z: y, lip_y=lip_y,
+                         lip_z=lip_z, monotonicity=monotonicity)
 
 
 class TestLipschitzShift:
@@ -43,76 +49,66 @@ class TestBrownianKernelNorms:
 
 class TestKappaInfinity:
     def test_full_example(self):
-        inputs = ContractionInputs(lip_y=2.0, lip_z=0.5, monotonicity=2.0,
-                                   discount_y=2.0, discount_z=2.0,
-                                   c_inf=0.5, c_tilde_inf=1.0)
-        assert kappa_infinity(inputs) == pytest.approx(0.5590169943749475,
-                                                       rel=1e-15)
+        kappa = kappa_infinity(driver(2.0, 0.5, 2.0), SchemeParams(2.0, 2.0),
+                               0.5, 1.0)
+        assert kappa == pytest.approx(0.5590169943749475, rel=1e-15)
 
     def test_y_only_variant(self):
-        inputs = ContractionInputs(lip_y=1.0, monotonicity=1.0,
-                                   discount_y=2.0, c_inf=0.5,
-                                   depends_on_z=False)
-        assert kappa_infinity(inputs) == pytest.approx(0.5, rel=1e-15)
+        # lip_z = 0: the driver does not depend on z, so c_tilde_inf drops out
+        kappa = kappa_infinity(driver(1.0, 0.0, 1.0), SchemeParams(2.0),
+                               0.5, 7.0)
+        assert kappa == pytest.approx(0.5, rel=1e-15)
 
     def test_experiment_parameters_not_contractive(self):
-        inputs = ContractionInputs(lip_y=3.0, lip_z=0.5, monotonicity=1.0,
-                                   discount_y=2.0, discount_z=2.0,
-                                   c_inf=0.5, c_tilde_inf=1.0)
-        assert kappa_infinity(inputs) == pytest.approx(3.3541019662496847,
-                                                       rel=1e-14)
+        kappa = kappa_infinity(driver(3.0, 0.5, 1.0), SchemeParams(2.0, 2.0),
+                               0.5, 1.0)
+        assert kappa == pytest.approx(3.3541019662496847, rel=1e-14)
 
     def test_monotone_in_norms_and_lip_z(self):
         gen = np.random.default_rng(0)
         for _ in range(100):
             base = dict(lip_y=gen.uniform(0, 3), lip_z=gen.uniform(0, 2),
-                        monotonicity=0.0, discount_y=gen.uniform(0.5, 3),
-                        discount_z=gen.uniform(0.5, 3),
                         c_inf=gen.uniform(0, 2), c_tilde_inf=gen.uniform(0, 2))
-            k0 = kappa_infinity(ContractionInputs(**base))
+            params = SchemeParams(gen.uniform(0.5, 3), gen.uniform(0.5, 3))
+
+            def kappa(lip_y, lip_z, c_inf, c_tilde_inf):
+                return kappa_infinity(driver(lip_y, lip_z), params, c_inf,
+                                      c_tilde_inf)
+
+            k0 = kappa(**base)
             for name in ("c_inf", "c_tilde_inf", "lip_z"):
                 bumped = dict(base)
                 bumped[name] += gen.uniform(0, 1)
-                assert kappa_infinity(ContractionInputs(**bumped)) >= k0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            ContractionInputs(lip_y=-1.0)
+                assert kappa(**bumped) >= k0
 
 
 class TestKappaP:
     def test_hand_substitution(self):
-        # p=2, theta=a, unit integral constants, no z dependence in the max
-        inputs = ContractionInputs(lip_y=1.0, lip_z=0.0, monotonicity=0.0,
-                                   discount_y=2.0, discount_z=3.0,
-                                   exp_rate=2.0, c_p=1.0, c_tilde_p=1.0,
-                                   c_tilde_p_bis=1.0)
+        # p=2, theta=a, unit integral constants; lip_z = 1 keeps the joint
+        # formula but stays below both shifts in the max
+        params = SchemeParams(discount_y=2.0, discount_z=3.0, exp_rate=2.0)
+        kappa = kappa_p(driver(1.0, 1.0), params, 2.0, 1.0, 1.0, 1.0)
         # kappa_2^2 = (1/a)(1/a) S_a^2 + S_at^2 = 5/4 + 10
-        assert kappa_p(inputs, 2.0) == pytest.approx(math.sqrt(11.25),
-                                                     rel=1e-14)
+        assert kappa == pytest.approx(math.sqrt(11.25), rel=1e-14)
 
     def test_y_only_formula(self):
-        inputs = ContractionInputs(lip_y=1.0, monotonicity=1.0,
-                                   discount_y=2.0, exp_rate=1.5,
-                                   depends_on_z=False, c_p=2.0)
+        params = SchemeParams(discount_y=2.0, exp_rate=1.5)
         expected = (1 / 1.5) ** 0.5 * (1 / 2.5) ** 0.5 * 2.0
-        assert kappa_p(inputs, 2.0) == pytest.approx(expected, rel=1e-14)
+        assert kappa_p(driver(1.0, 0.0, 1.0), params, 2.0, 2.0) == \
+            pytest.approx(expected, rel=1e-14)
 
     def test_invalid_exponent(self):
-        inputs = ContractionInputs(lip_y=1.0, c_p=1.0, c_tilde_p=1.0,
-                                   c_tilde_p_bis=1.0)
         with pytest.raises(InvalidP):
-            kappa_p(inputs, 1.0)
-        low = ContractionInputs(lip_y=1.0, discount_y=0.5, exp_rate=1.5,
-                                c_p=1.0, c_tilde_p=1.0, c_tilde_p_bis=1.0)
+            kappa_p(driver(1.0), SchemeParams(), 1.0, 1.0, 1.0, 1.0)
+        low = SchemeParams(discount_y=0.5, exp_rate=1.5)
         with pytest.raises(InvalidP):
-            kappa_p(low, 2.0)
+            kappa_p(driver(1.0), low, 2.0, 1.0, 1.0, 1.0)
 
     def test_missing_constants_rejected(self):
-        with pytest.raises(ValueError):
-            kappa_p(ContractionInputs(lip_y=1.0), 2.0)
-        with pytest.raises(ValueError):
-            kappa_p(ContractionInputs(lip_y=1.0, depends_on_z=False), 2.0)
+        # a driver that depends on z needs both gradient-side constants
+        for missing in ((None, 1.0), (1.0, None)):
+            with pytest.raises(ValueError):
+                kappa_p(driver(1.0, 0.5), SchemeParams(), 2.0, 1.0, *missing)
 
 
 class TestGaussianRadialMoment:
@@ -196,7 +192,6 @@ class TestEstimateC:
         assert est.c_inf_se < 0.005 and est.c_tilde_inf_se < 0.01
         assert abs(est.c_inf - 0.5) < 4 * est.c_inf_se
         assert abs(est.c_tilde_inf - 1.0) < 4 * est.c_tilde_inf_se
-        assert est.probe_argmax == (0, 0)
 
     def test_probe_max_over_points(self):
         problem = problem_by_name("arctan-const-sigma", 1)
@@ -205,7 +200,6 @@ class TestEstimateC:
         est = estimate_c_constants(problem, params, 2.0, probes, 2000,
                                    rng=RngStream(21))
         assert est.c_inf > 0 and est.c_tilde_inf > 0
-        assert 0 <= est.probe_argmax[0] < 3 and 0 <= est.probe_argmax[1] < 3
 
     def test_empty_probe_set_rejected(self):
         problem = problem_by_name("arctan-const-sigma", 1)
@@ -224,15 +218,12 @@ class TestEstimateC:
 
 class TestReport:
     def test_rows_and_statuses(self):
-        inputs = ContractionInputs(lip_y=2.0, lip_z=0.5, monotonicity=2.0,
-                                   discount_y=2.0, discount_z=2.0,
-                                   exp_rate=1.5, gamma_rate=1.5,
-                                   c_inf=0.5, c_tilde_inf=1.0,
-                                   c_p=1.0, c_tilde_p=1.0, c_tilde_p_bis=1.0)
-        rows = contraction_report(inputs, p=2.0)
+        rows = contraction_report(driver(2.0, 0.5, 2.0), SchemeParams(),
+                                  0.5, 1.0)
         names = [r.name for r in rows]
-        assert names[:5] == ["lip_y", "lip_z", "monotonicity", "discount_y",
-                             "discount_z"]
+        assert names == ["lip_y", "lip_z", "monotonicity", "discount_y",
+                         "discount_z", "shift_y", "shift_z", "c_inf",
+                         "c_tilde_inf", "kappa_inf", "simplified_bound"]
         by_name = {r.name: r for r in rows}
         assert by_name["discount_y"].status == "ok"
         assert by_name["kappa_inf"].value == pytest.approx(0.5590169943749475)
@@ -241,35 +232,21 @@ class TestReport:
         assert by_name["simplified_bound"].value == pytest.approx(
             by_name["kappa_inf"].value)
         assert by_name["simplified_bound"].status == "contraction"
-        assert "kappa_p(p=2)" in by_name
-        assert by_name["kappa_p(p=2)"].status in ("contraction",
-                                                  "not a contraction")
-
-    def test_invalid_p_becomes_message_row(self):
-        inputs = ContractionInputs(lip_y=1.0, discount_y=0.5, exp_rate=1.5,
-                                   c_inf=0.5, c_tilde_inf=1.0, c_p=1.0,
-                                   c_tilde_p=1.0, c_tilde_p_bis=1.0)
-        rows = contraction_report(inputs, p=2.0)
-        row = {r.name: r for r in rows}["kappa_p(p=2)"]
-        assert math.isnan(row.value)
-        assert "exp_rate" in row.status or "p" in row.status
 
     def test_discount_below_rate_flagged(self):
-        inputs = ContractionInputs(lip_y=1.0, discount_y=1.0, exp_rate=1.5,
-                                   c_inf=0.5, c_tilde_inf=1.0)
-        rows = contraction_report(inputs)
+        rows = contraction_report(driver(1.0),
+                                  SchemeParams(discount_y=1.0, exp_rate=1.5),
+                                  0.5, 1.0)
         assert "violated" in {r.name: r for r in rows}["discount_y"].status
 
     @pytest.mark.parametrize("discount, rate", [("discount_y", "exp_rate"),
                                                 ("discount_z", "gamma_rate")])
     def test_discount_not_above_rate_fails(self, discount, rate):
         def statuses(**change):
-            inputs = ContractionInputs(**{
-                "lip_y": 2.0, "lip_z": 0.5, "monotonicity": 1.0,
-                "discount_y": 2.0, "discount_z": 2.0, "exp_rate": 1.5,
-                "gamma_rate": 1.5, "c_inf": 0.5, "c_tilde_inf": 1.0,
-                **change})
-            rows = contraction_report(inputs)
+            params = SchemeParams(**{"discount_y": 2.0, "discount_z": 2.0,
+                                     "exp_rate": 1.5, "gamma_rate": 1.5,
+                                     **change})
+            rows = contraction_report(driver(2.0, 0.5, 1.0), params, 0.5, 1.0)
             return {r.name: r.status for r in rows}
 
         paper = statuses()

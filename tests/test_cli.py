@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infbsde import (DirectConfig, GridSolveConfig, NnPicardConfig,
-                     SchemeParams, contraction_nn_solve)
+from infbsde import (DirectConfig, Grid, GridSolveConfig, NnPicardConfig,
+                     RngStream, SchemeParams, contraction_nn_solve,
+                     estimate_c_constants, problem_by_name)
 from infbsde.cli import (_DEFAULTS, _build, _format, _sweep_seed, build_parser,
                          run)
 from infbsde.neural import load_checkpoint
@@ -277,9 +278,9 @@ class TestContraction:
         assert rows[0] == ["name", "value", "status"]
         by_name = {r[0]: r for r in rows[1:]}
         for name in ("c_inf_estimate", "c_tilde_inf_estimate", "c_source",
-                     "monotonicity_margin", "kappa_inf", "simplified_bound",
-                     "kappa_p(p=2)"):
+                     "monotonicity_margin", "kappa_inf", "simplified_bound"):
             assert name in by_name
+        assert not any(name.startswith("kappa_p") for name in by_name)
         # Brownian dynamics with the plain sup norm use the exact constants
         assert by_name["c_source"][2] == "closed form"
         assert by_name["discount_y"][2] == "ok"
@@ -292,6 +293,52 @@ class TestContraction:
         by_name = {r[0]: r for r in read_csv(
             out / "contraction_report.csv")[1:]}
         assert by_name["c_source"][2] == "probe-max estimate (lower bound)"
+
+    def test_start_law_probes_come_from_stream_one(self, tmp_path):
+        # probe grid nodes first, then the start-law draws of stream 1;
+        # the estimator's own draws use stream 0 of the same seed.  At this
+        # seed the largest c_tilde_inf estimate is at a start-law probe.
+        out = tmp_path / "s"
+        assert run(["contraction", "--problem", "arctan-tanh-sigma", "--dt",
+                    "0.05", "--M", "200", "--probe-ntilde", "2",
+                    "--mu0-probes", "3", "--seed", "7",
+                    "--out", str(out)]) == 0
+        problem = problem_by_name("arctan-tanh-sigma")
+        draws = RngStream(7, stream_id=1).generator().normal(
+            0.0, problem.mu0_std, size=(3, 1))
+        probes = np.vstack([Grid(1, 2, 1.5).nodes, draws])
+        est = estimate_c_constants(problem, SchemeParams(), 0.0, probes, 200,
+                                   0.05, 7)
+        by_name = {r[0]: r for r in read_csv(
+            out / "contraction_report.csv")[1:]}
+        assert by_name["c_inf_estimate"][1] == _format(est.c_inf)
+        assert by_name["c_tilde_inf_estimate"][1] == _format(est.c_tilde_inf)
+
+    def test_negative_c_and_kz(self, tmp_path):
+        # the driver's constants are |c| + 1 and |kz|, whatever the signs
+        out = tmp_path / "n"
+        assert run(self.args(out, kz="-1", c="-3")) == 0
+        by_name = {r[0]: r for r in read_csv(
+            out / "contraction_report.csv")[1:]}
+        assert float(by_name["lip_y"][1]) == 4.0
+        assert float(by_name["lip_z"][1]) == 1.0
+        assert float(by_name["monotonicity_margin"][1]) == -9.0
+
+    def test_p_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run(self.args(out, p="2")) == 2
+        assert "--p" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_p_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "arctan-const-sigma", "p": 2.0}),
+                       encoding="utf-8")
+        out = tmp_path / "never"
+        assert run(["contraction", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestKzSweep:
@@ -492,6 +539,11 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
     *[pytest.param(["nn-picard", "--problem", "linear-constant", "--mu0-std",
                     value], id=f"nn-picard-mu0-std{value}")
       for value in ("-1", "nan", "inf")],
+    # problem overrides must be finite
+    *[pytest.param([command, "--problem", "arctan-const-sigma", flag, value],
+                   id=f"{command}{flag}{value}")
+      for command in ("grid-solve", "contraction")
+      for flag, value in (("--c", "nan"), ("--kz", "inf"))],
     # grid geometry
     pytest.param(["grid-solve", "--problem", "linear-constant", "--ntilde",
                   "-1"], id="grid-solve-ntilde-1"),
@@ -519,6 +571,16 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
       for value in ("nan", "inf", "-5", "0")],
     pytest.param(["rate-study", "--problem", "linear-constant",
                   "--ntilde-list", "2,2,2"], id="rate-study-ntilde-list2-2-2"),
+    # ... and every per-node sample count an integer within int64
+    pytest.param(["rate-study", "--problem", "linear-constant",
+                  "--ntilde-list", "2,3,4", "--k", "1e308"],
+                 id="rate-study-k1e308"),
+    pytest.param(["rate-study", "--problem", "linear-constant",
+                  "--ntilde-list", "2,3,4", "--k", "1e300", "--R", "1"],
+                 id="rate-study-k1e300-R1"),
+    *[pytest.param(["rate-study", "--problem", "linear-constant",
+                    "--ntilde-list", "2,3,4", "--R", value],
+                   id=f"rate-study-R{value}") for value in ("1e-90", "1e100")],
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
                   "--probe-R", "0"], id="contraction-probe-R0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",

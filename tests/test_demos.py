@@ -3,7 +3,9 @@
 The sources are parsed, not run, so this costs milliseconds; it catches a
 demo or a doc example left behind when a public name is removed or renamed.
 The one-draw estimator demo, which feeds the analytic solution in as a
-candidate pair, also runs (about half a second).
+candidate pair, and the contraction-constant demo, which calls the
+analysis functions with a problem's own generator, also run (about half a
+second each).
 """
 import ast
 import importlib
@@ -70,3 +72,11 @@ def test_randomized_representation_demo_runs(capsys):
                    run_name="__main__")
     out = capsys.readouterr().out
     assert "ubar(0.5): exact" in out
+
+
+def test_contraction_constants_demo_runs(capsys):
+    runpy.run_path(str(ROOT / "demos" / "contraction_constants.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "kappa_inf = 3.3541" in out
+    assert "linear-constant with mu=1: kappa_inf = 0.5000" in out

@@ -79,10 +79,38 @@ class TestRegistry:
         assert gen.lip_y == pytest.approx(3.0)
         assert gen.monotonicity == pytest.approx(1.0)
         assert gen.lip_z == pytest.approx(0.5)
-        assert gen.depends_on_z
 
     def test_kz_zero_flags_y_only(self):
-        assert not arctan_gen(kz=0.0).depends_on_z
+        # a zero z-Lipschitz constant is what marks a driver constant in z
+        assert arctan_gen(kz=0.0).lip_z == 0.0
+
+    def test_negative_c_and_kz_give_absolute_constants(self):
+        gen = arctan_gen(c=-3.0, kz=-1.0)
+        assert (gen.lip_y, gen.lip_z, gen.monotonicity) == (4.0, 1.0, -4.0)
+
+    @pytest.mark.parametrize("name, key", [
+        ("arctan-const-sigma", "c"), ("arctan-const-sigma", "kz"),
+        ("arctan-tanh-sigma", "eps"), ("linear-constant", "mu"),
+        ("linear-constant", "c0"), ("linear-constant", "mu0_std")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_override_named(self, name, key, value):
+        with pytest.raises(ValueError, match="overrides must be finite") as exc:
+            problem_by_name(name, 1, {key: value})
+        assert f"'{key}': {value}" in str(exc.value)
+
+
+class TestGeneratorSpec:
+    @pytest.mark.parametrize("constants", [
+        dict(lip_y=-1.0), dict(lip_z=-0.5), dict(lip_y=np.nan),
+        dict(lip_z=np.inf), dict(monotonicity=-np.inf),
+        dict(monotonicity=1.5)])
+    def test_bad_constants_rejected(self, constants):
+        # a driver Lipschitz in y with constant lip_y has a monotonicity
+        # constant of at most lip_y
+        with pytest.raises(ValueError):
+            GeneratorSpec(**{"dim_y": 1, "f": lambda x, y, z: -y,
+                             "lip_y": 1.0, "lip_z": 0.0,
+                             "monotonicity": 1.0, **constants})
 
 
 class TestManufacture:
@@ -128,7 +156,7 @@ class TestManufacture:
         f0 = GeneratorSpec(
             dim_y=1,
             f=lambda x, y, z: -y,
-            lip_y=1.0, lip_z=0.0, monotonicity=1.0, depends_on_z=False)
+            lip_y=1.0, lip_z=0.0, monotonicity=1.0)
         with pytest.raises(InconsistentDerivatives):
             manufacture_problem(
                 u=lambda x: x**2,
@@ -254,7 +282,7 @@ class TestDriverJacobians:
         f0 = GeneratorSpec(
             dim_y=1,
             f=lambda x, y, z: -y,
-            lip_y=1.0, lip_z=0.0, monotonicity=1.0, depends_on_z=False,
+            lip_y=1.0, lip_z=0.0, monotonicity=1.0,
             f_y=lambda x, y, z: np.full((x.shape[0], 1, 1), 2.0))
         with pytest.raises(InconsistentDerivatives):
             manufacture_problem(

@@ -149,18 +149,17 @@ class TestContractionScheme:
     def test_picard_trace_recursion(self):
         # e_n <= kappa_2 * e_{n-1} + 2 * r_n with kappa_2 from the analysis
         # module and r_n the measured regression residual per iteration
-        from infbsde import (ContractionInputs, brownian_cp_constants,
-                             kappa_p, r_sample_batch, sample_fk_batch)
+        from infbsde import (brownian_cp_constants, kappa_p, r_sample_batch,
+                             sample_fk_batch)
 
         cfg = NnPicardConfig("linear-constant", overrides={"mu": 1.8},
                              n_iters=4, m_samples=512, train_steps=1500,
                              seed=12)
         res = contraction_nn_solve(cfg)
         problem = cfg.build_problem()
-        c2, _ = brownian_cp_constants(2.0, 0.0, 1, 1.5, 1.5)
-        kappa2 = kappa_p(ContractionInputs(
-            lip_y=1.8, monotonicity=1.8, discount_y=2.0, exp_rate=1.5,
-            depends_on_z=False, c_p=c2), 2.0)
+        c2, _ = brownian_cp_constants(2.0, 0.0, 1, cfg.params.exp_rate,
+                                      cfg.params.gamma_rate)
+        kappa2 = kappa_p(problem.gen, cfg.params, 2.0, c2)
         assert kappa2 < 0.25
 
         pts = RngStream(777).generator().normal(0, 2.0, size=(200, 1))

@@ -183,16 +183,15 @@ class TestContraction:
     def test_envelope_with_analysis_constant(self):
         # kappa from the closed-form kernel norm; noise allowance is five
         # times the largest per-node standard error at the fixed point
-        from infbsde import (ContractionInputs, RngStream, estimate_phi,
+        from infbsde import (RngStream, brownian_c_infinity, estimate_phi,
                              kappa_infinity)
 
         cfg = config(overrides={"mu": 1.0}, m_samples=20000, n_iters=6)
         result = solve(cfg)
-        kappa = kappa_infinity(ContractionInputs(
-            lip_y=1.0, monotonicity=1.0, discount_y=2.0, c_inf=0.5,
-            depends_on_z=False))
-        assert kappa == 0.5
         problem = cfg.build_problem()
+        kappa = kappa_infinity(problem.gen, cfg.params, *brownian_c_infinity(
+            cfg.params.discount_y, cfg.params.discount_z))
+        assert kappa == 0.5
         w_star = problem.analytic
         se_u = []
         for k, node in enumerate(cfg.build_grid().nodes):
@@ -242,6 +241,15 @@ class TestRateFit:
     def test_rate_study_needs_finite_positive_k(self, k):
         with pytest.raises(ValueError, match="k must be"):
             rate_study(config(), [2, 3, 4], k=k)
+
+    @pytest.mark.parametrize("k, half_width", [
+        (1e308, 1.0), (1e300, 1.0), (1e6, 1e-90), (1.0, 1e100)])
+    def test_rate_study_rejects_counts_beyond_int64(self, monkeypatch, k,
+                                                    half_width):
+        # the counts are checked before the first level runs
+        monkeypatch.setattr(picard_grid, "solve", None)
+        with pytest.raises(ValueError, match="no int64 sample count"):
+            rate_study(config(half_width=half_width), [2, 3, 4], k=k)
 
     def test_rate_study_smoke(self):
         cfg = config(overrides={"mu": 1.0}, half_width=2.0, n_iters=4)
