@@ -9,14 +9,14 @@ and computes the Brownian-case integral constants by quadrature.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from .fixedpoint import one_draw_weights, poly_weight
-from .model import GeneratorSpec, Problem, SchemeParams
+from .model import GeneratorSpec, Problem, SchemeParams, validate_params
 from .simulate import RngStream, _as_stream, sample_fk_batch
 
 
@@ -26,6 +26,23 @@ class InvalidP(ValueError):
 
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not reach the requested tolerance."""
+
+
+def _check_p(p: float) -> None:
+    if not 1 < p < math.inf:
+        raise InvalidP(f"p must be finite and exceed 1, got {p}")
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be finite and positive, got {value}")
+
+
+def _check_dim(dim: int) -> None:
+    if not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 def lipschitz_shift(lip_y: float, monotonicity: float, discount: float) -> float:
@@ -39,6 +56,8 @@ def lipschitz_shift(lip_y: float, monotonicity: float, discount: float) -> float
 def brownian_c_infinity(discount_y: float, discount_z: float,
                         dim: int = 1) -> Tuple[float, float]:
     """Exact kernel norms for unit Brownian dynamics and weight degree 0."""
+    _check_positive(discount_y=discount_y, discount_z=discount_z)
+    _check_dim(dim)
     c_inf = 1.0 / discount_y
     c_tilde = math.sqrt(2.0 * math.pi / discount_z) \
         * math.gamma((dim + 1) / 2.0) / math.gamma(dim / 2.0)
@@ -49,6 +68,7 @@ def kappa_infinity(gen: GeneratorSpec, params: SchemeParams, c_inf: float,
                    c_tilde_inf: float) -> float:
     """Contraction constant of the fixed-point map in the weighted sup norm,
     from the kernel norms ``c_inf`` and ``c_tilde_inf``."""
+    validate_params(params, gen)
     shift_y = lipschitz_shift(gen.lip_y, gen.monotonicity, params.discount_y)
     if gen.lip_z == 0:
         return c_inf * shift_y
@@ -65,8 +85,8 @@ def kappa_p(gen: GeneratorSpec, params: SchemeParams, p: float, c_p: float,
     ``c_p``, ``c_tilde_p`` and ``c_tilde_p_bis`` are the integral
     constants; a driver that depends on z (``lip_z > 0``) needs all three.
     """
-    if p <= 1:
-        raise InvalidP("p must exceed 1")
+    _check_p(p)
+    validate_params(params, gen)
     a, theta = params.discount_y, params.exp_rate
     if a * p <= theta:
         raise InvalidP(f"need discount_y * p > exp_rate, got {a * p} <= {theta}")
@@ -129,9 +149,15 @@ _QUAD_RTOL = 1e-8
 
 
 def _quad(fn, lo, hi) -> float:
+    # scipy.integrate is most of the package's import time and only the
+    # quadratures need it, so it loads on the first one
+    from scipy import integrate
+
     value, abserr = integrate.quad(fn, lo, hi, epsabs=1e-14, epsrel=1e-12,
                                    limit=200)
-    if abserr > _QUAD_RTOL * max(abs(value), 1e-300):
+    # written so that a nan value or error estimate fails too
+    if not (math.isfinite(value)
+            and abserr <= _QUAD_RTOL * max(abs(value), 1e-300)):
         raise QuadratureFailure(
             f"estimated error {abserr} too large for value {value}")
     return value
@@ -139,6 +165,9 @@ def _quad(fn, lo, hi) -> float:
 
 def gaussian_radial_moment(q: float, dim: int) -> float:
     """Integral of (1 + |y|)^q against the standard Gaussian on R^dim."""
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
+    _check_dim(dim)
     norm = 2.0 ** (dim / 2.0 - 1.0) * math.gamma(dim / 2.0)
 
     def integrand(s: float) -> float:
@@ -156,9 +185,15 @@ def brownian_cp_constants(p: float, growth_degree: float, dim: int,
     randomization density, with the kink at t=1 split out, and a radial
     Gaussian moment.
     """
-    if p <= 1:
-        raise InvalidP("p must exceed 1")
+    _check_p(p)
+    if not 0 <= growth_degree < math.inf:
+        raise ValueError("growth_degree must be finite and non-negative, "
+                         f"got {growth_degree}")
+    _check_dim(dim)
+    _check_positive(exp_rate=exp_rate, gamma_rate=gamma_rate)
     q = p * growth_degree + dim + 1
+    if not math.isfinite(q):
+        raise ValueError(f"p * growth_degree + dim + 1 overflows, got {q}")
 
     def t_weight(t: float) -> float:
         return max(t, 1.0) ** (q / 2.0)

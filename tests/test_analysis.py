@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from infbsde import (CEstimate, GeneratorSpec, InvalidP, RngStream,
-                     SchemeParams, brownian_c_infinity, brownian_cp_constants,
+from infbsde import (CEstimate, GeneratorSpec, InvalidP, NonPositiveRate,
+                     QuadratureFailure, RngStream, SchemeParams,
+                     brownian_c_infinity, brownian_cp_constants,
                      contraction_report, estimate_c_constants,
                      gaussian_radial_moment, kappa_infinity, kappa_p,
                      lipschitz_shift, problem_by_name,
                      simplified_contraction_check)
+from infbsde.analysis import _quad
 
 
 def driver(lip_y, lip_z=0.0, monotonicity=0.0):
@@ -159,6 +161,81 @@ class TestBrownianCp:
             c2, ct2 = brownian_cp_constants(2.0, growth, 3, 1.5, 1.5)
             assert np.isfinite(c2) and np.isfinite(ct2)
             assert c2 > 0 and ct2 > 0
+
+
+NAN, INF = math.nan, math.inf
+CP_ARGS = dict(p=2.0, growth_degree=0.0, dim=1, exp_rate=1.0, gamma_rate=1.0)
+
+
+class TestBadInput:
+    """Each bad argument is rejected by name instead of giving nan, 0, a
+    negative norm or a raw math error."""
+
+    @pytest.mark.parametrize("p", [NAN, 1.0, 0.5, INF])
+    def test_exponent(self, p):
+        with pytest.raises(InvalidP, match="p must"):
+            brownian_cp_constants(**{**CP_ARGS, "p": p})
+        with pytest.raises(InvalidP, match="p must"):
+            kappa_p(driver(1.0), SchemeParams(), p, 1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("growth_degree", -1.0), ("growth_degree", NAN),
+        ("growth_degree", INF), ("dim", 0), ("dim", -1), ("dim", 1.5),
+        ("exp_rate", 0.0), ("exp_rate", -1.0), ("exp_rate", NAN),
+        ("exp_rate", INF), ("gamma_rate", 0.0), ("gamma_rate", -1.0),
+        ("gamma_rate", NAN), ("gamma_rate", INF)])
+    def test_cp_constants(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            brownian_cp_constants(**{**CP_ARGS, name: value})
+
+    def test_cp_exponent_overflow(self):
+        with pytest.raises(ValueError, match="overflows"):
+            brownian_cp_constants(**{**CP_ARGS, "p": 1e200,
+                                     "growth_degree": 1e200})
+
+    @pytest.mark.parametrize("name, value", [
+        ("discount_y", -1.0), ("discount_y", 0.0), ("discount_y", NAN),
+        ("discount_y", INF), ("discount_z", -1.0), ("discount_z", 0.0),
+        ("discount_z", NAN), ("discount_z", INF), ("dim", 0), ("dim", 2.0)])
+    def test_c_infinity(self, name, value):
+        args = dict(discount_y=1.0, discount_z=1.0, dim=1)
+        with pytest.raises(ValueError, match=f"{name} must"):
+            brownian_c_infinity(**{**args, name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("discount_y", -1.0), ("discount_z", 0.0), ("exp_rate", -3.0),
+        ("exp_rate", 0.0), ("gamma_rate", NAN), ("gamma_rate", INF)])
+    def test_kappa_rates(self, name, value):
+        params = SchemeParams(**{name: value})
+        with pytest.raises(NonPositiveRate, match=name):
+            kappa_p(driver(1.0), params, 2.0, 1.0)
+        with pytest.raises(NonPositiveRate, match=name):
+            kappa_infinity(driver(1.0), params, 1.0, 1.0)
+
+    def test_kappa_p_never_complex(self):
+        # a negative discount over a negative rate once gave a complex kappa
+        params = SchemeParams(discount_y=-1.0, exp_rate=-3.0)
+        with pytest.raises(NonPositiveRate, match="discount_y, exp_rate"):
+            kappa_p(driver(1.0), params, 2.0, 1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("q", NAN), ("q", INF), ("q", -INF), ("dim", 0), ("dim", 1.5)])
+    def test_radial_moment(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            gaussian_radial_moment(**{**dict(q=2.0, dim=1), name: value})
+
+    def test_non_finite_quadrature_fails(self, monkeypatch):
+        from scipy import integrate
+
+        with pytest.raises(QuadratureFailure, match="inf"):
+            _quad(lambda t: INF, 0.0, 1.0)
+        with pytest.warns(integrate.IntegrationWarning), \
+                pytest.raises(QuadratureFailure, match="nan"):
+            _quad(lambda t: NAN, 0.0, 1.0)
+        # a finite value with a nan error estimate is no result either
+        monkeypatch.setattr(integrate, "quad", lambda *a, **k: (1.0, NAN))
+        with pytest.raises(QuadratureFailure, match="nan"):
+            _quad(lambda t: 1.0, 0.0, 1.0)
 
 
 class TestSimplifiedBound:
