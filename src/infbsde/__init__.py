@@ -14,8 +14,8 @@ from .fixedpoint import (NonFiniteValue, PhiEstimate, estimate_phi,
                          estimate_phi_from_samples, poly_weight,
                          r_sample_batch, truncate_growth)
 from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                   interpolate, node_errors, sup_diff, sup_weighted_diff,
-                   truncated_nodes, write_grid_csv)
+                   interpolate, node_errors, sup_diff, truncated_nodes,
+                   write_grid_csv)
 from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     InconsistentDerivatives, NonPositiveRate, Problem,
                     PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,

@@ -8,16 +8,17 @@ and computes the Brownian-case integral constants by quadrature.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .fixedpoint import one_draw_weights, poly_weight
 from .model import GeneratorSpec, Problem, SchemeParams, validate_params
-from .simulate import RngStream, _as_stream, sample_fk_batch
+from .simulate import RngStream, check_stream, sample_fk_batch
 
 
 class InvalidP(ValueError):
@@ -114,19 +115,24 @@ class CEstimate:
 
 def estimate_c_constants(problem: Problem, params: SchemeParams,
                          weight_degree: float, probe_points: np.ndarray,
-                         m: int, dt: Optional[float] = None,
-                         rng: Union[int, RngStream] = 0) -> CEstimate:
+                         m: int, dt: Optional[float],
+                         rng: RngStream) -> CEstimate:
     """Probe-max Monte Carlo estimate of the two kernel norms.
 
     The sup over all starting points is replaced by a max over the probe
-    set, so the estimate is a lower bound up to Monte Carlo error.
+    set, so the estimate is a lower bound up to Monte Carlo error.  Probe
+    ``k`` draws from ``rng.substream(k)``.
     """
     if m < 2:
         raise ValueError("need at least 2 samples for standard errors")
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if probes.shape[0] == 0:
         raise ValueError("probe set must be non-empty")
-    base = _as_stream(rng)
+    base = check_stream(rng)
+    if problem.sde.is_brownian and weight_degree == 0:
+        # the increments do not depend on the start and the weight ratio is
+        # 1, so every probe estimates one number: their max adds only noise
+        probes = probes[:1]
 
     def mean_se(vals: np.ndarray) -> Tuple[float, float]:
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
@@ -146,6 +152,15 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
 
 
 _QUAD_RTOL = 1e-8
+
+
+@contextlib.contextmanager
+def _overflow_fails(inputs: str):
+    """Re-raise an OverflowError as a failure naming its ``inputs``."""
+    try:
+        yield
+    except OverflowError:
+        raise QuadratureFailure(f"a float overflows at {inputs}") from None
 
 
 def _quad(fn, lo, hi) -> float:
@@ -168,12 +183,13 @@ def gaussian_radial_moment(q: float, dim: int) -> float:
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
     _check_dim(dim)
-    norm = 2.0 ** (dim / 2.0 - 1.0) * math.gamma(dim / 2.0)
+    with _overflow_fails(f"q={q}, dim={dim}"):
+        norm = 2.0 ** (dim / 2.0 - 1.0) * math.gamma(dim / 2.0)
 
-    def integrand(s: float) -> float:
-        return (1.0 + s) ** q * s ** (dim - 1) * math.exp(-0.5 * s * s) / norm
+        def integrand(s: float) -> float:
+            return (1.0 + s) ** q * s ** (dim - 1) * math.exp(-0.5 * s * s) / norm
 
-    return _quad(integrand, 0.0, np.inf)
+        return _quad(integrand, 0.0, np.inf)
 
 
 def brownian_cp_constants(p: float, growth_degree: float, dim: int,
@@ -198,17 +214,17 @@ def brownian_cp_constants(p: float, growth_degree: float, dim: int,
     def t_weight(t: float) -> float:
         return max(t, 1.0) ** (q / 2.0)
 
-    t_int = _quad(lambda t: t_weight(t) * exp_rate * math.exp(-exp_rate * t),
-                  0.0, 1.0)
-    t_int += _quad(lambda t: t_weight(t) * exp_rate * math.exp(-exp_rate * t),
-                   1.0, np.inf)
-    # substitute t = s^2 on [0,1] to remove the 1/sqrt(t) endpoint singularity
-    coeff = math.sqrt(gamma_rate / math.pi)
-    t_int_tilde = _quad(lambda s: 2.0 * coeff * math.exp(-gamma_rate * s * s),
-                        0.0, 1.0)
-    t_int_tilde += _quad(
-        lambda t: t_weight(t) / math.sqrt(t) * coeff * math.exp(-gamma_rate * t),
-        1.0, np.inf)
+    def rate_weight(t: float) -> float:
+        return t_weight(t) * exp_rate * math.exp(-exp_rate * t)
+
+    with _overflow_fails(f"p={p}, growth_degree={growth_degree}, dim={dim}"):
+        t_int = _quad(rate_weight, 0.0, 1.0) + _quad(rate_weight, 1.0, np.inf)
+        # t = s^2 on [0,1] removes the 1/sqrt(t) endpoint singularity
+        coeff = math.sqrt(gamma_rate / math.pi)
+        t_int_tilde = _quad(
+            lambda s: 2.0 * coeff * math.exp(-gamma_rate * s * s), 0.0, 1.0)
+        t_int_tilde += _quad(lambda t: t_weight(t) / math.sqrt(t) * coeff
+                             * math.exp(-gamma_rate * t), 1.0, np.inf)
     y_int = gaussian_radial_moment(q, dim)
     return (t_int * y_int) ** (1.0 / p), (t_int_tilde * y_int) ** (1.0 / p)
 

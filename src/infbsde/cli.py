@@ -403,7 +403,7 @@ def _run_contraction(built, outdir: str) -> int:
     probes = np.vstack([grid.nodes, mu0])
     estimate = estimate_c_constants(
         problem, params, probe["weight_degree"], probes, probe["m_samples"],
-        config.dt, seed)
+        config.dt, RngStream(seed))
     if problem.sde.is_brownian and probe["weight_degree"] == 0.0:
         c_inf, c_tilde = brownian_c_infinity(params.discount_y,
                                              params.discount_z,

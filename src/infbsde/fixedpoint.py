@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .model import Problem, SchemeParams
-from .simulate import FkBatch, RngLike, sample_fk_batch
+from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
 Candidate = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -90,7 +90,7 @@ def estimate_phi_from_samples(problem: Problem, params: SchemeParams,
 
 
 def estimate_phi(problem: Problem, params: SchemeParams, w: Candidate, x,
-                 m: int, dt: Optional[float], rng: RngLike) -> PhiEstimate:
+                 m: int, dt: Optional[float], rng: RngStream) -> PhiEstimate:
     """Monte Carlo estimate of the fixed-point map applied to ``w`` at ``x``."""
     fk = sample_fk_batch(problem, params, x, m, dt, rng)
     return estimate_phi_from_samples(problem, params, w, fk)

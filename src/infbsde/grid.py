@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .fixedpoint import poly_weight
 from .model import as_points
 
 
@@ -164,25 +163,15 @@ def interpolate(phi: GridFunction, x) -> Tuple[np.ndarray, np.ndarray]:
     return out[:phi.dim_y].T, out[phi.dim_y:].T.reshape(m, phi.dim_y, g.dim)
 
 
-def _joint_node_norms(phi: GridFunction, psi: GridFunction) -> np.ndarray:
+def sup_diff(phi: GridFunction, psi: GridFunction) -> float:
+    """Max over nodes of the joint gap of the value and gradient blocks."""
     # node_indices is not compared, so this compares the lattice itself
     if phi.grid != psi.grid:
         raise GridMismatch("grid functions live on different lattices")
     du = phi.u - psi.u
     dubar = phi.ubar - psi.ubar
-    return np.sqrt(np.sum(du**2, axis=1) + np.sum(dubar**2, axis=(1, 2)))
-
-
-def sup_weighted_diff(phi: GridFunction, psi: GridFunction,
-                      weight_degree: float) -> float:
-    """Max over nodes of the joint value gap divided by the growth weight."""
-    norms = _joint_node_norms(phi, psi)
-    return float(np.max(norms / poly_weight(phi.grid.nodes, weight_degree)))
-
-
-def sup_diff(phi: GridFunction, psi: GridFunction) -> float:
-    """Unweighted variant of :func:`sup_weighted_diff` (plain node sup)."""
-    return float(np.max(_joint_node_norms(phi, psi)))
+    return float(np.max(np.sqrt(np.sum(du**2, axis=1)
+                                + np.sum(dubar**2, axis=(1, 2)))))
 
 
 def truncated_nodes(grid: Grid) -> np.ndarray:

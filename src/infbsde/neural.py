@@ -8,13 +8,13 @@ given the initialisation stream, and checkpoints restore bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import as_points
-from .simulate import RngLike, _as_generator
+from .simulate import RngStream, check_stream
 
 # per-layer pre-activation buffers, then per-hidden-layer activation buffers
 Workspace = Tuple[List[np.ndarray], List[np.ndarray]]
@@ -36,12 +36,6 @@ def _views(flat: np.ndarray, shapes) -> List[np.ndarray]:
         out.append(flat[start:stop].reshape(shape))
         start = stop
     return out
-
-
-def _pack(arrays) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """A float64 copy of ``arrays`` laid end to end, and its view per array."""
-    flat = np.concatenate(arrays, axis=None, dtype=float)
-    return flat, _views(flat, [np.shape(a) for a in arrays])
 
 
 def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
@@ -71,17 +65,18 @@ class Mlp:
                  weights: List[np.ndarray], biases: List[np.ndarray]):
         self.dim_x = dim_x
         self.dim_y = dim_y
-        self.flat, self.parameters = _pack([p for pair in zip(weights, biases)
-                                            for p in pair])
-        self._shapes = [p.shape for p in self.parameters]
+        arrays = [p for pair in zip(weights, biases) for p in pair]
+        self.flat = np.concatenate(arrays, axis=None, dtype=float)
+        self._shapes = [np.shape(p) for p in arrays]
+        self.parameters = _views(self.flat, self._shapes)
         self.weights = self.parameters[0::2]
         self.biases = self.parameters[1::2]
 
     @classmethod
     def init(cls, dim_x: int, dim_y: int, hidden: Sequence[int],
-             rng: RngLike) -> "Mlp":
+             rng: RngStream) -> "Mlp":
         """Uniform(+-sqrt(6/fan_in)) weights, zero biases."""
-        gen = _as_generator(rng)
+        gen = check_stream(rng).generator()
         sizes = [dim_x, *hidden, dim_y + dim_y * dim_x]
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -152,8 +147,7 @@ class Mlp:
         return float(res / m)
 
     def backprop(self, acts: List[np.ndarray], pre: List[np.ndarray],
-                 delta: np.ndarray, *,
-                 out: Optional[Gradient] = None) -> np.ndarray:
+                 delta: np.ndarray, *, out: Gradient) -> np.ndarray:
         """Parameter gradients of ``sum(delta * raw_output)``.
 
         ``acts``/``pre`` must come from ``_forward_cached`` on the same
@@ -161,11 +155,9 @@ class Mlp:
         written over its pre-activation and the delta below it over its
         activation.  ``delta`` is the upstream gradient on the raw (not yet
         split) output layer, shape ``(m, dim_y + dim_y*dim_x)``; it is left
-        as it is.  The gradients are written into ``out``, a ``gradient()``
-        (a fresh one when omitted), and its flat vector is returned.
+        as it is.  The gradients are written into ``out``, a ``gradient()``,
+        and its flat vector is returned.
         """
-        if out is None:
-            out = self.gradient()
         grads = out.parts
         for k in range(len(self.weights) - 1, -1, -1):
             _column_sums(delta, grads[2 * k + 1])
@@ -183,18 +175,15 @@ class Mlp:
         flat_ubar = np.asarray(target_ubar, dtype=float).reshape(m, -1)
         return np.concatenate([target_u, flat_ubar], axis=1)
 
-    def _mse_grad(self, x: np.ndarray, target: np.ndarray,
-                  work: Optional[Workspace] = None,
-                  grad: Optional[Gradient] = None,
-                  ) -> Tuple[float, np.ndarray]:
+    def _mse_grad(self, x: np.ndarray, target: np.ndarray, work: Workspace,
+                  grad: Gradient) -> Tuple[float, np.ndarray]:
         """Loss against a ``_raw_target`` and its gradient vector, laid out
         as ``flat``, by backprop.
 
         The loss is the batch mean of the squared residual summed over all
-        value and gradient entries.  For a caller that steps many times on
-        one batch, the layers go into ``work``, a ``workspace(len(x))``,
-        and the gradients into ``grad``, a ``gradient()``; both are
-        overwritten by the next call.
+        value and gradient entries.  The layers go into ``work``, a
+        ``workspace(len(x))``, and the gradients into ``grad``, a
+        ``gradient()``; both are overwritten by the next call.
         """
         acts, pre = self._forward_cached(x, work)
         m = target.shape[0]
@@ -206,38 +195,29 @@ class Mlp:
         return loss, self.backprop(acts, pre, resid, out=grad)
 
 
+# ADAM's moment decays and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment accumulators plus the stepped learning-rate schedule.
 
-    Each moment lives in one vector laid out as ``Mlp.flat``
-    (``m_flat``, ``v_flat``); ``m`` and ``v`` are its per-parameter views.
-    The constructor copies the arrays it is given.
+    Each moment, ``m`` and ``v``, is one vector laid out as ``Mlp.flat``.
     """
 
     step: int
-    m: List[np.ndarray]
-    v: List[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     base_lr: float = 5e-4
     decay: float = 0.9
     decay_period: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m_flat: np.ndarray = field(init=False, repr=False)
-    v_flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.m_flat, self.m = _pack(self.m)
-        self.v_flat, self.v = _pack(self.v)
 
     @classmethod
     def init(cls, net: Mlp, base_lr: float = 5e-4, decay: float = 0.9,
-             decay_period: int = 1000, **kw) -> "AdamState":
-        params = net.parameters
-        return cls(0, [np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params],
-                   base_lr, decay, decay_period, **kw)
+             decay_period: int = 1000) -> "AdamState":
+        return cls(0, np.zeros_like(net.flat), np.zeros_like(net.flat),
+                   base_lr, decay, decay_period)
 
     @property
     def learning_rate(self) -> float:
@@ -254,50 +234,29 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
         raise ValueError("gradient does not match the parameter vector")
     lr = state.learning_rate
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    mom, vel = state.m_flat, state.v_flat
-    mom *= b1
-    mom += (1 - b1) * grad
-    vel *= b2
-    vel += (1 - b2) * grad**2
-    net.flat -= lr * (mom / corr1) / (np.sqrt(vel / corr2) + state.eps)
+    corr1 = 1.0 - BETA1**t
+    corr2 = 1.0 - BETA2**t
+    mom, vel = state.m, state.v
+    mom *= BETA1
+    mom += (1 - BETA1) * grad
+    vel *= BETA2
+    vel += (1 - BETA2) * grad**2
+    net.flat -= lr * (mom / corr1) / (np.sqrt(vel / corr2) + EPS)
     state.step = t
 
 
-def save_checkpoint(path, net: Mlp, state: Optional[AdamState] = None) -> None:
-    """Write the network (and optionally optimiser state) to an npz file."""
+def save_checkpoint(path, net: Mlp) -> None:
+    """Write the network to an npz file: ``dims``, ``w{k}`` and ``b{k}``."""
     payload = {"dims": np.array([net.dim_x, net.dim_y, len(net.weights)])}
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{k}"] = w
         payload[f"b{k}"] = b
-    if state is not None:
-        payload["adam_meta"] = np.array([
-            state.step, state.base_lr, state.decay, state.decay_period,
-            state.beta1, state.beta2, state.eps,
-        ])
-        for k, (mom, vel) in enumerate(zip(state.m, state.v)):
-            payload[f"m{k}"] = mom
-            payload[f"v{k}"] = vel
     np.savez(path, **payload)
 
 
-def load_checkpoint(path) -> Tuple[Mlp, Optional[AdamState]]:
+def load_checkpoint(path) -> Mlp:
+    """The net of a checkpoint; other keys (old optimiser state) are ignored."""
     with np.load(path) as data:
         dim_x, dim_y, n_layers = (int(v) for v in data["dims"])
-        weights = [data[f"w{k}"] for k in range(n_layers)]
-        biases = [data[f"b{k}"] for k in range(n_layers)]
-        net = Mlp(dim_x, dim_y, weights, biases)
-        state = None
-        if "adam_meta" in data:
-            meta = data["adam_meta"]
-            state = AdamState(
-                step=int(meta[0]),
-                m=[data[f"m{k}"] for k in range(2 * n_layers)],
-                v=[data[f"v{k}"] for k in range(2 * n_layers)],
-                base_lr=float(meta[1]), decay=float(meta[2]),
-                decay_period=int(meta[3]), beta1=float(meta[4]),
-                beta2=float(meta[5]), eps=float(meta[6]),
-            )
-    return net, state
+        return Mlp(dim_x, dim_y, [data[f"w{k}"] for k in range(n_layers)],
+                   [data[f"b{k}"] for k in range(n_layers)])

@@ -255,9 +255,9 @@ def _half_upstream(r_a: np.ndarray, r_b: np.ndarray, m_starts: int,
 def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
                          x0: np.ndarray, fk: FkBatch, weight_e: np.ndarray,
                          weight_g: np.ndarray, m_starts: int, m_inner: int,
-                         drivers: Optional[Tuple[Callable, Callable]] = None,
-                         work: Optional[Tuple[Workspace, Workspace]] = None,
-                         grads: Optional[Tuple[Gradient, Gradient]] = None,
+                         drivers: Tuple[Callable, Callable],
+                         work: Tuple[Workspace, Workspace],
+                         grads: Tuple[Gradient, Gradient],
                          ) -> Tuple[float, np.ndarray]:
     """Sampled fixed-point residual and its full parameter gradient.
 
@@ -269,23 +269,21 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     horizon states are backpropagated through the driver Jacobians.  The
     cross form can make an individual loss value negative.
 
-    A caller that steps many times on one batch passes what stays fixed
-    across the steps: ``drivers``, the driver bound to ``fk.x_at_e`` and to
-    ``fk.x_at_g`` (:func:`bind_driver`); ``work``, a workspace of ``net``
-    for the start points and one for the inner draws, which the two
-    horizon branches share since they run one after the other; and
-    ``grads``, two ``net.gradient()``s, the returned sum and a scratch
-    one.  Without them, they are made here.  The gradient is returned as
-    a vector laid out as ``net.flat``.
+    The caller passes what stays fixed across the steps on one batch:
+    ``drivers``, the driver bound to ``fk.x_at_e`` and to ``fk.x_at_g``
+    (:func:`bind_driver`); ``work``, a workspace of ``net`` for the start
+    points and one for the inner draws, which the two horizon branches
+    share since they run one after the other; and ``grads``, two
+    ``net.gradient()``s, the returned sum and a scratch one.  The gradient
+    is returned as a vector laid out as ``net.flat``.
     """
     gen = problem.gen
     a, a_z = params.discount_y, params.discount_z
     dy, d = net.dim_y, net.dim_x
     m_total = m_starts * m_inner
-    f_at_e, f_at_g = drivers or (bind_driver(gen, fk.x_at_e),
-                                 bind_driver(gen, fk.x_at_g))
-    work0, work_inner = work or (None, None)
-    grad, scratch = grads or (net.gradient(), net.gradient())
+    f_at_e, f_at_g = drivers
+    work0, work_inner = work
+    grad, scratch = grads
 
     acts0, pre0 = net._forward_cached(x0, work0)
     u0, ubar0 = net._split(acts0[-1])

@@ -52,22 +52,11 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_id, self.lineage + (int(index),))
 
 
-RngLike = Union[int, RngStream, np.random.Generator]
-
-
-def _as_stream(rng: Union[int, RngStream]) -> RngStream:
-    """An int seed ``s`` names the stream ``RngStream(s)``."""
-    if isinstance(rng, RngStream):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng))
-    raise TypeError(f"cannot use {type(rng)!r} as a random stream")
-
-
-def _as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return _as_stream(rng).generator()
+def check_stream(rng) -> RngStream:
+    """``rng`` itself; a TypeError unless it is an :class:`RngStream`."""
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"need an RngStream, got {type(rng).__name__}")
+    return rng
 
 
 @dataclass(frozen=True)
@@ -295,7 +284,7 @@ def check_step(sde: SdeSpec, dt: Optional[float]) -> None:
 
 def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
                     dt: Optional[float],
-                    rng: Union[RngLike, Sequence[RngLike]]) -> FkBatch:
+                    rng: Union[RngStream, Sequence[RngStream]]) -> FkBatch:
     """Draw ``m`` randomized-horizon samples.
 
     ``x`` is a single starting point or a batch of exactly ``m`` points
@@ -311,8 +300,8 @@ def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
         starts = np.broadcast_to(starts, (m, d))
     if starts.shape[0] != m:
         raise ValueError(f"need 1 or {m} starting points, got {starts.shape[0]}")
-    gens = ([_as_generator(r) for r in rng] if isinstance(rng, Sequence)
-            else [_as_generator(rng)])
+    streams = rng if isinstance(rng, Sequence) else [rng]
+    gens = [check_stream(r).generator() for r in streams]
     if not gens or m % len(gens):
         raise ValueError(f"{m} rows do not split into {len(gens)} equal blocks")
     check_step(problem.sde, dt)

@@ -224,6 +224,21 @@ class TestBadInput:
         with pytest.raises(ValueError, match=f"{name} must"):
             gaussian_radial_moment(**{**dict(q=2.0, dim=1), name: value})
 
+    @pytest.mark.parametrize("args, name", [
+        ((2, 400, 1, 1, 1), "growth_degree=400"),
+        ((2, 0, 400, 1, 1), "dim=400")])
+    def test_cp_integrand_overflow(self, args, name):
+        # the far quadrature nodes overflow t^(q/2) in a float
+        with pytest.raises(QuadratureFailure, match=name):
+            brownian_cp_constants(*args)
+
+    @pytest.mark.parametrize("args, name", [((1000, 1), "q=1000"),
+                                            ((2, 400), "dim=400")])
+    def test_radial_moment_overflow(self, args, name):
+        # (1 + s)^q at the far nodes, or gamma(dim / 2) in the normalisation
+        with pytest.raises(QuadratureFailure, match=name):
+            gaussian_radial_moment(*args)
+
     def test_non_finite_quadrature_fails(self, monkeypatch):
         from scipy import integrate
 
@@ -263,8 +278,8 @@ class TestEstimateC:
         problem = problem_by_name("arctan-const-sigma", 1)
         params = SchemeParams(2.0, 2.0, 1.5, 1.5)
         est = estimate_c_constants(problem, params, 0.0,
-                                   np.zeros((1, 1)), 100_000,
-                                   rng=RngStream(20))
+                                   np.zeros((1, 1)), 100_000, None,
+                                   RngStream(20))
         assert isinstance(est, CEstimate)
         assert est.c_inf_se < 0.005 and est.c_tilde_inf_se < 0.01
         assert abs(est.c_inf - 0.5) < 4 * est.c_inf_se
@@ -274,15 +289,40 @@ class TestEstimateC:
         problem = problem_by_name("arctan-const-sigma", 1)
         params = SchemeParams(2.0, 2.0, 1.5, 1.5)
         probes = np.array([[0.0], [1.0], [-2.0]])
-        est = estimate_c_constants(problem, params, 2.0, probes, 2000,
-                                   rng=RngStream(21))
+        est = estimate_c_constants(problem, params, 2.0, probes, 2000, None,
+                                   RngStream(21))
         assert est.c_inf > 0 and est.c_tilde_inf > 0
+
+    def test_brownian_degree_zero_runs_the_first_probe_only(self):
+        # every probe's estimate has one law here, so the max over probes
+        # would only add upward noise
+        problem = problem_by_name("arctan-const-sigma", 1)
+        params = SchemeParams(2.0, 2.0, 1.5, 1.5)
+        probes = np.array([[0.0], [1.0], [-2.0]])
+        est = estimate_c_constants(problem, params, 0.0, probes, 100_000,
+                                   None, RngStream(22))
+        assert est == estimate_c_constants(problem, params, 0.0, probes[:1],
+                                           100_000, None, RngStream(22))
+        # the estimate does not depend on where the probe is
+        assert est == estimate_c_constants(problem, params, 0.0, probes[2:],
+                                           100_000, None, RngStream(22))
+        c_inf, c_tilde = brownian_c_infinity(2.0, 2.0, 1)
+        assert abs(est.c_inf - c_inf) < 4 * est.c_inf_se
+        assert abs(est.c_tilde_inf - c_tilde) < 4 * est.c_tilde_inf_se
+
+    @pytest.mark.parametrize("bad", [0, np.random.default_rng(0)],
+                             ids=["int", "generator"])
+    def test_only_a_stream_accepted(self, bad):
+        problem = problem_by_name("arctan-const-sigma", 1)
+        with pytest.raises(TypeError):
+            estimate_c_constants(problem, SchemeParams(), 0.0,
+                                 np.zeros((1, 1)), 10, None, bad)
 
     def test_empty_probe_set_rejected(self):
         problem = problem_by_name("arctan-const-sigma", 1)
         with pytest.raises(ValueError):
             estimate_c_constants(problem, SchemeParams(), 0.0,
-                                 np.zeros((0, 1)), 10)
+                                 np.zeros((0, 1)), 10, None, RngStream(0))
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_fewer_than_two_samples_rejected(self, m):
@@ -290,7 +330,7 @@ class TestEstimateC:
         problem = problem_by_name("arctan-const-sigma", 1)
         with pytest.raises(ValueError, match="at least 2"):
             estimate_c_constants(problem, SchemeParams(), 0.0,
-                                 np.zeros((1, 1)), m)
+                                 np.zeros((1, 1)), m, None, RngStream(0))
 
 
 class TestReport:

@@ -219,8 +219,11 @@ class TestNnPicard:
         assert [r[0] for r in rows[1:]] == ["1", "2"]
         assert (out / "nn_trace.svg").exists()
         # per-iteration checkpoints hold the network only, no optimizer
-        net, state = load_checkpoint(out / "net_iter_02.npz")
-        assert state is None
+        with np.load(out / "net_iter_02.npz") as data:
+            layers = range(int(data["dims"][2]))
+            assert sorted(data.files) == sorted(
+                ["dims", *(f"{c}{k}" for k in layers for c in "wb")])
+        net = load_checkpoint(out / "net_iter_02.npz")
         value = net(np.zeros((1, 1)))[0]
         assert np.isfinite(value).all()
 
@@ -230,8 +233,8 @@ class TestNnPicard:
         assert run(picard_args(b)) == 0
         assert without_seconds(read_csv(a / "nn_trace.csv")) == \
             without_seconds(read_csv(b / "nn_trace.csv"))
-        net_a, _ = load_checkpoint(a / "net_iter_02.npz")
-        net_b, _ = load_checkpoint(b / "net_iter_02.npz")
+        net_a = load_checkpoint(a / "net_iter_02.npz")
+        net_b = load_checkpoint(b / "net_iter_02.npz")
         for wa, wb in zip(net_a.weights, net_b.weights):
             assert np.array_equal(wa, wb)
 
@@ -258,7 +261,7 @@ class TestNnDirect:
         rows = read_csv(out / "nn_trace.csv")
         assert rows[0][0] == "n"
         assert len(rows) >= 3
-        net, _ = load_checkpoint(out / "net_final.npz")
+        net = load_checkpoint(out / "net_final.npz")
         assert np.isfinite(net(np.zeros((1, 1)))[0]).all()
 
 
@@ -308,7 +311,7 @@ class TestContraction:
             0.0, problem.mu0_std, size=(3, 1))
         probes = np.vstack([Grid(1, 2, 1.5).nodes, draws])
         est = estimate_c_constants(problem, SchemeParams(), 0.0, probes, 200,
-                                   0.05, 7)
+                                   0.05, RngStream(7))
         by_name = {r[0]: r for r in read_csv(
             out / "contraction_report.csv")[1:]}
         assert by_name["c_inf_estimate"][1] == _format(est.c_inf)

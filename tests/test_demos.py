@@ -1,7 +1,10 @@
-"""Every name a demo script or a README code block imports from infbsde exists.
+"""Every name a demo script or a README code block imports from infbsde
+exists, and so does every test file, demo and module attribute that the
+README names.
 
 The sources are parsed, not run, so this costs milliseconds; it catches a
-demo or a doc example left behind when a public name is removed or renamed.
+demo, a doc example or a README sentence left behind when a public name, a
+test file or a demo is removed or renamed.
 The one-draw estimator demo, which feeds the analytic solution in as a
 candidate pair, and the contraction-constant demo, which calls the
 analysis functions with a problem's own generator, also run (about half a
@@ -17,9 +20,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
-                           (ROOT / "README.md").read_text(encoding="utf-8"),
-                           re.M | re.S)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+MODULES = sorted(p.stem for p in (ROOT / "src" / "infbsde").glob("*.py")
+                 if p.stem != "__init__")
 SOURCES = ([pytest.param(path.read_text(encoding="utf-8"), id=path.name)
             for path in DEMOS]
            + [pytest.param(block, id=f"README.md-python-{i}")
@@ -80,3 +84,22 @@ def test_contraction_constants_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "kappa_inf = 3.3541" in out
     assert "linear-constant with mu=1: kappa_inf = 0.5000" in out
+
+
+def test_readme_paths_exist():
+    paths = sorted(set(re.findall(r"\b((?:tests|demos)/\w+\.py)\b", README)))
+    assert len(paths) >= 10
+    missing = [path for path in paths if not (ROOT / path).is_file()]
+    assert not missing, f"README names missing files: {missing}"
+
+
+def test_readme_module_names_resolve():
+    # `infbsde.<module>`, and `<module>.<name>` with or without the package
+    modules = re.findall(r"`infbsde\.(\w+)`", README)
+    dotted = re.findall(r"`(?:infbsde\.)?(%s)\.(\w+)" % "|".join(MODULES),
+                        README)
+    assert modules and dotted
+    missing = [f"infbsde.{m}" for m in modules if m not in MODULES]
+    missing += [f"infbsde.{m}.{name}" for m, name in dotted
+                if not hasattr(importlib.import_module(f"infbsde.{m}"), name)]
+    assert not missing, f"README names missing attributes: {missing}"

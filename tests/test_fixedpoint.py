@@ -128,6 +128,14 @@ class TestPhiEstimate:
         assert abs(mean1[0] - u_true[0]) < 4 * se1[0] + 1e-4
         assert abs(mean2[0, 0] - ub_true[0, 0]) < 4 * se2[0, 0] + 1e-4
 
+    @pytest.mark.parametrize("bad", [3, np.random.default_rng(3)],
+                             ids=["int", "generator"])
+    def test_only_a_stream_accepted(self, bad):
+        problem = problem_by_name("linear-constant", 1)
+        with pytest.raises(TypeError):
+            estimate_phi(problem, PARAMS, zero_candidate(1, 1),
+                         np.array([0.0]), 4, None, bad)
+
     def test_requires_two_samples(self):
         problem = problem_by_name("linear-constant", 1)
         with pytest.raises(ValueError):

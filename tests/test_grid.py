@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infbsde import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                     interpolate, sup_diff, sup_weighted_diff,
-                     truncated_nodes, write_grid_csv)
+                     interpolate, sup_diff, truncated_nodes,
+                     write_grid_csv)
 
 
 def random_grid_function(grid, dim_y=1, seed=0):
@@ -258,8 +258,6 @@ class TestSupDiffs:
                            np.zeros((3, 1, 1)))
         psi = GridFunction.zero(g, 1)
         assert sup_diff(phi, psi) == 4.0
-        # weights 1 + |x| are [2, 1, 2]; ratios [1, 3, 2]
-        assert sup_weighted_diff(phi, psi, 1.0) == 3.0
 
     def test_joint_norm_mixes_value_and_gradient(self):
         g = Grid(dim=1, n_half=0, mesh=1.0)

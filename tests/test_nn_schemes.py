@@ -223,7 +223,7 @@ class TestContractionScheme:
 
 class TestDirectScheme:
     def test_loss_gradient_matches_finite_differences(self):
-        from infbsde import SchemeParams, sample_fk_batch
+        from infbsde import SchemeParams, bind_driver, sample_fk_batch
         from infbsde.fixedpoint import one_draw_weights
         from infbsde.nn_schemes import _residual_loss_grads
 
@@ -236,10 +236,15 @@ class TestDirectScheme:
         fk = sample_fk_batch(problem, params, repeated, m_starts * m_inner,
                              None, RngStream(23))
         weight_e, weight_g = one_draw_weights(params, fk)
+        drivers = (bind_driver(problem.gen, fk.x_at_e),
+                   bind_driver(problem.gen, fk.x_at_g))
+        work = (net.workspace(m_starts), net.workspace(m_starts * m_inner))
 
         def at(*args):
+            grads = (net.gradient(), net.gradient())
             return _residual_loss_grads(net, problem, params, x0, fk,
-                                        weight_e, weight_g, m_starts, m_inner)
+                                        weight_e, weight_g, m_starts, m_inner,
+                                        drivers, work, grads)
 
         _, grad = at()  # laid out as net.flat
         assert grad.shape == net.flat.shape

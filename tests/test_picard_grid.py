@@ -130,7 +130,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
     ref_ubar = np.empty_like(v.ubar)
     for node, x in enumerate(grid.nodes):
         fk = sample_fk_batch(problem, cfg.params, x, cfg.m_samples, cfg.dt,
-                             rng.substream(node).generator())
+                             rng.substream(node))
         comp1, comp2 = r_sample_batch(problem, cfg.params, v, fk)
         ref_u[node] = comp1.mean(axis=0)
         ref_ubar[node] = comp2.mean(axis=0)

@@ -444,7 +444,7 @@ def assert_blocks_match(problem, starts, m, dt, streams):
     rows = np.repeat(starts, m, axis=0)
     chunk = sample_fk_batch(problem, PARAMS, rows, m * len(streams), dt,
                             streams)
-    parts = [sample_fk_batch(problem, PARAMS, x, m, dt, stream.generator())
+    parts = [sample_fk_batch(problem, PARAMS, x, m, dt, stream)
              for x, stream in zip(starts, streams)]
     for name in FK_FIELDS:
         np.testing.assert_array_equal(
@@ -503,8 +503,7 @@ class TestStreamBlocks:
         problem = with_sde(collapsing_sde(), 2)
         starts = np.array([[0.0, 0.0], [10.0, 0.0], [-1.0, 0.0]])
         streams = [RngStream(22).substream(i) for i in range(3)]
-        sample_fk_batch(problem, PARAMS, starts[0], 20, 0.05,
-                        streams[0].generator())
+        sample_fk_batch(problem, PARAMS, starts[0], 20, 0.05, streams[0])
         with pytest.raises(DegenerateDiffusion):
             sample_fk_batch(problem, PARAMS, np.repeat(starts, 20, axis=0),
                             60, 0.05, streams)
@@ -610,15 +609,12 @@ class TestRngStream:
         grand = child.substream(1)
         assert grand.lineage == (7, 1)
 
-    def test_int_seed_names_stream(self):
-        problem = problem_by_name("arctan-const-sigma", 2)
-        a = sample_fk_batch(problem, PARAMS, np.zeros(2), 8, None, 3)
-        b = sample_fk_batch(problem, PARAMS, np.zeros(2), 8, None, RngStream(3))
-        np.testing.assert_array_equal(a.x_at_g, b.x_at_g)
-        np.testing.assert_array_equal(a.malliavin_at_g, b.malliavin_at_g)
-
-    @pytest.mark.parametrize("bad", [1.5, "3", None])
+    @pytest.mark.parametrize("bad", [
+        1.5, "3", None, pytest.param(3, id="int"),
+        pytest.param(np.random.default_rng(3), id="generator"),
+        pytest.param([RngStream(3), 3], id="int-in-sequence")])
     def test_non_seed_rejected(self, bad):
+        # only an RngStream, or a sequence of them, is a random stream
         problem = problem_by_name("arctan-const-sigma", 1)
         with pytest.raises(TypeError):
             sample_fk_batch(problem, PARAMS, np.zeros(1), 3, None, rng=bad)
