@@ -20,8 +20,8 @@ from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     InconsistentDerivatives, NonPositiveRate, Problem,
                     PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,
                     UnknownProblem, bind_driver, brownian_sde,
-                    manufacture_problem, problem_by_name, tanh_sigma_sde,
-                    validate_params)
+                    manufacture_problem, monotonicity_margin, problem_by_name,
+                    tanh_sigma_sde)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingDriverDerivatives, NnConfig,
                          NnPicardConfig, NnSolveResult, NonFiniteLoss,

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .fixedpoint import one_draw_weights, poly_weight
-from .model import GeneratorSpec, Problem, SchemeParams, validate_params
+from .model import GeneratorSpec, Problem, SchemeParams, check_dim
 from .simulate import RngStream, check_stream, sample_fk_batch
 
 
@@ -41,11 +40,6 @@ def _check_positive(**values: float) -> None:
                 f"{name} must be finite and positive, got {value}")
 
 
-def _check_dim(dim: int) -> None:
-    if not isinstance(dim, numbers.Integral) or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-
-
 def lipschitz_shift(lip_y: float, monotonicity: float, discount: float) -> float:
     """Effective Lipschitz constant of the discounted driver in y."""
     radicand = lip_y**2 - 2.0 * monotonicity * discount + discount**2
@@ -58,7 +52,7 @@ def brownian_c_infinity(discount_y: float, discount_z: float,
                         dim: int = 1) -> Tuple[float, float]:
     """Exact kernel norms for unit Brownian dynamics and weight degree 0."""
     _check_positive(discount_y=discount_y, discount_z=discount_z)
-    _check_dim(dim)
+    check_dim(dim)
     c_inf = 1.0 / discount_y
     c_tilde = math.sqrt(2.0 * math.pi / discount_z) \
         * math.gamma((dim + 1) / 2.0) / math.gamma(dim / 2.0)
@@ -69,7 +63,6 @@ def kappa_infinity(gen: GeneratorSpec, params: SchemeParams, c_inf: float,
                    c_tilde_inf: float) -> float:
     """Contraction constant of the fixed-point map in the weighted sup norm,
     from the kernel norms ``c_inf`` and ``c_tilde_inf``."""
-    validate_params(params, gen)
     shift_y = lipschitz_shift(gen.lip_y, gen.monotonicity, params.discount_y)
     if gen.lip_z == 0:
         return c_inf * shift_y
@@ -87,7 +80,6 @@ def kappa_p(gen: GeneratorSpec, params: SchemeParams, p: float, c_p: float,
     constants; a driver that depends on z (``lip_z > 0``) needs all three.
     """
     _check_p(p)
-    validate_params(params, gen)
     a, theta = params.discount_y, params.exp_rate
     if a * p <= theta:
         raise InvalidP(f"need discount_y * p > exp_rate, got {a * p} <= {theta}")
@@ -182,7 +174,7 @@ def gaussian_radial_moment(q: float, dim: int) -> float:
     """Integral of (1 + |y|)^q against the standard Gaussian on R^dim."""
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
-    _check_dim(dim)
+    check_dim(dim)
     with _overflow_fails(f"q={q}, dim={dim}"):
         norm = 2.0 ** (dim / 2.0 - 1.0) * math.gamma(dim / 2.0)
 
@@ -205,7 +197,7 @@ def brownian_cp_constants(p: float, growth_degree: float, dim: int,
     if not 0 <= growth_degree < math.inf:
         raise ValueError("growth_degree must be finite and non-negative, "
                          f"got {growth_degree}")
-    _check_dim(dim)
+    check_dim(dim)
     _check_positive(exp_rate=exp_rate, gamma_rate=gamma_rate)
     q = p * growth_degree + dim + 1
     if not math.isfinite(q):

@@ -30,14 +30,13 @@ from .analysis import (brownian_c_infinity, contraction_report,
                        estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_grid_csv
-from .model import RunConfig, problem_by_name, validate_params
+from .model import RunConfig, monotonicity_margin, problem_by_name
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
                          contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (FitUnderdetermined, GridSolveConfig,
-                          _check_rate_study, _sample_counts, _worker_count,
-                          rate_study, solve)
-from .simulate import DegenerateDiffusion, RngStream, check_step
+from .picard_grid import (GridSolveConfig, _check_rate_study, _sample_counts,
+                          _worker_count, rate_study, solve)
+from .simulate import RngStream
 
 
 class ConfigParse(ValueError):
@@ -135,9 +134,6 @@ _SUBCOMMANDS = {
         "--steps-per-epoch": "steps_per_epoch", "--M-x": "m_starts",
         "--M-inner": "m_inner"}),
 }
-
-_NUMERIC_ERRORS = (NonFiniteValue, NonFiniteLoss, DegenerateDiffusion,
-                   FitUnderdetermined, ArithmeticError)
 
 
 def _list_of(item):
@@ -239,8 +235,8 @@ def _truncation(cfg: Dict) -> Optional[Tuple[float, float]]:
 def _build(cls, cfg: Dict):
     """Config class ``cls`` from the flat keys of ``cfg``.
 
-    A missing or None value keeps the class default.  The class's own
-    checks raise ValueError.
+    A missing or None value keeps the class default.  The class checks
+    the run's settings on construction and raises ValueError.
     """
     hints = get_type_hints(cls)
     kwargs = {}
@@ -257,21 +253,11 @@ def _build(cls, cfg: Dict):
     return cls(**kwargs)
 
 
-def _checked(config):
-    """``config``, once its problem builds, its rates are positive and its
-    dynamics have the Euler step they need."""
-    problem = config.build_problem()
-    validate_params(config.params, problem.gen)
-    check_step(problem.sde, config.dt)
-    return config
-
-
-def _checked_grid(config: GridSolveConfig) -> GridSolveConfig:
-    """``config`` as :func:`_checked` passes it, once its grid builds and
+def _build_grid(cfg: Dict, **fixed) -> GridSolveConfig:
+    """The grid config of ``cfg`` with the ``fixed`` keys, once
     ``BSDE_THREADS`` is a valid thread count."""
-    _checked(config).build_grid()
     _worker_count()
-    return config
+    return _build(GridSolveConfig, {**cfg, **fixed})
 
 
 def _write_csv(path, header: List[str], rows: List[List]) -> None:
@@ -321,8 +307,7 @@ def _build_rate_study(cfg: Dict):
     if min(ntilde) < 1:
         raise ConfigParse("ntilde_list entries must be at least 1")
     # every mesh of the study shares the template's box, padding and dim
-    template = _checked_grid(replace(_build(GridSolveConfig, cfg),
-                                     n_half=ntilde[0], m_samples=2))
+    template = _build_grid(cfg, n_half=ntilde[0], m_samples=2)
     _sample_counts(ntilde, k, template.half_width)
     return template, ntilde, k
 
@@ -388,11 +373,9 @@ def _build_contraction(cfg: Dict):
     if not 0 <= probe["weight_degree"] < np.inf:
         raise ConfigParse("weight_degree must be finite and non-negative")
     problem = problem_by_name(config.problem, config.dim, config.overrides)
-    margin = validate_params(config.params, problem.gen)
-    check_step(problem.sde, config.dt)
     grid = Grid(problem.sde.dim, probe["probe_n_half"],
                 probe["probe_half_width"] / probe["probe_n_half"])
-    return config, problem, margin, probe, grid
+    return config, problem, monotonicity_margin(problem.gen), probe, grid
 
 
 def _run_contraction(built, outdir: str) -> int:
@@ -445,9 +428,8 @@ def _build_kz_sweep(cfg: Dict):
     # checked too
     picard, direct = _build(NnPicardConfig, cfg), _build(DirectConfig, cfg)
     base = picard if scheme == "nn-picard" else direct
-    cells = [[_checked(replace(base, overrides={**(base.overrides or {}),
-                                                "kz": kz},
-                               seed=_sweep_seed(base.seed, i, rep)))
+    cells = [[replace(base, overrides={**(base.overrides or {}), "kz": kz},
+                      seed=_sweep_seed(base.seed, i, rep))
               for rep in range(reps)] for i, kz in enumerate(kz_values)]
     return scheme, kz_values, cells
 
@@ -481,13 +463,10 @@ def _run_kz_sweep(built, outdir: str) -> int:
 
 # per subcommand: build the run from the flat config, then run it
 _COMMANDS = {
-    "grid-solve": (lambda cfg: _checked_grid(_build(GridSolveConfig, cfg)),
-                   _run_grid_solve),
+    "grid-solve": (_build_grid, _run_grid_solve),
     "rate-study": (_build_rate_study, _run_rate_study),
-    "nn-picard": (lambda cfg: _checked(_build(NnPicardConfig, cfg)),
-                  _run_nn_picard),
-    "nn-direct": (lambda cfg: _checked(_build(DirectConfig, cfg)),
-                  _run_nn_direct),
+    "nn-picard": (functools.partial(_build, NnPicardConfig), _run_nn_picard),
+    "nn-direct": (functools.partial(_build, DirectConfig), _run_nn_direct),
     "contraction": (_build_contraction, _run_contraction),
     "kz-sweep": (_build_kz_sweep, _run_kz_sweep),
 }
@@ -513,7 +492,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     _echo_config(outdir, command, cfg)
     try:
         return runner(built, outdir)
-    except _NUMERIC_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

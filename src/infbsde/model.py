@@ -6,6 +6,7 @@ are ``(m, d)`` arrays; generator values are ``(m, d')``; gradient-side values
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -142,7 +143,8 @@ class SchemeParams:
 
     The value component is discounted at ``discount_y`` over an exponential
     horizon of rate ``exp_rate``; the gradient component is discounted at
-    ``discount_z`` over a Gamma(1/2, gamma_rate) horizon.
+    ``discount_z`` over a Gamma(1/2, gamma_rate) horizon.  Construction
+    raises :class:`NonPositiveRate` unless every rate is finite and positive.
     """
 
     discount_y: float = 2.0
@@ -150,12 +152,22 @@ class SchemeParams:
     exp_rate: float = 1.5
     gamma_rate: float = 1.5
 
+    def __post_init__(self):
+        bad = [k for k, v in asdict(self).items() if not 0 < v < np.inf]
+        if bad:
+            raise NonPositiveRate(
+                f"non-positive or non-finite parameter(s): {', '.join(bad)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Settings every run shares: the problem and its constant overrides
     (the start-law width ``mu0_std`` among them), the scheme parameters,
-    the Euler step ``dt`` (non-Brownian dynamics only) and the seed."""
+    the Euler step ``dt`` (non-Brownian dynamics only) and the seed.
+
+    Construction raises ValueError unless the problem builds and its
+    dynamics have the Euler step they need.
+    """
 
     problem: str
     dim: int = 1
@@ -163,6 +175,10 @@ class RunConfig:
     params: SchemeParams = field(default_factory=SchemeParams)
     dt: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self):
+        problem = problem_by_name(self.problem, self.dim, self.overrides)
+        check_step(problem.sde, self.dt)
 
 
 @dataclass(frozen=True)
@@ -192,19 +208,24 @@ class Problem:
     mu0_std: float = 2.0
 
 
-def validate_params(params: SchemeParams, gen: GeneratorSpec) -> float:
-    """Raise :class:`NonPositiveRate` unless every rate is finite and positive.
-
-    Returns the monotonicity margin ``2*monotonicity - lip_z**2``; the
-    representation may fail to contract where it is negative.  The
-    discount-above-rate conditions are reported by
-    ``analysis.contraction_report``.
-    """
-    bad = [k for k, v in asdict(params).items() if not 0 < v < np.inf]
-    if bad:
-        raise NonPositiveRate(
-            f"non-positive or non-finite parameter(s): {', '.join(bad)}")
+def monotonicity_margin(gen: GeneratorSpec) -> float:
+    """``2*monotonicity - lip_z**2``; the representation may fail to
+    contract where it is negative.  The discount-above-rate conditions are
+    reported by ``analysis.contraction_report``."""
     return 2.0 * gen.monotonicity - gen.lip_z**2
+
+
+def check_dim(dim: int) -> None:
+    """Raise ValueError unless ``dim`` is an integer of at least 1."""
+    if not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+
+
+def check_step(sde: SdeSpec, dt: Optional[float]) -> None:
+    """Raise ValueError unless ``sde`` is Brownian or ``dt`` is a finite
+    positive step."""
+    if not sde.is_brownian and not (dt is not None and 0 < dt < np.inf):
+        raise ValueError("a finite dt > 0 is required for non-Brownian dynamics")
 
 
 def _finite_difference_check(u, grad_u, hess_u, dim: int, dim_y: int) -> None:
@@ -441,6 +462,7 @@ def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> 
         ``c``, ``kz`` (arctan family), ``eps`` (tanh diffusion),
         ``mu``, ``c0`` (linear-constant), and ``mu0_std``.
     """
+    check_dim(d)
     ov = {key: float(value) for key, value in (overrides or {}).items()}
     bad = {key: value for key, value in ov.items() if not np.isfinite(value)}
     if bad:

@@ -209,13 +209,13 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    base_lr: float = 5e-4
-    decay: float = 0.9
-    decay_period: int = 1000
+    base_lr: float
+    decay: float
+    decay_period: int
 
     @classmethod
-    def init(cls, net: Mlp, base_lr: float = 5e-4, decay: float = 0.9,
-             decay_period: int = 1000) -> "AdamState":
+    def init(cls, net: Mlp, base_lr: float, decay: float,
+             decay_period: int) -> "AdamState":
         return cls(0, np.zeros_like(net.flat), np.zeros_like(net.flat),
                    base_lr, decay, decay_period)
 

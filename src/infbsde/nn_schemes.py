@@ -39,13 +39,11 @@ class NnConfig(RunConfig):
     m_err: int = 1000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.m_err < 1:
             raise ValueError("m_err must be at least 1")
         if any(width < 1 for width in self.hidden_widths()):
             raise ValueError("hidden widths must be at least 1")
-
-    def build_problem(self) -> Problem:
-        return problem_by_name(self.problem, self.dim, self.overrides)
 
     def hidden_widths(self) -> Tuple[int, ...]:
         return self.hidden if self.hidden is not None else (20 + self.dim,) * 2
@@ -188,7 +186,7 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
 
     ``nets`` holds each iteration's net, frozen as the next one's candidate.
     """
-    problem = cfg.build_problem()
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
     eval_gen = RngStream(cfg.seed, stream_id=1).generator()
@@ -337,7 +335,7 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
     contraction is needed, at the price of a driver with known y/z
     Jacobians.
     """
-    problem = cfg.build_problem()
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     if problem.gen.f_y is None or problem.gen.f_z is None:
         raise MissingDriverDerivatives(
             f"problem {problem.name!r} supplies no driver Jacobians")

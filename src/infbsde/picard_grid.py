@@ -47,7 +47,8 @@ class GridSolveConfig(RunConfig):
     ``half_width`` is the half side of the inner reporting box; the mesh is
     ``half_width / n_half`` and the grid extends ``pad`` extra layers.
     ``truncation`` is an optional (bound, growth degree) pair; it is off by
-    default.
+    default.  Construction also builds the grid, so a box or padding that
+    makes no grid raises ValueError.
     """
 
     n_half: int = 10
@@ -58,19 +59,18 @@ class GridSolveConfig(RunConfig):
     truncation: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_half < 1:
             raise ValueError("n_half must be at least 1")
         if self.m_samples < 2:
             raise ValueError("m_samples must be at least 2")
         if self.n_iters < 1:
             raise ValueError("n_iters must be at least 1")
+        self.build_grid()
 
     @property
     def mesh(self) -> float:
         return self.half_width / self.n_half
-
-    def build_problem(self) -> Problem:
-        return problem_by_name(self.problem, self.dim, self.overrides)
 
     def build_grid(self) -> Grid:
         return Grid(self.dim, self.n_half, self.mesh, self.pad)
@@ -160,7 +160,7 @@ class GridSolveResult:
 def solve(cfg: GridSolveConfig,
           base_stream: Optional[RngStream] = None) -> GridSolveResult:
     """Run the Picard iteration from the zero grid function."""
-    problem = cfg.build_problem()
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     grid = cfg.build_grid()
     v = GridFunction.zero(grid, problem.gen.dim_y)
     inner = truncated_nodes(grid)

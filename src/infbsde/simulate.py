@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Problem, SchemeParams, SdeSpec, as_points
+from .model import Problem, SchemeParams, SdeSpec, as_points, check_step
 
 
 class DegenerateDiffusion(ArithmeticError):
@@ -273,13 +273,6 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
         x_at_g=x_at_g,
         malliavin_at_g=malliavin,
     )
-
-
-def check_step(sde: SdeSpec, dt: Optional[float]) -> None:
-    """Raise ValueError unless ``sde`` is Brownian or ``dt`` is a finite
-    positive step."""
-    if not sde.is_brownian and not (dt is not None and 0 < dt < np.inf):
-        raise ValueError("a finite dt > 0 is required for non-Brownian dynamics")
 
 
 def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,

@@ -206,17 +206,17 @@ class TestBadInput:
         ("discount_y", -1.0), ("discount_z", 0.0), ("exp_rate", -3.0),
         ("exp_rate", 0.0), ("gamma_rate", NAN), ("gamma_rate", INF)])
     def test_kappa_rates(self, name, value):
-        params = SchemeParams(**{name: value})
         with pytest.raises(NonPositiveRate, match=name):
-            kappa_p(driver(1.0), params, 2.0, 1.0)
+            kappa_p(driver(1.0), SchemeParams(**{name: value}), 2.0, 1.0)
         with pytest.raises(NonPositiveRate, match=name):
-            kappa_infinity(driver(1.0), params, 1.0, 1.0)
+            kappa_infinity(driver(1.0), SchemeParams(**{name: value}), 1.0,
+                           1.0)
 
     def test_kappa_p_never_complex(self):
         # a negative discount over a negative rate once gave a complex kappa
-        params = SchemeParams(discount_y=-1.0, exp_rate=-3.0)
         with pytest.raises(NonPositiveRate, match="discount_y, exp_rate"):
-            kappa_p(driver(1.0), params, 2.0, 1.0)
+            kappa_p(driver(1.0), SchemeParams(discount_y=-1.0, exp_rate=-3.0),
+                    2.0, 1.0)
 
     @pytest.mark.parametrize("name, value", [
         ("q", NAN), ("q", INF), ("q", -INF), ("dim", 0), ("dim", 1.5)])

@@ -1,5 +1,6 @@
 """Command line runner: outputs, exit codes, reproducibility."""
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from infbsde import (DirectConfig, Grid, GridSolveConfig, NnPicardConfig,
 from infbsde.cli import (_DEFAULTS, _build, _format, _sweep_seed, build_parser,
                          run)
 from infbsde.neural import load_checkpoint
+from test_cold_start import COMMANDS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -560,6 +562,17 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                  id="grid-solve-R-nan"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--d", "0"],
                  id="grid-solve-d0"),
+    # a dimension below 1 is rejected before any output (small budgets, so
+    # a run that wrongly starts ends fast)
+    pytest.param(["nn-picard", "--problem", "arctan-const-sigma", "--d", "0",
+                  "--M", "8", "--iters", "1", "--steps", "1"],
+                 id="nn-picard-d0"),
+    pytest.param(["nn-direct", "--problem", "arctan-const-sigma", "--d", "0",
+                  "--epochs", "1", "--steps", "1", "--M-x", "2", "--M", "2"],
+                 id="nn-direct-d0"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--d", "0",
+                  "--kz-list", "1", "--reps", "1", "--iters", "1", "--steps",
+                  "1", "--M", "8"], id="kz-sweep-d0"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--p", "-1"],
                  id="grid-solve-p-1"),
     pytest.param(["rate-study", "--problem", "linear-constant",
@@ -666,6 +679,26 @@ def test_config_values_cast_to_field_types():
     assert config.hidden == (8, 6) and config.warm_start is False
 
 
+@pytest.mark.parametrize("argv", [argv for argv in COMMANDS if argv[0] in (
+    "grid-solve", "nn-picard", "nn-direct")], ids=lambda argv: argv[0])
+def test_problem_built_at_most_twice(tmp_path, capsys, monkeypatch, argv):
+    """Once when the config checks itself, once in the solver."""
+    from infbsde import model
+
+    builds = []
+    real = model.manufacture_problem
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "manufacture_problem", counting)
+    assert run(argv + ["--problem", "arctan-const-sigma",
+                       "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(builds) <= 2
+
+
 def test_traced_entry_points_are_reached(tmp_path, monkeypatch):
     """The per-layer benchmark metrics (``perfbench/tracer.py``) wrap these
     module globals and methods from the outside, so the library must reach
@@ -708,3 +741,107 @@ def test_traced_entry_points_are_reached(tmp_path, monkeypatch):
     expected = {f"{owner.__name__}.{name}"
                 for owner, names in traced.items() for name in names}
     assert sorted(expected - reached) == []
+
+
+def seeded_digests(out):
+    """SHA-256 of each seeded output in ``out``: CSVs without their
+    ``seconds`` column, the JSON files, and the arrays of each checkpoint
+    (the npz container stores write times)."""
+    digests = {}
+    for name, content in output_files(out).items():
+        if name.endswith(".csv"):
+            blob = json.dumps(content).encode()
+        elif name.endswith(".npz"):
+            with np.load(out / name) as data:
+                blob = b"".join(key.encode() + data[key].tobytes()
+                                for key in sorted(data))
+        elif name.endswith(".json"):
+            blob = content
+        else:
+            continue
+        digests[name] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+class TestPinnedOutputs:
+    """Digests of every seeded output of the six subcommands, run on
+    ``arctan-const-sigma`` at the budgets of ``test_cold_start.COMMANDS``
+    with the default seed.
+
+    Recorded before the config classes took over the run checks, so that
+    no refactor moves a seeded output unseen.  The neural digests
+    (``nn-picard``, ``nn-direct``, ``kz-sweep``) depend on the matrix
+    kernels numpy calls; they were recorded with OpenBLAS 0.3.31 on an
+    x86-64 (Haswell kernels) host and may differ under another BLAS.
+    """
+
+    DIGESTS = {
+        "grid-solve": {
+            "config_echo.json":
+                "b9427840ea5fb3bb08ebdbf846b32695"
+                "7093f3dd9ae3d81ed8883b70538d557f",
+            "grid_solution.csv":
+                "69d334aafde875193f5437728ea8c681"
+                "1824814688627366630ed6c2400ab837",
+            "iterations.csv":
+                "c83dd25e47a3c3f673c9edfd5e393b7b"
+                "560bc167a4958a1a03d48c205bf5162f",
+        },
+        "rate-study": {
+            "config_echo.json":
+                "f2b616596599972f4c707ac5df82e08d"
+                "f90cb1c7d4fd58787cce89271402ae9e",
+            "rate_fit.json":
+                "1ebb1020981cfe3351e998eca2cd561d"
+                "580a0e5f391ea9ebc739001dffe25cbe",
+            "rate_study.csv":
+                "63b5634cb71be3fa9aed54de1fdf5a81"
+                "eeb3dd6bcb9f011e901177d97467b2bc",
+        },
+        "nn-picard": {
+            "config_echo.json":
+                "4d6023ef5c9218dfbec54e61462c542f"
+                "c802d7b12046d0c20b3b7cd38fb4e4f6",
+            "net_iter_01.npz":
+                "d2117db2b19ee2de3c3c52abfaaff387"
+                "c5fb4fd93e568a14ba7e449f0a6210fa",
+            "nn_trace.csv":
+                "78c473a9439aa1931d91421e845891db"
+                "83b3396c4241db2058cb7ff0d9f96017",
+        },
+        "nn-direct": {
+            "config_echo.json":
+                "b86fb9390fbfcefd6c04490b66057baa"
+                "8ba734c021b4e6cf744233577fd4106a",
+            "net_final.npz":
+                "9c511e9e7dbe11c2f4e9143929e777ba"
+                "433a4f21e43356106f1c97e18b8335f5",
+            "nn_trace.csv":
+                "8772335b5ca692d43d15478dd67e91ba"
+                "ea7838ae52d59822bf6b4bd3f3a78f37",
+        },
+        "contraction": {
+            "config_echo.json":
+                "59efde5442c16df38468a49ec7826efc"
+                "437f2f9dd00a4e03ac785d10c6665087",
+            "contraction_report.csv":
+                "193df84c894275fbb5559313b365a232"
+                "542d55f39a6305933f59371ff4bda978",
+        },
+        "kz-sweep": {
+            "config_echo.json":
+                "01989c2b11ebc0441f16c5286f97d5b2"
+                "1243935a117af4cab3900c39805fdc8f",
+            "kz_sweep.csv":
+                "df3a83a592a68929cef8d8d81e00ca6c"
+                "d92be5fa19ce30f41f7caf0749f54442",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_digests(self, tmp_path, capsys, argv):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--problem", "arctan-const-sigma",
+                           "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert seeded_digests(out) == self.DIGESTS[argv[0]]

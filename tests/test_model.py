@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from infbsde import model as model_mod
 from infbsde import (GeneratorSpec, InconsistentDerivatives, NonPositiveRate,
                      PROBLEM_NAMES, SchemeParams, UnknownProblem, brownian_sde,
-                     manufacture_problem, problem_by_name, tanh_sigma_sde,
-                     validate_params)
+                     manufacture_problem, monotonicity_margin,
+                     problem_by_name, tanh_sigma_sde)
 from infbsde.model import as_points, row_sum
 
 
@@ -21,24 +21,25 @@ class TestValidateParams:
     conditions are ``contraction_report`` rows (test_analysis.py)."""
 
     def test_paper_settings_pass(self):
-        margin = validate_params(SchemeParams(2.0, 2.0, 1.5, 1.5), arctan_gen())
+        SchemeParams(2.0, 2.0, 1.5, 1.5)
+        margin = monotonicity_margin(arctan_gen())
         # 2*mu - K_z^2 = 2*1 - 0.25
         assert margin == pytest.approx(1.75)
 
     def test_negative_margin_is_warning_not_failure(self):
-        margin = validate_params(SchemeParams(2.0, 2.0, 1.5, 1.5),
-                                 arctan_gen(kz=2.0))
+        SchemeParams(2.0, 2.0, 1.5, 1.5)
+        margin = monotonicity_margin(arctan_gen(kz=2.0))
         assert margin == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("params", [
-        SchemeParams(0.0, 2.0, 1.5, 1.5),
-        SchemeParams(2.0, -1.0, 1.5, 1.5),
-        SchemeParams(2.0, 2.0, 0.0, 1.5),
-        SchemeParams(2.0, 2.0, 1.5, -0.5),
+        (0.0, 2.0, 1.5, 1.5),
+        (2.0, -1.0, 1.5, 1.5),
+        (2.0, 2.0, 0.0, 1.5),
+        (2.0, 2.0, 1.5, -0.5),
     ])
     def test_non_positive_rate_raises(self, params):
         with pytest.raises(NonPositiveRate):
-            validate_params(params, arctan_gen())
+            SchemeParams(*params)
 
 
 class TestRegistry:

@@ -127,7 +127,7 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         net = Mlp.init(1, 1, (4,), RngStream(13))
         before = [p.copy() for p in net.parameters]
-        state = AdamState.init(net)
+        state = AdamState.init(net, 5e-4, 0.9, 1000)
         adam_step(net, np.zeros_like(net.flat), state)
         for b, p in zip(before, net.parameters):
             np.testing.assert_array_equal(b, p)
@@ -147,7 +147,7 @@ class TestAdam:
 
     def test_mismatched_gradients_rejected(self):
         net = Mlp.init(1, 1, (2,), RngStream(15))
-        state = AdamState.init(net)
+        state = AdamState.init(net, 5e-4, 0.9, 1000)
         with pytest.raises(ValueError):
             adam_step(net, np.zeros(2), state)
         with pytest.raises(ValueError):  # the per-parameter list
@@ -159,7 +159,7 @@ class TestAdam:
         tu = x**2
         tub = (2 * x)[:, :, None]
         net = Mlp.init(1, 1, (16,), RngStream(21))
-        state = AdamState.init(net, base_lr=5e-3, decay=1.0)
+        state = AdamState.init(net, 5e-3, 1.0, 1000)
         loss0 = net.mse_loss(x, tu, tub)
         for _ in range(500):
             adam_step(net, loss_grad(net, x, tu, tub)[1].flat, state)
@@ -169,7 +169,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             net = Mlp.init(1, 1, (8,), RngStream(16))
-            state = AdamState.init(net)
+            state = AdamState.init(net, 5e-4, 0.9, 1000)
             x = np.linspace(-1, 1, 32)[:, None]
             for _ in range(50):
                 _, grad = loss_grad(net, x, np.sin(x), np.cos(x)[:, :, None])

@@ -8,6 +8,7 @@ from infbsde import (DirectConfig, Grid, GridFunction, Mlp, NnConfig,
                      NnPicardConfig, NonFiniteLoss, RngStream,
                      contraction_nn_solve, direct_nn_solve, problem_by_name)
 from infbsde.nn_schemes import _rel_errors_at
+from test_picard_grid import BAD_RUNS, build_run
 
 LINEAR = problem_by_name("linear-constant", 1)
 
@@ -53,6 +54,12 @@ class TestConfigs:
     def test_shared_bounds(self, cls, kwargs):
         with pytest.raises(ValueError):
             cls("linear-constant", **kwargs)
+
+    @pytest.mark.parametrize("cls", [NnPicardConfig, DirectConfig])
+    @pytest.mark.parametrize("settings, error", BAD_RUNS)
+    def test_rejects_what_the_cli_rejects(self, cls, settings, error):
+        with pytest.raises(error):
+            build_run(cls, settings)
 
     def test_train_steps_bound(self):
         with pytest.raises(ValueError):
@@ -156,7 +163,7 @@ class TestContractionScheme:
                              n_iters=4, m_samples=512, train_steps=1500,
                              seed=12)
         res = contraction_nn_solve(cfg)
-        problem = cfg.build_problem()
+        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
         c2, _ = brownian_cp_constants(2.0, 0.0, 1, cfg.params.exp_rate,
                                       cfg.params.gamma_rate)
         kappa2 = kappa_p(problem.gen, cfg.params, 2.0, c2)

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from infbsde import (FitUnderdetermined, GridFunction, GridSolveConfig,
-                     NonFiniteValue, RngStream, fit_rate_slope, picard_step,
-                     r_sample_batch, rate_study, sample_fk_batch, solve)
+                     NonFiniteValue, NonPositiveRate, RngStream, SchemeParams,
+                     UnknownProblem, fit_rate_slope, picard_step,
+                     problem_by_name, r_sample_batch, rate_study,
+                     sample_fk_batch, solve)
 from infbsde import picard_grid
 
 
@@ -13,6 +15,30 @@ def config(**kwargs):
                 m_samples=4000, n_iters=1, seed=11)
     base.update(kwargs)
     return GridSolveConfig(**base)
+
+
+# Run settings that every config class rejects at construction, as the
+# command line does; the rates go to SchemeParams
+RATES = ("discount_y", "discount_z", "exp_rate", "gamma_rate")
+BAD_RUNS = [
+    pytest.param({"discount_y": 0.0}, NonPositiveRate, id="discount_y0"),
+    pytest.param({"exp_rate": -1.0}, NonPositiveRate, id="exp_rate-1"),
+    pytest.param({"gamma_rate": np.nan}, NonPositiveRate, id="gamma_rate-nan"),
+    pytest.param({"discount_z": np.inf}, NonPositiveRate, id="discount_z-inf"),
+    *[pytest.param({"problem": "arctan-tanh-sigma", "dt": dt}, ValueError,
+                   id=f"tanh-dt-{dt}") for dt in (None, 0.0, np.nan)],
+    pytest.param({"problem": "no-such-problem"}, UnknownProblem,
+                 id="unknown-problem"),
+    pytest.param({"dim": 0}, ValueError, id="dim0"),
+]
+
+
+def build_run(cls, settings):
+    """``cls`` on ``arctan-const-sigma`` with the flat ``settings``."""
+    rates = {k: v for k, v in settings.items() if k in RATES}
+    rest = {k: v for k, v in settings.items() if k not in RATES}
+    return cls(**{"problem": "arctan-const-sigma", **rest,
+                  "params": SchemeParams(**rates)})
 
 
 class TestConfig:
@@ -29,6 +55,16 @@ class TestConfig:
         # the mesh is half_width / n_half
         with pytest.raises(ValueError):
             config(n_half=0)
+
+    @pytest.mark.parametrize("settings, error", [
+        *BAD_RUNS,
+        *[pytest.param({"half_width": value}, ValueError,
+                       id=f"half_width{value}")
+          for value in (0.0, -1.0, np.inf, np.nan)],
+        pytest.param({"pad": -1}, ValueError, id="pad-1")])
+    def test_rejects_what_the_cli_rejects(self, settings, error):
+        with pytest.raises(error):
+            build_run(GridSolveConfig, settings)
 
 
 class TestSingleStep:
@@ -49,7 +85,8 @@ class TestSingleStep:
         grid = cfg.build_grid()
         v0 = GridFunction.zero(grid, 1)
         stepped = picard_step(v0, cfg, RngStream(cfg.seed).substream(1),
-                              cfg.build_problem())
+                              problem_by_name(cfg.problem, cfg.dim,
+                                              cfg.overrides))
         np.testing.assert_array_equal(result.final.u, stepped.u)
         np.testing.assert_array_equal(result.final.ubar, stepped.ubar)
 
@@ -59,7 +96,8 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, RngStream(0), cfg.build_problem())
+            picard_step(v, cfg, RngStream(0),
+                        problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_node_is_named(self, monkeypatch, threads):
@@ -89,7 +127,7 @@ class TestSingleStep:
         monkeypatch.setattr(picard_grid, "r_sample_batch", poisoned)
         with pytest.raises(NonFiniteValue, match=f"at node {bad}$"):
             picard_step(random_iterate(grid, 0), cfg, RngStream(0),
-                        cfg.build_problem())
+                        problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
 
     def test_interpolation_clamps_outside_box(self, monkeypatch):
         from infbsde import grid as grid_mod
@@ -125,7 +163,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
     grid = cfg.build_grid()
     v = random_iterate(grid, cfg.dim)
     rng = RngStream(cfg.seed).substream(1)
-    problem = cfg.build_problem()
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     ref_u = np.empty_like(v.u)
     ref_ubar = np.empty_like(v.ubar)
     for node, x in enumerate(grid.nodes):
@@ -188,7 +226,7 @@ class TestContraction:
 
         cfg = config(overrides={"mu": 1.0}, m_samples=20000, n_iters=6)
         result = solve(cfg)
-        problem = cfg.build_problem()
+        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
         kappa = kappa_infinity(problem.gen, cfg.params, *brownian_c_infinity(
             cfg.params.discount_y, cfg.params.discount_z))
         assert kappa == 0.5

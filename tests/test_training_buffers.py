@@ -101,7 +101,7 @@ def reference_train_regression(ref, dim_y, x, target_u, target_ubar, steps):
 
 def reference_contraction_solve(cfg):
     """The Picard scheme's iteration loop on the reference regression."""
-    problem = cfg.build_problem()
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
     eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
@@ -185,7 +185,7 @@ def reference_residual(net, problem, params, x0, fk, weight_e, weight_g,
 
 def reference_direct_solve(cfg):
     """The direct scheme's epoch loop on the reference residual step."""
-    problem = cfg.build_problem()
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
     eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
@@ -327,8 +327,8 @@ class TestResidualStep:
             dim, m_starts, m_inner, 40 + dim)
         net = Mlp.init(dim, 1, hidden, RngStream(41))
         ref = net.copy()
-        state = AdamState.init(net, base_lr=1e-2)
-        ref_state = AdamState.init(ref, base_lr=1e-2)
+        state = AdamState.init(net, 1e-2, 0.9, 1000)
+        ref_state = AdamState.init(ref, 1e-2, 0.9, 1000)
         drivers = (bind_driver(problem.gen, fk.x_at_e),
                    bind_driver(problem.gen, fk.x_at_g))
         work = (net.workspace(m_starts), net.workspace(m_starts * m_inner))
@@ -429,7 +429,7 @@ class TestFlatAdam:
     def test_rejects_same_count_but_wrong_sizes(self):
         net = Mlp.init(1, 1, (3,), RngStream(82))
         size = net.flat.size
-        state = AdamState.init(net)
+        state = AdamState.init(net, 5e-4, 0.9, 1000)
         keep = net.flat.copy()
         for bad in ([np.zeros(1) for _ in net.parameters],  # a list per layer
                     [np.zeros_like(p) for p in net.parameters],
@@ -546,7 +546,7 @@ class TestFlatParameters:
 
     def test_adam_moments_are_flat_vectors(self):
         net = Mlp.init(3, 2, (5, 4), RngStream(104))
-        state = AdamState.init(net)
+        state = AdamState.init(net, 5e-4, 0.9, 1000)
         for moment in (state.m, state.v):
             assert moment.dtype == np.float64
             assert moment.shape == net.flat.shape
@@ -630,7 +630,7 @@ class TestAllocations:
                                                          rows, 120)
         target = net._raw_target(rows, target_u, target_ubar)
         work, grad = net.workspace(rows), net.gradient()
-        state = AdamState.init(net)
+        state = AdamState.init(net, 5e-4, 0.9, 1000)
 
         def step():
             _, g = net._mse_grad(x, target, work, grad)
