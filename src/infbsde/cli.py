@@ -34,8 +34,8 @@ from .model import RunConfig, monotonicity_margin, problem_by_name
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
                          contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (GridSolveConfig, _check_rate_study, _sample_counts,
-                          _worker_count, rate_study, solve)
+from .picard_grid import (GridSolveConfig, _sample_counts, _worker_count,
+                          rate_study, solve)
 from .simulate import RngStream
 
 
@@ -54,11 +54,12 @@ def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
 
     A nested dataclass (``params``) spreads into its own fields and the
     ``_SPREAD`` fields into their keys.  ``Optional[X]`` reads as ``X``;
-    a field without a default maps to None.
+    a field without a default maps to None.  A field the class sets
+    itself (``init=False``) has no key.
     """
     hints = get_type_hints(cls)
     out = {}
-    for f in fields(cls):
+    for f in [f for f in fields(cls) if f.init]:
         kind = hints[f.name]
         if is_dataclass(kind):
             out.update(_flat_fields(kind))
@@ -178,6 +179,8 @@ def _merge(command: str, args: argparse.Namespace) -> Dict:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigParse(f"cannot read config file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigParse("config file must hold a JSON object")
         # a config echo names its own subcommand; accept it when it matches
         echoed = data.get("command")
         if echoed is not None and echoed != command:
@@ -240,7 +243,7 @@ def _build(cls, cfg: Dict):
     """
     hints = get_type_hints(cls)
     kwargs = {}
-    for f in fields(cls):
+    for f in [f for f in fields(cls) if f.init]:
         if is_dataclass(hints[f.name]):
             kwargs[f.name] = _build(hints[f.name], cfg)
         elif f.name == "overrides":
@@ -303,11 +306,12 @@ def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
 
 def _build_rate_study(cfg: Dict):
     ntilde, k = list(_value(cfg, "ntilde_list")), _value(cfg, "k")
-    _check_rate_study(ntilde, k)
-    if min(ntilde) < 1:
+    coarsest = min(ntilde, default=1)
+    if coarsest < 1:
         raise ConfigParse("ntilde_list entries must be at least 1")
-    # every mesh of the study shares the template's box, padding and dim
-    template = _build_grid(cfg, n_half=ntilde[0], m_samples=2)
+    # every mesh of the study shares the template's box, padding and dim;
+    # the sample counts check the list and k
+    template = _build_grid(cfg, n_half=coarsest, m_samples=2)
     _sample_counts(ntilde, k, template.half_width)
     return template, ntilde, k
 

@@ -165,8 +165,8 @@ class RunConfig:
     (the start-law width ``mu0_std`` among them), the scheme parameters,
     the Euler step ``dt`` (non-Brownian dynamics only) and the seed.
 
-    Construction raises ValueError unless the problem builds and its
-    dynamics have the Euler step they need.
+    Construction raises ValueError unless the problem builds, its
+    dynamics have the Euler step they need and the seed is non-negative.
     """
 
     problem: str
@@ -179,6 +179,8 @@ class RunConfig:
     def __post_init__(self):
         problem = problem_by_name(self.problem, self.dim, self.overrides)
         check_step(problem.sde, self.dt)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ so it does not need the map to contract.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -159,25 +160,40 @@ def _rel_errors_at(candidate: Candidate, problem: Problem,
     return du, dubar
 
 
+def _descend(net: Mlp, state: AdamState, steps: int,
+             loss_grad: Callable[[], Tuple[float, np.ndarray]]) -> float:
+    """``steps`` ADAM steps of ``net`` on ``loss_grad()``'s (loss, gradient
+    vector) pair; returns the last loss taken, or with zero steps the loss
+    taken once.  A non-finite loss raises NonFiniteLoss before its step."""
+    for step in range(max(steps, 1)):
+        loss, grad = loss_grad()
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(f"loss {loss} at step {state.step}")
+        if step < steps:
+            adam_step(net, grad, state)
+    return loss
+
+
 def _train_regression(net: Mlp, x: np.ndarray, target_u: np.ndarray,
                       target_ubar: np.ndarray, state: AdamState,
                       steps: int) -> float:
     """Full-batch ADAM on the empirical MSE; returns the last loss seen.
-
-    The steps share one workspace, one gradient vector and the stacked
-    target, all made once here.
-    """
-    loss = net.mse_loss(x, target_u, target_ubar)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"loss {loss} before training")
+    The steps share one workspace, gradient vector and stacked target."""
     target = net._raw_target(len(x), target_u, target_ubar)
     work, grad = net.workspace(len(x)), net.gradient()
-    for _ in range(steps):
-        loss, flat_grad = net._mse_grad(x, target, work, grad)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss {loss} at step {state.step}")
-        adam_step(net, flat_grad, state)
-    return loss
+    return _descend(net, state, steps,
+                    functools.partial(net._mse_grad, x, target, work, grad))
+
+
+def _draw_round(problem: Problem, cfg: NnConfig, stream: RngStream,
+                m_starts: int, m_inner: int) -> Tuple[np.ndarray, FkBatch]:
+    """One round's ``m_starts`` start points, from ``stream.substream(0)``,
+    and ``m_inner`` horizon draws per start, from ``stream.substream(1)``."""
+    x0 = _sample_mu0(stream.substream(0).generator(), m_starts,
+                     problem.sde.dim, problem.mu0_std)
+    fk = sample_fk_batch(problem, cfg.params, np.repeat(x0, m_inner, axis=0),
+                         m_starts * m_inner, cfg.dt, stream.substream(1))
+    return x0, fk
 
 
 def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
@@ -189,8 +205,8 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
-    eval_gen = RngStream(cfg.seed, stream_id=1).generator()
-    eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, problem.mu0_std)
+    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
+                              cfg.m_err, dim, problem.mu0_std)
 
     def zero_candidate(x):
         return np.zeros((len(x), dim_y)), np.zeros((len(x), dim_y, dim))
@@ -201,11 +217,7 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     nets: List[Mlp] = []
     for n in range(1, cfg.n_iters + 1):
         start_time = time.perf_counter()
-        iter_stream = base.substream(n)
-        gen = iter_stream.substream(0).generator()
-        x0 = _sample_mu0(gen, cfg.m_samples, dim, problem.mu0_std)
-        fk = sample_fk_batch(problem, cfg.params, x0, cfg.m_samples, cfg.dt,
-                             iter_stream.substream(1))
+        x0, fk = _draw_round(problem, cfg, base.substream(n), cfg.m_samples, 1)
         target_u, target_ubar = r_sample_batch(problem, cfg.params, previous, fk)
         if not (np.isfinite(target_u).all() and np.isfinite(target_ubar).all()):
             raise NonFiniteLoss(f"non-finite regression target at iteration {n}")
@@ -277,52 +289,45 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     """
     gen = problem.gen
     a, a_z = params.discount_y, params.discount_z
-    dy, d = net.dim_y, net.dim_x
-    m_total = m_starts * m_inner
-    f_at_e, f_at_g = drivers
-    work0, work_inner = work
     grad, scratch = grads
 
-    acts0, pre0 = net._forward_cached(x0, work0)
+    acts0, pre0 = net._forward_cached(x0, work[0])
     u0, ubar0 = net._split(acts0[-1])
 
-    # value-component branch; chain rule through f and the a*u shift
-    acts_e, pre_e = net._forward_cached(fk.x_at_e, work_inner)
-    u_e, z_e = net._split(acts_e[-1])
-    phi1 = (f_at_e(u_e, z_e) + a * u_e) * weight_e[:, None]
-    r1_a, r1_b = _half_residuals(u0, phi1, m_starts, m_inner)
-    q1 = _half_upstream(r1_a, r1_b, m_starts, m_inner)
-    q1 *= weight_e[:, None]
-    d_u = np.einsum("mi,mij->mj", q1, gen.f_y(fk.x_at_e, u_e, z_e)) + a * q1
-    d_ubar = np.einsum("mi,mijk->mjk", q1, gen.f_z(fk.x_at_e, u_e, z_e))
-    # the output is spent once the Jacobians are in: its buffer takes delta
-    delta_e = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
-                             out=acts_e[-1])
-    total = net.backprop(acts_e, pre_e, delta_e, out=grad)
-    del acts_e, pre_e, q1, d_u, d_ubar, delta_e
+    # one branch per horizon state, chain rule through f and the shift; at
+    # x_at_g the Malliavin factor multiplies phi and contracts the upstream
+    # gradient first
+    branches = ((fk.x_at_e, drivers[0], a, weight_e, None, u0, grad),
+                (fk.x_at_g, drivers[1], a_z, weight_g, fk.malliavin_at_g,
+                 ubar0, scratch))
+    total, losses, delta0 = grad.flat, [], []
+    for x, f_at, shift, weight, malliavin, value0, out in branches:
+        acts, pre = net._forward_cached(x, work[1])
+        u, z = net._split(acts[-1])
+        phi = (f_at(u, z) + shift * u) * weight[:, None]
+        if malliavin is not None:
+            phi = phi[:, :, None] * malliavin[:, None, :]
+        r_a, r_b = _half_residuals(value0, phi, m_starts, m_inner)
+        q = _half_upstream(r_a, r_b, m_starts, m_inner)
+        if malliavin is not None:
+            q = np.einsum("mik,mk->mi", q.reshape(phi.shape), malliavin)
+        q *= weight[:, None]
+        d_u = np.einsum("mi,mij->mj", q, gen.f_y(x, u, z)) + shift * q
+        d_ubar = np.einsum("mi,mijk->mjk", q, gen.f_z(x, u, z))
+        # the output is spent once the Jacobians are in: its buffer takes delta
+        delta = np.concatenate([d_u, d_ubar.reshape(len(x), -1)], axis=1,
+                               out=acts[-1])
+        net.backprop(acts, pre, delta, out=out)
+        if out is scratch:
+            total += scratch.flat
+        losses.append(np.sum(r_a * r_b))
+        delta0.append(r_a + r_b)
+        del acts, pre, u, z, phi, q, d_u, d_ubar, delta
 
-    # gradient-component branch; the Malliavin factor contracts first
-    acts_g, pre_g = net._forward_cached(fk.x_at_g, work_inner)
-    u_g, z_g = net._split(acts_g[-1])
-    scaled = (f_at_g(u_g, z_g) + a_z * u_g) * weight_g[:, None]
-    phi2 = scaled[:, :, None] * fk.malliavin_at_g[:, None, :]
-    r2_a, r2_b = _half_residuals(ubar0, phi2, m_starts, m_inner)
-    q2 = _half_upstream(r2_a, r2_b, m_starts, m_inner)
-    q2 = np.einsum("mik,mk->mi", q2.reshape(m_total, dy, d),
-                   fk.malliavin_at_g)
-    q2 *= weight_g[:, None]
-    d_u = np.einsum("mi,mij->mj", q2, gen.f_y(fk.x_at_g, u_g, z_g)) + a_z * q2
-    d_ubar = np.einsum("mi,mijk->mjk", q2, gen.f_z(fk.x_at_g, u_g, z_g))
-    delta_g = np.concatenate([d_u, d_ubar.reshape(m_total, dy * d)], axis=1,
-                             out=acts_g[-1])
-    total += net.backprop(acts_g, pre_g, delta_g, out=scratch)
-
-    loss = float((np.sum(r1_a * r1_b) + np.sum(r2_a * r2_b)) / m_starts)
-    delta0 = np.concatenate([r1_a + r1_b,
-                             (r2_a + r2_b).reshape(m_starts, dy * d)], axis=1)
+    delta0 = np.concatenate(delta0, axis=1)
     delta0 /= m_starts
     total += net.backprop(acts0, pre0, delta0, out=scratch)
-    return loss, total
+    return float((losses[0] + losses[1]) / m_starts), total
 
 
 def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
@@ -341,8 +346,8 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
             f"problem {problem.name!r} supplies no driver Jacobians")
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
-    eval_gen = RngStream(cfg.seed, stream_id=1).generator()
-    eval_points = _sample_mu0(eval_gen, cfg.m_err, dim, problem.mu0_std)
+    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
+                              cfg.m_err, dim, problem.mu0_std)
 
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
     state = AdamState.init(net, cfg.base_lr, cfg.lr_decay, cfg.lr_decay_period)
@@ -352,30 +357,14 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
     trace: List[TraceRow] = []
     for epoch in range(1, cfg.n_epochs + 1):
         start_time = time.perf_counter()
-        ep_stream = base.substream(epoch)
-        gen = ep_stream.substream(0).generator()
-        x0 = _sample_mu0(gen, cfg.m_starts, dim, problem.mu0_std)
-        repeated = np.repeat(x0, cfg.m_inner, axis=0)
-        fk = sample_fk_batch(problem, cfg.params, repeated,
-                             cfg.m_starts * cfg.m_inner, cfg.dt,
-                             ep_stream.substream(1))
+        x0, fk = _draw_round(problem, cfg, base.substream(epoch),
+                             cfg.m_starts, cfg.m_inner)
         weight_e, weight_g = one_draw_weights(cfg.params, fk)
         drivers = (bind_driver(problem.gen, fk.x_at_e),
                    bind_driver(problem.gen, fk.x_at_g))
-        loss = None
-        for _ in range(cfg.steps_per_epoch):
-            loss, grad = _residual_loss_grads(
-                net, problem, cfg.params, x0, fk, weight_e, weight_g,
-                cfg.m_starts, cfg.m_inner, drivers, work, grads)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss {loss} at step {state.step}")
-            adam_step(net, grad, state)
-        if loss is None:  # no training steps: report the standing residual
-            loss, _ = _residual_loss_grads(
-                net, problem, cfg.params, x0, fk, weight_e, weight_g,
-                cfg.m_starts, cfg.m_inner, drivers, work, grads)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss {loss} at epoch {epoch}")
+        loss = _descend(net, state, cfg.steps_per_epoch, functools.partial(
+            _residual_loss_grads, net, problem, cfg.params, x0, fk, weight_e,
+            weight_g, cfg.m_starts, cfg.m_inner, drivers, work, grads))
         du, dubar = _rel_errors_at(net, problem, eval_points)
         trace.append(TraceRow(epoch, loss, du, dubar,
                               time.perf_counter() - start_time))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,9 +46,10 @@ class GridSolveConfig(RunConfig):
 
     ``half_width`` is the half side of the inner reporting box; the mesh is
     ``half_width / n_half`` and the grid extends ``pad`` extra layers.
-    ``truncation`` is an optional (bound, growth degree) pair; it is off by
-    default.  Construction also builds the grid, so a box or padding that
-    makes no grid raises ValueError.
+    ``truncation`` is an optional (bound, growth degree) pair, a finite
+    positive bound and a finite non-negative degree; it is off by default.
+    Construction also builds ``grid``, so a box or padding that makes no
+    grid raises ValueError.
     """
 
     n_half: int = 10
@@ -57,6 +58,7 @@ class GridSolveConfig(RunConfig):
     m_samples: int = 40000
     n_iters: int = 10
     truncation: Optional[Tuple[float, float]] = None
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -66,14 +68,17 @@ class GridSolveConfig(RunConfig):
             raise ValueError("m_samples must be at least 2")
         if self.n_iters < 1:
             raise ValueError("n_iters must be at least 1")
-        self.build_grid()
+        if self.truncation is not None:
+            bound, degree = self.truncation
+            if not (0 < bound < np.inf and 0 <= degree < np.inf):
+                raise ValueError("truncation needs 0 < bound < inf and "
+                                 "0 <= degree < inf")
+        object.__setattr__(self, "grid", Grid(self.dim, self.n_half,
+                                              self.mesh, self.pad))
 
     @property
     def mesh(self) -> float:
         return self.half_width / self.n_half
-
-    def build_grid(self) -> Grid:
-        return Grid(self.dim, self.n_half, self.mesh, self.pad)
 
 
 @dataclass(frozen=True)
@@ -161,12 +166,11 @@ def solve(cfg: GridSolveConfig,
           base_stream: Optional[RngStream] = None) -> GridSolveResult:
     """Run the Picard iteration from the zero grid function."""
     problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
-    grid = cfg.build_grid()
-    v = GridFunction.zero(grid, problem.gen.dim_y)
-    inner = truncated_nodes(grid)
+    v = GridFunction.zero(cfg.grid, problem.gen.dim_y)
+    inner = truncated_nodes(cfg.grid)
     if base_stream is None:
         base_stream = RngStream(cfg.seed)
-    exact = None if problem.analytic is None else problem.analytic(grid.nodes)
+    exact = None if problem.analytic is None else problem.analytic(cfg.grid.nodes)
 
     reports = []
     for n in range(1, cfg.n_iters + 1):

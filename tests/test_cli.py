@@ -144,6 +144,16 @@ class TestConfigErrors:
         assert rc == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"grid"', "3", "null"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "never"
+        rc = run(["grid-solve", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_value(self, tmp_path, capsys):
         rc = run(["grid-solve", "--problem", "linear-constant",
                   "--iters", "abc"])
@@ -575,6 +585,18 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "1", "--M", "8"], id="kz-sweep-d0"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--p", "-1"],
                  id="grid-solve-p-1"),
+    # truncation: a finite positive bound and a finite non-negative degree
+    # (small budgets from here on, so a run that wrongly starts ends fast)
+    *[pytest.param([*argv, "--problem", "linear-constant", "--trunc-bound",
+                    bound, "--trunc-degree", degree],
+                   id=f"{argv[0]}-trunc{bound},{degree}")
+      for argv in COMMANDS[:2]
+      for bound, degree in (("-1", "1"), ("0", "1"), ("nan", "1"),
+                            ("inf", "1"), ("1", "-1"), ("1", "nan"),
+                            ("1", "inf"))],
+    # a negative seed, on every subcommand
+    *[pytest.param([*argv, "--problem", "arctan-const-sigma", "--seed", "-1"],
+                   id=f"{argv[0]}-seed-1") for argv in COMMANDS],
     pytest.param(["rate-study", "--problem", "linear-constant",
                   "--ntilde-list", "0,1,2"], id="rate-study-ntilde-list0"),
     pytest.param(["rate-study", "--problem", "linear-constant", "--R", "0"],
@@ -697,6 +719,26 @@ def test_problem_built_at_most_twice(tmp_path, capsys, monkeypatch, argv):
                        "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert len(builds) <= 2
+
+
+def test_rate_study_builds_each_grid_once(tmp_path, capsys, monkeypatch):
+    """The template's grid and one per mesh: the solves reuse the
+    configs' grids."""
+    from infbsde import grid
+
+    builds = []
+    real = grid.Grid.__post_init__
+
+    def counting(self):
+        builds.append(self.n_half)
+        real(self)
+
+    monkeypatch.setattr(grid.Grid, "__post_init__", counting)
+    assert run(["rate-study", "--problem", "linear-constant", "--ntilde-list",
+                "2,3,4", "--k", "1", "--iters", "1",
+                "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(builds) == [2, 2, 3, 4]
 
 
 def test_traced_entry_points_are_reached(tmp_path, monkeypatch):

@@ -4,10 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from infbsde import (DirectConfig, Grid, GridFunction, Mlp, NnConfig,
-                     NnPicardConfig, NonFiniteLoss, RngStream,
-                     contraction_nn_solve, direct_nn_solve, problem_by_name)
-from infbsde.nn_schemes import _rel_errors_at
+from infbsde import (AdamState, DirectConfig, Grid, GridFunction, Mlp,
+                     NnConfig, NnPicardConfig, NonFiniteLoss, RngStream,
+                     contraction_nn_solve, direct_nn_solve, nn_schemes,
+                     problem_by_name)
+from infbsde.nn_schemes import _descend, _rel_errors_at, _train_regression
 from test_picard_grid import BAD_RUNS, build_run
 
 LINEAR = problem_by_name("linear-constant", 1)
@@ -220,12 +221,58 @@ class TestContractionScheme:
         for a, b in zip(res.nets[-1].parameters, res.net.parameters):
             np.testing.assert_array_equal(a, b)
 
+    def test_zero_steps_leave_nets_at_initialisation(self):
+        cfg = NnPicardConfig("linear-constant", n_iters=2, m_samples=16,
+                             train_steps=0, seed=9)
+        res = contraction_nn_solve(cfg)
+        fresh = Mlp.init(1, 1, cfg.hidden_widths(),
+                         RngStream(cfg.seed).substream(0))
+        for net in (*res.nets, res.net):
+            np.testing.assert_array_equal(net.flat, fresh.flat)
+        assert [r.n for r in res.trace] == [1, 2]
+        assert all(np.isfinite(r.loss) for r in res.trace)
+
     def test_diverging_learning_rate_raises(self):
         cfg = NnPicardConfig("linear-constant", n_iters=1, m_samples=64,
                              train_steps=5, base_lr=1e60, seed=10)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLoss):
                 contraction_nn_solve(cfg)
+
+
+class TestDescent:
+    """The one ADAM loop both schemes train with."""
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_one_loss_per_step_and_one_without_steps(self, monkeypatch,
+                                                     steps):
+        made = []
+        monkeypatch.setattr(nn_schemes, "adam_step",
+                            lambda net, grad, state: made.append(grad))
+        losses = iter([3.0, 2.0, 1.0])
+        taken = []
+
+        def loss_grad():
+            taken.append(next(losses))
+            return taken[-1], np.zeros(1)
+
+        state = AdamState(0, np.zeros(1), np.zeros(1), 1e-3, 1.0, 1)
+        assert _descend(None, state, steps, loss_grad) == taken[-1]
+        assert len(taken) == max(steps, 1) and len(made) == steps
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_infinite_target_raises_before_any_step(self, steps):
+        net = Mlp.init(1, 1, (4,), RngStream(30))
+        keep = net.flat.copy()
+        x = start_points(LINEAR, 8, 31)
+        state = AdamState.init(net, 1e-3, 1.0, 10)
+        # backprop of the infinite residual warns before the loss is checked
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteLoss, match="at step 0"):
+            _train_regression(net, x, np.full((8, 1), np.inf),
+                              np.zeros((8, 1, 1)), state, steps)
+        np.testing.assert_array_equal(net.flat, keep)
+        assert state.step == 0
 
 
 class TestDirectScheme:

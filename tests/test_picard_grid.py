@@ -30,6 +30,7 @@ BAD_RUNS = [
     pytest.param({"problem": "no-such-problem"}, UnknownProblem,
                  id="unknown-problem"),
     pytest.param({"dim": 0}, ValueError, id="dim0"),
+    pytest.param({"seed": -1}, ValueError, id="seed-1"),
 ]
 
 
@@ -61,7 +62,12 @@ class TestConfig:
         *[pytest.param({"half_width": value}, ValueError,
                        id=f"half_width{value}")
           for value in (0.0, -1.0, np.inf, np.nan)],
-        pytest.param({"pad": -1}, ValueError, id="pad-1")])
+        pytest.param({"pad": -1}, ValueError, id="pad-1"),
+        # a finite positive bound and a finite non-negative degree
+        *[pytest.param({"truncation": pair}, ValueError,
+                       id=f"truncation{pair[0]},{pair[1]}")
+          for pair in ((-1.0, 1.0), (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                       (1.0, -1.0), (1.0, np.nan), (1.0, np.inf))]])
     def test_rejects_what_the_cli_rejects(self, settings, error):
         with pytest.raises(error):
             build_run(GridSolveConfig, settings)
@@ -82,7 +88,7 @@ class TestSingleStep:
     def test_solve_one_iter_equals_picard_step(self):
         cfg = config()
         result = solve(cfg)
-        grid = cfg.build_grid()
+        grid = cfg.grid
         v0 = GridFunction.zero(grid, 1)
         stepped = picard_step(v0, cfg, RngStream(cfg.seed).substream(1),
                               problem_by_name(cfg.problem, cfg.dim,
@@ -92,7 +98,7 @@ class TestSingleStep:
 
     def test_non_finite_candidate_raises(self):
         cfg = config(m_samples=8)
-        grid = cfg.build_grid()
+        grid = cfg.grid
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
@@ -106,7 +112,7 @@ class TestSingleStep:
         monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 4 * 50)
         cfg = config(problem="arctan-const-sigma", dim=2, n_half=2,
                      m_samples=50)
-        grid = cfg.build_grid()
+        grid = cfg.grid
         bad = 9
         starts = {}
         real_sample = picard_grid.sample_fk_batch
@@ -160,7 +166,7 @@ def random_iterate(grid, seed):
 def assert_equals_per_node_reference(monkeypatch, cfg):
     """picard_step at 1 and 2 threads against one sampler call and one
     mean per node."""
-    grid = cfg.build_grid()
+    grid = cfg.grid
     v = random_iterate(grid, cfg.dim)
     rng = RngStream(cfg.seed).substream(1)
     problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
@@ -198,7 +204,7 @@ class TestDeterminism:
         m = picard_grid.CHUNK_ROWS // 3
         cfg = config(problem=name, dim=dim, n_half=3 if dim == 1 else 2,
                      half_width=2.0, m_samples=m, dt=dt)
-        assert cfg.build_grid().n_nodes % 3 != 0
+        assert cfg.grid.n_nodes % 3 != 0
         assert_equals_per_node_reference(monkeypatch, cfg)
 
     def test_default_chunk_size_does_not_change_result(self, monkeypatch):
@@ -232,7 +238,7 @@ class TestContraction:
         assert kappa == 0.5
         w_star = problem.analytic
         se_u = []
-        for k, node in enumerate(cfg.build_grid().nodes):
+        for k, node in enumerate(cfg.grid.nodes):
             est = estimate_phi(problem, cfg.params, w_star, node,
                                cfg.m_samples, None, RngStream(500 + k))
             se_u.append(est.std_err[0][0])
