@@ -1,22 +1,18 @@
-"""Minimal static SVG plots: line charts, log-log fits, whisker summaries.
+"""Minimal static SVG line plots on a log value axis.
 
 Only primitives are used so the package carries no plotting dependency.
 Layout is fixed-size with a single axes box; inputs are plain sequences.
+Every figure the command line writes is one ``line_plot`` call.
 """
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 40, 56
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _fmt(v: float) -> str:
-    out = f"{v:.6g}"
-    return out
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
@@ -40,164 +36,79 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     return ticks or [lo]
 
 
-class _Axes:
-    """Maps data coordinates to pixel coordinates inside the axes box."""
-
-    def __init__(self, xlo, xhi, ylo, yhi, logx=False, logy=False):
-        self.logx, self.logy = logx, logy
-        self.xlo, self.xhi = self._tr_pair(xlo, xhi, logx)
-        self.ylo, self.yhi = self._tr_pair(ylo, yhi, logy)
-        self.parts = []
-
-    @staticmethod
-    def _tr_pair(lo, hi, log):
-        if log:
-            lo, hi = math.log10(lo), math.log10(hi)
-        if hi - lo < 1e-12:
-            lo, hi = lo - 0.5, hi + 0.5
-        pad = 0.05 * (hi - lo)
-        return lo - pad, hi + pad
-
-    def _tx(self, x):
-        if self.logx:
-            x = math.log10(x)
-        frac = (x - self.xlo) / (self.xhi - self.xlo)
-        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
-
-    def _ty(self, y):
-        if self.logy:
-            y = math.log10(y)
-        frac = (y - self.ylo) / (self.yhi - self.ylo)
-        return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
-
-    def add(self, element: str) -> None:
-        self.parts.append(element)
-
-    def polyline(self, xs, ys, color, dash: Optional[str] = None) -> None:
-        pts = " ".join(f"{self._tx(x):.2f},{self._ty(y):.2f}"
-                       for x, y in zip(xs, ys))
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
-        self.add(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                 f'stroke-width="1.5"{extra}/>')
-
-    def scatter(self, xs, ys, color) -> None:
-        for x, y in zip(xs, ys):
-            self.add(f'<circle cx="{self._tx(x):.2f}" cy="{self._ty(y):.2f}" '
-                     f'r="3" fill="{color}"/>')
-
-    def vline_glyph(self, x, lo, q1, mid, q3, hi, color, half_px=8) -> None:
-        cx = self._tx(x)
-        for y in (lo, hi):
-            py = self._ty(y)
-            self.add(f'<line x1="{cx - half_px:.2f}" y1="{py:.2f}" '
-                     f'x2="{cx + half_px:.2f}" y2="{py:.2f}" '
-                     f'stroke="{color}" stroke-width="1"/>')
-        self.add(f'<line x1="{cx:.2f}" y1="{self._ty(lo):.2f}" x2="{cx:.2f}" '
-                 f'y2="{self._ty(hi):.2f}" stroke="{color}" stroke-width="1"/>')
-        top, bot = self._ty(q3), self._ty(q1)
-        self.add(f'<rect x="{cx - half_px:.2f}" y="{top:.2f}" '
-                 f'width="{2 * half_px:.2f}" height="{bot - top:.2f}" '
-                 f'fill="{color}" fill-opacity="0.25" stroke="{color}"/>')
-        pm = self._ty(mid)
-        self.add(f'<line x1="{cx - half_px:.2f}" y1="{pm:.2f}" '
-                 f'x2="{cx + half_px:.2f}" y2="{pm:.2f}" '
-                 f'stroke="{color}" stroke-width="2"/>')
-
-    def _axis_ticks(self, lo, hi, log):
-        if log:
-            first, last = math.floor(lo), math.ceil(hi)
-            ticks = [t for t in range(first, last + 1) if lo <= t <= hi]
-            return [(t, f"1e{t:d}") for t in ticks]
-        return [(t, _fmt(t)) for t in _nice_ticks(lo, hi)]
-
-    def frame(self, title, xlabel, ylabel) -> str:
-        body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-                f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-                f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
-        x0, x1 = MARGIN_L, WIDTH - MARGIN_R
-        y0, y1 = MARGIN_T, HEIGHT - MARGIN_B
-        for tick, label in self._axis_ticks(self.xlo, self.xhi, self.logx):
-            px = MARGIN_L + (tick - self.xlo) / (self.xhi - self.xlo) * (x1 - x0)
-            body.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" '
-                        f'y2="{y1}" stroke="#dddddd" stroke-width="1"/>')
-            body.append(f'<text x="{px:.2f}" y="{y1 + 18}" font-size="11" '
-                        f'text-anchor="middle">{label}</text>')
-        for tick, label in self._axis_ticks(self.ylo, self.yhi, self.logy):
-            py = y1 - (tick - self.ylo) / (self.yhi - self.ylo) * (y1 - y0)
-            body.append(f'<line x1="{x0}" y1="{py:.2f}" x2="{x1}" '
-                        f'y2="{py:.2f}" stroke="#dddddd" stroke-width="1"/>')
-            body.append(f'<text x="{x0 - 6}" y="{py + 4:.2f}" font-size="11" '
-                        f'text-anchor="end">{label}</text>')
-        body.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" '
-                    f'height="{y1 - y0}" fill="none" stroke="black"/>')
-        body.extend(self.parts)
-        body.append(f'<text x="{(x0 + x1) / 2}" y="{MARGIN_T - 14}" '
-                    f'font-size="14" text-anchor="middle">{title}</text>')
-        body.append(f'<text x="{(x0 + x1) / 2}" y="{HEIGHT - 14}" '
-                    f'font-size="12" text-anchor="middle">{xlabel}</text>')
-        body.append(f'<text x="18" y="{(y0 + y1) / 2}" font-size="12" '
-                    f'text-anchor="middle" '
-                    f'transform="rotate(-90 18 {(y0 + y1) / 2})">{ylabel}</text>')
-        body.append("</svg>")
-        return "\n".join(body)
+def _padded(lo: float, hi: float):
+    """``[lo, hi]`` widened by 5% on each side; a single value gets unit width."""
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
 
 
-def _finite_range(values):
-    vals = [v for v in values if math.isfinite(v)]
-    if not vals:
-        return 0.0, 1.0
-    return min(vals), max(vals)
+def _ticks(lo: float, hi: float, log: bool):
+    """(position, label) pairs: decades on a log axis, round numbers else."""
+    if log:
+        return [(t, f"1e{t:d}") for t in range(math.ceil(lo), math.floor(hi) + 1)]
+    return [(t, f"{t:.6g}") for t in _nice_ticks(lo, hi)]
 
 
 def line_plot(path, x: Sequence[float], series: Dict[str, Sequence[float]],
-              title: str, xlabel: str, ylabel: str, logy: bool = False) -> None:
-    all_y = [v for ys in series.values() for v in ys
-             if math.isfinite(v) and (not logy or v > 0)]
-    ylo, yhi = _finite_range(all_y or [1.0])
-    if logy:
-        ylo = max(ylo, 1e-300)
-    ax = _Axes(min(x), max(x), ylo, yhi, logy=logy)
+              title: str, xlabel: str, ylabel: str, logx: bool = False) -> None:
+    """Write each named series against ``x`` as a polyline with dots, in
+    ascending ``x``, on a log value axis, and its name in the legend.
+
+    Values that are not finite and positive are left out; a series left
+    with none still gets its legend entry.  ``logx`` makes the ``x`` axis
+    logarithmic too, so ``x`` must then be positive.
+    """
+    xs = [math.log10(a) for a in x] if logx else list(x)
+    points = {label: sorted((a, math.log10(b)) for a, b in zip(xs, ys)
+                            if math.isfinite(b) and b > 0)
+              for label, ys in series.items()}
+    all_y = [b for pts in points.values() for _, b in pts] or [0.0]
+    xlo, xhi = _padded(min(xs), max(xs))
+    ylo, yhi = _padded(min(all_y), max(all_y))
+    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+    y0, y1 = MARGIN_T, HEIGHT - MARGIN_B
+
+    def px(a):
+        return x0 + (a - xlo) / (xhi - xlo) * (x1 - x0)
+
+    def py(b):
+        return y1 - (b - ylo) / (yhi - ylo) * (y1 - y0)
+
+    body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
+    for tick, label in _ticks(xlo, xhi, logx):
+        body.append(f'<line x1="{px(tick):.2f}" y1="{y0}" x2="{px(tick):.2f}" '
+                    f'y2="{y1}" stroke="#dddddd" stroke-width="1"/>')
+        body.append(f'<text x="{px(tick):.2f}" y="{y1 + 18}" font-size="11" '
+                    f'text-anchor="middle">{label}</text>')
+    for tick, label in _ticks(ylo, yhi, True):
+        body.append(f'<line x1="{x0}" y1="{py(tick):.2f}" x2="{x1}" '
+                    f'y2="{py(tick):.2f}" stroke="#dddddd" stroke-width="1"/>')
+        body.append(f'<text x="{x0 - 6}" y="{py(tick) + 4:.2f}" font-size="11" '
+                    f'text-anchor="end">{label}</text>')
+    body.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" '
+                f'height="{y1 - y0}" fill="none" stroke="black"/>')
     legend_y = MARGIN_T + 14
-    for color, (label, ys) in zip(_COLORS, series.items()):
-        pairs = [(a, b) for a, b in zip(x, ys)
-                 if math.isfinite(b) and (not logy or b > 0)]
-        if pairs:
-            ax.polyline([a for a, _ in pairs], [b for _, b in pairs], color)
-            ax.scatter([a for a, _ in pairs], [b for _, b in pairs], color)
-        ax.add(f'<text x="{WIDTH - MARGIN_R - 6}" y="{legend_y}" '
-               f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
+    for color, (label, pts) in zip(_COLORS, points.items()):
+        if pts:
+            coords = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in pts)
+            body.append(f'<polyline points="{coords}" fill="none" '
+                        f'stroke="{color}" stroke-width="1.5"/>')
+            body.extend(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="3" '
+                        f'fill="{color}"/>' for a, b in pts)
+        body.append(f'<text x="{x1 - 6}" y="{legend_y}" font-size="12" '
+                    f'text-anchor="end" fill="{color}">{label}</text>')
         legend_y += 16
+    body.append(f'<text x="{(x0 + x1) / 2}" y="{MARGIN_T - 14}" '
+                f'font-size="14" text-anchor="middle">{title}</text>')
+    body.append(f'<text x="{(x0 + x1) / 2}" y="{HEIGHT - 14}" '
+                f'font-size="12" text-anchor="middle">{xlabel}</text>')
+    body.append(f'<text x="18" y="{(y0 + y1) / 2}" font-size="12" '
+                f'text-anchor="middle" '
+                f'transform="rotate(-90 18 {(y0 + y1) / 2})">{ylabel}</text>')
+    body.append("</svg>")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(ax.frame(title, xlabel, ylabel))
-
-
-def loglog_fit_plot(path, x: Sequence[float], y: Sequence[float],
-                    slope: float, intercept: float, title: str,
-                    xlabel: str, ylabel: str) -> None:
-    """Scatter on log-log axes with the fitted power law drawn through it."""
-    ax = _Axes(min(x), max(x), min(y), max(y), logx=True, logy=True)
-    ax.scatter(x, y, _COLORS[0])
-    fit_x = sorted(x)
-    fit_y = [math.exp(intercept + slope * math.log(v)) for v in fit_x]
-    ax.polyline(fit_x, fit_y, _COLORS[1], dash="5,4")
-    ax.add(f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 14}" '
-           f'font-size="12" text-anchor="end" fill="{_COLORS[1]}">'
-           f'slope {slope:.3f}</text>')
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(ax.frame(title, xlabel, ylabel))
-
-
-def whisker_plot(path, positions: Sequence[float],
-                 quantiles: Sequence[Sequence[float]], title: str,
-                 xlabel: str, ylabel: str, logy: bool = False) -> None:
-    """One five-number glyph (10/25/50/75/90 percent) per position."""
-    flat = [v for row in quantiles for v in row
-            if math.isfinite(v) and (not logy or v > 0)]
-    ylo, yhi = _finite_range(flat or [1.0])
-    ax = _Axes(min(positions), max(positions), ylo, yhi, logy=logy)
-    for pos, row in zip(positions, quantiles):
-        if all(math.isfinite(v) and (not logy or v > 0) for v in row):
-            lo, q1, mid, q3, hi = row
-            ax.vline_glyph(pos, lo, q1, mid, q3, hi, _COLORS[0])
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(ax.frame(title, xlabel, ylabel))
+        handle.write("\n".join(body))

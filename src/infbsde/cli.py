@@ -14,7 +14,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -29,7 +28,7 @@ from . import _svg
 from .analysis import (brownian_c_infinity, contraction_report,
                        estimate_c_constants)
 from .fixedpoint import NonFiniteValue
-from .grid import Grid, _format, write_grid_csv
+from .grid import Grid, _format, write_csv, write_grid_csv
 from .model import RunConfig, monotonicity_margin, problem_by_name
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
@@ -263,13 +262,8 @@ def _build_grid(cfg: Dict, **fixed) -> GridSolveConfig:
     return _build(GridSolveConfig, {**cfg, **fixed})
 
 
-def _write_csv(path, header: List[str], rows: List[List]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) if isinstance(v, float) else v
-                             for v in row])
+# every CSV goes through this module global, which the benchmark's tracer wraps
+_write_csv = write_csv
 
 
 def _write_json(path, payload: Dict) -> None:
@@ -299,8 +293,7 @@ def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
             [r.n for r in result.reports],
             {"sup err u": [r.sup_err_u for r in result.reports],
              "sup err ubar": [r.sup_err_ubar for r in result.reports]},
-            "Grid Picard error by iteration", "iteration", "sup error",
-            logy=True)
+            "Grid Picard error by iteration", "iteration", "sup error")
     return 0
 
 
@@ -326,12 +319,13 @@ def _run_rate_study(built, outdir: str) -> int:
                                         result.sup_err_ubar)])
     _write_json(os.path.join(outdir, "rate_fit.json"),
                 {"slope": result.slope, "intercept": result.intercept})
-    worst = np.maximum(result.sup_err_u, result.sup_err_ubar)
-    _svg.loglog_fit_plot(
-        os.path.join(outdir, "rate_fit.svg"),
-        [2.0 + n for n in result.n_half], list(worst),
-        result.slope, result.intercept,
-        "Refinement study", "2 + ntilde", "sup error")
+    mesh = 2.0 + result.n_half
+    _svg.line_plot(
+        os.path.join(outdir, "rate_fit.svg"), mesh,
+        {"sup error": np.maximum(result.sup_err_u, result.sup_err_ubar),
+         f"fit, slope {result.slope:.3f}":
+             np.exp(result.intercept + result.slope * np.log(mesh))},
+        "Refinement study", "2 + ntilde", "sup error", logx=True)
     print(f"fitted slope: {result.slope:.4f}")
     return 0
 
@@ -349,7 +343,7 @@ def _write_trace(outdir: str, trace) -> None:
             {"loss": [row.loss for row in trace],
              "rel err u": [row.rel_err_u for row in trace],
              "rel err ubar": [row.rel_err_ubar for row in trace]},
-            "Training trace", "iteration", "value", logy=True)
+            "Training trace", "iteration", "value")
 
 
 def _run_nn_picard(config: NnPicardConfig, outdir: str) -> int:
@@ -456,12 +450,14 @@ def _run_kz_sweep(built, outdir: str) -> int:
         per_kz.append(errs)
     _write_csv(os.path.join(outdir, "kz_sweep.csv"),
                ["kz", "rep", "du", "dubar"], rows)
-    quantiles = [list(np.quantile(errs, [0.1, 0.25, 0.5, 0.75, 0.9]))
-                 if np.isfinite(errs).all() else [float("inf")] * 5
-                 for errs in per_kz]
-    _svg.whisker_plot(os.path.join(outdir, "kz_sweep.svg"), kz_values,
-                      quantiles, f"Error vs z-Lipschitz constant ({scheme})",
-                      "K_z", "relative error of u", logy=True)
+    levels = (10, 25, 50, 75, 90)
+    # a kz with an infinite cell gets no point
+    quantiles = np.array([np.percentile(errs, levels) if np.isfinite(errs).all()
+                          else np.full(5, np.inf) for errs in per_kz])
+    _svg.line_plot(os.path.join(outdir, "kz_sweep.svg"), kz_values,
+                   {f"{q}%": quantiles[:, i] for i, q in enumerate(levels)},
+                   f"Error vs z-Lipschitz constant ({scheme})",
+                   "K_z", "relative error of u")
     return 0
 
 

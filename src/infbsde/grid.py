@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -184,6 +184,17 @@ def _format(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def write_csv(path, header: List[str], rows: Iterable[List]) -> None:
+    """One header line, then one line per row; floats carry 17 significant
+    digits (``_format``), other values their ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format(v) if isinstance(v, float) else v
+                             for v in row])
+
+
 def node_errors(phi: GridFunction, u_ex: np.ndarray,
                 ubar_ex: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-node gaps of ``u`` and of ``ubar`` to the exact node values."""
@@ -207,10 +218,7 @@ def write_grid_csv(phi: GridFunction, path, analytic=None) -> None:
         header += ["err_u", "err_ubar"]
         blocks += [u_ex, ubar_ex.reshape(g.n_nodes, -1),
                    np.column_stack(node_errors(phi, u_ex, ubar_ex))]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx, row in zip(g.node_indices, np.concatenate(blocks, axis=1)):
-            writer.writerow([str(int(i)) for i in idx]
-                            + [_format(v) for v in row])
+    write_csv(path, header,
+              ([int(i) for i in idx] + row.tolist() for idx, row
+               in zip(g.node_indices, np.concatenate(blocks, axis=1))))
 

@@ -176,14 +176,15 @@ class Mlp:
         return np.concatenate([target_u, flat_ubar], axis=1)
 
     def _mse_grad(self, x: np.ndarray, target: np.ndarray, work: Workspace,
-                  grad: Gradient) -> Tuple[float, np.ndarray]:
+                  grad: Gradient) -> Tuple[float, Optional[np.ndarray]]:
         """Loss against a ``_raw_target`` and its gradient vector, laid out
         as ``flat``, by backprop.
 
         The loss is the batch mean of the squared residual summed over all
         value and gradient entries.  The layers go into ``work``, a
         ``workspace(len(x))``, and the gradients into ``grad``, a
-        ``gradient()``; both are overwritten by the next call.
+        ``gradient()``; both are overwritten by the next call.  A loss that
+        is not finite comes back with no gradient (None) and no backprop.
         """
         acts, pre = self._forward_cached(x, work)
         m = target.shape[0]
@@ -191,6 +192,8 @@ class Mlp:
         resid = np.subtract(acts[-1], target, out=acts[-1])
         # np.sum's ufunc, called without np.sum's per-call wrapper
         loss = float(np.add.reduce(resid**2, axis=None) / m)
+        if not np.isfinite(loss):
+            return loss, None
         resid *= 2.0 / m
         return loss, self.backprop(acts, pre, resid, out=grad)
 

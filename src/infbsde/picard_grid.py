@@ -7,6 +7,7 @@ inner nodes only, unweighted, against the analytic solution when known.
 """
 from __future__ import annotations
 
+import contextvars
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -134,12 +135,11 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
     chunks = [range(start, min(start + per_chunk, grid.n_nodes))
               for start in range(0, grid.n_nodes, per_chunk)]
     workers = min(_worker_count(), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(update, chunks))
-    else:
-        for chunk in chunks:
-            update(chunk)
+    # each chunk runs in a copy of the caller's context, as in
+    # asyncio.to_thread, so the caller's np.errstate holds on the workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda ctx, chunk: ctx.run(update, chunk),
+                      [contextvars.copy_context() for _ in chunks], chunks))
 
     if cfg.truncation is not None:
         bound, degree = cfg.truncation

@@ -205,10 +205,9 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
     np.cumsum(running, axis=1, out=drawn[:, 1:])
     drawn_all = drawn.sum(axis=0)
     first = (m - running.sum(axis=0)).tolist()
-    if n_blocks > 1:
-        block = order // b
-        rank = np.empty(m, dtype=np.int64)
-        rank[np.argsort(block, kind="stable")] = np.arange(m) % b
+    block = order // b
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(block, kind="stable")] = np.arange(m) % b
     e_rows, e_dest, e_cuts = _horizon_ends(n_e, order, n_steps)
     g_rows, g_dest, g_cuts = _horizon_ends(n_g, order, n_steps)
 
@@ -231,23 +230,16 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
             gen.standard_normal(out=noise[lo * d:(lo + n) * d])
         dws = noise[:int(per_block.sum()) * d].reshape(-1, d)
         dws *= sqrt_dt
-        if n_blocks == 1:
-            # each step's increments follow the loop order of its rows
-            offsets = (drawn[0, j0:j1] - drawn[0, j0]).tolist()
-        else:
-            # the step-(j+1) increment of the rank-r running row of block i
-            # sits at dws[shift[j - j0, i] + r]
-            shift = ((base - drawn[:, j0])[:, None] + drawn[:, j0:j1]
-                     - finished[:, j0:j1]).T
+        # the step-(j+1) increment of the rank-r running row of block i
+        # sits at dws[shift[j - j0, i] + r]
+        shift = ((base - drawn[:, j0])[:, None] + drawn[:, j0:j1]
+                 - finished[:, j0:j1]).T
         for j in range(j0, j1):
             s = first[j]
-            if n_blocks == 1:
-                dw = dws[offsets[j - j0]:offsets[j - j0] + m - s]
-            else:
-                # in-range indices: take(mode="clip") is indexing, unbuffered
-                at = shift[j - j0].take(block[s:], mode="clip")
-                at += rank[s:]
-                dw = dws.take(at, axis=0, mode="clip")
+            # in-range indices: take(mode="clip") is indexing, unbuffered
+            at = shift[j - j0].take(block[s:], mode="clip")
+            at += rank[s:]
+            dw = dws.take(at, axis=0, mode="clip")
             _euler_step(sde, x[s:], tangent[s:], integral[s:], dw, dt, j + 1)
             lo, hi = e_cuts[j], e_cuts[j + 1]
             if lo < hi:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,14 @@ def read_csv(path):
 
 def without_seconds(rows):
     return [row[:-1] for row in rows]
+
+
+def svg_plot(path):
+    """The polylines and the legend texts of an SVG plot."""
+    root = ET.parse(path).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    return (list(root.iter(f"{ns}polyline")),
+            [t.text for t in root.iter(f"{ns}text") if t.get("fill")])
 
 
 def grid_args(out, seed="3"):
@@ -209,7 +218,10 @@ class TestRateStudy:
         fit = json.loads((out / "rate_fit.json").read_text(encoding="utf-8"))
         assert set(fit) == {"slope", "intercept"}
         assert np.isfinite(fit["slope"])
-        assert (out / "rate_fit.svg").exists()
+        # the sup errors and the fitted power law, slope in its legend
+        lines, labels = svg_plot(out / "rate_fit.svg")
+        assert len(lines) == 2
+        assert labels == ["sup error", f"fit, slope {fit['slope']:.3f}"]
         assert "fitted slope:" in capsys.readouterr().out
 
     def test_needs_three_sizes(self, tmp_path, capsys):
@@ -371,8 +383,30 @@ class TestKzSweep:
         assert rows[0] == ["kz", "rep", "du", "dubar"]
         assert [(float(r[0]), int(r[1])) for r in rows[1:]] == \
             [(0.5, 0), (0.5, 1), (1.5, 0), (1.5, 1)]
-        assert all(float(r[2]) > 0 for r in rows[1:])
-        assert (out / "kz_sweep.svg").exists()
+        assert all(0 < float(r[2]) < np.inf for r in rows[1:])
+        # every cell is finite: one line per quantile of the error
+        lines, labels = svg_plot(out / "kz_sweep.svg")
+        assert len(lines) == 5
+        assert labels == ["10%", "25%", "50%", "75%", "90%"]
+
+    def test_failed_cell_drops_its_kz_from_the_plot(self, tmp_path,
+                                                    monkeypatch):
+        from infbsde import NonFiniteLoss, cli
+        real = cli.contraction_nn_solve
+
+        def failing_at_kz(config):
+            if config.overrides["kz"] == 1.5:
+                raise NonFiniteLoss("loss inf at step 0")
+            return real(config)
+
+        monkeypatch.setattr(cli, "contraction_nn_solve", failing_at_kz)
+        out = tmp_path / "s"
+        assert run(self.args(out)) == 0
+        rows = read_csv(out / "kz_sweep.csv")[1:]
+        assert [r[2] == "inf" for r in rows] == [False, False, True, True]
+        lines, _ = svg_plot(out / "kz_sweep.svg")
+        # each quantile keeps only kz 0.5
+        assert [len(line.get("points").split()) for line in lines] == [1] * 5
 
     def test_cell_matches_direct_solve(self, tmp_path):
         out = tmp_path / "s"

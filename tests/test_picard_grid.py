@@ -105,6 +105,19 @@ class TestSingleStep:
             picard_step(v, cfg, RngStream(0),
                         problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
 
+    def test_callers_error_state_holds_on_every_thread(self, monkeypatch):
+        # two threads on chunks of one node: the caller's np.errstate
+        # silences the interpolation of the infinite candidate on both
+        monkeypatch.setenv("BSDE_THREADS", "2")
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 8)
+        cfg = config(m_samples=8)
+        grid = cfg.grid
+        v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
+                         np.zeros((grid.n_nodes, 1, 1)))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
+            picard_step(v, cfg, RngStream(0),
+                        problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_node_is_named(self, monkeypatch, threads):
         # chunks of four nodes: node 9 is the second of the chunk 8-11
