@@ -17,16 +17,16 @@ m = 20000
 
 print("plugging the analytic solution into the one-draw map, M =", m)
 print(f"{'x':>6} {'u(x)':>9} {'estimate':>9} {'std err':>9}")
-for i, x0 in enumerate([-2.0, -0.5, 0.0, 1.0, 2.0]):
-    x = np.array([x0])
-    est = estimate_phi(problem, params, w_star, x, m, None, RngStream(100 + i))
-    exact = float(problem.analytic.u(x[None, :])[0, 0])
-    print(f"{x0:6.1f} {exact:9.4f} {float(est.value[0][0]):9.4f} "
-          f"{float(est.std_err[0][0]):9.4f}")
+# one call: five points, M draws at each, point i drawing from its own stream
+x = np.array([-2.0, -0.5, 0.0, 1.0, 2.0])
+est = estimate_phi(problem, params, w_star, x, m, None,
+                   [RngStream(100 + i) for i in range(len(x))])
+exact = problem.analytic.u(x)[:, 0]
+for x0, u0, mean, se in zip(x, exact, est.value[0][:, 0], est.std_err[0][:, 0]):
+    print(f"{x0:6.1f} {u0:9.4f} {mean:9.4f} {se:9.4f}")
 
 # the gradient block comes from a separate horizon with a Malliavin weight
-x = np.array([0.5])
-est = estimate_phi(problem, params, w_star, x, m, None, RngStream(7))
-exact = float(problem.analytic.ubar(x[None, :])[0, 0, 0])
+est = estimate_phi(problem, params, w_star, [0.5], m, None, RngStream(7))
+exact = float(problem.analytic.ubar([0.5])[0, 0, 0])
 print(f"\nubar(0.5): exact {exact:.4f}, estimate "
-      f"{float(est.value[1][0, 0]):.4f} +- {float(est.std_err[1][0, 0]):.4f}")
+      f"{est.value[1][0, 0, 0]:.4f} +- {est.std_err[1][0, 0, 0]:.4f}")

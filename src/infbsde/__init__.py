@@ -11,8 +11,7 @@ from .analysis import (CEstimate, InvalidP, QuadratureFailure,
                        gaussian_radial_moment, kappa_infinity, kappa_p,
                        lipschitz_shift, simplified_contraction_check)
 from .fixedpoint import (NonFiniteValue, PhiEstimate, estimate_phi,
-                         estimate_phi_from_samples, poly_weight,
-                         r_sample_batch, truncate_growth)
+                         poly_weight, r_sample_batch, truncate_growth)
 from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
                    interpolate, node_errors, sup_diff, truncated_nodes,
                    write_grid_csv)
@@ -30,7 +29,7 @@ from .picard_grid import (FitUnderdetermined, GridSolveConfig, GridSolveResult,
                           IterationReport, RateStudyResult, fit_rate_slope,
                           picard_step, rate_study, solve)
 from .simulate import (DegenerateDiffusion, FkBatch, RngStream,
-                       sample_fk_batch)
+                       sample_fk_batch, sample_mu0)
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .fixedpoint import one_draw_weights, poly_weight
-from .model import GeneratorSpec, Problem, SchemeParams, check_dim
+from .model import GeneratorSpec, Problem, SchemeParams, as_points, check_dim
 from .simulate import RngStream, check_stream, sample_fk_batch
 
 
@@ -113,11 +113,14 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
 
     The sup over all starting points is replaced by a max over the probe
     set, so the estimate is a lower bound up to Monte Carlo error.  Probe
-    ``k`` draws from ``rng.substream(k)``.
+    ``k`` draws from ``rng.substream(k)``; probes are read by
+    :func:`as_points`, and ``weight_degree`` must be finite and >= 0.
     """
     if m < 2:
         raise ValueError("need at least 2 samples for standard errors")
-    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
+    if not 0 <= weight_degree < math.inf:
+        raise ValueError(f"weight_degree must be finite and >= 0: {weight_degree}")
+    probes = as_points(probe_points, problem.sde.dim)
     if probes.shape[0] == 0:
         raise ValueError("probe set must be non-empty")
     base = check_stream(rng)

@@ -35,7 +35,7 @@ from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
                          contraction_nn_solve, direct_nn_solve)
 from .picard_grid import (GridSolveConfig, _sample_counts, _worker_count,
                           rate_study, solve)
-from .simulate import RngStream
+from .simulate import RngStream, sample_mu0
 
 
 class ConfigParse(ValueError):
@@ -379,9 +379,8 @@ def _build_contraction(cfg: Dict):
 def _run_contraction(built, outdir: str) -> int:
     config, problem, margin, probe, grid = built
     params, seed = config.params, config.seed
-    mu0 = RngStream(seed, stream_id=1).generator().normal(
-        0.0, problem.mu0_std, size=(probe["n_mu0_probes"], problem.sde.dim))
-    probes = np.vstack([grid.nodes, mu0])
+    probes = np.vstack([grid.nodes, sample_mu0(
+        problem, RngStream(seed, stream_id=1), probe["n_mu0_probes"])])
     estimate = estimate_c_constants(
         problem, params, probe["weight_degree"], probes, probe["m_samples"],
         config.dt, RngStream(seed))

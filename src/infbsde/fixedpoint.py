@@ -8,11 +8,11 @@ fixed-point map applied to ``w``; averaging draws estimates the map itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import Problem, SchemeParams
+from .model import Problem, SchemeParams, as_points
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
@@ -44,56 +44,77 @@ def one_draw_weights(params: SchemeParams,
     return weight_e, weight_g
 
 
+def one_draw_terms(f_value: np.ndarray, u: np.ndarray, shift: float,
+                   weight: np.ndarray,
+                   malliavin: Optional[np.ndarray] = None) -> np.ndarray:
+    """One-draw terms ``(f + shift * u) * weight`` ``(m, d')`` at horizon
+    states, times the Malliavin weight ``(m, d)`` when given: ``(m, d', d)``."""
+    phi = (f_value + shift * u) * weight[:, None]
+    return phi if malliavin is None else phi[:, :, None] * malliavin[:, None, :]
+
+
 def r_sample_batch(problem: Problem, params: SchemeParams, w: Candidate,
                    fk: FkBatch) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized single-draw estimates; no finiteness check (see callers)."""
     weight_e, weight_g = one_draw_weights(params, fk)
 
-    def scaled(x, discount, weight):
-        # (f + discount * u) * weight at the candidate's values in x; the
-        # candidate's arrays are freed before the other branch runs
+    def terms(x, shift, weight, malliavin=None):
+        # the candidate's arrays are freed before the other branch runs
         u, z = w(x)
-        return (problem.gen.f(x, u, z) + discount * u) * weight[:, None]
+        return one_draw_terms(problem.gen.f(x, u, z), u, shift, weight,
+                              malliavin)
 
-    comp1 = scaled(fk.x_at_e, params.discount_y, weight_e)
-    comp2 = (scaled(fk.x_at_g, params.discount_z, weight_g)[:, :, None]
-             * fk.malliavin_at_g[:, None, :])
-    return comp1, comp2
+    return (terms(fk.x_at_e, params.discount_y, weight_e),
+            terms(fk.x_at_g, params.discount_z, weight_g, fk.malliavin_at_g))
+
+
+def point_means(comps: Sequence[np.ndarray], labels: Sequence,
+                noun: str = "point") -> Tuple[np.ndarray, ...]:
+    """Mean of each array in ``comps`` over each of ``len(labels)`` equal
+    blocks of consecutive rows, one per point, bit for bit as over the block
+    alone; NonFiniteValue names the label of the first non-finite point."""
+    k = len(labels)
+    means = tuple(c.reshape(k, -1, *c.shape[1:]).mean(axis=1) for c in comps)
+    finite = np.all([np.isfinite(mean).reshape(k, -1).all(axis=1)
+                     for mean in means], axis=0)
+    if not finite.all():
+        raise NonFiniteValue(
+            f"non-finite mean at {noun} {labels[int(np.argmin(finite))]}")
+    return means
 
 
 @dataclass(frozen=True)
 class PhiEstimate:
-    """MC mean of the fixed-point map with componentwise standard errors."""
+    """MC means of the fixed-point map at ``k`` points, ``(k, d')`` and
+    ``(k, d', d)``, their standard errors alike, and the draws per point."""
 
     value: Tuple[np.ndarray, np.ndarray]
     std_err: Tuple[np.ndarray, np.ndarray]
     m: int
 
 
-def estimate_phi_from_samples(problem: Problem, params: SchemeParams,
-                              w: Candidate, fk: FkBatch) -> PhiEstimate:
-    """Reduce an existing sample batch to a PhiEstimate."""
-    m = len(fk)
-    if m < 2:
-        raise ValueError("need at least 2 samples for standard errors")
-    comp1, comp2 = r_sample_batch(problem, params, w, fk)
-    mean1 = comp1.mean(axis=0)
-    mean2 = comp2.mean(axis=0)
-    if not (np.isfinite(mean1).all() and np.isfinite(mean2).all()):
-        raise NonFiniteValue("estimator mean is not finite")
-    scale = np.sqrt(m)
-    return PhiEstimate(
-        value=(mean1, mean2),
-        std_err=(comp1.std(axis=0, ddof=1) / scale, comp2.std(axis=0, ddof=1) / scale),
-        m=m,
-    )
-
-
 def estimate_phi(problem: Problem, params: SchemeParams, w: Candidate, x,
-                 m: int, dt: Optional[float], rng: RngStream) -> PhiEstimate:
-    """Monte Carlo estimate of the fixed-point map applied to ``w`` at ``x``."""
-    fk = sample_fk_batch(problem, params, x, m, dt, rng)
-    return estimate_phi_from_samples(problem, params, w, fk)
+                 m: int, dt: Optional[float],
+                 rng: Union[RngStream, Sequence[RngStream]]) -> PhiEstimate:
+    """Monte Carlo estimate of the fixed-point map applied to ``w`` at the
+    ``k`` points ``x`` (read by :func:`as_points`), ``m >= 2`` draws each.
+    ``rng`` is one stream for all draws or, as in :func:`sample_fk_batch`,
+    one per point, and point ``i`` then equals a call with ``rng[i]`` alone.
+    """
+    starts = as_points(x, problem.sde.dim)
+    k = len(starts)
+    if m < 2 or k < 1:
+        raise ValueError("need at least 2 samples at each of at least one "
+                         f"point, got {m} at {k}")
+    if isinstance(rng, Sequence) and len(rng) != k:
+        raise ValueError(f"need one stream or one per point ({k}), "
+                         f"got {len(rng)}")
+    fk = sample_fk_batch(problem, params, np.repeat(starts, m, axis=0),
+                         k * m, dt, rng)
+    comps = r_sample_batch(problem, params, w, fk)
+    std_err = tuple(c.reshape(k, m, *c.shape[1:]).std(axis=1, ddof=1)
+                    / np.sqrt(m) for c in comps)
+    return PhiEstimate(point_means(comps, range(k)), std_err, m)
 
 
 def truncate_growth(value: Tuple[np.ndarray, np.ndarray], x, bound: float,

@@ -230,51 +230,40 @@ def check_step(sde: SdeSpec, dt: Optional[float]) -> None:
         raise ValueError("a finite dt > 0 is required for non-Brownian dynamics")
 
 
-def _finite_difference_check(u, grad_u, hess_u, dim: int, dim_y: int) -> None:
-    """Spot-check grad_u against u and hess_u against grad_u."""
-    rng = np.random.default_rng(1234)
-    x = rng.normal(0.0, 1.0, (6, dim))
-    h = 1e-5
-    fd_grad = np.empty((6, dim_y, dim))
-    fd_hess = np.empty((6, dim_y, dim, dim))
-    for j in range(dim):
-        step = np.zeros(dim)
-        step[j] = h
-        fd_grad[:, :, j] = (u(x + step) - u(x - step)) / (2 * h)
-        fd_hess[:, :, :, j] = (grad_u(x + step) - grad_u(x - step)) / (2 * h)
-    if not np.allclose(fd_grad, grad_u(x), rtol=1e-4, atol=1e-6):
-        raise InconsistentDerivatives("grad_u disagrees with finite differences of u")
-    if not np.allclose(fd_hess, hess_u(x), rtol=1e-4, atol=1e-6):
-        raise InconsistentDerivatives("hess_u disagrees with finite differences of grad_u")
+def _check_derivative(fn, args: tuple, which: int, h: float, derivative,
+                      name: str, of: str) -> None:
+    """Raise InconsistentDerivatives unless ``derivative(*args)`` matches
+    central differences of ``fn(*args)`` with step ``h`` in each per-row
+    entry of argument ``which``, stacked on trailing axes."""
+    base = args[which]
+    shape = base.shape[1:]
+    columns = []
+    for index in np.ndindex(shape):
+        step = np.zeros(shape)
+        step[index] = h
+        plus, minus = list(args), list(args)
+        plus[which], minus[which] = base + step, base - step
+        columns.append((fn(*plus) - fn(*minus)) / (2 * h))
+    fd = np.stack(columns, axis=-1).reshape(columns[0].shape + shape)
+    if not np.allclose(fd, derivative(*args), rtol=1e-4, atol=1e-6):
+        raise InconsistentDerivatives(
+            f"{name} disagrees with finite differences of {of}")
 
 
-def _driver_derivative_check(gen: GeneratorSpec, dim: int) -> None:
-    """Spot-check f_y/f_z against finite differences of f, when supplied."""
-    if gen.f_y is None and gen.f_z is None:
-        return
+def _check_derivatives(u, grad_u, hess_u, gen: GeneratorSpec,
+                       dim: int) -> None:
+    """Spot-check grad_u against u, hess_u against grad_u, and the driver
+    Jacobians f_y/f_z, where supplied, against f."""
+    x = np.random.default_rng(1234).normal(0.0, 1.0, (6, dim))
+    _check_derivative(u, (x,), 0, 1e-5, grad_u, "grad_u", "u")
+    _check_derivative(grad_u, (x,), 0, 1e-5, hess_u, "hess_u", "grad_u")
     rng = np.random.default_rng(4321)
-    m, dy = 6, gen.dim_y
-    x = rng.normal(0.0, 1.0, (m, dim))
-    y = rng.normal(0.0, 1.0, (m, dy))
-    z = rng.normal(0.0, 1.0, (m, dy, dim))
-    h = 1e-6
-    if gen.f_y is not None:
-        fd = np.empty((m, dy, dy))
-        for j in range(dy):
-            step = np.zeros(dy)
-            step[j] = h
-            fd[:, :, j] = (gen.f(x, y + step, z) - gen.f(x, y - step, z)) / (2 * h)
-        if not np.allclose(fd, gen.f_y(x, y, z), rtol=1e-4, atol=1e-6):
-            raise InconsistentDerivatives("f_y disagrees with finite differences of f")
-    if gen.f_z is not None:
-        fd = np.empty((m, dy, dy, dim))
-        for j in range(dy):
-            for k in range(dim):
-                step = np.zeros((dy, dim))
-                step[j, k] = h
-                fd[:, :, j, k] = (gen.f(x, y, z + step) - gen.f(x, y, z - step)) / (2 * h)
-        if not np.allclose(fd, gen.f_z(x, y, z), rtol=1e-4, atol=1e-6):
-            raise InconsistentDerivatives("f_z disagrees with finite differences of f")
+    args = (rng.normal(0.0, 1.0, (6, dim)), rng.normal(0.0, 1.0, (6, gen.dim_y)),
+            rng.normal(0.0, 1.0, (6, gen.dim_y, dim)))
+    for which, name in ((1, "f_y"), (2, "f_z")):
+        if getattr(gen, name) is not None:
+            _check_derivative(gen.f, args, which, 1e-6, getattr(gen, name),
+                              name, "f")
 
 
 def manufacture_problem(
@@ -295,8 +284,7 @@ def manufacture_problem(
     generator's ``x_terms`` are the two parts of ``g``: the operator term
     and ``f0(x, u, ubar)``.
     """
-    _finite_difference_check(u, grad_u, hess_u, sde.dim, f0.dim_y)
-    _driver_derivative_check(f0, sde.dim)
+    _check_derivatives(u, grad_u, hess_u, f0, sde.dim)
 
     def ubar(x):
         x = as_points(x, sde.dim)

@@ -16,11 +16,12 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import Candidate, one_draw_weights, r_sample_batch
+from .fixedpoint import (Candidate, one_draw_terms, one_draw_weights,
+                         r_sample_batch)
 from .model import (Problem, RunConfig, SchemeParams, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
-from .simulate import FkBatch, RngStream, sample_fk_batch
+from .simulate import FkBatch, RngStream, sample_fk_batch, sample_mu0
 
 
 class NonFiniteLoss(ArithmeticError):
@@ -131,10 +132,6 @@ class NnSolveResult:
     nets: Optional[List[Mlp]] = None
 
 
-def _sample_mu0(gen, m: int, dim: int, std: float) -> np.ndarray:
-    return gen.normal(0.0, std, size=(m, dim))
-
-
 def _ratio(num_sq: float, den_sq: float) -> float:
     if den_sq == 0.0:
         return 0.0 if num_sq == 0.0 else np.inf
@@ -189,8 +186,7 @@ def _draw_round(problem: Problem, cfg: NnConfig, stream: RngStream,
                 m_starts: int, m_inner: int) -> Tuple[np.ndarray, FkBatch]:
     """One round's ``m_starts`` start points, from ``stream.substream(0)``,
     and ``m_inner`` horizon draws per start, from ``stream.substream(1)``."""
-    x0 = _sample_mu0(stream.substream(0).generator(), m_starts,
-                     problem.sde.dim, problem.mu0_std)
+    x0 = sample_mu0(problem, stream.substream(0), m_starts)
     fk = sample_fk_batch(problem, cfg.params, np.repeat(x0, m_inner, axis=0),
                          m_starts * m_inner, cfg.dt, stream.substream(1))
     return x0, fk
@@ -205,8 +201,8 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
-    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
-                              cfg.m_err, dim, problem.mu0_std)
+    eval_points = sample_mu0(problem, RngStream(cfg.seed, stream_id=1),
+                             cfg.m_err)
 
     def zero_candidate(x):
         return np.zeros((len(x), dim_y)), np.zeros((len(x), dim_y, dim))
@@ -304,9 +300,7 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     for x, f_at, shift, weight, malliavin, value0, out in branches:
         acts, pre = net._forward_cached(x, work[1])
         u, z = net._split(acts[-1])
-        phi = (f_at(u, z) + shift * u) * weight[:, None]
-        if malliavin is not None:
-            phi = phi[:, :, None] * malliavin[:, None, :]
+        phi = one_draw_terms(f_at(u, z), u, shift, weight, malliavin)
         r_a, r_b = _half_residuals(value0, phi, m_starts, m_inner)
         q = _half_upstream(r_a, r_b, m_starts, m_inner)
         if malliavin is not None:
@@ -346,8 +340,8 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
             f"problem {problem.name!r} supplies no driver Jacobians")
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
-    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
-                              cfg.m_err, dim, problem.mu0_std)
+    eval_points = sample_mu0(problem, RngStream(cfg.seed, stream_id=1),
+                             cfg.m_err)
 
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
     state = AdamState.init(net, cfg.base_lr, cfg.lr_decay, cfg.lr_decay_period)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fixedpoint import NonFiniteValue, r_sample_batch, truncate_growth
+from .fixedpoint import point_means, r_sample_batch, truncate_growth
 from .grid import Grid, GridFunction, node_errors, truncated_nodes
 from .model import Problem, RunConfig, problem_by_name
 from .simulate import RngStream, sample_fk_batch
@@ -106,30 +106,19 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
     no value.
     """
     grid = v.grid
-    dim_y = problem.gen.dim_y
-    m = cfg.m_samples
+    m, dim_y = cfg.m_samples, problem.gen.dim_y
     u_new = np.empty((grid.n_nodes, dim_y))
     ubar_new = np.empty((grid.n_nodes, dim_y, grid.dim))
     nodes = grid.nodes
 
     def update(chunk: range) -> None:
+        rows = slice(chunk.start, chunk.stop)
         fk = sample_fk_batch(problem, cfg.params,
-                             np.repeat(nodes[chunk.start:chunk.stop], m, axis=0),
+                             np.repeat(nodes[rows], m, axis=0),
                              m * len(chunk), cfg.dt,
                              [rng.substream(node) for node in chunk])
-        comp1, comp2 = r_sample_batch(problem, cfg.params, v, fk)
-        # one mean per node over its m rows; equal bit for bit to a
-        # separate mean over each node's slice
-        k = len(chunk)
-        mean1 = comp1.reshape(k, m, dim_y).mean(axis=1)
-        mean2 = comp2.reshape(k, m, dim_y, grid.dim).mean(axis=1)
-        finite = (np.isfinite(mean1).all(axis=1)
-                  & np.isfinite(mean2).all(axis=(1, 2)))
-        if not finite.all():
-            node = chunk[int(np.argmin(finite))]
-            raise NonFiniteValue(f"non-finite update at node {node}")
-        u_new[chunk.start:chunk.stop] = mean1
-        ubar_new[chunk.start:chunk.stop] = mean2
+        u_new[rows], ubar_new[rows] = point_means(
+            r_sample_batch(problem, cfg.params, v, fk), chunk, "node")
 
     per_chunk = max(1, CHUNK_ROWS // m)
     chunks = [range(start, min(start + per_chunk, grid.n_nodes))

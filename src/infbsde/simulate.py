@@ -59,6 +59,12 @@ def check_stream(rng) -> RngStream:
     return rng
 
 
+def sample_mu0(problem: Problem, rng: RngStream, m: int) -> np.ndarray:
+    """``m`` points ``(m, d)`` from the start law N(0, mu0_std^2 I), by ``rng``."""
+    return check_stream(rng).generator().normal(
+        0.0, problem.mu0_std, size=(m, problem.sde.dim))
+
+
 @dataclass(frozen=True)
 class FkBatch:
     """Vectorized draws: times are (m,), states (m, d)."""

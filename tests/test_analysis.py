@@ -332,6 +332,29 @@ class TestEstimateC:
             estimate_c_constants(problem, SchemeParams(), 0.0,
                                  np.zeros((1, 1)), m, None, RngStream(0))
 
+    @pytest.mark.parametrize("degree", [np.nan, -1.0, np.inf])
+    def test_bad_weight_degree_rejected(self, degree):
+        # nan used to give CEstimate(-inf, 0, -inf, 0), -1 and inf a warning
+        problem = problem_by_name("arctan-const-sigma", 1)
+        with pytest.raises(ValueError, match="weight_degree"):
+            estimate_c_constants(problem, SchemeParams(), degree,
+                                 np.zeros((1, 1)), 10, None, RngStream(0))
+
+    def test_flat_probes_in_one_dimension_are_points(self):
+        problem = problem_by_name("arctan-const-sigma", 1)
+        flat = np.linspace(-3.0, 3.0, 7)
+        est = estimate_c_constants(problem, SchemeParams(), 2.0, flat, 200,
+                                   None, RngStream(23))
+        assert est == estimate_c_constants(problem, SchemeParams(), 2.0,
+                                           flat[:, None], 200, None,
+                                           RngStream(23))
+
+    def test_probes_of_the_wrong_dimension_rejected(self):
+        problem = problem_by_name("arctan-const-sigma", 2)
+        with pytest.raises(ValueError, match="dimension 2"):
+            estimate_c_constants(problem, SchemeParams(), 2.0,
+                                 np.zeros((4, 3)), 10, None, RngStream(0))
+
 
 class TestReport:
     def test_rows_and_statuses(self):

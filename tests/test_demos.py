@@ -8,7 +8,8 @@ test file or a demo is removed or renamed.
 The one-draw estimator demo, which feeds the analytic solution in as a
 candidate pair, and the contraction-constant demo, which calls the
 analysis functions with a problem's own generator, also run (about half a
-second each).
+second each), and so does the README's ``estimate_phi`` block, whose
+printed shapes and values the README describes.
 """
 import ast
 import importlib
@@ -16,6 +17,7 @@ import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,6 +86,19 @@ def test_contraction_constants_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "kappa_inf = 3.3541" in out
     assert "linear-constant with mu=1: kappa_inf = 0.5000" in out
+
+
+def test_readme_estimate_phi_block_runs(capsys):
+    block, = [b for b in README_BLOCKS if "estimate_phi(" in b]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    est, problem = namespace["est"], namespace["problem"]
+    # two points: one mean and one standard error per point and component
+    assert est.value[0].shape == est.std_err[0].shape == (2, 1)
+    assert est.value[1].shape == est.std_err[1].shape == (2, 1, 1)
+    exact = problem.analytic.u([-1.0, 0.5])
+    assert np.all(np.abs(est.value[0] - exact) < 4 * est.std_err[0])
 
 
 def test_readme_paths_exist():

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infbsde import (Grid, GridFunction, Mlp, NonFiniteValue, RngStream,
-                     SchemeParams, estimate_phi, estimate_phi_from_samples,
-                     poly_weight, problem_by_name, r_sample_batch,
-                     sample_fk_batch, truncate_growth)
+                     SchemeParams, estimate_phi, poly_weight, problem_by_name,
+                     r_sample_batch, sample_fk_batch, truncate_growth)
+from infbsde import fixedpoint
 from infbsde.simulate import FkBatch
 
 PARAMS = SchemeParams(2.0, 2.0, 1.5, 1.5)
@@ -61,10 +61,8 @@ class TestSingleDraw:
             m = x.shape[0]
             return np.full((m, 1), np.inf), np.zeros((m, 1, 1))
 
-        fk = FkBatch(np.array([0.5, 0.75]), np.array([0.25, 0.5]),
-                     np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            estimate_phi_from_samples(problem, PARAMS, blown, fk)
+            estimate_phi(problem, PARAMS, blown, [0.0], 2, None, RngStream(0))
 
     def test_batch_matches_row_draws(self):
         problem = problem_by_name("arctan-const-sigma", 1)
@@ -110,10 +108,11 @@ class TestPhiEstimate:
         problem = problem_by_name("linear-constant", 1)
         est = estimate_phi(problem, PARAMS, zero_candidate(1, 1),
                            np.array([0.0]), 100_000, None, RngStream(3))
-        mean1, mean2 = est.value
-        se1, se2 = est.std_err
-        assert abs(mean1[0] - 1.5) < 4 * se1[0]
-        assert abs(mean2[0, 0]) < 4 * se2[0, 0]
+        (mean1, mean2), (se1, se2) = est.value, est.std_err
+        assert mean1.shape == se1.shape == (1, 1)
+        assert mean2.shape == se2.shape == (1, 1, 1)
+        assert abs(mean1[0, 0] - 1.5) < 4 * se1[0, 0]
+        assert abs(mean2[0, 0, 0]) < 4 * se2[0, 0, 0]
 
     @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.0, 1.0, 2.0])
     def test_analytic_solution_is_fixed_point(self, x0):
@@ -121,12 +120,10 @@ class TestPhiEstimate:
         w = problem.analytic
         est = estimate_phi(problem, PARAMS, w, np.array([x0]), 40_000, None,
                            RngStream(int(10 * x0) + 40))
-        u_true = problem.analytic.u(np.array([[x0]]))[0]
-        ub_true = problem.analytic.ubar(np.array([[x0]]))[0]
-        mean1, mean2 = est.value
-        se1, se2 = est.std_err
-        assert abs(mean1[0] - u_true[0]) < 4 * se1[0] + 1e-4
-        assert abs(mean2[0, 0] - ub_true[0, 0]) < 4 * se2[0, 0] + 1e-4
+        u_true, ub_true = problem.analytic(np.array([[x0]]))
+        (mean1, mean2), (se1, se2) = est.value, est.std_err
+        assert np.all(np.abs(mean1 - u_true) < 4 * se1 + 1e-4)
+        assert np.all(np.abs(mean2 - ub_true) < 4 * se2 + 1e-4)
 
     @pytest.mark.parametrize("bad", [3, np.random.default_rng(3)],
                              ids=["int", "generator"])
@@ -142,19 +139,116 @@ class TestPhiEstimate:
             estimate_phi(problem, PARAMS, zero_candidate(1, 1),
                          np.array([0.0]), 1, None, RngStream(0))
 
-    def test_duplicated_samples_zero_std_err(self):
+    def test_duplicated_samples_zero_std_err(self, monkeypatch):
+        # a sampler whose m draws at a point are copies of one draw
         problem = problem_by_name("linear-constant", 1)
-        fk = sample_fk_batch(problem, PARAMS, np.array([0.0]), 1, None,
-                             RngStream(4))
-        from infbsde.simulate import FkBatch
+        real = fixedpoint.sample_fk_batch
 
-        rep = FkBatch(*(np.repeat(getattr(fk, f), 6, axis=0) for f in
-                        ("e_time", "g_time", "x_at_e", "x_at_g",
-                         "malliavin_at_g")))
-        est = estimate_phi_from_samples(problem, PARAMS,
-                                        zero_candidate(1, 1), rep)
+        def one_draw_six_times(problem, params, x, m, dt, rng):
+            fk = real(problem, params, x[::6], m // 6, dt, rng)
+            return FkBatch(*(np.repeat(getattr(fk, f), 6, axis=0) for f in
+                             ("e_time", "g_time", "x_at_e", "x_at_g",
+                              "malliavin_at_g")))
+
+        monkeypatch.setattr(fixedpoint, "sample_fk_batch", one_draw_six_times)
+        est = estimate_phi(problem, PARAMS, zero_candidate(1, 1), [0.0], 6,
+                           None, RngStream(4))
         assert np.all(est.std_err[0] == 0.0) and np.all(est.std_err[1] == 0.0)
         assert est.m == 6
+
+    def test_non_finite_point_is_named(self):
+        # the candidate blows up far from the first and last points only
+        problem = problem_by_name("arctan-const-sigma", 1)
+
+        def blown(x):
+            u, ubar = problem.analytic(x)
+            return np.where(x > 25.0, np.inf, u), ubar
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteValue, match="at point 1$"):
+            estimate_phi(problem, PARAMS, blown, [0.0, 50.0, -3.0], 200,
+                         None, RngStream(6))
+
+    def test_empty_point_set_rejected(self):
+        problem = problem_by_name("linear-constant", 1)
+        with pytest.raises(ValueError, match="at least one point"):
+            estimate_phi(problem, PARAMS, zero_candidate(1, 1),
+                         np.zeros((0, 1)), 4, None, RngStream(0))
+
+    def test_one_stream_or_one_per_point(self):
+        problem = problem_by_name("linear-constant", 1)
+        with pytest.raises(ValueError, match="one per point"):
+            estimate_phi(problem, PARAMS, zero_candidate(1, 1), [0.0, 1.0],
+                         4, None, [RngStream(0), RngStream(1), RngStream(2)])
+
+
+# Brownian d = 2 (exact sampling) and Euler d = 1, with a small step
+BATCH_CASES = [pytest.param("arctan-const-sigma", 2, None, id="brownian-d2"),
+               pytest.param("arctan-tanh-sigma", 1, 0.05, id="euler-d1")]
+
+
+def batch_points(dim):
+    return np.random.default_rng(dim).normal(0.0, 1.5, size=(5, dim))
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPhiBatch:
+    """``k`` points with ``m`` draws each: one estimate per point."""
+
+    @pytest.mark.parametrize("name, dim, dt", BATCH_CASES)
+    def test_streams_per_point_equal_separate_calls(self, name, dim, dt):
+        problem = problem_by_name(name, dim)
+        points = batch_points(dim)
+        streams = [RngStream(30, 2).substream(i) for i in range(len(points))]
+        est = estimate_phi(problem, PARAMS, problem.analytic, points, 40, dt,
+                           streams)
+        assert est.value[0].shape == (5, 1)
+        assert est.value[1].shape == est.std_err[1].shape == (5, 1, dim)
+        for i, (x, stream) in enumerate(zip(points, streams)):
+            one = estimate_phi(problem, PARAMS, problem.analytic, x, 40, dt,
+                               stream)
+            assert_same_bits(one.value, [c[i:i + 1] for c in est.value])
+            assert_same_bits(one.std_err, [c[i:i + 1] for c in est.std_err])
+
+    @pytest.mark.parametrize("name, dim, dt", BATCH_CASES)
+    def test_one_stream_reads_draws_as_sample_fk_batch_does(self, name, dim,
+                                                            dt):
+        # one stream draws all k * m rows, point i owning rows i*m..(i+1)*m
+        problem = problem_by_name(name, dim)
+        points, m = batch_points(dim), 40
+        est = estimate_phi(problem, PARAMS, problem.analytic, points, m, dt,
+                           RngStream(31))
+        fk = sample_fk_batch(problem, PARAMS, np.repeat(points, m, axis=0),
+                             len(points) * m, dt, RngStream(31))
+        comps = r_sample_batch(problem, PARAMS, problem.analytic, fk)
+        for i in range(len(points)):
+            rows = [c[i * m:(i + 1) * m] for c in comps]
+            assert_same_bits([c[i] for c in est.value],
+                             [r.mean(axis=0) for r in rows])
+            assert_same_bits([c[i] for c in est.std_err],
+                             [r.std(axis=0, ddof=1) / np.sqrt(m)
+                              for r in rows])
+        # with one point, one stream and a list of it are the same call
+        one = estimate_phi(problem, PARAMS, problem.analytic, points[0], m,
+                           dt, RngStream(31))
+        listed = estimate_phi(problem, PARAMS, problem.analytic, points[:1],
+                              m, dt, [RngStream(31)])
+        assert_same_bits(one.value + one.std_err,
+                         listed.value + listed.std_err)
+
+    def test_hundred_points_give_hundred_estimates(self):
+        # 100 points at m = 100 are 100 means of 100 draws, not one mean
+        problem = problem_by_name("arctan-const-sigma", 2)
+        est = estimate_phi(problem, PARAMS, problem.analytic,
+                           np.zeros((100, 2)), 100, None, RngStream(0))
+        assert est.value[0].shape == est.std_err[0].shape == (100, 1)
+        assert est.value[1].shape == est.std_err[1].shape == (100, 1, 2)
+        assert est.m == 100
+        assert len(np.unique(est.value[0])) == 100
 
 
 class TestTruncateGrowth:

@@ -249,13 +249,11 @@ class TestContraction:
         kappa = kappa_infinity(problem.gen, cfg.params, *brownian_c_infinity(
             cfg.params.discount_y, cfg.params.discount_z))
         assert kappa == 0.5
-        w_star = problem.analytic
-        se_u = []
-        for k, node in enumerate(cfg.grid.nodes):
-            est = estimate_phi(problem, cfg.params, w_star, node,
-                               cfg.m_samples, None, RngStream(500 + k))
-            se_u.append(est.std_err[0][0])
-        allowance = 5 * max(se_u)
+        nodes = cfg.grid.nodes
+        est = estimate_phi(problem, cfg.params, problem.analytic, nodes,
+                           cfg.m_samples, None,
+                           [RngStream(500 + k) for k in range(len(nodes))])
+        allowance = 5 * est.std_err[0].max()
         errs = [r.sup_err_u for r in result.reports]
         for n in range(2, 7):
             assert errs[n - 1] <= kappa * errs[n - 2] + allowance

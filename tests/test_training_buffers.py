@@ -16,12 +16,13 @@ import pytest
 from infbsde import (DirectConfig, Mlp, NnPicardConfig, PROBLEM_NAMES,
                      RngStream, SchemeParams, adam_step, bind_driver,
                      contraction_nn_solve, direct_nn_solve, load_checkpoint,
-                     problem_by_name, r_sample_batch, sample_fk_batch)
+                     problem_by_name, r_sample_batch, sample_fk_batch,
+                     sample_mu0)
 from infbsde.fixedpoint import one_draw_weights
 from infbsde.neural import AdamState
 from infbsde.nn_schemes import (TraceRow, _half_residuals, _half_upstream,
                                 _rel_errors_at, _residual_loss_grads,
-                                _sample_mu0, _train_regression)
+                                _train_regression)
 
 
 def reference_forward(net, x):
@@ -104,8 +105,8 @@ def reference_contraction_solve(cfg):
     problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
-    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
-                              cfg.m_err, dim, problem.mu0_std)
+    eval_points = sample_mu0(problem, RngStream(cfg.seed, stream_id=1),
+                             cfg.m_err)
 
     def previous(x):
         return np.zeros((len(x), dim_y)), np.zeros((len(x), dim_y, dim))
@@ -115,8 +116,7 @@ def reference_contraction_solve(cfg):
     trace = []
     for n in range(1, cfg.n_iters + 1):
         iter_stream = base.substream(n)
-        x0 = _sample_mu0(iter_stream.substream(0).generator(), cfg.m_samples,
-                         dim, problem.mu0_std)
+        x0 = sample_mu0(problem, iter_stream.substream(0), cfg.m_samples)
         fk = sample_fk_batch(problem, cfg.params, x0, cfg.m_samples, cfg.dt,
                              iter_stream.substream(1))
         target_u, target_ubar = r_sample_batch(problem, cfg.params, previous,
@@ -188,15 +188,14 @@ def reference_direct_solve(cfg):
     problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
-    eval_points = _sample_mu0(RngStream(cfg.seed, stream_id=1).generator(),
-                              cfg.m_err, dim, problem.mu0_std)
+    eval_points = sample_mu0(problem, RngStream(cfg.seed, stream_id=1),
+                             cfg.m_err)
     net = Mlp.init(dim, dim_y, cfg.hidden_widths(), base.substream(0))
     state = AdamState.init(net, cfg.base_lr, cfg.lr_decay, cfg.lr_decay_period)
     trace = []
     for epoch in range(1, cfg.n_epochs + 1):
         ep_stream = base.substream(epoch)
-        x0 = _sample_mu0(ep_stream.substream(0).generator(), cfg.m_starts, dim,
-                         problem.mu0_std)
+        x0 = sample_mu0(problem, ep_stream.substream(0), cfg.m_starts)
         fk = sample_fk_batch(problem, cfg.params,
                              np.repeat(x0, cfg.m_inner, axis=0),
                              cfg.m_starts * cfg.m_inner, cfg.dt,
