@@ -12,9 +12,8 @@ from .analysis import (CEstimate, InvalidP, QuadratureFailure,
                        lipschitz_shift, simplified_contraction_check)
 from .fixedpoint import (NonFiniteValue, PhiEstimate, estimate_phi,
                          poly_weight, r_sample_batch, truncate_growth)
-from .grid import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                   interpolate, node_errors, sup_diff, truncated_nodes,
-                   write_grid_csv)
+from .grid import (Grid, GridFunction, GridMismatch, interpolate,
+                   node_errors, sup_diff, truncated_nodes, write_grid_csv)
 from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     InconsistentDerivatives, NonPositiveRate, Problem,
                     PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import one_draw_weights, poly_weight
+from .fixedpoint import one_draw_weights, point_means, poly_weight
 from .model import GeneratorSpec, Problem, SchemeParams, as_points, check_dim
 from .simulate import RngStream, check_stream, sample_fk_batch
 
@@ -67,8 +67,11 @@ def kappa_infinity(gen: GeneratorSpec, params: SchemeParams, c_inf: float,
     if gen.lip_z == 0:
         return c_inf * shift_y
     shift_z = lipschitz_shift(gen.lip_y, gen.monotonicity, params.discount_z)
-    return math.sqrt(c_inf**2 * max(shift_y, gen.lip_z) ** 2
-                     + c_tilde_inf**2 * max(shift_z, gen.lip_z) ** 2)
+    try:
+        return math.sqrt(c_inf**2 * max(shift_y, gen.lip_z) ** 2
+                         + c_tilde_inf**2 * max(shift_z, gen.lip_z) ** 2)
+    except OverflowError:  # a square out of range: so is the constant
+        return math.inf
 
 
 def kappa_p(gen: GeneratorSpec, params: SchemeParams, p: float, c_p: float,
@@ -115,6 +118,7 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
     set, so the estimate is a lower bound up to Monte Carlo error.  Probe
     ``k`` draws from ``rng.substream(k)``; probes are read by
     :func:`as_points`, and ``weight_degree`` must be finite and >= 0.
+    A probe whose mean is not finite raises NonFiniteValue naming it.
     """
     if m < 2:
         raise ValueError("need at least 2 samples for standard errors")
@@ -129,21 +133,21 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
         # 1, so every probe estimates one number: their max adds only noise
         probes = probes[:1]
 
-    def mean_se(vals: np.ndarray) -> Tuple[float, float]:
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
-
-    best1 = best2 = (-np.inf, 0.0)
+    means, std_errs = [], []
     for k, x in enumerate(probes):
         fk = sample_fk_batch(problem, params, x, m, dt, base.substream(k))
-        w_x = poly_weight(x, weight_degree)
         weight_e, weight_g = one_draw_weights(params, fk)
-        w1 = mean_se(weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x)
-        u_norm = np.linalg.norm(fk.malliavin_at_g, axis=1)
-        w2 = mean_se(weight_g * u_norm
-                     * poly_weight(fk.x_at_g, weight_degree) / w_x)
-        best1 = max(best1, w1, key=lambda t: t[0])
-        best2 = max(best2, w2, key=lambda t: t[0])
-    return CEstimate(*best1, *best2)
+        # a weight out of range shows as a non-finite mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_x = poly_weight(x, weight_degree)
+            vals = (weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x,
+                    weight_g * np.linalg.norm(fk.malliavin_at_g, axis=1)
+                    * poly_weight(fk.x_at_g, weight_degree) / w_x)
+            means.append(np.concatenate(point_means(vals, [k], "probe")))
+            std_errs.append([v.std(ddof=1) / math.sqrt(m) for v in vals])
+    best = np.argmax(means, axis=0)
+    return CEstimate(*(float(a[i][c]) for c, i in enumerate(best)
+                       for a in (means, std_errs)))
 
 
 _QUAD_RTOL = 1e-8
@@ -232,8 +236,11 @@ def simplified_contraction_check(
     if lip_y < monotonicity:
         raise ValueError("lip_y must dominate the monotonicity constant")
     delta = lip_y - monotonicity
-    bound = math.sqrt(c_inf**2 + c_tilde_inf**2) \
-        * (math.sqrt(2.0 * delta * lip_y) + lip_z)
+    try:
+        norm = math.sqrt(c_inf**2 + c_tilde_inf**2)
+    except OverflowError:  # a square out of range: so is the norm
+        norm = math.inf
+    bound = norm * (math.sqrt(2.0 * delta * lip_y) + lip_z)
     return bound, bound < 1.0
 
 

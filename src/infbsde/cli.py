@@ -45,7 +45,7 @@ class ConfigParse(ValueError):
 # config fields that the command line spreads over several flat float keys
 _SPREAD = {"overrides": ("c", "kz", "eps", "mu", "c0", "mu0_std"),
            "truncation": ("trunc_bound", "trunc_degree")}
-_SCHEMES = ("nn-picard", "nn-direct")
+_SCHEMES = {"nn-picard": NnPicardConfig, "nn-direct": DirectConfig}
 
 
 def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
@@ -281,13 +281,11 @@ def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
     result = solve(config)
     _write_csv(os.path.join(outdir, "iterations.csv"),
                ["n", "sup_err_u", "sup_err_ubar", "seconds"],
-               [[r.n,
-                 float("nan") if r.sup_err_u is None else r.sup_err_u,
-                 float("nan") if r.sup_err_ubar is None else r.sup_err_ubar,
-                 r.seconds] for r in result.reports])
+               [[r.n, r.sup_err_u, r.sup_err_ubar, r.seconds]
+                for r in result.reports])
     write_grid_csv(result.final, os.path.join(outdir, "grid_solution.csv"),
                    analytic=result.problem.analytic)
-    if result.reports[0].sup_err_u is not None:
+    if result.problem.analytic is not None:
         _svg.line_plot(
             os.path.join(outdir, "errors.svg"),
             [r.n for r in result.reports],
@@ -421,10 +419,13 @@ def _build_kz_sweep(cfg: Dict):
     reps = _value(cfg, "reps")
     if reps < 1:
         raise ConfigParse("reps must be at least 1")
-    # both schemes' configs are built, so the unchosen one's values are
-    # checked too
-    picard, direct = _build(NnPicardConfig, cfg), _build(DirectConfig, cfg)
-    base = picard if scheme == "nn-picard" else direct
+    # the echo holds the other scheme's keys, unused: only defaults pass
+    unused = sorted(k for k in (_PICARD.keys() | _DIRECT.keys())
+                    - _FIELDS[scheme].keys()
+                    if cfg[k] != _DEFAULTS["kz-sweep"][k])
+    if unused:
+        raise ConfigParse(f"{scheme} does not take {', '.join(unused)}")
+    base = _build(_SCHEMES[scheme], cfg)
     cells = [[replace(base, overrides={**(base.overrides or {}), "kz": kz},
                       seed=_sweep_seed(base.seed, i, rep))
               for rep in range(reps)] for i, kz in enumerate(kz_values)]

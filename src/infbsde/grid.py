@@ -19,11 +19,6 @@ class GridMismatch(ValueError):
     """Two grid functions do not share the same lattice."""
 
 
-def clamp_to_box(x: np.ndarray, half_extent: float) -> np.ndarray:
-    """Componentwise clamp onto the box; the Euclidean box projection."""
-    return np.clip(x, -half_extent, half_extent)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Centered lattice with ``n_half`` reporting layers plus ``pad`` extras.
@@ -61,11 +56,6 @@ class Grid:
     @property
     def half_extent(self) -> float:
         return (self.n_half + self.pad) * self.mesh
-
-    @property
-    def half_width(self) -> float:
-        """Half side of the inner reporting box."""
-        return self.n_half * self.mesh
 
     @property
     def nodes(self) -> np.ndarray:
@@ -119,7 +109,7 @@ def _cell_corners(g: Grid, pts: np.ndarray) -> list:
     per-axis work runs on contiguous ``(m,)`` columns, and its temporaries
     are freed on return, before :func:`interpolate` allocates its output.
     """
-    clamped = clamp_to_box(pts, g.half_extent)
+    clamped = np.clip(pts, -g.half_extent, g.half_extent)
     corners = [(None, None)]
     for k in range(g.dim):
         frac = clamped[:, k] + g.half_extent

@@ -14,7 +14,7 @@ Randomness comes from counter-based Philox streams addressed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,16 +79,23 @@ class FkBatch:
         return self.e_time.shape[0]
 
 
+def _draw_horizons(params: SchemeParams, gens: Sequence[np.random.Generator],
+                   b: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Horizons E, G of ``b`` rows per generator; each draws E, then Z."""
+    e, z = (np.concatenate(part) for part in zip(*[
+        (gen.exponential(1.0 / params.exp_rate, b), gen.standard_normal(b))
+        for gen in gens]))
+    return e, z * z / (2.0 * params.gamma_rate)
+
+
 def _brownian_fk_batch(params: SchemeParams, starts: np.ndarray,
                        gens: Sequence[np.random.Generator]) -> FkBatch:
     m, d = starts.shape
     b = m // len(gens)
-    draws = [(gen.exponential(1.0 / params.exp_rate, b), gen.standard_normal(b),
-              gen.standard_normal((b, d)), gen.standard_normal((b, d)))
-             for gen in gens]
-    e, z, z1, z2 = (np.concatenate(part) for part in zip(*draws))
-    del draws  # each node's draws would otherwise outlive their concatenation
-    g = z * z / (2.0 * params.gamma_rate)
+    e, g = _draw_horizons(params, gens, b)
+    # Z1 then Z2 per generator, as two (b, d) draws would give them
+    z1, z2 = np.concatenate([gen.standard_normal((2, b, d)) for gen in gens],
+                            axis=1)
     sqrt_g = np.sqrt(g)
     return FkBatch(
         e_time=e,
@@ -186,10 +193,7 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
     m, d = starts.shape
     n_blocks = len(gens)
     b = m // n_blocks
-    horizons = [(gen.exponential(1.0 / params.exp_rate, b), gen.standard_normal(b))
-                for gen in gens]
-    e_raw, zg = (np.concatenate(part) for part in zip(*horizons))
-    g_raw = zg * zg / (2.0 * params.gamma_rate)
+    e_raw, g_raw = _draw_horizons(params, gens, b)
     n_e = np.maximum(np.ceil(e_raw / dt).astype(np.int64), 1)
     n_g = np.maximum(np.ceil(g_raw / dt).astype(np.int64), 1)
     n_max = np.maximum(n_e, n_g)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from infbsde import (CEstimate, GeneratorSpec, InvalidP, NonPositiveRate,
-                     QuadratureFailure, RngStream, SchemeParams,
-                     brownian_c_infinity, brownian_cp_constants,
+from infbsde import (CEstimate, GeneratorSpec, InvalidP, NonFiniteValue,
+                     NonPositiveRate, QuadratureFailure, RngStream,
+                     SchemeParams, brownian_c_infinity, brownian_cp_constants,
                      contraction_report, estimate_c_constants,
                      gaussian_radial_moment, kappa_infinity, kappa_p,
                      lipschitz_shift, problem_by_name,
@@ -349,6 +349,14 @@ class TestEstimateC:
                                            flat[:, None], 200, None,
                                            RngStream(23))
 
+    def test_non_finite_probe_named(self):
+        # 3^700 overflows, so the probe's weight ratio is nan; the max over
+        # probes once skipped it and returned CEstimate(-inf, 0, -inf, 0)
+        problem = problem_by_name("arctan-const-sigma")
+        with pytest.raises(NonFiniteValue, match="at probe 0$"):
+            estimate_c_constants(problem, SchemeParams(), 700.0, [[3.0]],
+                                 200, None, RngStream(0))
+
     def test_probes_of_the_wrong_dimension_rejected(self):
         problem = problem_by_name("arctan-const-sigma", 2)
         with pytest.raises(ValueError, match="dimension 2"):
@@ -357,6 +365,17 @@ class TestEstimateC:
 
 
 class TestReport:
+    @pytest.mark.parametrize("c_inf, c_tilde_inf", [(1e200, 1.0),
+                                                    (1.0, 1e200)])
+    def test_kernel_norm_whose_square_overflows(self, c_inf, c_tilde_inf):
+        # c**2 once raised OverflowError out of both formulas
+        rows = contraction_report(driver(3.0, 0.5, 1.0), SchemeParams(),
+                                  c_inf, c_tilde_inf)
+        by_name = {r.name: r for r in rows}
+        for name in ("kappa_inf", "simplified_bound"):
+            assert by_name[name].value == math.inf
+            assert by_name[name].status == "not a contraction"
+
     def test_rows_and_statuses(self):
         rows = contraction_report(driver(2.0, 0.5, 2.0), SchemeParams(),
                                   0.5, 1.0)

@@ -1,5 +1,6 @@
 """Command line runner: outputs, exit codes, reproducibility."""
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -70,6 +71,19 @@ class TestGridSolve:
         assert solution[0][:2] == ["i1", "x1"]
         assert (out / "errors.svg").read_text(encoding="utf-8").startswith(
             "<svg")
+
+    def test_without_exact_solution(self, tmp_path, monkeypatch):
+        from infbsde import picard_grid
+        real = picard_grid.problem_by_name
+        monkeypatch.setattr(
+            picard_grid, "problem_by_name",
+            lambda *args: dataclasses.replace(real(*args), analytic=None))
+        out = tmp_path / "g"
+        assert run(grid_args(out)) == 0
+        rows = read_csv(out / "iterations.csv")
+        assert [r[1:3] for r in rows[1:]] == [["nan", "nan"]] * 2
+        assert "err_u" not in read_csv(out / "grid_solution.csv")[0]
+        assert not (out / "errors.svg").exists()
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -351,6 +365,27 @@ class TestContraction:
         assert float(by_name["lip_z"][1]) == 1.0
         assert float(by_name["monotonicity_margin"][1]) == -9.0
 
+    def test_kernel_norm_whose_square_overflows(self, tmp_path):
+        # c_inf is finite but c_inf**2 is not; this once exited 1 with
+        # "(34, 'Numerical result out of range')"
+        out = tmp_path / "o"
+        assert run(["contraction", "--problem", "arctan-const-sigma",
+                    "--weight-degree", "300", "--M", "200", "--probe-R", "1",
+                    "--out", str(out)]) == 0
+        by_name = {r[0]: r for r in read_csv(
+            out / "contraction_report.csv")[1:]}
+        assert np.isfinite(float(by_name["c_inf"][1]))
+        assert by_name["kappa_inf"][1:] == ["inf", "not a contraction"]
+
+    def test_non_finite_probe_exits_one(self, tmp_path, capsys):
+        # this once exited 0 with numpy warnings and c_inf_estimate inf
+        out = tmp_path / "o"
+        assert run(["contraction", "--problem", "arctan-const-sigma",
+                    "--weight-degree", "400", "--M", "200",
+                    "--out", str(out)]) == 1
+        assert "non-finite mean at probe 0" in capsys.readouterr().err
+        assert not (out / "contraction_report.csv").exists()
+
     def test_p_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "never"
         assert run(self.args(out, p="2")) == 2
@@ -439,6 +474,26 @@ class TestKzSweep:
         capsys.readouterr()
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme, budget, key, value", [
+        ("nn-picard", {"n_iters": 1, "train_steps": 0, "m_samples": 2},
+         "n_epochs", 3),
+        ("nn-direct", {"n_epochs": 1, "steps_per_epoch": 0, "m_starts": 2,
+                       "m_inner": 2}, "warm_start", False)])
+    def test_other_schemes_config_key_rejected(self, tmp_path, capsys, scheme,
+                                               budget, key, value):
+        # a value the sweep would not use (small budgets, so a sweep that
+        # wrongly runs ends fast)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "arctan-const-sigma", "scheme": scheme,
+            "kz_list": [1.0], "reps": 1, "m_err": 2, **budget, key: value}),
+            encoding="utf-8")
+        out = tmp_path / "never"
+        assert run(["kz-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{scheme} does not take {key}" in err
+        assert not out.exists()
+
     def test_bad_scheme_rejected(self, tmp_path, capsys):
         rc = run(["kz-sweep", "--problem", "arctan-const-sigma",
                   "--scheme", "bogus", "--out", str(tmp_path / "never")])
@@ -524,8 +579,8 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "nn-direct", "--M-inner", "1"], id="kz-sweep-M-inner1"),
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--kz",
                   "2"], id="kz-sweep-kz"),
-    # the unchosen scheme's values are checked too (small budgets, so a
-    # sweep that wrongly runs ends fast)
+    # another scheme's keys are rejected unless they hold their defaults
+    # (small budgets, so a sweep that wrongly runs ends fast)
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--epochs",
                   "0", "--M-inner", "1", "--kz-list", "1", "--reps", "1",
                   "--iters", "1", "--steps", "0", "--M", "2", "--m-err", "2"],
@@ -535,6 +590,16 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "--reps", "1", "--epochs", "1", "--steps-per-epoch", "0",
                   "--M-x", "2", "--M-inner", "2", "--m-err", "2"],
                  id="kz-sweep-direct-picard-iters0"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--scheme",
+                  "nn-direct", "--kz-list", "1", "--reps", "1", "--epochs",
+                  "1", "--steps-per-epoch", "1", "--M-x", "4", "--M-inner",
+                  "4", "--m-err", "8", "--hidden", "3", "--steps", "7",
+                  "--no-warm-start", "--M", "9", "--iters", "3"],
+                 id="kz-sweep-direct-picard-flags"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--epochs",
+                  "3", "--kz-list", "1", "--reps", "1", "--iters", "1",
+                  "--steps", "0", "--M", "2", "--m-err", "2"],
+                 id="kz-sweep-picard-direct-epochs3"),
     pytest.param(["rate-study", "--problem", "linear-constant", "--iters",
                   "0"], id="rate-study-iters0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
@@ -682,7 +747,7 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                           ("--lr", "inf"), ("--decay", "0"),
                           ("--decay", "-1"), ("--decay", "nan"),
                           ("--decay", "1.5"))],
-    # kz-sweep builds both schemes' configs: the unchosen one's too
+    # kz-sweep checks the keys both schemes share
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--scheme",
                   "nn-direct", "--decay-period", "0", "--kz-list", "1",
                   "--reps", "1", "--epochs", "1", "--steps-per-epoch", "0",

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infbsde import (Grid, GridFunction, GridMismatch, clamp_to_box,
-                     interpolate, sup_diff, truncated_nodes,
-                     write_grid_csv)
+from infbsde import (Grid, GridFunction, GridMismatch, interpolate,
+                     sup_diff, truncated_nodes, write_grid_csv)
 
 
 def random_grid_function(grid, dim_y=1, seed=0):
@@ -23,7 +22,6 @@ class TestGridGeometry:
         g = Grid(dim=1, n_half=10, mesh=0.3, pad=2)
         assert g.n_side == 25 and g.n_nodes == 25
         assert g.half_extent == pytest.approx(3.6)
-        assert g.half_width == pytest.approx(3.0)
         g2 = Grid(dim=2, n_half=1, mesh=1.0, pad=1)
         assert g2.n_nodes == 25
         assert truncated_nodes(g2).size == 9
@@ -43,10 +41,6 @@ class TestGridGeometry:
                        {"dim": 1, "n_half": 1, "mesh": 1.0, "pad": -1}):
             with pytest.raises(ValueError):
                 Grid(**kwargs)
-
-    def test_clamp(self):
-        out = clamp_to_box(np.array([[2.5, -0.1], [-9.0, 0.0]]), 2.0)
-        np.testing.assert_array_equal(out, [[2.0, -0.1], [-2.0, 0.0]])
 
 
 def basis_values(g, x):
@@ -106,7 +100,8 @@ class TestInterpolation:
         phi = random_grid_function(g, seed=4)
         far = np.array([[5.0], [-7.5]])
         u_far, ub_far = interpolate(phi, far)
-        u_cl, ub_cl = interpolate(phi, clamp_to_box(far, g.half_extent))
+        u_cl, ub_cl = interpolate(phi,
+                                  np.clip(far, -g.half_extent, g.half_extent))
         np.testing.assert_array_equal(u_far, u_cl)
         np.testing.assert_array_equal(ub_far, ub_cl)
 
@@ -153,7 +148,8 @@ def per_corner_interpolate(phi, x):
     if g.n_side == 1:
         return (np.broadcast_to(phi.u[0], (m, phi.dim_y)).copy(),
                 np.broadcast_to(phi.ubar[0], (m, phi.dim_y, g.dim)).copy())
-    rel = (clamp_to_box(pts, g.half_extent) + g.half_extent) / g.mesh
+    rel = (np.clip(pts, -g.half_extent, g.half_extent)
+           + g.half_extent) / g.mesh
     base = np.floor(rel).astype(np.int64)
     np.clip(base, 0, g.n_side - 2, out=base)
     frac = rel - base
@@ -233,7 +229,8 @@ class TestInterpolationProperties:
         reach = 3.0 * g.half_extent + 1.0
         pts = gen.uniform(-reach, reach, (40, g.dim))
         u, ubar = interpolate(phi, pts)
-        u_cl, ubar_cl = interpolate(phi, clamp_to_box(pts, g.half_extent))
+        u_cl, ubar_cl = interpolate(
+            phi, np.clip(pts, -g.half_extent, g.half_extent))
         np.testing.assert_array_equal(u, u_cl)
         np.testing.assert_array_equal(ubar, ubar_cl)
 
