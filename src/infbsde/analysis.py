@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import one_draw_weights, point_means, poly_weight
+from .fixedpoint import (one_draw_weights, point_means, point_std_errs,
+                         poly_weight)
 from .model import GeneratorSpec, Problem, SchemeParams, as_points, check_dim
 from .simulate import RngStream, check_stream, sample_fk_batch
 
@@ -144,7 +145,7 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
                     weight_g * np.linalg.norm(fk.malliavin_at_g, axis=1)
                     * poly_weight(fk.x_at_g, weight_degree) / w_x)
             means.append(np.concatenate(point_means(vals, [k], "probe")))
-            std_errs.append([v.std(ddof=1) / math.sqrt(m) for v in vals])
+            std_errs.append(np.concatenate(point_std_errs(vals, 1)))
     best = np.argmax(means, axis=0)
     return CEstimate(*(float(a[i][c]) for c, i in enumerate(best)
                        for a in (means, std_errs)))

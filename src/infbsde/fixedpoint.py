@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import Problem, SchemeParams, as_points
+from .model import Problem, SchemeParams
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
@@ -83,6 +83,20 @@ def point_means(comps: Sequence[np.ndarray], labels: Sequence,
     return means
 
 
+def point_std_errs(comps: Sequence[np.ndarray],
+                   k: int) -> Tuple[np.ndarray, ...]:
+    """Standard error ``std(ddof=1) / sqrt(m)`` of each array in ``comps`` over
+    each of ``k`` equal blocks of ``m`` consecutive rows.  Each block is first
+    scaled by the power of two of its largest magnitude, which is exact, so
+    squares of huge or tiny draws neither overflow nor underflow."""
+    def std_err(blocks):
+        exp = np.frexp(np.abs(blocks).max(axis=1, keepdims=True))[1]
+        std = np.ldexp(blocks, -exp).std(axis=1, ddof=1, keepdims=True)
+        return np.ldexp(std / np.sqrt(blocks.shape[1]), exp)[:, 0]
+
+    return tuple(std_err(c.reshape(k, -1, *c.shape[1:])) for c in comps)
+
+
 @dataclass(frozen=True)
 class PhiEstimate:
     """MC means of the fixed-point map at ``k`` points, ``(k, d')`` and
@@ -98,23 +112,15 @@ def estimate_phi(problem: Problem, params: SchemeParams, w: Candidate, x,
                  rng: Union[RngStream, Sequence[RngStream]]) -> PhiEstimate:
     """Monte Carlo estimate of the fixed-point map applied to ``w`` at the
     ``k`` points ``x`` (read by :func:`as_points`), ``m >= 2`` draws each.
-    ``rng`` is one stream for all draws or, as in :func:`sample_fk_batch`,
-    one per point, and point ``i`` then equals a call with ``rng[i]`` alone.
+    ``rng`` is one stream for all draws or one per point, as in
+    :func:`sample_fk_batch`; point ``i`` then equals a call with ``rng[i]``.
     """
-    starts = as_points(x, problem.sde.dim)
-    k = len(starts)
-    if m < 2 or k < 1:
-        raise ValueError("need at least 2 samples at each of at least one "
-                         f"point, got {m} at {k}")
-    if isinstance(rng, Sequence) and len(rng) != k:
-        raise ValueError(f"need one stream or one per point ({k}), "
-                         f"got {len(rng)}")
-    fk = sample_fk_batch(problem, params, np.repeat(starts, m, axis=0),
-                         k * m, dt, rng)
+    if m < 2:
+        raise ValueError(f"need at least 2 samples at each point, got {m}")
+    fk = sample_fk_batch(problem, params, x, m, dt, rng)
     comps = r_sample_batch(problem, params, w, fk)
-    std_err = tuple(c.reshape(k, m, *c.shape[1:]).std(axis=1, ddof=1)
-                    / np.sqrt(m) for c in comps)
-    return PhiEstimate(point_means(comps, range(k)), std_err, m)
+    k = len(fk) // m
+    return PhiEstimate(point_means(comps, range(k)), point_std_errs(comps, k), m)
 
 
 def truncate_growth(value: Tuple[np.ndarray, np.ndarray], x, bound: float,

@@ -187,8 +187,8 @@ def _draw_round(problem: Problem, cfg: NnConfig, stream: RngStream,
     """One round's ``m_starts`` start points, from ``stream.substream(0)``,
     and ``m_inner`` horizon draws per start, from ``stream.substream(1)``."""
     x0 = sample_mu0(problem, stream.substream(0), m_starts)
-    fk = sample_fk_batch(problem, cfg.params, np.repeat(x0, m_inner, axis=0),
-                         m_starts * m_inner, cfg.dt, stream.substream(1))
+    fk = sample_fk_batch(problem, cfg.params, x0, m_inner, cfg.dt,
+                         stream.substream(1))
     return x0, fk
 
 

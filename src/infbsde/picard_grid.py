@@ -113,9 +113,7 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
 
     def update(chunk: range) -> None:
         rows = slice(chunk.start, chunk.stop)
-        fk = sample_fk_batch(problem, cfg.params,
-                             np.repeat(nodes[rows], m, axis=0),
-                             m * len(chunk), cfg.dt,
+        fk = sample_fk_batch(problem, cfg.params, nodes[rows], m, cfg.dt,
                              [rng.substream(node) for node in chunk])
         u_new[rows], ubar_new[rows] = point_means(
             r_sample_batch(problem, cfg.params, v, fk), chunk, "node")

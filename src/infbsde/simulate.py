@@ -67,7 +67,7 @@ def sample_mu0(problem: Problem, rng: RngStream, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FkBatch:
-    """Vectorized draws: times are (m,), states (m, d)."""
+    """Vectorized draws, one per row: times are (n,), states (n, d)."""
 
     e_time: np.ndarray
     g_time: np.ndarray
@@ -280,28 +280,22 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
 def sample_fk_batch(problem: Problem, params: SchemeParams, x, m: int,
                     dt: Optional[float],
                     rng: Union[RngStream, Sequence[RngStream]]) -> FkBatch:
-    """Draw ``m`` randomized-horizon samples.
+    """Draw ``m`` randomized-horizon samples at each of the ``k`` points
+    ``x`` (read by :func:`as_points`), rows ``[i*m, (i+1)*m)`` from ``x[i]``.
 
-    ``x`` is a single starting point or a batch of exactly ``m`` points
-    (one sample per point).  ``dt`` is required for non-Brownian dynamics
-    and ignored otherwise.  ``rng`` is one stream, or a sequence of ``k``
-    streams with ``m`` a multiple of ``k``: rows ``[i*m/k, (i+1)*m/k)``
-    then come from ``rng[i]`` and equal a separate call on those rows with
-    ``rng[i]`` alone.
+    ``dt`` is required for non-Brownian dynamics and ignored otherwise.
+    ``rng`` is one stream for all rows, or one per point: point ``i`` then
+    equals a call on that point alone with ``rng[i]``.
     """
-    d = problem.sde.dim
-    starts = as_points(x, d)
-    if starts.shape[0] == 1 and m > 1:
-        starts = np.broadcast_to(starts, (m, d))
-    if starts.shape[0] != m:
-        raise ValueError(f"need 1 or {m} starting points, got {starts.shape[0]}")
+    starts = as_points(x, problem.sde.dim)
     streams = rng if isinstance(rng, Sequence) else [rng]
     gens = [check_stream(r).generator() for r in streams]
-    if not gens or m % len(gens):
-        raise ValueError(f"{m} rows do not split into {len(gens)} equal blocks")
+    if m < 1 or len(starts) < 1 or len(gens) not in (1, len(starts)):
+        raise ValueError(f"need m >= 1 draws at each of at least one point, "
+                         f"one stream or one per point: got m={m}, "
+                         f"{len(starts)} points, {len(gens)} streams")
     check_step(problem.sde, dt)
-    starts = np.ascontiguousarray(starts, float)
+    starts = np.repeat(starts, m, axis=0)
     if problem.sde.is_brownian:
         return _brownian_fk_batch(params, starts, gens)
     return _euler_fk_batch(problem.sde, params, starts, dt, gens)
-

@@ -376,6 +376,9 @@ class TestContraction:
             out / "contraction_report.csv")[1:]}
         assert np.isfinite(float(by_name["c_inf"][1]))
         assert by_name["kappa_inf"][1:] == ["inf", "not a contraction"]
+        # the squares of its draws overflow too; this once wrote se=inf
+        status = by_name["c_inf_estimate"][2]
+        assert status.startswith("se=") and np.isfinite(float(status[3:]))
 
     def test_non_finite_probe_exits_one(self, tmp_path, capsys):
         # this once exited 0 with numpy warnings and c_inf_estimate inf

@@ -145,8 +145,8 @@ class TestPhiEstimate:
         real = fixedpoint.sample_fk_batch
 
         def one_draw_six_times(problem, params, x, m, dt, rng):
-            fk = real(problem, params, x[::6], m // 6, dt, rng)
-            return FkBatch(*(np.repeat(getattr(fk, f), 6, axis=0) for f in
+            fk = real(problem, params, x, 1, dt, rng)
+            return FkBatch(*(np.repeat(getattr(fk, f), m, axis=0) for f in
                              ("e_time", "g_time", "x_at_e", "x_at_g",
                               "malliavin_at_g")))
 
@@ -222,8 +222,7 @@ class TestPhiBatch:
         points, m = batch_points(dim), 40
         est = estimate_phi(problem, PARAMS, problem.analytic, points, m, dt,
                            RngStream(31))
-        fk = sample_fk_batch(problem, PARAMS, np.repeat(points, m, axis=0),
-                             len(points) * m, dt, RngStream(31))
+        fk = sample_fk_batch(problem, PARAMS, points, m, dt, RngStream(31))
         comps = r_sample_batch(problem, PARAMS, problem.analytic, fk)
         for i in range(len(points)):
             rows = [c[i * m:(i + 1) * m] for c in comps]
@@ -249,6 +248,31 @@ class TestPhiBatch:
         assert est.value[1].shape == est.std_err[1].shape == (100, 1, 2)
         assert est.m == 100
         assert len(np.unique(est.value[0])) == 100
+
+
+class TestPointStdErrs:
+    """Numpy's ``std(ddof=1) / sqrt(m)`` per block of ``m`` rows, bit for bit,
+    and finite where numpy's squares of the draws overflow."""
+
+    @pytest.mark.parametrize("exponent", range(-100, 101, 20))
+    def test_same_bits_as_numpy(self, exponent):
+        rng = np.random.default_rng(exponent + 100)
+        k, m = 7, 50
+        comps = (rng.normal(1.0, 2.0, (k * m, 2)) * 10.0 ** exponent,
+                 rng.standard_cauchy((k * m, 2, 3)) * 10.0 ** exponent)
+        for got, c in zip(fixedpoint.point_std_errs(comps, k), comps):
+            blocks = c.reshape(k, m, *c.shape[1:])
+            want = blocks.std(axis=1, ddof=1) / np.sqrt(m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_finite_near_1e232(self):
+        rows = np.random.default_rng(0).normal(3e232, 1e232, (40, 1))
+        with np.errstate(over="ignore"):
+            assert np.isinf(rows.std(ddof=1))
+        se, = fixedpoint.point_std_errs([rows], 1)
+        scale = 2.0 ** 800
+        want = (rows / scale).std(axis=0, ddof=1) / np.sqrt(40) * scale
+        assert np.all(np.isfinite(se)) and se.tobytes() == want.tobytes()
 
 
 class TestTruncateGrowth:

@@ -285,9 +285,7 @@ class TestDirectScheme:
         m_starts, m_inner = 3, 4
         net = Mlp.init(2, 1, (5, 4), RngStream(21))
         x0 = RngStream(22).generator().normal(0.0, 2.0, size=(m_starts, 2))
-        repeated = np.repeat(x0, m_inner, axis=0)
-        fk = sample_fk_batch(problem, params, repeated, m_starts * m_inner,
-                             None, RngStream(23))
+        fk = sample_fk_batch(problem, params, x0, m_inner, None, RngStream(23))
         weight_e, weight_g = one_draw_weights(params, fk)
         drivers = (bind_driver(problem.gen, fk.x_at_e),
                    bind_driver(problem.gen, fk.x_at_g))

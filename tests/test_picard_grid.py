@@ -133,7 +133,7 @@ class TestSingleStep:
 
         def sample(problem, params, x, m, dt, rng):
             fk = real_sample(problem, params, x, m, dt, rng)
-            starts[id(fk)] = (fk, x)
+            starts[id(fk)] = (fk, np.repeat(x, m, axis=0))
             return fk
 
         def poisoned(problem, params, w, fk):

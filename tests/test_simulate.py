@@ -265,9 +265,9 @@ class TestEulerScheme:
         # the Euler map of dX = -X dt + dW is affine in x0, with slope
         # (1 - dt)^n after n steps on every path
         problem = with_sde(ou_sde(1.0), 1)
-        rows = np.repeat([[-1.0], [0.3], [1.5]], 200, axis=0)
+        starts = np.array([[-1.0], [0.3], [1.5]])
         dt, h = 0.02, 0.25
-        up, dn = (sample_fk_batch(problem, PARAMS, rows + shift, 600, dt,
+        up, dn = (sample_fk_batch(problem, PARAMS, starts + shift, 200, dt,
                                   [RngStream(27).substream(i) for i in range(3)])
                   for shift in (h, -h))
         np.testing.assert_allclose((up.x_at_g - dn.x_at_g)[:, 0] / (2 * h),
@@ -306,7 +306,7 @@ class TestEulerScheme:
         rows = np.repeat(starts, m, axis=0)
 
         def sample(shift):
-            return sample_fk_batch(problem, PARAMS, rows + shift, k * m, dt,
+            return sample_fk_batch(problem, PARAMS, starts + shift, m, dt,
                                    [RngStream(28).substream(i)
                                     for i in range(k)])
 
@@ -441,9 +441,7 @@ FK_FIELDS = ("e_time", "g_time", "x_at_e", "x_at_g", "malliavin_at_g")
 
 def assert_blocks_match(problem, starts, m, dt, streams):
     """One call over all blocks equals the per-block calls, concatenated."""
-    rows = np.repeat(starts, m, axis=0)
-    chunk = sample_fk_batch(problem, PARAMS, rows, m * len(streams), dt,
-                            streams)
+    chunk = sample_fk_batch(problem, PARAMS, starts, m, dt, streams)
     parts = [sample_fk_batch(problem, PARAMS, x, m, dt, stream)
              for x, stream in zip(starts, streams)]
     for name in FK_FIELDS:
@@ -493,11 +491,17 @@ class TestStreamBlocks:
             np.testing.assert_array_equal(getattr(listed, name),
                                           getattr(plain, name))
 
-    def test_rows_must_split_evenly(self):
+    @pytest.mark.parametrize("starts, m, n_streams", [
+        pytest.param([0.2], 10, 3, id="3-streams-at-1-start"),
+        pytest.param([-1.0, 0.2, 1.0], 10, 2, id="2-streams-at-3-starts"),
+        pytest.param([0.2], 0, 1, id="no-draws"),
+        pytest.param(np.zeros((0, 1)), 10, 1, id="no-starts")])
+    def test_one_stream_or_one_per_start(self, starts, m, n_streams):
+        # m >= 1 draws at each of k >= 1 starts, from 1 or k streams
         problem = problem_by_name("arctan-tanh-sigma", 1)
         with pytest.raises(ValueError):
-            sample_fk_batch(problem, PARAMS, np.array([0.2]), 10, 0.05,
-                            [RngStream(1), RngStream(2), RngStream(3)])
+            sample_fk_batch(problem, PARAMS, starts, m, 0.05,
+                            [RngStream(i) for i in range(n_streams)])
 
     def test_degenerate_block_raises(self):
         problem = with_sde(collapsing_sde(), 2)
@@ -505,18 +509,16 @@ class TestStreamBlocks:
         streams = [RngStream(22).substream(i) for i in range(3)]
         sample_fk_batch(problem, PARAMS, starts[0], 20, 0.05, streams[0])
         with pytest.raises(DegenerateDiffusion):
-            sample_fk_batch(problem, PARAMS, np.repeat(starts, 20, axis=0),
-                            60, 0.05, streams)
+            sample_fk_batch(problem, PARAMS, starts, 20, 0.05, streams)
 
     def test_degenerate_block_raises_in_one_dimension(self):
         problem = with_sde(collapsing_sde_1d(), 1)
         starts = np.array([[0.0], [10.0], [-1.0]])
         streams = [RngStream(22).substream(i) for i in range(3)]
-        sample_fk_batch(problem, PARAMS, starts[[0, 2]].repeat(20, axis=0),
-                        40, 0.05, [streams[0], streams[2]])
+        sample_fk_batch(problem, PARAMS, starts[[0, 2]], 20, 0.05,
+                        [streams[0], streams[2]])
         with pytest.raises(DegenerateDiffusion):
-            sample_fk_batch(problem, PARAMS, np.repeat(starts, 20, axis=0),
-                            60, 0.05, streams)
+            sample_fk_batch(problem, PARAMS, starts, 20, 0.05, streams)
 
     def test_peak_memory_of_a_large_call(self):
         problem = problem_by_name("arctan-tanh-sigma", 1)
@@ -532,14 +534,14 @@ class TestStreamBlocks:
     def test_peak_memory_of_a_brownian_call(self):
         # the outputs, one concatenated copy of the draws and one (m, d)
         # temporary; the per-node draws must not outlive their concatenation
-        m, d = 12_000, 2
+        m, d, k = 12_000, 2, 8
         problem = problem_by_name("arctan-const-sigma", d)
-        starts = np.zeros((m, d))
-        streams = [RngStream(23).substream(i) for i in range(8)]
-        sample_fk_batch(problem, PARAMS, starts, m, None, streams)
+        starts = np.zeros((k, d))
+        streams = [RngStream(23).substream(i) for i in range(k)]
+        sample_fk_batch(problem, PARAMS, starts, m // k, None, streams)
         tracemalloc.start()
         try:
-            sample_fk_batch(problem, PARAMS, starts, m, None, streams)
+            sample_fk_batch(problem, PARAMS, starts, m // k, None, streams)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -590,10 +592,9 @@ class TestPinnedBytes:
         make, k, dt, m, want = self.CASES[case]
         problem = make()
         d = problem.sde.dim
-        starts = np.repeat(np.linspace(-2.0, 2.0, k * d).reshape(k, d), m,
-                           axis=0)
+        starts = np.linspace(-2.0, 2.0, k * d).reshape(k, d)
         streams = [RngStream(41).substream(i) for i in range(k)]
-        fk = sample_fk_batch(problem, PARAMS, starts, k * m, dt, streams)
+        fk = sample_fk_batch(problem, PARAMS, starts, m, dt, streams)
         assert fk_digest(fk) == want
 
 

@@ -117,7 +117,7 @@ def reference_contraction_solve(cfg):
     for n in range(1, cfg.n_iters + 1):
         iter_stream = base.substream(n)
         x0 = sample_mu0(problem, iter_stream.substream(0), cfg.m_samples)
-        fk = sample_fk_batch(problem, cfg.params, x0, cfg.m_samples, cfg.dt,
+        fk = sample_fk_batch(problem, cfg.params, x0, 1, cfg.dt,
                              iter_stream.substream(1))
         target_u, target_ubar = r_sample_batch(problem, cfg.params, previous,
                                                fk)
@@ -196,9 +196,7 @@ def reference_direct_solve(cfg):
     for epoch in range(1, cfg.n_epochs + 1):
         ep_stream = base.substream(epoch)
         x0 = sample_mu0(problem, ep_stream.substream(0), cfg.m_starts)
-        fk = sample_fk_batch(problem, cfg.params,
-                             np.repeat(x0, cfg.m_inner, axis=0),
-                             cfg.m_starts * cfg.m_inner, cfg.dt,
+        fk = sample_fk_batch(problem, cfg.params, x0, cfg.m_inner, cfg.dt,
                              ep_stream.substream(1))
         weight_e, weight_g = one_draw_weights(cfg.params, fk)
         for _ in range(cfg.steps_per_epoch):
@@ -219,8 +217,8 @@ def direct_batch(dim, m_starts, m_inner, seed):
     problem = problem_by_name("arctan-const-sigma", dim, {"kz": 2.0})
     params = SchemeParams()
     x0 = RngStream(seed).generator().normal(0.0, 2.0, size=(m_starts, dim))
-    fk = sample_fk_batch(problem, params, np.repeat(x0, m_inner, axis=0),
-                         m_starts * m_inner, None, RngStream(seed + 1))
+    fk = sample_fk_batch(problem, params, x0, m_inner, None,
+                         RngStream(seed + 1))
     return problem, params, x0, fk, *one_draw_weights(params, fk)
 
 
