@@ -134,13 +134,14 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
         # 1, so every probe estimates one number: their max adds only noise
         probes = probes[:1]
 
+    # a weight out of range shows as a non-finite mean
+    with np.errstate(over="ignore"):
+        probe_weights = poly_weight(probes, weight_degree)
     means, std_errs = [], []
-    for k, x in enumerate(probes):
+    for k, (x, w_x) in enumerate(zip(probes, probe_weights)):
         fk = sample_fk_batch(problem, params, x, m, dt, base.substream(k))
         weight_e, weight_g = one_draw_weights(params, fk)
-        # a weight out of range shows as a non-finite mean
         with np.errstate(over="ignore", invalid="ignore"):
-            w_x = poly_weight(x, weight_degree)
             vals = (weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x,
                     weight_g * np.linalg.norm(fk.malliavin_at_g, axis=1)
                     * poly_weight(fk.x_at_g, weight_degree) / w_x)

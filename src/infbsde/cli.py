@@ -18,23 +18,23 @@ import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, astuple, fields, is_dataclass, replace
 from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
 
 from . import _svg
-from .analysis import (brownian_c_infinity, contraction_report,
+from .analysis import (ReportRow, brownian_c_infinity, contraction_report,
                        estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_csv, write_grid_csv
 from .model import RunConfig, monotonicity_margin, problem_by_name
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
-                         contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (GridSolveConfig, _sample_counts, _worker_count,
-                          rate_study, solve)
+                         TraceRow, contraction_nn_solve, direct_nn_solve)
+from .picard_grid import (GridSolveConfig, IterationReport, _sample_counts,
+                          _worker_count, rate_study, solve)
 from .simulate import RngStream, sample_mu0
 
 
@@ -72,8 +72,6 @@ def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
 
 
 _GRID = _flat_fields(GridSolveConfig)
-_PICARD = _flat_fields(NnPicardConfig)
-_DIRECT = _flat_fields(DirectConfig)
 # the literal entries are keys that no config class holds
 _PROBES = {
     "weight_degree": (float, 0.0), "m_samples": (int, 100000),
@@ -86,18 +84,16 @@ _FIELDS = {
         **{k: v for k, v in _GRID.items() if k not in ("n_half", "m_samples")},
         "ntilde_list": (Tuple[int, ...], [5, 8, 12, 16, 20]),
         "k": (float, 200.0)},
-    "nn-picard": _PICARD,
-    "nn-direct": _DIRECT,
+    **{scheme: _flat_fields(cls) for scheme, cls in _SCHEMES.items()},
     "contraction": {**_flat_fields(RunConfig), **_PROBES},
-    "kz-sweep": {
-        **{k: v for k, v in {**_DIRECT, **_PICARD}.items() if k != "kz"},
-        "scheme": (str, "nn-picard"),
-        "kz_list": (Tuple[float, ...], [0.4, 1.6, 2.8, 4.0, 5.2]),
-        "reps": (int, 5),
-        # the two schemes want different schedules; None defers to each one's
-        **{k: (_PICARD[k][0], None)
-           for k in ("base_lr", "lr_decay", "lr_decay_period")}},
 }
+# a sweep takes its scheme's keys but kz, which each cell sets
+_SWEEP = {"scheme": (str, "nn-picard"),
+          "kz_list": (Tuple[float, ...], [0.4, 1.6, 2.8, 4.0, 5.2]),
+          "reps": (int, 5)}
+_FIELDS.update({("kz-sweep", scheme): {
+    **{k: v for k, v in _FIELDS[scheme].items() if k != "kz"}, **_SWEEP}
+    for scheme in _SCHEMES})
 _DEFAULTS = {command: {k: default for k, (_, default) in table.items()}
              for command, table in _FIELDS.items()}
 _KINDS = {k: kind for table in _FIELDS.values() for k, (kind, _) in table.items()}
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(command: str, args: argparse.Namespace) -> Dict:
-    cfg = dict(_DEFAULTS[command])
+    data = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -181,22 +177,27 @@ def _merge(command: str, args: argparse.Namespace) -> Dict:
         if not isinstance(data, dict):
             raise ConfigParse("config file must hold a JSON object")
         # a config echo names its own subcommand; accept it when it matches
-        echoed = data.get("command")
+        echoed = data.pop("command", None)
         if echoed is not None and echoed != command:
             raise ConfigParse(
                 f"config file is for {echoed!r}, not {command!r}")
-        unknown = set(data) - set(cfg) - {"out", "command"}
-        if unknown:
-            raise ConfigParse(f"unknown config keys: {sorted(unknown)}")
-        cfg.update({k: v for k, v in data.items()
-                    if k not in ("out", "command")})
+        data.pop("out", None)
     given = {k: v for k, v in vars(args).items()
              if k not in ("command", "config", "out") and v is not None}
+    name = table = command
+    if command == "kz-sweep":
+        # the scheme picks the sweep's keys, so it resolves first
+        name = _cast(str, given.get("scheme", data.get(
+            "scheme", _SWEEP["scheme"][1])), "scheme")
+        if name not in _SCHEMES:
+            raise ConfigParse(f"unknown scheme {name!r}")
+        table = (command, name)
+    cfg = dict(_DEFAULTS[table])
     # kz-sweep sets kz itself, so the shared --kz flag is not its key
-    unused = sorted(set(given) - set(cfg))
+    unused = sorted((data.keys() | given.keys()) - cfg.keys())
     if unused:
-        raise ConfigParse(f"{command} does not take {', '.join(unused)}")
-    cfg.update(given)
+        raise ConfigParse(f"{name} does not take {', '.join(unused)}")
+    cfg.update({**data, **given})
     if cfg.get("problem") in (None, ""):
         raise ConfigParse("a problem name is required (--problem or config)")
     return cfg
@@ -277,20 +278,27 @@ def _echo_config(outdir: str, command: str, cfg: Dict) -> None:
                 {"command": command, **cfg})
 
 
+def _write_rows(path, cls, rows) -> None:
+    """Records of the dataclass ``cls`` as a CSV headed by its field names."""
+    _write_csv(path, [f.name for f in fields(cls)], map(astuple, rows))
+
+
+def _series(rows, *names) -> Dict[str, List]:
+    """The ``names`` fields of ``rows`` as plot series, ``_`` read as a space."""
+    return {name.replace("_", " "): [getattr(r, name) for r in rows]
+            for name in names}
+
+
 def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
     result = solve(config)
-    _write_csv(os.path.join(outdir, "iterations.csv"),
-               ["n", "sup_err_u", "sup_err_ubar", "seconds"],
-               [[r.n, r.sup_err_u, r.sup_err_ubar, r.seconds]
-                for r in result.reports])
+    _write_rows(os.path.join(outdir, "iterations.csv"), IterationReport,
+                result.reports)
     write_grid_csv(result.final, os.path.join(outdir, "grid_solution.csv"),
                    analytic=result.problem.analytic)
     if result.problem.analytic is not None:
         _svg.line_plot(
-            os.path.join(outdir, "errors.svg"),
-            [r.n for r in result.reports],
-            {"sup err u": [r.sup_err_u for r in result.reports],
-             "sup err ubar": [r.sup_err_ubar for r in result.reports]},
+            os.path.join(outdir, "errors.svg"), [r.n for r in result.reports],
+            _series(result.reports, "sup_err_u", "sup_err_ubar"),
             "Grid Picard error by iteration", "iteration", "sup error")
     return 0
 
@@ -329,18 +337,12 @@ def _run_rate_study(built, outdir: str) -> int:
 
 
 def _write_trace(outdir: str, trace) -> None:
-    _write_csv(os.path.join(outdir, "nn_trace.csv"),
-               ["n", "loss", "rel_err_u", "rel_err_ubar", "seconds"],
-               [[row.n, row.loss, row.rel_err_u, row.rel_err_ubar,
-                 row.seconds] for row in trace])
+    _write_rows(os.path.join(outdir, "nn_trace.csv"), TraceRow, trace)
     if any(np.isfinite(row.rel_err_u) and row.rel_err_u > 0
            for row in trace):
         _svg.line_plot(
-            os.path.join(outdir, "nn_trace.svg"),
-            [row.n for row in trace],
-            {"loss": [row.loss for row in trace],
-             "rel err u": [row.rel_err_u for row in trace],
-             "rel err ubar": [row.rel_err_ubar for row in trace]},
+            os.path.join(outdir, "nn_trace.svg"), [row.n for row in trace],
+            _series(trace, "loss", "rel_err_u", "rel_err_ubar"),
             "Training trace", "iteration", "value")
 
 
@@ -390,16 +392,16 @@ def _run_contraction(built, outdir: str) -> int:
     else:
         c_inf, c_tilde = estimate.c_inf, estimate.c_tilde_inf
         c_source = "probe-max estimate (lower bound)"
-    rows = [["c_inf_estimate", estimate.c_inf, f"se={_format(estimate.c_inf_se)}"],
-            ["c_tilde_inf_estimate", estimate.c_tilde_inf,
-             f"se={_format(estimate.c_tilde_inf_se)}"],
-            ["c_source", float("nan"), c_source],
-            ["monotonicity_margin", margin,
-             "ok" if margin > 0 else "non-positive"]]
-    report = contraction_report(problem.gen, params, c_inf, c_tilde)
-    rows.extend([r.name, r.value, r.status] for r in report)
-    _write_csv(os.path.join(outdir, "contraction_report.csv"),
-               ["name", "value", "status"], rows)
+    rows = [ReportRow("c_inf_estimate", estimate.c_inf,
+                      f"se={_format(estimate.c_inf_se)}"),
+            ReportRow("c_tilde_inf_estimate", estimate.c_tilde_inf,
+                      f"se={_format(estimate.c_tilde_inf_se)}"),
+            ReportRow("c_source", float("nan"), c_source),
+            ReportRow("monotonicity_margin", margin,
+                      "ok" if margin > 0 else "non-positive"),
+            *contraction_report(problem.gen, params, c_inf, c_tilde)]
+    _write_rows(os.path.join(outdir, "contraction_report.csv"), ReportRow,
+                rows)
     return 0
 
 
@@ -410,21 +412,13 @@ def _sweep_seed(base_seed: int, kz_index: int, rep: int) -> int:
 
 def _build_kz_sweep(cfg: Dict):
     """The sweep's scheme, kz values and one config per (kz, rep) cell."""
-    scheme = _value(cfg, "scheme")
-    if scheme not in _SCHEMES:
-        raise ConfigParse(f"unknown scheme {scheme!r}")
+    scheme = cfg["scheme"]
     kz_values = list(_value(cfg, "kz_list"))
     if not kz_values:
         raise ConfigParse("kz_list must be non-empty")
     reps = _value(cfg, "reps")
     if reps < 1:
         raise ConfigParse("reps must be at least 1")
-    # the echo holds the other scheme's keys, unused: only defaults pass
-    unused = sorted(k for k in (_PICARD.keys() | _DIRECT.keys())
-                    - _FIELDS[scheme].keys()
-                    if cfg[k] != _DEFAULTS["kz-sweep"][k])
-    if unused:
-        raise ConfigParse(f"{scheme} does not take {', '.join(unused)}")
     base = _build(_SCHEMES[scheme], cfg)
     cells = [[replace(base, overrides={**(base.overrides or {}), "kz": kz},
                       seed=_sweep_seed(base.seed, i, rep))

@@ -24,11 +24,9 @@ class NonFiniteValue(ArithmeticError):
 
 
 def poly_weight(x, degree: float) -> np.ndarray:
-    """Polynomial growth weight 1 + |x|^degree, batched over points."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim <= 1:
-        return 1.0 + np.linalg.norm(np.atleast_1d(pts)) ** degree
-    return 1.0 + np.linalg.norm(pts, axis=1) ** degree
+    """Polynomial growth weight 1 + |x|^degree at each of the ``(m, d)``
+    points ``x``."""
+    return 1.0 + np.linalg.norm(x, axis=1) ** degree
 
 
 def one_draw_weights(params: SchemeParams,

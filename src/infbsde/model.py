@@ -355,15 +355,12 @@ def _arctan_family(dim: int, c: float, kz: float, sde: SdeSpec, mu0_std: float,
     """Manufactured problem with u(x) = mean(arctan(x_i))."""
 
     def u(x):
-        x = as_points(x, dim)
         return (row_sum(np.arctan(x)) / dim)[:, None]
 
     def grad_u(x):
-        x = as_points(x, dim)
         return (1.0 / (dim * (1.0 + x**2)))[:, None, :]
 
     def hess_u(x):
-        x = as_points(x, dim)
         m = x.shape[0]
         out = np.zeros((m, 1, dim, dim))
         idx = np.arange(dim)
@@ -405,15 +402,12 @@ def _linear_constant(dim: int, mu: float, c0: float, mu0_std: float) -> Problem:
     level = c0 / mu
 
     def u(x):
-        x = as_points(x, dim)
         return np.full((x.shape[0], 1), level)
 
     def grad_u(x):
-        x = as_points(x, dim)
         return np.zeros((x.shape[0], 1, dim))
 
     def hess_u(x):
-        x = as_points(x, dim)
         return np.zeros((x.shape[0], 1, dim, dim))
 
     def f0(x, y, z):

@@ -122,11 +122,15 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
     chunks = [range(start, min(start + per_chunk, grid.n_nodes))
               for start in range(0, grid.n_nodes, per_chunk)]
     workers = min(_worker_count(), len(chunks))
-    # each chunk runs in a copy of the caller's context, as in
-    # asyncio.to_thread, so the caller's np.errstate holds on the workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda ctx, chunk: ctx.run(update, chunk),
-                      [contextvars.copy_context() for _ in chunks], chunks))
+    if workers < 2:
+        for chunk in chunks:
+            update(chunk)
+    else:
+        # each chunk runs in a copy of the caller's context, as in
+        # asyncio.to_thread, so the caller's np.errstate holds on the workers
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda ctx, chunk: ctx.run(update, chunk),
+                          [contextvars.copy_context() for _ in chunks], chunks))
 
     if cfg.truncation is not None:
         bound, degree = cfg.truncation

@@ -569,10 +569,44 @@ def test_config_echo_reproduces_run(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("command, cls", [
     ("grid-solve", GridSolveConfig), ("nn-picard", NnPicardConfig),
-    ("nn-direct", DirectConfig)])
+    ("nn-direct", DirectConfig), (("kz-sweep", "nn-picard"), NnPicardConfig),
+    (("kz-sweep", "nn-direct"), DirectConfig)])
 def test_cli_defaults_are_the_class_defaults(command, cls):
     cfg = dict(_DEFAULTS[command], problem="linear-constant")
     assert _build(cls, cfg) == cls(problem="linear-constant")
+
+
+@pytest.mark.parametrize("scheme, cls, name", [
+    ("nn-picard", NnPicardConfig, "kz-sweep-picard"),
+    ("nn-direct", DirectConfig, "kz-sweep-direct")])
+def test_sweep_echoes_only_its_schemes_keys(tmp_path, capsys, scheme, cls,
+                                            name):
+    out = tmp_path / "s"
+    assert run(TINY_RUNS[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    echo = json.loads((out / "config_echo.json").read_text(encoding="utf-8"))
+    assert echo.keys() == (_DEFAULTS[scheme].keys() - {"kz"}) | {
+        "command", "scheme", "kz_list", "reps"}
+    # the schedule in force is the scheme's own
+    defaults = cls(problem="arctan-const-sigma")
+    for key in ("base_lr", "lr_decay", "lr_decay_period"):
+        assert echo[key] == getattr(defaults, key)
+    if scheme == "nn-direct":
+        assert echo["base_lr"] == 0.002 and "train_steps" not in echo
+
+
+@pytest.mark.parametrize("scheme, key, value", [
+    ("nn-picard", "m_inner", 100), ("nn-direct", "n_iters", 5)])
+def test_sweep_rejects_other_schemes_key_at_its_default(tmp_path, capsys,
+                                                        scheme, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "arctan-const-sigma",
+                               "scheme": scheme, key: value}),
+                   encoding="utf-8")
+    out = tmp_path / "never"
+    assert run(["kz-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{scheme} does not take {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -582,7 +616,7 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "nn-direct", "--M-inner", "1"], id="kz-sweep-M-inner1"),
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--kz",
                   "2"], id="kz-sweep-kz"),
-    # another scheme's keys are rejected unless they hold their defaults
+    # a sweep rejects the other scheme's keys, whatever their values
     # (small budgets, so a sweep that wrongly runs ends fast)
     pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--epochs",
                   "0", "--M-inner", "1", "--kz-list", "1", "--reps", "1",
@@ -603,6 +637,11 @@ def test_cli_defaults_are_the_class_defaults(command, cls):
                   "3", "--kz-list", "1", "--reps", "1", "--iters", "1",
                   "--steps", "0", "--M", "2", "--m-err", "2"],
                  id="kz-sweep-picard-direct-epochs3"),
+    pytest.param(["kz-sweep", "--problem", "arctan-const-sigma", "--scheme",
+                  "nn-direct", "--iters", "5", "--kz-list", "1", "--reps",
+                  "1", "--epochs", "1", "--steps-per-epoch", "0", "--M-x",
+                  "2", "--M-inner", "2", "--m-err", "2"],
+                 id="kz-sweep-direct-picard-iters-default"),
     pytest.param(["rate-study", "--problem", "linear-constant", "--iters",
                   "0"], id="rate-study-iters0"),
     pytest.param(["contraction", "--problem", "arctan-const-sigma",
@@ -974,8 +1013,8 @@ class TestPinnedOutputs:
         },
         "kz-sweep": {
             "config_echo.json":
-                "01989c2b11ebc0441f16c5286f97d5b2"
-                "1243935a117af4cab3900c39805fdc8f",
+                "e75892a2c6689a710cc619aa690ac1c3"
+                "b2df555af1a780508399fcf7c04337ee",
             "kz_sweep.csv":
                 "df3a83a592a68929cef8d8d81e00ca6c"
                 "d92be5fa19ce30f41f7caf0749f54442",

@@ -22,7 +22,7 @@ def zero_candidate(dim, dim_y):
 
 class TestPolyWeight:
     def test_values(self):
-        assert poly_weight(np.array([2.0]), 3.0) == 9.0
+        assert poly_weight(np.array([[2.0]]), 3.0) == 9.0
         np.testing.assert_allclose(
             poly_weight(np.array([[3.0, 4.0], [0.0, 0.0]]), 2.0), [26.0, 1.0])
 

@@ -226,6 +226,27 @@ class TestDeterminism:
                      half_width=2.0, m_samples=1500)
         assert_equals_per_node_reference(monkeypatch, cfg)
 
+    def test_one_worker_runs_in_the_callers_thread(self, monkeypatch):
+        # five chunks of one node: unset BSDE_THREADS starts no pool and
+        # gives the bits of two threads
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 8)
+        cfg = config(m_samples=8)
+        v = random_iterate(cfg.grid, 0)
+        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+        pool = picard_grid.ThreadPoolExecutor
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker needs no thread pool")
+
+        monkeypatch.delenv("BSDE_THREADS", raising=False)
+        monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", no_pool)
+        serial = picard_step(v, cfg, RngStream(0), problem)
+        monkeypatch.setenv("BSDE_THREADS", "2")
+        monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", pool)
+        threaded = picard_step(v, cfg, RngStream(0), problem)
+        np.testing.assert_array_equal(serial.u, threaded.u)
+        np.testing.assert_array_equal(serial.ubar, threaded.ubar)
+
     def test_thread_count_does_not_change_result(self, monkeypatch):
         baseline = solve(config())
         monkeypatch.setenv("BSDE_THREADS", "3")
