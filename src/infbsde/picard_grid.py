@@ -1,9 +1,11 @@
 """Grid-based Picard iteration and the mesh-refinement rate study.
 
-Each iteration draws fresh samples at every extended-grid node, averages
-the single-draw estimator applied to the interpolated previous iterate,
-and (optionally) applies growth truncation.  Errors are reported on the
-inner nodes only, unweighted, against the analytic solution, else nan.
+Each iteration draws fresh samples at every extended-grid node (several
+iterations drawn ahead in one sampler call while they fit ``DRAW_ROWS``),
+averages the single-draw estimator applied to the interpolated previous
+iterate, and (optionally) applies growth truncation.  Errors are reported
+on the inner nodes only, unweighted, against the analytic solution, else
+nan.
 """
 from __future__ import annotations
 
@@ -12,14 +14,14 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fixedpoint import point_means, r_sample_batch, truncate_growth
 from .grid import Grid, GridFunction, node_errors, truncated_nodes
 from .model import Problem, RunConfig, problem_by_name
-from .simulate import RngStream, sample_fk_batch
+from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
 class FitUnderdetermined(ValueError):
@@ -95,15 +97,55 @@ class IterationReport:
 # long enough to release the GIL for the other worker; see CHANGES.md for how
 # it was chosen.
 CHUNK_ROWS = 12000
+# Rows a solve draws ahead: consecutive iterations are grouped while their
+# rows, nodes x m_samples each, fit in this budget, and each chunk draws all
+# of a group's iterations in one sampler call (one Euler loop).  A solve
+# whose iteration alone exceeds it draws one iteration at a time.
+DRAW_ROWS = 1 << 15
 
 
-def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
+class FreshDraws:
+    """The fresh per-node draws of consecutive Picard iterations.
+
+    Iteration ``k`` of the group draws node ``i`` from
+    ``streams[k].substream(i)``.  The first time a chunk of nodes is taken,
+    one sampler call draws it for every iteration of the group; the chunk
+    keeps the later iterations' rows until they are taken, one iteration per
+    :func:`picard_step`.  Point ``i`` of a sampler call equals a call on that
+    point alone, so grouping changes no value.  Threads may take different
+    chunks at once; each chunk is taken by one thread at a time, so each
+    touches only its own entry.
+    """
+
+    def __init__(self, streams: Sequence[RngStream]):
+        self.streams = list(streams)
+        self._ahead: Dict[range, List[FkBatch]] = {}
+
+    def take(self, problem: Problem, cfg: GridSolveConfig, chunk: range,
+             nodes: np.ndarray) -> FkBatch:
+        """The next iteration's ``m_samples`` draws at each of ``nodes``,
+        the grid nodes whose indices are ``chunk``."""
+        ahead = self._ahead.get(chunk)
+        if ahead is None:
+            fk = sample_fk_batch(
+                problem, cfg.params, np.tile(nodes, (len(self.streams), 1)),
+                cfg.m_samples, cfg.dt,
+                [stream.substream(node) for stream in self.streams
+                 for node in chunk])
+            ahead = self._ahead[chunk] = fk.split(len(self.streams))
+        if not ahead:
+            raise ValueError(f"all {len(self.streams)} iterations of nodes "
+                             f"{chunk.start}-{chunk.stop - 1} were taken")
+        return ahead.pop(0)
+
+
+def picard_step(v: GridFunction, cfg: GridSolveConfig, draws: FreshDraws,
                 problem: Problem) -> GridFunction:
-    """One Picard update: fresh per-node samples against the interpolant of ``v``.
+    """One Picard update: the next iteration of ``draws`` against the
+    interpolant of ``v``.
 
-    Node ``i`` always draws from ``rng.substream(i)``; nodes are evaluated in
-    chunks of consecutive indices, one sampler call per chunk, which changes
-    no value.
+    Nodes are evaluated in chunks of consecutive indices, one
+    :meth:`FreshDraws.take` per chunk, which changes no value.
     """
     grid = v.grid
     m, dim_y = cfg.m_samples, problem.gen.dim_y
@@ -113,8 +155,7 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, rng: RngStream,
 
     def update(chunk: range) -> None:
         rows = slice(chunk.start, chunk.stop)
-        fk = sample_fk_batch(problem, cfg.params, nodes[rows], m, cfg.dt,
-                             [rng.substream(node) for node in chunk])
+        fk = draws.take(problem, cfg, chunk, nodes[rows])
         u_new[rows], ubar_new[rows] = point_means(
             r_sample_batch(problem, cfg.params, v, fk), chunk, "node")
 
@@ -163,10 +204,16 @@ def solve(cfg: GridSolveConfig,
         base_stream = RngStream(cfg.seed)
     exact = None if problem.analytic is None else problem.analytic(cfg.grid.nodes)
 
+    # iteration n draws from base_stream.substream(n), up to DRAW_ROWS rows
+    # ahead; the first iteration of a group pays for drawing all of it
+    ahead = max(1, DRAW_ROWS // (cfg.grid.n_nodes * cfg.m_samples))
     reports = []
     for n in range(1, cfg.n_iters + 1):
         start = time.perf_counter()
-        v = picard_step(v, cfg, base_stream.substream(n), problem)
+        if (n - 1) % ahead == 0:
+            draws = FreshDraws([base_stream.substream(k) for k in
+                                range(n, min(n + ahead, cfg.n_iters + 1))])
+        v = picard_step(v, cfg, draws, problem)
         elapsed = time.perf_counter() - start
         sup_u = sup_ubar = np.nan
         if exact is not None:

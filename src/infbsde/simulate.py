@@ -13,8 +13,8 @@ Randomness comes from counter-based Philox streams addressed by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +77,13 @@ class FkBatch:
 
     def __len__(self) -> int:
         return self.e_time.shape[0]
+
+    def split(self, parts: int) -> List["FkBatch"]:
+        """``parts`` batches of equal consecutive row blocks, as views."""
+        arrays = [getattr(self, f.name) for f in fields(self)]
+        rows = len(self) // parts
+        return [FkBatch(*(a[k * rows:(k + 1) * rows] for a in arrays))
+                for k in range(parts)]
 
 
 def _draw_horizons(params: SchemeParams, gens: Sequence[np.random.Generator],
@@ -163,39 +170,52 @@ def _euler_step(sde: SdeSpec, x: np.ndarray, tangent: np.ndarray,
 
 
 # Float64 normals drawn ahead per window of consecutive Euler steps; a window
-# holds at least one step.  Caps the increment buffer near 2 MB however many
+# holds at least one step.  Caps the increment buffer near 1 MB however many
 # steps a call runs, with one draw call per block and window instead of one
 # per block and step.
-WINDOW_VALUES = 1 << 18
+WINDOW_VALUES = 1 << 17
+# Cells of a window's (blocks x steps) tables of per-block row counts: a
+# window spans at most this many block-steps, so each table stays within
+# 512 KB however many blocks and steps a call has.
+WINDOW_CELLS = 1 << 16
 
 
-def _horizon_ends(n: np.ndarray, order: np.ndarray, n_steps: int):
-    """Rows whose horizon ``n`` ends at each step.
-
-    Returns their loop positions and output rows, grouped by step, and the
-    cut list: step ``j + 1`` owns entries ``cuts[j]:cuts[j + 1]``.
-    """
-    n_loop = n[order]
+def _horizon_ends(n_loop: np.ndarray, n_steps: int):
+    """Loop positions of the rows whose horizon ``n_loop`` ends at each
+    step, grouped by step, and the cut list: step ``j + 1`` owns entries
+    ``cuts[j]:cuts[j + 1]``."""
     by_end = np.argsort(n_loop, kind="stable")
     cuts = np.searchsorted(n_loop[by_end], np.arange(1, n_steps + 2))
-    return by_end, order[by_end], cuts.tolist()
+    return by_end, cuts.tolist()
 
 
-def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
-                    dt: float, gens: Sequence[np.random.Generator]) -> FkBatch:
-    """Simulate one path per row, evaluated at both rounded horizons.
+def _step_counts(times: np.ndarray, dt: float) -> np.ndarray:
+    """Euler steps ``ceil(times / dt)``, at least 1.
 
-    Row block ``i`` takes from ``gens[i]`` exactly the draws a call on that
-    block alone would: its horizons, then per step one increment for each
-    of its running rows, in the block's stable order of step counts.  All
-    blocks share one Euler loop.
+    Raises ArithmeticError, naming ``dt``, when a count does not fit in
+    int64.
+    """
+    with np.errstate(over="ignore"):
+        steps = np.ceil(times / dt)
+    if not steps.max() < 2.0**63:
+        raise ArithmeticError(f"dt = {dt!r} needs {steps.max():.3g} Euler "
+                              f"steps, beyond int64")
+    return np.maximum(steps.astype(np.int64), 1)
+
+
+def _euler_paths(sde: SdeSpec, starts: np.ndarray, n_e: np.ndarray,
+                 n_g: np.ndarray, dt: float,
+                 gens: Sequence[np.random.Generator]):
+    """Euler paths of (X, tangent, Malliavin integral), one per row.
+
+    Returns X after ``n_e`` steps, X after ``n_g`` steps and the integral
+    after ``n_g`` steps, in row order.  Row block ``i`` draws its increments
+    from ``gens[i]``: per step one for each of its running rows, in the
+    block's stable order of step counts.
     """
     m, d = starts.shape
     n_blocks = len(gens)
     b = m // n_blocks
-    e_raw, g_raw = _draw_horizons(params, gens, b)
-    n_e = np.maximum(np.ceil(e_raw / dt).astype(np.int64), 1)
-    n_g = np.maximum(np.ceil(g_raw / dt).astype(np.int64), 1)
     n_max = np.maximum(n_e, n_g)
     n_steps = int(n_max.max())
 
@@ -203,47 +223,59 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
     # running at step k are a suffix, and each block's rows keep the order
     # in which that block draws their increments.
     order = np.argsort(n_max, kind="stable")
-    width = n_steps + 1
-    # finished[i, j]: rows of block i done after j steps, so the other
-    # running[i, j] rows take step j + 1; drawn[i, j]: increments block i
-    # draws for steps 1..j; first[j]: loop position of the running suffix
-    finished = np.cumsum(np.bincount(np.arange(m) // b * width + n_max,
-                                     minlength=n_blocks * width)
-                         .reshape(n_blocks, width), axis=1)[:, :n_steps]
-    running = b - finished
-    drawn = np.zeros((n_blocks, width), dtype=np.int64)
-    np.cumsum(running, axis=1, out=drawn[:, 1:])
-    drawn_all = drawn.sum(axis=0)
-    first = (m - running.sum(axis=0)).tolist()
     block = order // b
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(block, kind="stable")] = np.arange(m) % b
-    e_rows, e_dest, e_cuts = _horizon_ends(n_e, order, n_steps)
-    g_rows, g_dest, g_cuts = _horizon_ends(n_g, order, n_steps)
-
+    e_rows, e_cuts = _horizon_ends(n_e[order], n_steps)
+    g_rows, g_cuts = _horizon_ends(n_g[order], n_steps)
     x = starts[order] + 0.0  # no -0.0 rows (see _euler_step)
+    # first[j]: loop position of the suffix still running after j steps;
+    # drawn_all[j]: increments of all blocks for steps 1..j
+    first = np.searchsorted(n_max[order], np.arange(n_steps + 1),
+                            side="right")
+    del n_max
+    drawn_all = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(m - first[:-1], out=drawn_all[1:])
+    first = first.tolist()
+
     tangent = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     integral = np.zeros((m, d))
     # states at each row's horizons, in order of the step that ends them
     x_e, x_g, integral_g = (np.empty((m, d)) for _ in range(3))
     noise = np.empty(min(max(WINDOW_VALUES, m * d), int(drawn_all[-1]) * d))
     sqrt_dt = np.sqrt(dt)
+    # rows of each block done after j0 steps
+    done = np.zeros(n_blocks, dtype=np.int64)
 
     j0 = 0
     while j0 < n_steps:
         j1 = int(np.searchsorted(drawn_all, drawn_all[j0] + WINDOW_VALUES // d,
                                  side="right")) - 1
-        j1 = max(j1, j0 + 1)
-        per_block = drawn[:, j1] - drawn[:, j0]
+        j1 = min(max(j1, j0 + 1), j0 + max(1, WINDOW_CELLS // n_blocks))
+        w = j1 - j0
+        # ended[i, k]: rows of block i whose last step is j0 + k + 1;
+        # finished[i, k]: its rows done after j0 + k steps, so the others
+        # take step j0 + k + 1; before[i, k]: increments block i draws in
+        # this window ahead of that step
+        last = np.repeat(np.arange(w), np.diff(first[j0:j1 + 1]))
+        ended = np.bincount(block[first[j0]:first[j1]] * w + last,
+                            minlength=n_blocks * w).reshape(n_blocks, w)
+        finished = np.cumsum(ended, axis=1) - ended + done[:, None]
+        done += ended.sum(axis=1)
+        running = b - finished
+        before = np.cumsum(running, axis=1) - running
+        per_block = before[:, -1] + running[:, -1]
         base = np.cumsum(per_block) - per_block
-        for gen, lo, n in zip(gens, base.tolist(), per_block.tolist()):
-            gen.standard_normal(out=noise[lo * d:(lo + n) * d])
+        live = np.flatnonzero(per_block)
+        for i, lo, n in zip(live.tolist(), base[live].tolist(),
+                            per_block[live].tolist()):
+            gens[i].standard_normal(out=noise[lo * d:(lo + n) * d])
         dws = noise[:int(per_block.sum()) * d].reshape(-1, d)
         dws *= sqrt_dt
         # the step-(j+1) increment of the rank-r running row of block i
         # sits at dws[shift[j - j0, i] + r]
-        shift = ((base - drawn[:, j0])[:, None] + drawn[:, j0:j1]
-                 - finished[:, j0:j1]).T
+        shift = (base[:, None] + before - finished).T
+        del last, ended, finished, running, before
         for j in range(j0, j1):
             s = first[j]
             # in-range indices: take(mode="clip") is indexing, unbuffered
@@ -256,15 +288,32 @@ def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
                 x.take(e_rows[lo:hi], axis=0, out=x_e[lo:hi], mode="clip")
             lo, hi = g_cuts[j], g_cuts[j + 1]
             if lo < hi:
-                rows = g_rows[lo:hi]
-                x.take(rows, axis=0, out=x_g[lo:hi], mode="clip")
-                integral.take(rows, axis=0, out=integral_g[lo:hi], mode="clip")
+                x.take(g_rows[lo:hi], axis=0, out=x_g[lo:hi], mode="clip")
+                integral.take(g_rows[lo:hi], axis=0, out=integral_g[lo:hi],
+                              mode="clip")
         j0 = j1
+    # spent before the outputs are assembled
+    del noise, dws, shift, at, dw, tangent, block, rank
 
     # the spent loop arrays x and integral take the outputs in row order
-    x_at_e, integral_at_g, x_at_g = x, integral, np.empty((m, d))
-    x_at_e[e_dest], integral_at_g[g_dest], x_at_g[g_dest] = x_e, integral_g, x_g
+    x_at_g, g_dest = np.empty((m, d)), order[g_rows]
+    x[order[e_rows]], x_at_g[g_dest], integral[g_dest] = x_e, x_g, integral_g
+    return x, x_at_g, integral
 
+
+def _euler_fk_batch(sde: SdeSpec, params: SchemeParams, starts: np.ndarray,
+                    dt: float, gens: Sequence[np.random.Generator]) -> FkBatch:
+    """Simulate one path per row, evaluated at both rounded horizons.
+
+    Row block ``i`` takes from ``gens[i]`` exactly the draws a call on that
+    block alone would: its horizons, then per step one increment for each
+    of its running rows, in the block's stable order of step counts.  All
+    blocks share one Euler loop.
+    """
+    b = len(starts) // len(gens)
+    n_e, n_g = (_step_counts(t, dt) for t in _draw_horizons(params, gens, b))
+    x_at_e, x_at_g, integral_at_g = _euler_paths(sde, starts, n_e, n_g, dt,
+                                                 gens)
     g_time = n_g * dt
     malliavin = np.einsum("mi,mij->mj", integral_at_g,
                           sde.coefficients(starts).diffusion) / g_time[:, None]

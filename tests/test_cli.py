@@ -816,6 +816,24 @@ def test_bad_thread_count_exits_two_and_writes_nothing(
         tmp_path, capsys, [command, "--problem", "linear-constant"])
 
 
+# a step so small that a path's Euler step count does not fit in int64 is a
+# numerical failure named by dt (it once wrapped to one step of 1e-300 and
+# exited 0), on every subcommand that samples paths
+@pytest.mark.parametrize("argv", [
+    ["grid-solve", "--ntilde", "1", "--M", "2", "--iters", "1"],
+    ["rate-study", "--ntilde-list", "1,2,3", "--k", "1", "--iters", "1"],
+    ["nn-picard", "--M", "2", "--iters", "1", "--steps", "1"],
+    ["nn-direct", "--M-x", "2", "--M", "2", "--epochs", "1", "--steps", "1"],
+    ["contraction", "--M", "2"],
+], ids=lambda argv: argv[0])
+def test_step_count_beyond_int64_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--problem", "arctan-tanh-sigma", "--dt", "1e-300",
+                       "--out", str(out)]) == 1
+    assert "numerical failure: dt = 1e-300 " in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["config_echo.json"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("warm_start", "false"), ("warm_start", 0), ("n_iters", 1.7),
     ("n_iters", True), ("m_samples", "32"), ("hidden", [8.5]),
@@ -949,7 +967,8 @@ def seeded_digests(out):
 class TestPinnedOutputs:
     """Digests of every seeded output of the six subcommands, run on
     ``arctan-const-sigma`` at the budgets of ``test_cold_start.COMMANDS``
-    with the default seed.
+    with the default seed, and of an Euler ``grid-solve`` and
+    ``rate-study`` on ``arctan-tanh-sigma`` (``EULER``).
 
     Recorded before the config classes took over the run checks, so that
     no refactor moves a seeded output unseen.  The neural digests
@@ -1028,3 +1047,40 @@ class TestPinnedOutputs:
                            "--out", str(out)]) == 0
         capsys.readouterr()
         assert seeded_digests(out) == self.DIGESTS[argv[0]]
+
+    # Euler dynamics: the grid-solve at the shape of the benchmark's
+    # grid-euler-d1 workload, and a small rate study
+    EULER = {
+        "grid-solve": (
+            ["grid-solve", "--problem", "arctan-tanh-sigma", "--dt", "0.02",
+             "--ntilde", "6", "--M", "500", "--iters", "4"],
+            {"config_echo.json":
+                "969b5942acc4a6121a48cccc0d2e3c30"
+                "d8a7210fa3a59381aa990facdf743ee5",
+             "grid_solution.csv":
+                "f089e2ae9d62007679e9813a378f085d"
+                "8093a4c714aea99aef724dc77fe56320",
+             "iterations.csv":
+                "22b3562b874d87088a51f58fae71cb16"
+                "3ab00db589a8c8e726955b0a2ace3839"}),
+        "rate-study": (
+            ["rate-study", "--problem", "arctan-tanh-sigma", "--dt", "0.05",
+             "--ntilde-list", "2,3,4", "--k", "20", "--iters", "4"],
+            {"config_echo.json":
+                "7ff4802a44e90f917743a6670064c6ca"
+                "209e499a80818c95ce1ee7d238ffb7c9",
+             "rate_fit.json":
+                "4f86fb046f6337c2610a55d735084a37"
+                "9dc8d535e34be3292d5e9929ab561437",
+             "rate_study.csv":
+                "3460e34b262dabee2c15297ffabd5f7a"
+                "9c29bfb53e5edae196e576f93816a7bc"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(EULER))
+    def test_euler_digests(self, tmp_path, capsys, command):
+        argv, digests = self.EULER[command]
+        out = tmp_path / command
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert seeded_digests(out) == digests

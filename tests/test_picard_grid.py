@@ -1,11 +1,14 @@
 """Grid Picard iteration: exactness, noise level, contraction, rate fit."""
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from infbsde import (FitUnderdetermined, GridFunction, GridSolveConfig,
-                     NonFiniteValue, NonPositiveRate, RngStream, SchemeParams,
-                     UnknownProblem, fit_rate_slope, picard_step,
-                     problem_by_name, r_sample_batch, rate_study,
+from infbsde import (FitUnderdetermined, FreshDraws, GridFunction,
+                     GridSolveConfig, NonFiniteValue, NonPositiveRate,
+                     RngStream, SchemeParams, UnknownProblem, fit_rate_slope,
+                     picard_step, problem_by_name, r_sample_batch, rate_study,
                      sample_fk_batch, solve)
 from infbsde import picard_grid
 
@@ -90,7 +93,8 @@ class TestSingleStep:
         result = solve(cfg)
         grid = cfg.grid
         v0 = GridFunction.zero(grid, 1)
-        stepped = picard_step(v0, cfg, RngStream(cfg.seed).substream(1),
+        stepped = picard_step(v0, cfg,
+                              FreshDraws([RngStream(cfg.seed).substream(1)]),
                               problem_by_name(cfg.problem, cfg.dim,
                                               cfg.overrides))
         np.testing.assert_array_equal(result.final.u, stepped.u)
@@ -102,7 +106,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, RngStream(0),
+            picard_step(v, cfg, FreshDraws([RngStream(0)]),
                         problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
 
     def test_callers_error_state_holds_on_every_thread(self, monkeypatch):
@@ -115,7 +119,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, RngStream(0),
+            picard_step(v, cfg, FreshDraws([RngStream(0)]),
                         problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -131,21 +135,25 @@ class TestSingleStep:
         real_sample = picard_grid.sample_fk_batch
         real_r = picard_grid.r_sample_batch
 
+        # a batch's row starts, by the address of its e_time buffer, which
+        # the row views that FreshDraws hands out share
         def sample(problem, params, x, m, dt, rng):
             fk = real_sample(problem, params, x, m, dt, rng)
-            starts[id(fk)] = (fk, np.repeat(x, m, axis=0))
+            starts[fk.e_time.ctypes.data] = (fk, np.repeat(x, m, axis=0))
             return fk
 
         def poisoned(problem, params, w, fk):
             comp1, comp2 = real_r(problem, params, w, fk)
-            rows = np.all(starts[id(fk)][1] == grid.nodes[bad], axis=1)
+            rows = np.all(starts[fk.e_time.ctypes.data][1] == grid.nodes[bad],
+                          axis=1)
             comp1[rows] = np.nan
             return comp1, comp2
 
         monkeypatch.setattr(picard_grid, "sample_fk_batch", sample)
         monkeypatch.setattr(picard_grid, "r_sample_batch", poisoned)
         with pytest.raises(NonFiniteValue, match=f"at node {bad}$"):
-            picard_step(random_iterate(grid, 0), cfg, RngStream(0),
+            picard_step(random_iterate(grid, 0), cfg,
+                        FreshDraws([RngStream(0)]),
                         problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
 
     def test_interpolation_clamps_outside_box(self, monkeypatch):
@@ -191,7 +199,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
         ref_ubar[node] = comp2.mean(axis=0)
     for threads in ("1", "2"):
         monkeypatch.setenv("BSDE_THREADS", threads)
-        stepped = picard_step(v, cfg, rng, problem)
+        stepped = picard_step(v, cfg, FreshDraws([rng]), problem)
         np.testing.assert_array_equal(stepped.u, ref_u)
         np.testing.assert_array_equal(stepped.ubar, ref_ubar)
 
@@ -240,10 +248,10 @@ class TestDeterminism:
 
         monkeypatch.delenv("BSDE_THREADS", raising=False)
         monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", no_pool)
-        serial = picard_step(v, cfg, RngStream(0), problem)
+        serial = picard_step(v, cfg, FreshDraws([RngStream(0)]), problem)
         monkeypatch.setenv("BSDE_THREADS", "2")
         monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", pool)
-        threaded = picard_step(v, cfg, RngStream(0), problem)
+        threaded = picard_step(v, cfg, FreshDraws([RngStream(0)]), problem)
         np.testing.assert_array_equal(serial.u, threaded.u)
         np.testing.assert_array_equal(serial.ubar, threaded.ubar)
 
@@ -253,6 +261,125 @@ class TestDeterminism:
         threaded = solve(config())
         np.testing.assert_array_equal(baseline.final.u, threaded.final.u)
         np.testing.assert_array_equal(baseline.final.ubar, threaded.final.ubar)
+
+
+
+DRAW_CASES = [
+    pytest.param("arctan-const-sigma", 1, None, 3, 200, id="brownian-d1"),
+    pytest.param("arctan-const-sigma", 2, None, 2, 100, id="brownian-d2"),
+    pytest.param("arctan-tanh-sigma", 1, 0.1, 3, 200, id="euler-d1"),
+]
+
+
+def stepped_solve(cfg):
+    """The final iterate of ``solve(cfg)`` drawn one iteration at a time:
+    iteration ``n`` takes ``FreshDraws`` of the one stream
+    ``RngStream(cfg.seed).substream(n)``."""
+    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+    v = GridFunction.zero(cfg.grid, problem.gen.dim_y)
+    base = RngStream(cfg.seed)
+    for n in range(1, cfg.n_iters + 1):
+        v = picard_step(v, cfg, FreshDraws([base.substream(n)]), problem)
+    return v
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n_iters, ahead", [(4, 1), (4, 2), (4, 4),
+                                                (5, 2)])
+    @pytest.mark.parametrize("name, dim, dt, n_half, m", DRAW_CASES)
+    def test_solve_equals_one_iteration_steps(self, monkeypatch, name, dim,
+                                              dt, n_half, m, n_iters, ahead,
+                                              threads):
+        # chunks of three nodes (7 and 25 nodes leave a short last chunk);
+        # the budget holds `ahead` iterations, so 5 iterations in groups of
+        # 2 end on a short group
+        cfg = config(problem=name, dim=dim, dt=dt, n_half=n_half,
+                     half_width=2.0, m_samples=m, n_iters=n_iters)
+        monkeypatch.setenv("BSDE_THREADS", threads)
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 3 * m)
+        monkeypatch.setattr(picard_grid, "DRAW_ROWS",
+                            ahead * cfg.grid.n_nodes * m)
+        points = []
+        real = picard_grid.sample_fk_batch
+
+        def counted(*args):
+            points.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(picard_grid, "sample_fk_batch", counted)
+        result = solve(cfg)
+        # one sampler call per chunk and group, of each group iteration's
+        # nodes
+        chunks = -(-cfg.grid.n_nodes // 3)
+        assert len(points) == -(-n_iters // ahead) * chunks
+        assert max(points) == 3 * ahead
+        monkeypatch.setattr(picard_grid, "sample_fk_batch", real)
+        stepped = stepped_solve(cfg)
+        np.testing.assert_array_equal(result.final.u, stepped.u)
+        np.testing.assert_array_equal(result.final.ubar, stepped.ubar)
+
+    def test_many_threads_share_the_draws(self, monkeypatch):
+        # 25 chunks of one node on four threads, switching often: each
+        # chunk's rows go to its own iteration whatever the schedule
+        cfg = config(problem="arctan-const-sigma", dim=2, n_half=2,
+                     half_width=2.0, m_samples=40, n_iters=3)
+        monkeypatch.setenv("BSDE_THREADS", "4")
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = solve(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        stepped = stepped_solve(cfg)
+        np.testing.assert_array_equal(result.final.u, stepped.u)
+        np.testing.assert_array_equal(result.final.ubar, stepped.ubar)
+
+    def test_draws_kept_between_steps_fit_the_budget(self, monkeypatch):
+        # 7 nodes of 1,000 draws: the budget holds four iterations.  At the
+        # start of every step, traced memory exceeds that of a solve that
+        # draws each iteration alone by the kept FkBatch arrays, 8 * (2 + 3d)
+        # bytes a row: more than all but one iteration of a group, and at
+        # most DRAW_ROWS rows
+        cfg = config(problem="arctan-const-sigma", n_half=3, half_width=2.0,
+                     m_samples=1000, n_iters=6)
+        rows, budget = cfg.grid.n_nodes * cfg.m_samples, picard_grid.DRAW_ROWS
+        ahead = budget // rows
+        assert 1 < ahead < cfg.n_iters
+        real = picard_grid.picard_step
+
+        def held_at_each_step():
+            held = []
+
+            def spy(*args):
+                held.append(tracemalloc.get_traced_memory()[0])
+                return real(*args)
+
+            monkeypatch.setattr(picard_grid, "picard_step", spy)
+            tracemalloc.start()
+            try:
+                solve(cfg)
+            finally:
+                tracemalloc.stop()
+            return np.array(held)
+
+        solve(cfg)
+        drawn_ahead = held_at_each_step()
+        monkeypatch.setattr(picard_grid, "DRAW_ROWS", rows)
+        kept = drawn_ahead - held_at_each_step()
+        per_row = 8 * (2 + 3 * cfg.dim)
+        assert (ahead - 1) * rows * per_row < kept.max() <= budget * per_row
+
+    def test_each_iteration_is_taken_once(self):
+        cfg = config(m_samples=50)
+        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+        draws = FreshDraws([RngStream(0).substream(n) for n in (1, 2)])
+        v = GridFunction.zero(cfg.grid, 1)
+        for _ in range(2):
+            v = picard_step(v, cfg, draws, problem)
+        with pytest.raises(ValueError, match="all 2 iterations"):
+            picard_step(v, cfg, draws, problem)
 
 
 class TestContraction:

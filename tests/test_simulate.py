@@ -547,6 +547,34 @@ class TestStreamBlocks:
             tracemalloc.stop()
         assert peak <= 8 * m * ((2 + 3 * d) + (2 + 2 * d) + d)
 
+    def test_peak_memory_of_an_euler_call_of_many_blocks(self):
+        # 26,000 rows, the size of a grid solve's draw-ahead call of 13
+        # nodes x 4 iterations x 500 draws.  In 52 blocks the peak is the
+        # noise window (8 * WINDOW_VALUES bytes) and about 180 bytes a row:
+        # seven int64 and seven float64 arrays of m rows, and one step's
+        # coefficients and temporaries.  In 1,000 blocks of 26 rows only
+        # each block's generator (about 1.2 KB) and the window's (blocks x
+        # steps) row-count tables, at most 8 * WINDOW_CELLS bytes each, add
+        # to it.
+        problem = problem_by_name("arctan-tanh-sigma", 1)
+
+        def peak(blocks):
+            starts = np.linspace(-3.0, 3.0, blocks)
+            streams = [RngStream(23).substream(i) for i in range(blocks)]
+            m = 26_000 // blocks
+            sample_fk_batch(problem, PARAMS, starts, m, 0.02, streams)
+            tracemalloc.start()
+            try:
+                sample_fk_batch(problem, PARAMS, starts, m, 0.02, streams)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few = peak(52)
+        assert few <= 8 * simulate.WINDOW_VALUES + 180 * 26_000
+        assert peak(1000) - few <= (1300 * (1000 - 52)
+                                    + 4 * 8 * simulate.WINDOW_CELLS)
+
 
 def fk_digest(fk):
     h = hashlib.sha256()
