@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -466,7 +467,37 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters, set to the ceilings its dynamic rule reaches on
+# 64-bit: DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trimming
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in this process instead of returning it.
+
+    Each grid chunk allocates a few MB of numpy temporaries and frees
+    them.  With glibc's start-up thresholds (128 KB) the freed blocks go
+    back to the OS and the next chunk faults them in again, page by page.
+    Raising both thresholds keeps them; setting either one alone turns
+    glibc's dynamic rule off, so both are set.  No value changes.
+
+    The command line owns its process, so only ``run`` calls this; library
+    callers of the solvers keep their own allocator settings.  Without
+    glibc, or without its ``mallopt``, it does nothing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run(argv: Optional[List[str]] = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

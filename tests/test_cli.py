@@ -1,5 +1,6 @@
 """Command line runner: outputs, exit codes, reproducibility."""
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -125,6 +126,66 @@ class TestGridSolve:
             encoding="utf-8"))
         assert echo["n_iters"] == 3
         assert len(read_csv(out / "iterations.csv")) == 4
+
+
+def has_mallopt():
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+# two CLI calls at the grid-brownian-d2 shape (81 nodes x 1,500 draws); prints
+# the minor page faults of the second
+FAULT_PROBE = """
+import resource, sys
+from infbsde.cli import run
+assert run(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert run(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(not has_mallopt(), reason="no glibc mallopt: the "
+                        "CLI leaves the allocator as it finds it")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_grid_chunks_do_not_fault_freed_heap_back_in(self, tmp_path,
+                                                          threads):
+        # a fresh interpreter: a large free in an earlier test raises glibc's
+        # dynamic thresholds and would hide the churn (21-26k faults a call
+        # with glibc's start-up thresholds, under 50 with the CLI's)
+        argv = ["grid-solve", "--problem", "arctan-const-sigma", "--d", "2",
+                "--ntilde", "4", "--M", "1500", "--iters", "2",
+                "--out", str(tmp_path / "g")]
+        probe = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE, *argv], check=True,
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": SRC, "BSDE_THREADS": threads})
+        assert int(probe.stdout) < 1000
+
+    @pytest.mark.parametrize("libc", ["missing", "without-mallopt"])
+    def test_runs_unchanged_without_mallopt(self, tmp_path, monkeypatch,
+                                            libc):
+        normal, plain = tmp_path / "normal", tmp_path / "plain"
+        assert run(grid_args(normal)) == 0
+        lookups = []
+
+        def lookup(name):
+            lookups.append(name)
+            if libc == "missing":
+                raise OSError(f"{name}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", lookup)
+        assert run(grid_args(plain)) == 0
+        assert lookups
+        assert (normal / "grid_solution.csv").read_bytes() == \
+            (plain / "grid_solution.csv").read_bytes()
+        assert without_seconds(read_csv(normal / "iterations.csv")) == \
+            without_seconds(read_csv(plain / "iterations.csv"))
 
 
 class TestConfigErrors:
