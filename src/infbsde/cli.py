@@ -19,7 +19,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, astuple, fields, is_dataclass, replace
+from dataclasses import (MISSING, astuple, dataclass, fields, is_dataclass,
+                         replace)
 from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
                     get_type_hints)
 
@@ -362,8 +363,18 @@ def _run_nn_direct(config: DirectConfig, outdir: str) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _ContractionConfig(RunConfig):
+    """The run settings of a contraction report."""
+
+    @staticmethod
+    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
+        # this module's name, for the tracer (see RunConfig)
+        return problem_by_name(name, d, overrides)
+
+
 def _build_contraction(cfg: Dict):
-    config = _build(RunConfig, cfg)
+    config = _build(_ContractionConfig, cfg)
     probe = {k: _value(cfg, k) for k in _PROBES}
     for key, low in (("m_samples", 2), ("probe_n_half", 1),
                      ("n_mu0_probes", 0)):
@@ -371,7 +382,7 @@ def _build_contraction(cfg: Dict):
             raise ConfigParse(f"{key} must be at least {low}")
     if not 0 <= probe["weight_degree"] < np.inf:
         raise ConfigParse("weight_degree must be finite and non-negative")
-    problem = problem_by_name(config.problem, config.dim, config.overrides)
+    problem = config.built_problem
     grid = Grid(problem.sde.dim, probe["probe_n_half"],
                 probe["probe_half_width"] / probe["probe_n_half"])
     return config, problem, monotonicity_margin(problem.gen), probe, grid

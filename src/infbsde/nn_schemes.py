@@ -40,6 +40,11 @@ class NnConfig(RunConfig):
     hidden: Optional[Tuple[int, ...]] = None
     m_err: int = 1000
 
+    @staticmethod
+    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
+        # this module's name, for the tracer (see RunConfig)
+        return problem_by_name(name, d, overrides)
+
     def __post_init__(self):
         super().__post_init__()
         if self.m_err < 1:
@@ -198,7 +203,7 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
 
     ``nets`` holds each iteration's net, frozen as the next one's candidate.
     """
-    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+    problem = cfg.built_problem
     dim, dim_y = problem.sde.dim, problem.gen.dim_y
     base = RngStream(cfg.seed)
     eval_points = sample_mu0(problem, RngStream(cfg.seed, stream_id=1),
@@ -334,7 +339,7 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
     contraction is needed, at the price of a driver with known y/z
     Jacobians.
     """
-    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+    problem = cfg.built_problem
     if problem.gen.f_y is None or problem.gen.f_z is None:
         raise MissingDriverDerivatives(
             f"problem {problem.name!r} supplies no driver Jacobians")

@@ -63,6 +63,11 @@ class GridSolveConfig(RunConfig):
     truncation: Optional[Tuple[float, float]] = None
     grid: Grid = field(init=False, repr=False, compare=False)
 
+    @staticmethod
+    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
+        # this module's name, for the tracer (see RunConfig)
+        return problem_by_name(name, d, overrides)
+
     def __post_init__(self):
         super().__post_init__()
         if self.n_half < 1:
@@ -197,7 +202,7 @@ class GridSolveResult:
 def solve(cfg: GridSolveConfig,
           base_stream: Optional[RngStream] = None) -> GridSolveResult:
     """Run the Picard iteration from the zero grid function."""
-    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+    problem = cfg.built_problem
     v = GridFunction.zero(cfg.grid, problem.gen.dim_y)
     inner = truncated_nodes(cfg.grid)
     if base_stream is None:

@@ -180,11 +180,24 @@ WINDOW_VALUES = 1 << 17
 WINDOW_CELLS = 1 << 16
 
 
+# Keys below this bound sort as uint16, whose stable argsort numpy runs as a
+# linear-time radix sort; wider keys take the int64 comparison sort.  The
+# permutation of a stable sort is unique, so both give the same rows.
+NARROW_KEYS = 1 << 16
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys."""
+    if keys.max() < NARROW_KEYS:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def _horizon_ends(n_loop: np.ndarray, n_steps: int):
     """Loop positions of the rows whose horizon ``n_loop`` ends at each
     step, grouped by step, and the cut list: step ``j + 1`` owns entries
     ``cuts[j]:cuts[j + 1]``."""
-    by_end = np.argsort(n_loop, kind="stable")
+    by_end = _stable_order(n_loop)
     cuts = np.searchsorted(n_loop[by_end], np.arange(1, n_steps + 2))
     return by_end, cuts.tolist()
 
@@ -222,10 +235,10 @@ def _euler_paths(sde: SdeSpec, starts: np.ndarray, n_e: np.ndarray,
     # Loop over rows in stable ascending order of total steps: the rows
     # running at step k are a suffix, and each block's rows keep the order
     # in which that block draws their increments.
-    order = np.argsort(n_max, kind="stable")
+    order = _stable_order(n_max)
     block = order // b
     rank = np.empty(m, dtype=np.int64)
-    rank[np.argsort(block, kind="stable")] = np.arange(m) % b
+    rank[_stable_order(block)] = np.arange(m) % b
     e_rows, e_cuts = _horizon_ends(n_e[order], n_steps)
     g_rows, g_cuts = _horizon_ends(n_g[order], n_steps)
     x = starts[order] + 0.0  # no -0.0 rows (see _euler_step)

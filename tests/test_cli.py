@@ -922,9 +922,10 @@ def test_config_values_cast_to_field_types():
 
 
 @pytest.mark.parametrize("argv", [argv for argv in COMMANDS if argv[0] in (
-    "grid-solve", "nn-picard", "nn-direct")], ids=lambda argv: argv[0])
-def test_problem_built_at_most_twice(tmp_path, capsys, monkeypatch, argv):
-    """Once when the config checks itself, once in the solver."""
+    "grid-solve", "nn-picard", "nn-direct", "contraction")],
+    ids=lambda argv: argv[0])
+def test_problem_built_once(tmp_path, capsys, monkeypatch, argv):
+    """When the config checks itself; the solver reads the config's."""
     from infbsde import model
 
     builds = []
@@ -938,7 +939,7 @@ def test_problem_built_at_most_twice(tmp_path, capsys, monkeypatch, argv):
     assert run(argv + ["--problem", "arctan-const-sigma",
                        "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert len(builds) <= 2
+    assert len(builds) == 1
 
 
 def test_rate_study_builds_each_grid_once(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 """Grid Picard iteration: exactness, noise level, contraction, rate fit."""
+import dataclasses
 import sys
 import tracemalloc
 
@@ -54,6 +55,13 @@ class TestConfig:
             config(m_samples=1)
         with pytest.raises(ValueError):
             config(n_iters=0)
+
+    def test_replace_builds_the_problem_anew(self):
+        cfg = config(overrides={"mu": 4.0})
+        other = dataclasses.replace(cfg, problem="arctan-const-sigma",
+                                    overrides=None)
+        assert cfg.built_problem.analytic(np.zeros(1))[0][0, 0] == 0.75
+        assert other.built_problem.name == "arctan-const-sigma"
 
     def test_needs_a_reporting_layer(self):
         # the mesh is half_width / n_half

@@ -1,7 +1,9 @@
 """Random horizon samplers, Euler paths, and the Malliavin weight."""
+import contextlib
 import dataclasses
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -624,6 +626,76 @@ class TestPinnedBytes:
         streams = [RngStream(41).substream(i) for i in range(k)]
         fk = sample_fk_batch(problem, PARAMS, starts, m, dt, streams)
         assert fk_digest(fk) == want
+
+
+@contextlib.contextmanager
+def argsort_key_dtypes():
+    """Record the key dtype of every ``np.argsort`` call in the block."""
+    seen, real = [], np.argsort
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return real(a, *args, **kwargs)
+
+    with mock.patch.object(np, "argsort", recording):
+        yield seen
+
+
+@st.composite
+def tied_keys(draw):
+    """Non-negative int64 keys from a pool of at most five values, the
+    largest of which is ``top``; and ``top``."""
+    top = draw(st.sampled_from([0, 1, 51, 370, 2**16 - 1, 2**16, 2**40]))
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    keys = draw(st.lists(st.sampled_from(pool + [top]), min_size=1,
+                         max_size=300))
+    keys[draw(st.integers(0, len(keys) - 1))] = top
+    return np.array(keys, dtype=np.int64), top
+
+
+def euler_d1_call():
+    """A sampler call shaped as the grid-euler-d1 benchmark draws: 13 grid
+    nodes, 4 Picard iterations' streams and 500 draws per node."""
+    nodes = np.linspace(-3.0, 3.0, 13)[:, None]
+    streams = [RngStream(3).substream(n).substream(i)
+               for n in range(1, 5) for i in range(13)]
+    return sample_fk_batch(problem_by_name("arctan-tanh-sigma", 1), PARAMS,
+                           np.tile(nodes, (4, 1)), 500, 0.02, streams)
+
+
+def one_block_call():
+    return sample_fk_batch(problem_by_name("arctan-tanh-sigma", 1), PARAMS,
+                           np.array([0.4]), 2000, 0.02, RngStream(8))
+
+
+class TestStableOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_keys())
+    def test_matches_int64_argsort(self, case):
+        keys, top = case
+        with argsort_key_dtypes() as seen:
+            order = simulate._stable_order(keys)
+        np.testing.assert_array_equal(order,
+                                      np.argsort(keys, kind="stable"))
+        narrow = top < simulate.NARROW_KEYS
+        assert seen == [np.dtype(np.uint16 if narrow else np.int64)]
+
+    @pytest.mark.parametrize("call", [one_block_call, euler_d1_call])
+    def test_int64_keys_give_the_same_bits(self, monkeypatch, call):
+        narrow = call()
+        monkeypatch.setattr(simulate, "NARROW_KEYS", 0)
+        with argsort_key_dtypes() as seen:
+            wide = call()
+        assert seen and set(seen) == {np.dtype(np.int64)}
+        for name in FK_FIELDS:
+            assert getattr(wide, name).tobytes() == \
+                getattr(narrow, name).tobytes()
+
+    def test_euler_call_makes_no_int64_sort(self):
+        """The sampler's row orders stay on the radix sort."""
+        with argsort_key_dtypes() as seen:
+            euler_d1_call()
+        assert seen and np.dtype(np.int64) not in seen
 
 
 class TestRngStream:
