@@ -29,5 +29,5 @@ for rep in result.reports:
 
 out = os.path.join("runs", "demos", "grid_demo_solution.csv")
 os.makedirs(os.path.dirname(out), exist_ok=True)
-write_grid_csv(result.final, out, analytic=result.problem.analytic)
+write_grid_csv(result.final, out, analytic=cfg.built_problem.analytic)
 print(f"\nfinal iterate written to {out}")

@@ -16,14 +16,14 @@ from .grid import (Grid, GridFunction, GridMismatch, interpolate,
                    node_errors, sup_diff, truncated_nodes, write_grid_csv)
 from .model import (AnalyticSolution, Coefficients, GeneratorSpec,
                     InconsistentDerivatives, NonPositiveRate, Problem,
-                    PROBLEM_NAMES, RunConfig, SchemeParams, SdeSpec,
-                    UnknownProblem, bind_driver, brownian_sde,
+                    PROBLEM_CONSTANTS, PROBLEM_NAMES, RunConfig, SchemeParams,
+                    SdeSpec, UnknownProblem, bind_driver, brownian_sde,
                     manufacture_problem, monotonicity_margin, problem_by_name,
                     tanh_sigma_sde)
 from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingDriverDerivatives, NnConfig,
-                         NnPicardConfig, NnSolveResult, NonFiniteLoss,
-                         TraceRow, contraction_nn_solve, direct_nn_solve)
+                         NnPicardConfig, NnSolveResult, TraceRow,
+                         contraction_nn_solve, direct_nn_solve)
 from .picard_grid import (FitUnderdetermined, FreshDraws, GridSolveConfig,
                           GridSolveResult, IterationReport, RateStudyResult,
                           fit_rate_slope, picard_step, rate_study, solve)

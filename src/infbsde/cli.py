@@ -31,10 +31,11 @@ from .analysis import (ReportRow, brownian_c_infinity, contraction_report,
                        estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_csv, write_grid_csv
-from .model import RunConfig, monotonicity_margin, problem_by_name
+from .model import (PROBLEM_CONSTANTS, RunConfig, monotonicity_margin,
+                    problem_by_name)
 from .neural import save_checkpoint
-from .nn_schemes import (DirectConfig, NnPicardConfig, NonFiniteLoss,
-                         TraceRow, contraction_nn_solve, direct_nn_solve)
+from .nn_schemes import (DirectConfig, NnPicardConfig, TraceRow,
+                         contraction_nn_solve, direct_nn_solve)
 from .picard_grid import (GridSolveConfig, IterationReport, _sample_counts,
                           _worker_count, rate_study, solve)
 from .simulate import RngStream, sample_mu0
@@ -44,8 +45,11 @@ class ConfigParse(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-# config fields that the command line spreads over several flat float keys
-_SPREAD = {"overrides": ("c", "kz", "eps", "mu", "c0", "mu0_std"),
+# config fields that the command line spreads over several flat float keys;
+# the overrides are the problem constants, in table order, and mu0_std
+_SPREAD = {"overrides": (*dict.fromkeys(key for constants in
+                                        PROBLEM_CONSTANTS.values()
+                                        for key in constants), "mu0_std"),
            "truncation": ("trunc_bound", "trunc_degree")}
 _SCHEMES = {"nn-picard": NnPicardConfig, "nn-direct": DirectConfig}
 
@@ -292,12 +296,12 @@ def _series(rows, *names) -> Dict[str, List]:
 
 
 def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
-    result = solve(config)
+    result, analytic = solve(config), config.built_problem.analytic
     _write_rows(os.path.join(outdir, "iterations.csv"), IterationReport,
                 result.reports)
     write_grid_csv(result.final, os.path.join(outdir, "grid_solution.csv"),
-                   analytic=result.problem.analytic)
-    if result.problem.analytic is not None:
+                   analytic=analytic)
+    if analytic is not None:
         _svg.line_plot(
             os.path.join(outdir, "errors.svg"), [r.n for r in result.reports],
             _series(result.reports, "sup_err_u", "sup_err_ubar"),
@@ -382,15 +386,15 @@ def _build_contraction(cfg: Dict):
             raise ConfigParse(f"{key} must be at least {low}")
     if not 0 <= probe["weight_degree"] < np.inf:
         raise ConfigParse("weight_degree must be finite and non-negative")
-    problem = config.built_problem
-    grid = Grid(problem.sde.dim, probe["probe_n_half"],
+    grid = Grid(config.dim, probe["probe_n_half"],
                 probe["probe_half_width"] / probe["probe_n_half"])
-    return config, problem, monotonicity_margin(problem.gen), probe, grid
+    return config, probe, grid
 
 
 def _run_contraction(built, outdir: str) -> int:
-    config, problem, margin, probe, grid = built
-    params, seed = config.params, config.seed
+    config, probe, grid = built
+    params, seed, problem = config.params, config.seed, config.built_problem
+    margin = monotonicity_margin(problem.gen)
     probes = np.vstack([grid.nodes, sample_mu0(
         problem, RngStream(seed, stream_id=1), probe["n_mu0_probes"])])
     estimate = estimate_c_constants(
@@ -449,7 +453,7 @@ def _run_kz_sweep(built, outdir: str) -> int:
             try:
                 last = solver(config).trace[-1]
                 du, dubar = last.rel_err_u, last.rel_err_ubar
-            except (NonFiniteLoss, NonFiniteValue):
+            except NonFiniteValue:
                 du = dubar = float("inf")
             rows.append([kz, rep, du, dubar])
             errs.append(du)

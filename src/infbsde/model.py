@@ -444,7 +444,14 @@ def _linear_constant(dim: int, mu: float, c0: float, mu0_std: float) -> Problem:
                                mu0_std=mu0_std, name="linear-constant")
 
 
-PROBLEM_NAMES = ("arctan-const-sigma", "arctan-tanh-sigma", "linear-constant")
+# each registered problem's constants and their defaults; the start-law
+# width ``mu0_std`` (default 2.0) is a constant of every problem
+PROBLEM_CONSTANTS = {
+    "arctan-const-sigma": {"c": 2.0, "kz": 0.5},
+    "arctan-tanh-sigma": {"c": 2.0, "kz": 0.5, "eps": 0.9},
+    "linear-constant": {"mu": 2.0, "c0": 3.0},
+}
+PROBLEM_NAMES = tuple(PROBLEM_CONSTANTS)
 
 
 def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> Problem:
@@ -454,9 +461,8 @@ def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> 
     ----------
     name : one of ``PROBLEM_NAMES``.
     d : state dimension (``arctan-tanh-sigma`` requires d=1).
-    overrides : optional map of problem constants; supported keys are
-        ``c``, ``kz`` (arctan family), ``eps`` (tanh diffusion),
-        ``mu``, ``c0`` (linear-constant), and ``mu0_std``.
+    overrides : optional map of problem constants; supported keys are the
+        problem's keys in ``PROBLEM_CONSTANTS``, and ``mu0_std``.
     """
     check_dim(d)
     ov = {key: float(value) for key, value in (overrides or {}).items()}
@@ -466,27 +472,17 @@ def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> 
     mu0_std = ov.pop("mu0_std", 2.0)
     if mu0_std < 0:
         raise ValueError(f"mu0_std must be non-negative, not {mu0_std}")
-    if name == "arctan-const-sigma":
-        c = ov.pop("c", 2.0)
-        kz = ov.pop("kz", 0.5)
-        _reject_unknown(name, ov)
-        return _arctan_family(d, c, kz, brownian_sde(d), mu0_std, name)
-    if name == "arctan-tanh-sigma":
-        if d != 1:
-            raise ValueError("arctan-tanh-sigma is one-dimensional")
-        c = ov.pop("c", 2.0)
-        kz = ov.pop("kz", 0.5)
-        eps = ov.pop("eps", 0.9)
-        _reject_unknown(name, ov)
-        return _arctan_family(1, c, kz, tanh_sigma_sde(eps), mu0_std, name)
+    if name not in PROBLEM_CONSTANTS:
+        raise UnknownProblem(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    if name == "arctan-tanh-sigma" and d != 1:
+        raise ValueError("arctan-tanh-sigma is one-dimensional")
+    defaults = PROBLEM_CONSTANTS[name]
+    unknown = sorted(set(ov) - set(defaults))
+    if unknown:
+        raise ValueError(f"unsupported override(s) for {name!r}: {unknown}")
+    const = {**defaults, **ov}
     if name == "linear-constant":
-        mu = ov.pop("mu", 2.0)
-        c0 = ov.pop("c0", 3.0)
-        _reject_unknown(name, ov)
-        return _linear_constant(d, mu, c0, mu0_std)
-    raise UnknownProblem(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
-
-
-def _reject_unknown(name: str, leftover: dict) -> None:
-    if leftover:
-        raise ValueError(f"unsupported override(s) for {name!r}: {sorted(leftover)}")
+        return _linear_constant(d, const["mu"], const["c0"], mu0_std)
+    sde = (brownian_sde(d) if name == "arctan-const-sigma"
+           else tanh_sigma_sde(const["eps"]))
+    return _arctan_family(d, const["c"], const["kz"], sde, mu0_std, name)

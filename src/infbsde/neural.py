@@ -139,13 +139,6 @@ class Mlp:
         acts, _ = self._forward_cached(as_points(x, self.dim_x))
         return self._split(acts[-1])
 
-    def mse_loss(self, x: np.ndarray, target_u: np.ndarray,
-                 target_ubar: np.ndarray) -> float:
-        u, ubar = self(x)
-        m = u.shape[0]
-        res = np.sum((u - target_u) ** 2) + np.sum((ubar - target_ubar) ** 2)
-        return float(res / m)
-
     def backprop(self, acts: List[np.ndarray], pre: List[np.ndarray],
                  delta: np.ndarray, *, out: Gradient) -> np.ndarray:
         """Parameter gradients of ``sum(delta * raw_output)``.

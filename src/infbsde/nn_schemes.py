@@ -16,16 +16,12 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import (Candidate, one_draw_terms, one_draw_weights,
-                         r_sample_batch)
+from .fixedpoint import (Candidate, NonFiniteValue, one_draw_terms,
+                         one_draw_weights, r_sample_batch)
 from .model import (Problem, RunConfig, SchemeParams, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
 from .simulate import FkBatch, RngStream, sample_fk_batch, sample_mu0
-
-
-class NonFiniteLoss(ArithmeticError):
-    """Training loss became NaN or infinite."""
 
 
 class MissingDriverDerivatives(ValueError):
@@ -166,11 +162,11 @@ def _descend(net: Mlp, state: AdamState, steps: int,
              loss_grad: Callable[[], Tuple[float, np.ndarray]]) -> float:
     """``steps`` ADAM steps of ``net`` on ``loss_grad()``'s (loss, gradient
     vector) pair; returns the last loss taken, or with zero steps the loss
-    taken once.  A non-finite loss raises NonFiniteLoss before its step."""
+    taken once.  A non-finite loss raises NonFiniteValue before its step."""
     for step in range(max(steps, 1)):
         loss, grad = loss_grad()
         if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss {loss} at step {state.step}")
+            raise NonFiniteValue(f"loss {loss} at step {state.step}")
         if step < steps:
             adam_step(net, grad, state)
     return loss
@@ -187,12 +183,12 @@ def _train_regression(net: Mlp, x: np.ndarray, target_u: np.ndarray,
                     functools.partial(net._mse_grad, x, target, work, grad))
 
 
-def _draw_round(problem: Problem, cfg: NnConfig, stream: RngStream,
-                m_starts: int, m_inner: int) -> Tuple[np.ndarray, FkBatch]:
+def _draw_round(cfg: NnConfig, stream: RngStream, m_starts: int,
+                m_inner: int) -> Tuple[np.ndarray, FkBatch]:
     """One round's ``m_starts`` start points, from ``stream.substream(0)``,
     and ``m_inner`` horizon draws per start, from ``stream.substream(1)``."""
-    x0 = sample_mu0(problem, stream.substream(0), m_starts)
-    fk = sample_fk_batch(problem, cfg.params, x0, m_inner, cfg.dt,
+    x0 = sample_mu0(cfg.built_problem, stream.substream(0), m_starts)
+    fk = sample_fk_batch(cfg.built_problem, cfg.params, x0, m_inner, cfg.dt,
                          stream.substream(1))
     return x0, fk
 
@@ -218,10 +214,10 @@ def contraction_nn_solve(cfg: NnPicardConfig) -> NnSolveResult:
     nets: List[Mlp] = []
     for n in range(1, cfg.n_iters + 1):
         start_time = time.perf_counter()
-        x0, fk = _draw_round(problem, cfg, base.substream(n), cfg.m_samples, 1)
+        x0, fk = _draw_round(cfg, base.substream(n), cfg.m_samples, 1)
         target_u, target_ubar = r_sample_batch(problem, cfg.params, previous, fk)
         if not (np.isfinite(target_u).all() and np.isfinite(target_ubar).all()):
-            raise NonFiniteLoss(f"non-finite regression target at iteration {n}")
+            raise NonFiniteValue(f"non-finite regression target at iteration {n}")
 
         if n > 1 and not cfg.warm_start:
             net = Mlp.init(dim, dim_y, cfg.hidden_widths(),
@@ -356,8 +352,8 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
     trace: List[TraceRow] = []
     for epoch in range(1, cfg.n_epochs + 1):
         start_time = time.perf_counter()
-        x0, fk = _draw_round(problem, cfg, base.substream(epoch),
-                             cfg.m_starts, cfg.m_inner)
+        x0, fk = _draw_round(cfg, base.substream(epoch), cfg.m_starts,
+                             cfg.m_inner)
         weight_e, weight_g = one_draw_weights(cfg.params, fk)
         drivers = (bind_driver(problem.gen, fk.x_at_e),
                    bind_driver(problem.gen, fk.x_at_g))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fixedpoint import point_means, r_sample_batch, truncate_growth
 from .grid import Grid, GridFunction, node_errors, truncated_nodes
-from .model import Problem, RunConfig, problem_by_name
+from .model import RunConfig, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
@@ -126,15 +126,15 @@ class FreshDraws:
         self.streams = list(streams)
         self._ahead: Dict[range, List[FkBatch]] = {}
 
-    def take(self, problem: Problem, cfg: GridSolveConfig, chunk: range,
+    def take(self, cfg: GridSolveConfig, chunk: range,
              nodes: np.ndarray) -> FkBatch:
         """The next iteration's ``m_samples`` draws at each of ``nodes``,
         the grid nodes whose indices are ``chunk``."""
         ahead = self._ahead.get(chunk)
         if ahead is None:
             fk = sample_fk_batch(
-                problem, cfg.params, np.tile(nodes, (len(self.streams), 1)),
-                cfg.m_samples, cfg.dt,
+                cfg.built_problem, cfg.params,
+                np.tile(nodes, (len(self.streams), 1)), cfg.m_samples, cfg.dt,
                 [stream.substream(node) for stream in self.streams
                  for node in chunk])
             ahead = self._ahead[chunk] = fk.split(len(self.streams))
@@ -144,15 +144,15 @@ class FreshDraws:
         return ahead.pop(0)
 
 
-def picard_step(v: GridFunction, cfg: GridSolveConfig, draws: FreshDraws,
-                problem: Problem) -> GridFunction:
+def picard_step(v: GridFunction, cfg: GridSolveConfig,
+                draws: FreshDraws) -> GridFunction:
     """One Picard update: the next iteration of ``draws`` against the
     interpolant of ``v``.
 
     Nodes are evaluated in chunks of consecutive indices, one
     :meth:`FreshDraws.take` per chunk, which changes no value.
     """
-    grid = v.grid
+    grid, problem = v.grid, cfg.built_problem
     m, dim_y = cfg.m_samples, problem.gen.dim_y
     u_new = np.empty((grid.n_nodes, dim_y))
     ubar_new = np.empty((grid.n_nodes, dim_y, grid.dim))
@@ -160,7 +160,7 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, draws: FreshDraws,
 
     def update(chunk: range) -> None:
         rows = slice(chunk.start, chunk.stop)
-        fk = draws.take(problem, cfg, chunk, nodes[rows])
+        fk = draws.take(cfg, chunk, nodes[rows])
         u_new[rows], ubar_new[rows] = point_means(
             r_sample_batch(problem, cfg.params, v, fk), chunk, "node")
 
@@ -188,15 +188,6 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig, draws: FreshDraws,
 class GridSolveResult:
     final: GridFunction
     reports: list
-    problem: Problem
-
-    @property
-    def sup_err_u(self) -> float:
-        return self.reports[-1].sup_err_u
-
-    @property
-    def sup_err_ubar(self) -> float:
-        return self.reports[-1].sup_err_ubar
 
 
 def solve(cfg: GridSolveConfig,
@@ -218,14 +209,14 @@ def solve(cfg: GridSolveConfig,
         if (n - 1) % ahead == 0:
             draws = FreshDraws([base_stream.substream(k) for k in
                                 range(n, min(n + ahead, cfg.n_iters + 1))])
-        v = picard_step(v, cfg, draws, problem)
+        v = picard_step(v, cfg, draws)
         elapsed = time.perf_counter() - start
         sup_u = sup_ubar = np.nan
         if exact is not None:
             err_u, err_ubar = node_errors(v, *exact)
             sup_u, sup_ubar = float(err_u[inner].max()), float(err_ubar[inner].max())
         reports.append(IterationReport(n, sup_u, sup_ubar, elapsed))
-    return GridSolveResult(v, reports, problem)
+    return GridSolveResult(v, reports)
 
 
 def _check_rate_study(n_half_values: Sequence[int], k: float = 1.0) -> None:
@@ -289,9 +280,9 @@ def rate_study(cfg_template: GridSolveConfig, n_half_values: Sequence[int],
     sup_u, sup_ubar = [], []
     for run, (nh, m) in enumerate(zip(n_half_values, samples)):
         cfg = replace(cfg_template, n_half=int(nh), m_samples=m)
-        result = solve(cfg, base_stream=RngStream(cfg.seed, stream_id=run + 1))
-        sup_u.append(result.sup_err_u)
-        sup_ubar.append(result.sup_err_ubar)
+        last = solve(cfg, RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
+        sup_u.append(last.sup_err_u)
+        sup_ubar.append(last.sup_err_ubar)
     worst = np.maximum(sup_u, sup_ubar)
     slope, intercept = fit_rate_slope(list(n_half_values), worst)
     return RateStudyResult(

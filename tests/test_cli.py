@@ -490,12 +490,12 @@ class TestKzSweep:
 
     def test_failed_cell_drops_its_kz_from_the_plot(self, tmp_path,
                                                     monkeypatch):
-        from infbsde import NonFiniteLoss, cli
+        from infbsde import NonFiniteValue, cli
         real = cli.contraction_nn_solve
 
         def failing_at_kz(config):
             if config.overrides["kz"] == 1.5:
-                raise NonFiniteLoss("loss inf at step 0")
+                raise NonFiniteValue("loss inf at step 0")
             return real(config)
 
         monkeypatch.setattr(cli, "contraction_nn_solve", failing_at_kz)

@@ -8,8 +8,9 @@ test file or a demo is removed or renamed.
 The one-draw estimator demo, which feeds the analytic solution in as a
 candidate pair, and the contraction-constant demo, which calls the
 analysis functions with a problem's own generator, also run (about half a
-second each), and so does the README's ``estimate_phi`` block, whose
-printed shapes and values the README describes.
+second each), and so do the two grid demos (about 0.6 and 1.8 seconds)
+and the README's ``estimate_phi`` block, whose printed shapes and values
+the README describes.
 """
 import ast
 import importlib
@@ -86,6 +87,24 @@ def test_contraction_constants_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "kappa_inf = 3.3541" in out
     assert "linear-constant with mu=1: kappa_inf = 0.5000" in out
+
+
+def test_grid_picard_solve_demo_runs(capsys, monkeypatch, tmp_path):
+    # the demo writes its final iterate under runs/ in the working directory
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / "grid_picard_solve.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "\n  6    0.01407      0.05614 " in out
+    assert (tmp_path / "runs" / "demos" / "grid_demo_solution.csv").is_file()
+
+
+def test_mesh_refinement_rate_demo_runs(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / "mesh_refinement_rate.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "fitted slope of log error vs log(2 + n_half): -2.468\n" in out
 
 
 def test_readme_estimate_phi_block_runs(capsys):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from infbsde import model as model_mod
 from infbsde import (GeneratorSpec, InconsistentDerivatives, NonPositiveRate,
-                     PROBLEM_NAMES, SchemeParams, UnknownProblem, brownian_sde,
-                     manufacture_problem, monotonicity_margin,
-                     problem_by_name, tanh_sigma_sde)
+                     PROBLEM_CONSTANTS, PROBLEM_NAMES, SchemeParams,
+                     UnknownProblem, brownian_sde, manufacture_problem,
+                     monotonicity_margin, problem_by_name, tanh_sigma_sde)
+from infbsde.cli import _SPREAD, build_parser
 from infbsde.model import as_points, row_sum
 
 
@@ -98,6 +99,46 @@ class TestRegistry:
         with pytest.raises(ValueError, match="overrides must be finite") as exc:
             problem_by_name(name, 1, {key: value})
         assert f"'{key}': {value}" in str(exc.value)
+
+
+class TestProblemConstants:
+    """``PROBLEM_CONSTANTS`` is the one list of the problems' constants and
+    defaults: the command line's override flags and the defaults that
+    ``problem_by_name`` uses come from it."""
+
+    @pytest.mark.parametrize("command", ["grid-solve", "rate-study",
+                                         "nn-picard", "nn-direct",
+                                         "contraction"])
+    def test_override_flags_are_the_table_keys(self, command):
+        keys = dict.fromkeys(key for constants in PROBLEM_CONSTANTS.values()
+                             for key in constants)
+        expected = [f"--{key}" for key in keys] + ["--mu0-std"]
+        assert expected == ["--c", "--kz", "--eps", "--mu", "--c0",
+                            "--mu0-std"]
+        subparsers, = [action for action in build_parser()._actions
+                       if action.dest == "command"]
+        flags = [flag for action in subparsers.choices[command]._actions
+                 if action.dest in _SPREAD["overrides"]
+                 for flag in action.option_strings]
+        assert flags == expected
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_defaults_are_the_table_values(self, name):
+        d = 1 if name == "arctan-tanh-sigma" else 2
+        default = problem_by_name(name, d).gen
+        explicit = problem_by_name(name, d,
+                                   overrides=PROBLEM_CONSTANTS[name]).gen
+        for attr in ("dim_y", "lip_y", "lip_z", "monotonicity"):
+            assert getattr(default, attr) == getattr(explicit, attr)
+        gen = np.random.default_rng(5)
+        x, y, z = (gen.normal(size=(4, d)), gen.normal(size=(4, 1)),
+                   gen.normal(size=(4, 1, d)))
+        np.testing.assert_array_equal(default.f(x, y, z), explicit.f(x, y, z))
+
+    def test_another_problems_constant_is_rejected(self):
+        with pytest.raises(ValueError, match=r"unsupported override\(s\) for "
+                           r"'arctan-const-sigma': \['eps'\]"):
+            problem_by_name("arctan-const-sigma", 1, {"eps": 0.5})
 
 
 class TestGeneratorSpec:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infbsde import (AdamState, DirectConfig, Grid, GridFunction, Mlp,
-                     NnConfig, NnPicardConfig, NonFiniteLoss, RngStream,
+                     NnConfig, NnPicardConfig, NonFiniteValue, RngStream,
                      contraction_nn_solve, direct_nn_solve, nn_schemes,
                      problem_by_name)
 from infbsde.nn_schemes import _descend, _rel_errors_at, _train_regression
@@ -164,7 +164,7 @@ class TestContractionScheme:
                              n_iters=4, m_samples=512, train_steps=1500,
                              seed=12)
         res = contraction_nn_solve(cfg)
-        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+        problem = cfg.built_problem
         c2, _ = brownian_cp_constants(2.0, 0.0, 1, cfg.params.exp_rate,
                                       cfg.params.gamma_rate)
         kappa2 = kappa_p(problem.gen, cfg.params, 2.0, c2)
@@ -236,7 +236,7 @@ class TestContractionScheme:
         cfg = NnPicardConfig("linear-constant", n_iters=1, m_samples=64,
                              train_steps=5, base_lr=1e60, seed=10)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteLoss):
+            with pytest.raises(NonFiniteValue):
                 contraction_nn_solve(cfg)
 
 
@@ -267,7 +267,7 @@ class TestDescent:
         x = start_points(LINEAR, 8, 31)
         state = AdamState.init(net, 1e-3, 1.0, 10)
         # no backprop of the infinite residual, so numpy does not warn
-        with pytest.raises(NonFiniteLoss, match="at step 0"):
+        with pytest.raises(NonFiniteValue, match="at step 0"):
             _train_regression(net, x, np.full((8, 1), np.inf),
                               np.zeros((8, 1, 1)), state, steps)
         np.testing.assert_array_equal(net.flat, keep)

@@ -9,7 +9,7 @@ import pytest
 from infbsde import (FitUnderdetermined, FreshDraws, GridFunction,
                      GridSolveConfig, NonFiniteValue, NonPositiveRate,
                      RngStream, SchemeParams, UnknownProblem, fit_rate_slope,
-                     picard_step, problem_by_name, r_sample_batch, rate_study,
+                     picard_step, r_sample_batch, rate_study,
                      sample_fk_batch, solve)
 from infbsde import picard_grid
 
@@ -102,9 +102,7 @@ class TestSingleStep:
         grid = cfg.grid
         v0 = GridFunction.zero(grid, 1)
         stepped = picard_step(v0, cfg,
-                              FreshDraws([RngStream(cfg.seed).substream(1)]),
-                              problem_by_name(cfg.problem, cfg.dim,
-                                              cfg.overrides))
+                              FreshDraws([RngStream(cfg.seed).substream(1)]))
         np.testing.assert_array_equal(result.final.u, stepped.u)
         np.testing.assert_array_equal(result.final.ubar, stepped.ubar)
 
@@ -114,8 +112,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, FreshDraws([RngStream(0)]),
-                        problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
+            picard_step(v, cfg, FreshDraws([RngStream(0)]))
 
     def test_callers_error_state_holds_on_every_thread(self, monkeypatch):
         # two threads on chunks of one node: the caller's np.errstate
@@ -127,8 +124,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, FreshDraws([RngStream(0)]),
-                        problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
+            picard_step(v, cfg, FreshDraws([RngStream(0)]))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_node_is_named(self, monkeypatch, threads):
@@ -161,8 +157,7 @@ class TestSingleStep:
         monkeypatch.setattr(picard_grid, "r_sample_batch", poisoned)
         with pytest.raises(NonFiniteValue, match=f"at node {bad}$"):
             picard_step(random_iterate(grid, 0), cfg,
-                        FreshDraws([RngStream(0)]),
-                        problem_by_name(cfg.problem, cfg.dim, cfg.overrides))
+                        FreshDraws([RngStream(0)]))
 
     def test_interpolation_clamps_outside_box(self, monkeypatch):
         calls = []
@@ -196,7 +191,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
     grid = cfg.grid
     v = random_iterate(grid, cfg.dim)
     rng = RngStream(cfg.seed).substream(1)
-    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+    problem = cfg.built_problem
     ref_u = np.empty_like(v.u)
     ref_ubar = np.empty_like(v.ubar)
     for node, x in enumerate(grid.nodes):
@@ -207,7 +202,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
         ref_ubar[node] = comp2.mean(axis=0)
     for threads in ("1", "2"):
         monkeypatch.setenv("BSDE_THREADS", threads)
-        stepped = picard_step(v, cfg, FreshDraws([rng]), problem)
+        stepped = picard_step(v, cfg, FreshDraws([rng]))
         np.testing.assert_array_equal(stepped.u, ref_u)
         np.testing.assert_array_equal(stepped.ubar, ref_ubar)
 
@@ -248,7 +243,6 @@ class TestDeterminism:
         monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 8)
         cfg = config(m_samples=8)
         v = random_iterate(cfg.grid, 0)
-        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
         pool = picard_grid.ThreadPoolExecutor
 
         def no_pool(*args, **kwargs):
@@ -256,10 +250,10 @@ class TestDeterminism:
 
         monkeypatch.delenv("BSDE_THREADS", raising=False)
         monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", no_pool)
-        serial = picard_step(v, cfg, FreshDraws([RngStream(0)]), problem)
+        serial = picard_step(v, cfg, FreshDraws([RngStream(0)]))
         monkeypatch.setenv("BSDE_THREADS", "2")
         monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", pool)
-        threaded = picard_step(v, cfg, FreshDraws([RngStream(0)]), problem)
+        threaded = picard_step(v, cfg, FreshDraws([RngStream(0)]))
         np.testing.assert_array_equal(serial.u, threaded.u)
         np.testing.assert_array_equal(serial.ubar, threaded.ubar)
 
@@ -283,11 +277,10 @@ def stepped_solve(cfg):
     """The final iterate of ``solve(cfg)`` drawn one iteration at a time:
     iteration ``n`` takes ``FreshDraws`` of the one stream
     ``RngStream(cfg.seed).substream(n)``."""
-    problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
-    v = GridFunction.zero(cfg.grid, problem.gen.dim_y)
+    v = GridFunction.zero(cfg.grid, cfg.built_problem.gen.dim_y)
     base = RngStream(cfg.seed)
     for n in range(1, cfg.n_iters + 1):
-        v = picard_step(v, cfg, FreshDraws([base.substream(n)]), problem)
+        v = picard_step(v, cfg, FreshDraws([base.substream(n)]))
     return v
 
 
@@ -381,13 +374,12 @@ class TestDrawAhead:
 
     def test_each_iteration_is_taken_once(self):
         cfg = config(m_samples=50)
-        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
         draws = FreshDraws([RngStream(0).substream(n) for n in (1, 2)])
         v = GridFunction.zero(cfg.grid, 1)
         for _ in range(2):
-            v = picard_step(v, cfg, draws, problem)
+            v = picard_step(v, cfg, draws)
         with pytest.raises(ValueError, match="all 2 iterations"):
-            picard_step(v, cfg, draws, problem)
+            picard_step(v, cfg, draws)
 
 
 class TestContraction:
@@ -399,7 +391,7 @@ class TestContraction:
 
         cfg = config(overrides={"mu": 1.0}, m_samples=20000, n_iters=6)
         result = solve(cfg)
-        problem = problem_by_name(cfg.problem, cfg.dim, cfg.overrides)
+        problem = cfg.built_problem
         kappa = kappa_infinity(problem.gen, cfg.params, *brownian_c_infinity(
             cfg.params.discount_y, cfg.params.discount_z))
         assert kappa == 0.5
