@@ -15,8 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import (one_draw_weights, point_means, point_std_errs,
-                         poly_weight)
+from .fixedpoint import branches, point_means, point_std_errs, poly_weight
 from .model import GeneratorSpec, Problem, SchemeParams, as_points, check_dim
 from .simulate import RngStream, check_stream, sample_fk_batch
 
@@ -140,11 +139,12 @@ def estimate_c_constants(problem: Problem, params: SchemeParams,
     means, std_errs = [], []
     for k, (x, w_x) in enumerate(zip(probes, probe_weights)):
         fk = sample_fk_batch(problem, params, x, m, dt, base.substream(k))
-        weight_e, weight_g = one_draw_weights(params, fk)
+        table = branches(params, fk)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = (weight_e * poly_weight(fk.x_at_e, weight_degree) / w_x,
-                    weight_g * np.linalg.norm(fk.malliavin_at_g, axis=1)
-                    * poly_weight(fk.x_at_g, weight_degree) / w_x)
+            vals = tuple((weight if malliavin is None else weight
+                          * np.linalg.norm(malliavin, axis=1))
+                         * poly_weight(x, weight_degree) / w_x
+                         for x, _, weight, malliavin in table)
             means.append(np.concatenate(point_means(vals, [k], "probe")))
             std_errs.append(np.concatenate(point_std_errs(vals, 1)))
     best = np.argmax(means, axis=0)

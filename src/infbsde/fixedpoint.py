@@ -42,11 +42,23 @@ def one_draw_weights(params: SchemeParams,
     return weight_e, weight_g
 
 
-def one_draw_terms(f_value: np.ndarray, u: np.ndarray, shift: float,
-                   weight: np.ndarray,
-                   malliavin: Optional[np.ndarray] = None) -> np.ndarray:
-    """One-draw terms ``(f + shift * u) * weight`` ``(m, d')`` at horizon
-    states, times the Malliavin weight ``(m, d)`` when given: ``(m, d', d)``."""
+Branch = Tuple[np.ndarray, float, np.ndarray, Optional[np.ndarray]]
+
+
+def branches(params: SchemeParams, fk: FkBatch) -> Tuple[Branch, Branch]:
+    """The map's value and gradient branches ``(x, shift, weight,
+    malliavin)``: at ``fk.x_at_e``, shifted by ``discount_y``, without a
+    Malliavin weight, and at ``fk.x_at_g``, by ``discount_z``, with one."""
+    weight_e, weight_g = one_draw_weights(params, fk)
+    return ((fk.x_at_e, params.discount_y, weight_e, None),
+            (fk.x_at_g, params.discount_z, weight_g, fk.malliavin_at_g))
+
+
+def one_draw_terms(branch: Branch, f_value: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """A branch's one-draw terms ``(f + shift * u) * weight`` ``(m, d')`` at
+    its states, times its Malliavin weight ``(m, d)`` if any: ``(m, d', d)``."""
+    _, shift, weight, malliavin = branch
     phi = (f_value + shift * u) * weight[:, None]
     return phi if malliavin is None else phi[:, :, None] * malliavin[:, None, :]
 
@@ -54,16 +66,12 @@ def one_draw_terms(f_value: np.ndarray, u: np.ndarray, shift: float,
 def r_sample_batch(problem: Problem, params: SchemeParams, w: Candidate,
                    fk: FkBatch) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized single-draw estimates; no finiteness check (see callers)."""
-    weight_e, weight_g = one_draw_weights(params, fk)
-
-    def terms(x, shift, weight, malliavin=None):
+    def terms(branch):
         # the candidate's arrays are freed before the other branch runs
-        u, z = w(x)
-        return one_draw_terms(problem.gen.f(x, u, z), u, shift, weight,
-                              malliavin)
+        u, z = w(branch[0])
+        return one_draw_terms(branch, problem.gen.f(branch[0], u, z), u)
 
-    return (terms(fk.x_at_e, params.discount_y, weight_e),
-            terms(fk.x_at_g, params.discount_z, weight_g, fk.malliavin_at_g))
+    return tuple(terms(branch) for branch in branches(params, fk))
 
 
 def point_means(comps: Sequence[np.ndarray], labels: Sequence,

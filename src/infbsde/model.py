@@ -282,7 +282,7 @@ def manufacture_problem(
     u, grad_u, hess_u,
     f0: GeneratorSpec,
     sde: SdeSpec,
-    mu0_std: float = 2.0,
+    mu0_std: float = Problem.mu0_std,
     name: str = "manufactured",
 ) -> Problem:
     """Build a problem whose exact solution is the supplied ``u``.
@@ -445,7 +445,7 @@ def _linear_constant(dim: int, mu: float, c0: float, mu0_std: float) -> Problem:
 
 
 # each registered problem's constants and their defaults; the start-law
-# width ``mu0_std`` (default 2.0) is a constant of every problem
+# width ``mu0_std`` (``Problem.mu0_std`` by default) belongs to every problem
 PROBLEM_CONSTANTS = {
     "arctan-const-sigma": {"c": 2.0, "kz": 0.5},
     "arctan-tanh-sigma": {"c": 2.0, "kz": 0.5, "eps": 0.9},
@@ -469,7 +469,7 @@ def problem_by_name(name: str, d: int = 1, overrides: Optional[dict] = None) -> 
     bad = {key: value for key, value in ov.items() if not np.isfinite(value)}
     if bad:
         raise ValueError(f"problem overrides must be finite, not {bad}")
-    mu0_std = ov.pop("mu0_std", 2.0)
+    mu0_std = ov.pop("mu0_std", Problem.mu0_std)
     if mu0_std < 0:
         raise ValueError(f"mu0_std must be non-negative, not {mu0_std}")
     if name not in PROBLEM_CONSTANTS:

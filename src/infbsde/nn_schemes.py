@@ -16,9 +16,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .fixedpoint import (Candidate, NonFiniteValue, one_draw_terms,
-                         one_draw_weights, r_sample_batch)
-from .model import (Problem, RunConfig, SchemeParams, bind_driver,
+from .fixedpoint import (Branch, Candidate, NonFiniteValue, branches,
+                         one_draw_terms, r_sample_batch)
+from .model import (GeneratorSpec, Problem, RunConfig, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
 from .simulate import FkBatch, RngStream, sample_fk_batch, sample_mu0
@@ -30,11 +30,15 @@ class MissingDriverDerivatives(ValueError):
 
 @dataclass(frozen=True)
 class NnConfig(RunConfig):
-    """Settings both neural schemes share; ``hidden`` defaults to two
-    layers of ``20 + dim`` units."""
+    """Settings both neural schemes share; ``hidden`` defaults to two layers
+    of ``20 + dim`` units.  ADAM's step size ``base_lr * lr_decay**(step //
+    lr_decay_period)`` must be finite and positive, and must not grow."""
 
     hidden: Optional[Tuple[int, ...]] = None
     m_err: int = 1000
+    base_lr: float = 5e-4
+    lr_decay: float = 0.9
+    lr_decay_period: int = 1000
 
     @staticmethod
     def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
@@ -47,21 +51,15 @@ class NnConfig(RunConfig):
             raise ValueError("m_err must be at least 1")
         if any(width < 1 for width in self.hidden_widths()):
             raise ValueError("hidden widths must be at least 1")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be finite and positive")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("lr_decay must lie in (0, 1]")
+        if self.lr_decay_period < 1:
+            raise ValueError("lr_decay_period must be at least 1")
 
     def hidden_widths(self) -> Tuple[int, ...]:
         return self.hidden if self.hidden is not None else (20 + self.dim,) * 2
-
-
-def _check_schedule(base_lr: float, lr_decay: float,
-                    lr_decay_period: int) -> None:
-    """ADAM's step size ``base_lr * lr_decay**(step // lr_decay_period)``
-    must be a finite positive number that does not grow."""
-    if not 0.0 < base_lr < math.inf:
-        raise ValueError("base_lr must be finite and positive")
-    if not 0.0 < lr_decay <= 1.0:
-        raise ValueError("lr_decay must lie in (0, 1]")
-    if lr_decay_period < 1:
-        raise ValueError("lr_decay_period must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,6 @@ class NnPicardConfig(NnConfig):
     m_samples: int = 512
     train_steps: int = 3000
     warm_start: bool = True
-    base_lr: float = 5e-4
-    lr_decay: float = 0.9
-    lr_decay_period: int = 1000
 
     def __post_init__(self):
         super().__post_init__()
@@ -84,7 +79,6 @@ class NnPicardConfig(NnConfig):
             raise ValueError("n_iters must be at least 1")
         if self.train_steps < 0:
             raise ValueError("train_steps must be non-negative")
-        _check_schedule(self.base_lr, self.lr_decay, self.lr_decay_period)
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,6 @@ class DirectConfig(NnConfig):
             raise ValueError("n_epochs must be at least 1")
         if self.steps_per_epoch < 0:
             raise ValueError("steps_per_epoch must be non-negative")
-        _check_schedule(self.base_lr, self.lr_decay, self.lr_decay_period)
 
 
 @dataclass(frozen=True)
@@ -259,11 +252,10 @@ def _half_upstream(r_a: np.ndarray, r_b: np.ndarray, m_starts: int,
     return q.reshape(m_starts * m_inner, width)
 
 
-def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
-                         x0: np.ndarray, fk: FkBatch, weight_e: np.ndarray,
-                         weight_g: np.ndarray, m_starts: int, m_inner: int,
-                         drivers: Tuple[Callable, Callable],
-                         work: Tuple[Workspace, Workspace],
+def _residual_loss_grads(net: Mlp, gen: GeneratorSpec, x0: np.ndarray,
+                         prepared: Tuple[Branch, Branch],
+                         drivers: Tuple[Callable, Callable], m_starts: int,
+                         m_inner: int, work: Tuple[Workspace, Workspace],
                          grads: Tuple[Gradient, Gradient],
                          ) -> Tuple[float, np.ndarray]:
     """Sampled fixed-point residual and its full parameter gradient.
@@ -276,32 +268,28 @@ def _residual_loss_grads(net: Mlp, problem: Problem, params: SchemeParams,
     horizon states are backpropagated through the driver Jacobians.  The
     cross form can make an individual loss value negative.
 
-    The caller passes what stays fixed across the steps on one batch:
-    ``drivers``, the driver bound to ``fk.x_at_e`` and to ``fk.x_at_g``
+    The caller passes what stays fixed across the steps on one batch: the
+    batch's two horizon branches (:func:`branches`) as ``prepared``;
+    ``drivers``, the driver bound to each branch's states
     (:func:`bind_driver`); ``work``, a workspace of ``net`` for the start
     points and one for the inner draws, which the two horizon branches
     share since they run one after the other; and ``grads``, two
     ``net.gradient()``s, the returned sum and a scratch one.  The gradient
     is returned as a vector laid out as ``net.flat``.
     """
-    gen = problem.gen
-    a, a_z = params.discount_y, params.discount_z
     grad, scratch = grads
-
     acts0, pre0 = net._forward_cached(x0, work[0])
-    u0, ubar0 = net._split(acts0[-1])
 
-    # one branch per horizon state, chain rule through f and the shift; at
-    # x_at_g the Malliavin factor multiplies phi and contracts the upstream
+    # chain rule through f and the shift, branch by branch; the gradient
+    # branch's Malliavin factor multiplies phi and contracts the upstream
     # gradient first
-    branches = ((fk.x_at_e, drivers[0], a, weight_e, None, u0, grad),
-                (fk.x_at_g, drivers[1], a_z, weight_g, fk.malliavin_at_g,
-                 ubar0, scratch))
     total, losses, delta0 = grad.flat, [], []
-    for x, f_at, shift, weight, malliavin, value0, out in branches:
+    for branch, f_at, value0, out in zip(prepared, drivers,
+                                         net._split(acts0[-1]), grads):
+        x, shift, weight, malliavin = branch
         acts, pre = net._forward_cached(x, work[1])
         u, z = net._split(acts[-1])
-        phi = one_draw_terms(f_at(u, z), u, shift, weight, malliavin)
+        phi = one_draw_terms(branch, f_at(u, z), u)
         r_a, r_b = _half_residuals(value0, phi, m_starts, m_inner)
         q = _half_upstream(r_a, r_b, m_starts, m_inner)
         if malliavin is not None:
@@ -354,12 +342,11 @@ def direct_nn_solve(cfg: DirectConfig) -> NnSolveResult:
         start_time = time.perf_counter()
         x0, fk = _draw_round(cfg, base.substream(epoch), cfg.m_starts,
                              cfg.m_inner)
-        weight_e, weight_g = one_draw_weights(cfg.params, fk)
-        drivers = (bind_driver(problem.gen, fk.x_at_e),
-                   bind_driver(problem.gen, fk.x_at_g))
+        prepared = branches(cfg.params, fk)
+        drivers = tuple(bind_driver(problem.gen, x) for x, *_ in prepared)
         loss = _descend(net, state, cfg.steps_per_epoch, functools.partial(
-            _residual_loss_grads, net, problem, cfg.params, x0, fk, weight_e,
-            weight_g, cfg.m_starts, cfg.m_inner, drivers, work, grads))
+            _residual_loss_grads, net, problem.gen, x0, prepared, drivers,
+            cfg.m_starts, cfg.m_inner, work, grads))
         du, dubar = _rel_errors_at(net, problem, eval_points)
         trace.append(TraceRow(epoch, loss, du, dubar,
                               time.perf_counter() - start_time))

@@ -251,9 +251,12 @@ def fit_rate_slope(n_half_values: Sequence[int],
     _check_rate_study(n_half_values)
     if len(n_half_values) != len(errors):
         raise ValueError("mismatched inputs")
+    errors = np.asarray(errors, dtype=float)
+    if not np.all((0.0 < errors) & (errors < np.inf)):
+        raise ArithmeticError("no log slope: the errors must be finite and "
+                              f"positive, got {errors.tolist()}")
     x = np.log(2.0 + np.asarray(n_half_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(x, np.log(errors), 1)
     return float(slope), float(intercept)
 
 

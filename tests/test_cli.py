@@ -895,6 +895,18 @@ def test_step_count_beyond_int64_exits_one(tmp_path, capsys, argv):
     assert [path.name for path in out.iterdir()] == ["config_echo.json"]
 
 
+def test_rate_study_with_exact_meshes_exits_one(tmp_path, capsys):
+    # u = 0 when c0 = 0, so the zero start is exact and every mesh's error is
+    # 0; this once printed "fitted slope: nan", exited 0 and wrote bare NaN
+    out = tmp_path / "o"
+    assert run(["rate-study", "--problem", "linear-constant", "--c0", "0",
+                "--ntilde-list", "2,3,4", "--k", "1", "--iters", "2",
+                "--out", str(out)]) == 1
+    assert ("numerical failure: no log slope: the errors must be finite and "
+            "positive, got [0.0, 0.0, 0.0]") in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["config_echo.json"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("warm_start", "false"), ("warm_start", 0), ("n_iters", 1.7),
     ("n_iters", True), ("m_samples", "32"), ("hidden", [8.5]),

@@ -79,6 +79,27 @@ class TestSingleDraw:
             np.testing.assert_array_equal(c2, comp2[i:i + 1])
 
 
+class TestBranches:
+    @pytest.mark.parametrize("name, dim, x, dt", [
+        ("arctan-const-sigma", 2, [[0.3, -1.1]], None),
+        ("arctan-tanh-sigma", 1, [[0.4], [-1.2], [2.0]], 0.05)],
+        ids=["brownian", "euler-3-blocks"])
+    def test_states_shifts_and_weights(self, name, dim, x, dt):
+        # unequal discounts, so a swapped shift shows
+        params = SchemeParams(2.5, 3.0, 1.5, 1.25)
+        problem = problem_by_name(name, dim)
+        fk = sample_fk_batch(problem, params, np.array(x), 16, dt,
+                             RngStream(5))
+        value, gradient = fixedpoint.branches(params, fk)
+        weights = fixedpoint.one_draw_weights(params, fk)
+        for branch, x_at, shift, weight, malliavin in (
+                (value, fk.x_at_e, 2.5, weights[0], None),
+                (gradient, fk.x_at_g, 3.0, weights[1], fk.malliavin_at_g)):
+            assert branch[0] is x_at and branch[1] == shift
+            assert branch[2].tobytes() == weight.tobytes()
+            assert branch[3] is malliavin
+
+
 def candidate_of_kind(kind, dim):
     """A grid function, a network or an analytic solution in ``dim``."""
     if kind == "grid":

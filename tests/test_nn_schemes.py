@@ -70,7 +70,8 @@ class TestConfigs:
     def test_shared_fields_live_on_the_bases(self):
         shared = [f.name for f in dataclasses.fields(NnConfig)]
         assert shared == ["problem", "dim", "overrides", "params", "dt",
-                          "seed", "hidden", "m_err"]
+                          "seed", "hidden", "m_err", "base_lr", "lr_decay",
+                          "lr_decay_period"]
         for cls in (NnPicardConfig, DirectConfig):
             names = [f.name for f in dataclasses.fields(cls)]
             assert names[:len(shared)] == shared
@@ -277,7 +278,7 @@ class TestDescent:
 class TestDirectScheme:
     def test_loss_gradient_matches_finite_differences(self):
         from infbsde import SchemeParams, bind_driver, sample_fk_batch
-        from infbsde.fixedpoint import one_draw_weights
+        from infbsde.fixedpoint import branches
         from infbsde.nn_schemes import _residual_loss_grads
 
         problem = problem_by_name("arctan-const-sigma", 2, {"kz": 2.0})
@@ -286,16 +287,16 @@ class TestDirectScheme:
         net = Mlp.init(2, 1, (5, 4), RngStream(21))
         x0 = RngStream(22).generator().normal(0.0, 2.0, size=(m_starts, 2))
         fk = sample_fk_batch(problem, params, x0, m_inner, None, RngStream(23))
-        weight_e, weight_g = one_draw_weights(params, fk)
+        prepared = branches(params, fk)
         drivers = (bind_driver(problem.gen, fk.x_at_e),
                    bind_driver(problem.gen, fk.x_at_g))
         work = (net.workspace(m_starts), net.workspace(m_starts * m_inner))
 
         def at(*args):
             grads = (net.gradient(), net.gradient())
-            return _residual_loss_grads(net, problem, params, x0, fk,
-                                        weight_e, weight_g, m_starts, m_inner,
-                                        drivers, work, grads)
+            return _residual_loss_grads(net, problem.gen, x0, prepared,
+                                        drivers, m_starts, m_inner, work,
+                                        grads)
 
         _, grad = at()  # laid out as net.flat
         assert grad.shape == net.flat.shape
@@ -320,6 +321,19 @@ class TestDirectScheme:
                            m_starts=4, m_inner=2, seed=0)
         with pytest.raises(MissingDriverDerivatives):
             direct_nn_solve(cfg)
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_driver_bound_once_per_branch_and_epoch(self, monkeypatch, steps):
+        # the steps of an epoch share its branches' bound drivers
+        bound = []
+        real = nn_schemes.bind_driver
+        monkeypatch.setattr(nn_schemes, "bind_driver",
+                            lambda gen, x: bound.append(len(x)) or real(gen, x))
+        cfg = DirectConfig("arctan-const-sigma", n_epochs=3,
+                           steps_per_epoch=steps, m_starts=4, m_inner=3,
+                           m_err=8, hidden=(4,), seed=11)
+        direct_nn_solve(cfg)
+        assert bound == [4 * 3] * (2 * cfg.n_epochs)
 
     def test_error_decreases(self):
         cfg = DirectConfig("linear-constant", n_epochs=12, steps_per_epoch=80,

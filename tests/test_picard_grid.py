@@ -432,6 +432,13 @@ class TestRateFit:
         with pytest.raises(ValueError):
             fit_rate_slope([5, 8, 12], [0.1, 0.05])
 
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan, -0.1])
+    def test_error_without_a_log_fails(self, bad):
+        # an exact solve gives zero errors; numpy's log then warned and the
+        # fit returned a nan slope
+        with pytest.raises(ArithmeticError, match=r"0\.1, .*0\.03\]"):
+            fit_rate_slope([5, 8, 12], [0.1, bad, 0.03])
+
     def test_repeated_sizes_count_once(self):
         with pytest.raises(FitUnderdetermined):
             fit_rate_slope([2, 2, 2], [0.1, 0.05, 0.03])

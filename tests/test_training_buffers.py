@@ -18,7 +18,7 @@ from infbsde import (DirectConfig, Mlp, NnPicardConfig, PROBLEM_NAMES,
                      contraction_nn_solve, direct_nn_solve, load_checkpoint,
                      problem_by_name, r_sample_batch, sample_fk_batch,
                      sample_mu0)
-from infbsde.fixedpoint import one_draw_weights
+from infbsde.fixedpoint import branches, one_draw_weights
 from infbsde.neural import AdamState
 from infbsde.nn_schemes import (TraceRow, _half_residuals, _half_upstream,
                                 _rel_errors_at, _residual_loss_grads,
@@ -332,8 +332,8 @@ class TestResidualStep:
         grads = (net.gradient(), net.gradient())
         for _ in range(3):
             loss, grad = _residual_loss_grads(
-                net, problem, params, x0, fk, weight_e, weight_g, m_starts,
-                m_inner, drivers, work, grads)
+                net, problem.gen, x0, branches(params, fk), drivers, m_starts,
+                m_inner, work, grads)
             want_loss, want = reference_residual(
                 ref, problem, params, x0, fk, weight_e, weight_g, m_starts,
                 m_inner)
