@@ -5,20 +5,19 @@ count like n_half^4 keeps the statistical term comparable, so the sup error
 should decay roughly like (2 + n_half)^(-2).  The fitted slope says how
 close we get on a small run.
 """
-from infbsde import GridSolveConfig, SchemeParams, rate_study
+from infbsde import RateStudyConfig, SchemeParams, rate_study
 
-template = GridSolveConfig(
+config = RateStudyConfig(
     problem="arctan-const-sigma",
     dim=1,
     params=SchemeParams(2.0, 2.0, 1.5, 1.5),
-    n_half=3,
     half_width=3.0,
-    m_samples=2,       # ignored, the study sets its own sample counts
     n_iters=6,
     seed=0,
+    ntilde_list=(3, 5, 8, 12),
+    k=100.0,
 )
-sizes = [3, 5, 8, 12]
-result = rate_study(template, sizes, k=100.0)
+result = rate_study(config)
 
 print(f"{'n_half':>7} {'M':>7} {'sup |du|':>10} {'sup |dubar|':>12}")
 for n, m, eu, eb in zip(result.n_half, result.m_samples,

@@ -19,8 +19,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import (MISSING, astuple, dataclass, fields, is_dataclass,
-                         replace)
+from dataclasses import (MISSING, astuple, dataclass, field, fields,
+                         is_dataclass, replace)
 from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
                     get_type_hints)
 
@@ -36,8 +36,8 @@ from .model import (PROBLEM_CONSTANTS, RunConfig, monotonicity_margin,
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, TraceRow,
                          contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (GridSolveConfig, IterationReport, _sample_counts,
-                          _worker_count, rate_study, solve)
+from .picard_grid import (GridSolveConfig, IterationReport, RateStudyConfig,
+                          rate_study, solve)
 from .simulate import RngStream, sample_mu0
 
 
@@ -45,21 +45,57 @@ class ConfigParse(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-# config fields that the command line spreads over several flat float keys;
-# the overrides are the problem constants, in table order, and mu0_std
-_SPREAD = {"overrides": (*dict.fromkeys(key for constants in
-                                        PROBLEM_CONSTANTS.values()
-                                        for key in constants), "mu0_std"),
-           "truncation": ("trunc_bound", "trunc_degree")}
+# the flat float keys that the command line spreads the overrides over: the
+# problem constants, in table order, and mu0_std
+_OVERRIDES = (*dict.fromkeys(key for constants in PROBLEM_CONSTANTS.values()
+                             for key in constants), "mu0_std")
 _SCHEMES = {"nn-picard": NnPicardConfig, "nn-direct": DirectConfig}
+
+
+@dataclass(frozen=True)
+class _ContractionConfig(RunConfig):
+    """The run settings of a contraction report: ``m_samples`` draws at
+    each probe, under a weight of degree ``weight_degree``.  The probes are
+    the nodes of ``grid``, built on construction with ``probe_n_half``
+    layers up to ``probe_half_width`` per axis, and ``n_mu0_probes``
+    start-law draws."""
+
+    weight_degree: float = 0.0
+    m_samples: int = 100000
+    probe_n_half: int = 5
+    probe_half_width: float = 3.0
+    n_mu0_probes: int = 16
+    grid: Grid = field(init=False, repr=False, compare=False)
+
+    @staticmethod
+    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
+        # this module's name, for the tracer (see RunConfig)
+        return problem_by_name(name, d, overrides)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key, low in (("m_samples", 2), ("probe_n_half", 1),
+                         ("n_mu0_probes", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}")
+        if not 0 <= self.weight_degree < np.inf:
+            raise ValueError("weight_degree must be finite and non-negative")
+        object.__setattr__(self, "grid", Grid(
+            self.dim, self.probe_n_half,
+            self.probe_half_width / self.probe_n_half))
+
+
+# the config class of every subcommand but kz-sweep, whose scheme picks it
+_CONFIGS = {"grid-solve": GridSolveConfig, "rate-study": RateStudyConfig,
+            **_SCHEMES, "contraction": _ContractionConfig}
 
 
 def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
     """The flat command-line keys of a config class: ``key -> (type, default)``.
 
-    A nested dataclass (``params``) spreads into its own fields and the
-    ``_SPREAD`` fields into their keys.  ``Optional[X]`` reads as ``X``;
-    a field without a default maps to None.  A field the class sets
+    A nested dataclass (``params``) spreads into its own fields and
+    ``overrides`` into the ``_OVERRIDES`` keys.  ``Optional[X]`` reads as
+    ``X``; a field without a default maps to None.  A field the class sets
     itself (``init=False``) has no key.
     """
     hints = get_type_hints(cls)
@@ -68,8 +104,8 @@ def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
         kind = hints[f.name]
         if is_dataclass(kind):
             out.update(_flat_fields(kind))
-        elif f.name in _SPREAD:
-            out.update(dict.fromkeys(_SPREAD[f.name], (float, None)))
+        elif f.name == "overrides":
+            out.update(dict.fromkeys(_OVERRIDES, (float, None)))
         else:
             if get_origin(kind) is Union:
                 kind = next(a for a in get_args(kind) if a is not type(None))
@@ -77,22 +113,7 @@ def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
     return out
 
 
-_GRID = _flat_fields(GridSolveConfig)
-# the literal entries are keys that no config class holds
-_PROBES = {
-    "weight_degree": (float, 0.0), "m_samples": (int, 100000),
-    "probe_n_half": (int, 5), "probe_half_width": (float, 3.0),
-    "n_mu0_probes": (int, 16),
-}
-_FIELDS = {
-    "grid-solve": _GRID,
-    "rate-study": {
-        **{k: v for k, v in _GRID.items() if k not in ("n_half", "m_samples")},
-        "ntilde_list": (Tuple[int, ...], [5, 8, 12, 16, 20]),
-        "k": (float, 200.0)},
-    **{scheme: _flat_fields(cls) for scheme, cls in _SCHEMES.items()},
-    "contraction": {**_flat_fields(RunConfig), **_PROBES},
-}
+_FIELDS = {command: _flat_fields(cls) for command, cls in _CONFIGS.items()}
 # a sweep takes its scheme's keys but kz, which each cell sets
 _SWEEP = {"scheme": (str, "nn-picard"),
           "kz_list": (Tuple[float, ...], [0.4, 1.6, 2.8, 4.0, 5.2]),
@@ -109,7 +130,7 @@ _COMMON_FLAGS = {
     "--problem": "problem", "--d": "dim", "--seed": "seed", "--dt": "dt",
     "--a": "discount_y", "--a-tilde": "discount_z", "--theta": "exp_rate",
     "--theta-tilde": "gamma_rate",
-    **{f"--{k.replace('_', '-')}": k for k in _SPREAD["overrides"]},
+    **{f"--{k.replace('_', '-')}": k for k in _OVERRIDES},
 }
 _GRID_FLAGS = {"--R": "half_width", "--iters": "n_iters", "--p": "pad",
                "--trunc-bound": "trunc_bound", "--trunc-degree": "trunc_degree"}
@@ -161,10 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="infbsde",
-        description="Monte Carlo solvers for infinite-horizon BSDE systems")
+        description="Monte Carlo solvers for infinite-horizon BSDE systems",
+        allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (text, flags) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(command, help=text)
+        sub = subs.add_parser(command, help=text, allow_abbrev=False)
         sub.add_argument("--config", help="JSON file with config values")
         sub.add_argument("--out", default=None, help="output directory")
         for flag, key in {**_COMMON_FLAGS, **flags}.items():
@@ -233,14 +255,6 @@ def _value(cfg: Dict, key: str):
     return _cast(_KINDS[key], cfg[key], key)
 
 
-def _truncation(cfg: Dict) -> Optional[Tuple[float, float]]:
-    keys = _SPREAD["truncation"]
-    given = [cfg.get(k) is not None for k in keys]
-    if any(given) != all(given):
-        raise ConfigParse("trunc_bound and trunc_degree go together")
-    return tuple(_value(cfg, k) for k in keys) if all(given) else None
-
-
 def _build(cls, cfg: Dict):
     """Config class ``cls`` from the flat keys of ``cfg``.
 
@@ -253,20 +267,11 @@ def _build(cls, cfg: Dict):
         if is_dataclass(hints[f.name]):
             kwargs[f.name] = _build(hints[f.name], cfg)
         elif f.name == "overrides":
-            kwargs[f.name] = {k: _value(cfg, k) for k in _SPREAD[f.name]
+            kwargs[f.name] = {k: _value(cfg, k) for k in _OVERRIDES
                               if cfg.get(k) is not None} or None
-        elif f.name == "truncation":
-            kwargs[f.name] = _truncation(cfg)
         elif cfg.get(f.name) is not None:
             kwargs[f.name] = _value(cfg, f.name)
     return cls(**kwargs)
-
-
-def _build_grid(cfg: Dict, **fixed) -> GridSolveConfig:
-    """The grid config of ``cfg`` with the ``fixed`` keys, once
-    ``BSDE_THREADS`` is a valid thread count."""
-    _worker_count()
-    return _build(GridSolveConfig, {**cfg, **fixed})
 
 
 # every CSV goes through this module global, which the benchmark's tracer wraps
@@ -309,20 +314,8 @@ def _run_grid_solve(config: GridSolveConfig, outdir: str) -> int:
     return 0
 
 
-def _build_rate_study(cfg: Dict):
-    ntilde, k = list(_value(cfg, "ntilde_list")), _value(cfg, "k")
-    coarsest = min(ntilde, default=1)
-    if coarsest < 1:
-        raise ConfigParse("ntilde_list entries must be at least 1")
-    # every mesh of the study shares the template's box, padding and dim;
-    # the sample counts check the list and k
-    template = _build_grid(cfg, n_half=coarsest, m_samples=2)
-    _sample_counts(ntilde, k, template.half_width)
-    return template, ntilde, k
-
-
-def _run_rate_study(built, outdir: str) -> int:
-    result = rate_study(*built)
+def _run_rate_study(config: RateStudyConfig, outdir: str) -> int:
+    result = rate_study(config)
     _write_csv(os.path.join(outdir, "rate_study.csv"),
                ["ntilde", "M", "sup_err_u", "sup_err_ubar"],
                [[int(n), int(m), float(eu), float(eb)]
@@ -367,40 +360,15 @@ def _run_nn_direct(config: DirectConfig, outdir: str) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _ContractionConfig(RunConfig):
-    """The run settings of a contraction report."""
-
-    @staticmethod
-    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
-        # this module's name, for the tracer (see RunConfig)
-        return problem_by_name(name, d, overrides)
-
-
-def _build_contraction(cfg: Dict):
-    config = _build(_ContractionConfig, cfg)
-    probe = {k: _value(cfg, k) for k in _PROBES}
-    for key, low in (("m_samples", 2), ("probe_n_half", 1),
-                     ("n_mu0_probes", 0)):
-        if probe[key] < low:
-            raise ConfigParse(f"{key} must be at least {low}")
-    if not 0 <= probe["weight_degree"] < np.inf:
-        raise ConfigParse("weight_degree must be finite and non-negative")
-    grid = Grid(config.dim, probe["probe_n_half"],
-                probe["probe_half_width"] / probe["probe_n_half"])
-    return config, probe, grid
-
-
-def _run_contraction(built, outdir: str) -> int:
-    config, probe, grid = built
+def _run_contraction(config: _ContractionConfig, outdir: str) -> int:
     params, seed, problem = config.params, config.seed, config.built_problem
     margin = monotonicity_margin(problem.gen)
-    probes = np.vstack([grid.nodes, sample_mu0(
-        problem, RngStream(seed, stream_id=1), probe["n_mu0_probes"])])
+    probes = np.vstack([config.grid.nodes, sample_mu0(
+        problem, RngStream(seed, stream_id=1), config.n_mu0_probes)])
     estimate = estimate_c_constants(
-        problem, params, probe["weight_degree"], probes, probe["m_samples"],
+        problem, params, config.weight_degree, probes, config.m_samples,
         config.dt, RngStream(seed))
-    if problem.sde.is_brownian and probe["weight_degree"] == 0.0:
+    if problem.sde.is_brownian and config.weight_degree == 0.0:
         c_inf, c_tilde = brownian_c_infinity(params.discount_y,
                                              params.discount_z,
                                              problem.sde.dim)
@@ -471,15 +439,10 @@ def _run_kz_sweep(built, outdir: str) -> int:
     return 0
 
 
-# per subcommand: build the run from the flat config, then run it
-_COMMANDS = {
-    "grid-solve": (_build_grid, _run_grid_solve),
-    "rate-study": (_build_rate_study, _run_rate_study),
-    "nn-picard": (functools.partial(_build, NnPicardConfig), _run_nn_picard),
-    "nn-direct": (functools.partial(_build, DirectConfig), _run_nn_direct),
-    "contraction": (_build_contraction, _run_contraction),
-    "kz-sweep": (_build_kz_sweep, _run_kz_sweep),
-}
+# per subcommand: the runner of what its config built
+_RUNNERS = {"grid-solve": _run_grid_solve, "rate-study": _run_rate_study,
+            "nn-picard": _run_nn_picard, "nn-direct": _run_nn_direct,
+            "contraction": _run_contraction, "kz-sweep": _run_kz_sweep}
 
 
 # glibc's mallopt parameters, set to the ceilings its dynamic rule reaches on
@@ -519,11 +482,11 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command
-    build, runner = _COMMANDS[command]
     try:
         cfg = _merge(command, args)
         # fail fast on bad names/values before creating any output
-        built = build(cfg)
+        built = (_build(_CONFIGS[command], cfg) if command in _CONFIGS
+                 else _build_kz_sweep(cfg))
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -531,7 +494,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     os.makedirs(outdir, exist_ok=True)
     _echo_config(outdir, command, cfg)
     try:
-        return runner(built, outdir)
+        return _RUNNERS[command](built, outdir)
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,13 @@ class GridMismatch(ValueError):
     """Two grid functions do not share the same lattice."""
 
 
+def check_grid(dim: int, n_half: int, mesh: float, pad: int) -> None:
+    """Raise ValueError unless these settings make a :class:`Grid`."""
+    if dim < 1 or n_half < 0 or pad < 0 or not 0 < mesh < np.inf:
+        raise ValueError("grid requires dim >= 1, n_half, pad >= 0 and "
+                         "a finite mesh > 0")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Centered lattice with ``n_half`` reporting layers plus ``pad`` extras.
@@ -34,10 +41,7 @@ class Grid:
     node_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.dim < 1 or self.n_half < 0 or self.pad < 0
-                or not 0 < self.mesh < np.inf):
-            raise ValueError("grid requires dim >= 1, n_half, pad >= 0 and "
-                             "a finite mesh > 0")
+        check_grid(self.dim, self.n_half, self.mesh, self.pad)
         half = self.n_half + self.pad
         axis = np.arange(-half, half + 1)
         idx = np.stack(

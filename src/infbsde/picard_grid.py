@@ -13,13 +13,14 @@ import contextvars
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fixedpoint import point_means, r_sample_batch, truncate_growth
-from .grid import Grid, GridFunction, node_errors, truncated_nodes
+from .grid import (Grid, GridFunction, check_grid, node_errors,
+                   truncated_nodes)
 from .model import RunConfig, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
@@ -44,24 +45,21 @@ def _worker_count() -> int:
 
 
 @dataclass(frozen=True)
-class GridSolveConfig(RunConfig):
-    """Configuration of one grid Picard run.
+class GridRunConfig(RunConfig):
+    """What every mesh of a grid Picard run shares.
 
-    ``half_width`` is the half side of the inner reporting box; the mesh is
-    ``half_width / n_half`` and the grid extends ``pad`` extra layers.
-    ``truncation`` is an optional (bound, growth degree) pair, a finite
+    ``half_width`` is the half side of the inner reporting box, which the
+    grid extends by ``pad`` extra layers.  ``trunc_bound`` and
+    ``trunc_degree`` switch growth truncation on together: a finite
     positive bound and a finite non-negative degree; it is off by default.
-    Construction also builds ``grid``, so a box or padding that makes no
-    grid raises ValueError.
+    Construction also checks ``BSDE_THREADS`` (:func:`_worker_count`).
     """
 
-    n_half: int = 10
     pad: int = 0
     half_width: float = 3.0
-    m_samples: int = 40000
     n_iters: int = 10
-    truncation: Optional[Tuple[float, float]] = None
-    grid: Grid = field(init=False, repr=False, compare=False)
+    trunc_bound: Optional[float] = None
+    trunc_degree: Optional[float] = None
 
     @staticmethod
     def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
@@ -70,17 +68,35 @@ class GridSolveConfig(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _worker_count()
+        # the box and padding every mesh shares, checked as a grid would
+        check_grid(self.dim, 0, self.half_width, self.pad)
+        if self.n_iters < 1:
+            raise ValueError("n_iters must be at least 1")
+        if (self.trunc_bound is None) != (self.trunc_degree is None):
+            raise ValueError("trunc_bound and trunc_degree go together")
+        if self.trunc_bound is not None and not (
+                0 < self.trunc_bound < np.inf
+                and 0 <= self.trunc_degree < np.inf):
+            raise ValueError("truncation needs 0 < bound < inf and "
+                             "0 <= degree < inf")
+
+
+@dataclass(frozen=True)
+class GridSolveConfig(GridRunConfig):
+    """Configuration of one grid Picard run: ``m_samples`` draws per node
+    on the mesh ``half_width / n_half``.  Construction builds ``grid``."""
+
+    n_half: int = 10
+    m_samples: int = 40000
+    grid: Grid = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.n_half < 1:
             raise ValueError("n_half must be at least 1")
         if self.m_samples < 2:
             raise ValueError("m_samples must be at least 2")
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be at least 1")
-        if self.truncation is not None:
-            bound, degree = self.truncation
-            if not (0 < bound < np.inf and 0 <= degree < np.inf):
-                raise ValueError("truncation needs 0 < bound < inf and "
-                                 "0 <= degree < inf")
         object.__setattr__(self, "grid", Grid(self.dim, self.n_half,
                                               self.mesh, self.pad))
 
@@ -178,9 +194,9 @@ def picard_step(v: GridFunction, cfg: GridSolveConfig,
             list(pool.map(lambda ctx, chunk: ctx.run(update, chunk),
                           [contextvars.copy_context() for _ in chunks], chunks))
 
-    if cfg.truncation is not None:
-        bound, degree = cfg.truncation
-        u_new, ubar_new = truncate_growth((u_new, ubar_new), nodes, bound, degree)
+    if cfg.trunc_bound is not None:
+        u_new, ubar_new = truncate_growth((u_new, ubar_new), nodes,
+                                          cfg.trunc_bound, cfg.trunc_degree)
     return GridFunction(grid, u_new, ubar_new)
 
 
@@ -228,23 +244,6 @@ def _check_rate_study(n_half_values: Sequence[int], k: float = 1.0) -> None:
         raise ValueError("k must be finite and positive")
 
 
-def _sample_counts(n_half_values: Sequence[int], k: float,
-                   half_width: float) -> List[int]:
-    """Per-node sample counts of a rate study, ``round(k * n_half^4 /
-    half_width^4)`` but at least 2; :func:`_check_rate_study` must pass
-    and every count fit in int64, or ValueError."""
-    _check_rate_study(n_half_values, k)
-    try:
-        counts = [max(2, round(k * nh**4 / half_width**4))
-                  for nh in n_half_values]
-    except ArithmeticError:  # an infinite count, or half_width**4 out of range
-        counts = [2**63]
-    if max(counts) >= 2**63:
-        raise ValueError(f"no int64 sample counts for k = {k} and "
-                         f"half_width = {half_width}")
-    return counts
-
-
 def fit_rate_slope(n_half_values: Sequence[int],
                    errors: Sequence[float]) -> Tuple[float, float]:
     """Least-squares slope of log error against log(2 + n_half)."""
@@ -270,25 +269,53 @@ class RateStudyResult:
     intercept: float
 
 
-def rate_study(cfg_template: GridSolveConfig, n_half_values: Sequence[int],
-               k: float) -> RateStudyResult:
+@dataclass(frozen=True)
+class RateStudyConfig(GridRunConfig):
+    """Configuration of a refinement study at fixed box size.
+
+    Mesh ``i`` is ``half_width / n`` with ``m_samples[i] = round(k * n^4
+    / half_width^4)`` draws per node, at least 2, for ``n = ntilde_list[i]``.
+    Construction raises ValueError unless every entry is at least 1, three
+    are distinct, ``0 < k < inf`` and every count fits in int64.
+    """
+
+    ntilde_list: Tuple[int, ...] = (5, 8, 12, 16, 20)
+    k: float = 200.0
+    m_samples: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if min(self.ntilde_list, default=1) < 1:
+            raise ValueError("ntilde_list entries must be at least 1")
+        _check_rate_study(self.ntilde_list, self.k)
+        try:
+            counts = tuple(max(2, round(self.k * n**4 / self.half_width**4))
+                           for n in self.ntilde_list)
+        except ArithmeticError:  # k * n^4 or half_width**4 out of range
+            counts = (2**63,)
+        if max(counts) >= 2**63:
+            raise ValueError(f"no int64 sample counts for k = {self.k} and "
+                             f"half_width = {self.half_width}")
+        object.__setattr__(self, "m_samples", counts)
+
+
+def rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     """Refinement study at fixed box size: mesh shrinks, samples grow.
 
-    For each value the mesh is ``half_width / n_half`` and the per-node
-    sample count is ``round(k * n_half^4 / half_width^4)``, then the sup
-    error over the inner nodes at the final iterate is recorded.  The
-    fitted slope uses the larger of the two component errors.
+    Each mesh runs as a :class:`GridSolveConfig` with the study's shared
+    settings, and the sup error over the inner nodes at the final iterate
+    is recorded.  The fitted slope uses the larger of the two component
+    errors.
     """
-    samples = _sample_counts(n_half_values, k, cfg_template.half_width)
+    shared = {f.name: getattr(cfg, f.name) for f in fields(GridRunConfig)}
     sup_u, sup_ubar = [], []
-    for run, (nh, m) in enumerate(zip(n_half_values, samples)):
-        cfg = replace(cfg_template, n_half=int(nh), m_samples=m)
-        last = solve(cfg, RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
+    for run, (nh, m) in enumerate(zip(cfg.ntilde_list, cfg.m_samples)):
+        mesh = GridSolveConfig(**shared, n_half=int(nh), m_samples=m)
+        last = solve(mesh, RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
         sup_u.append(last.sup_err_u)
         sup_ubar.append(last.sup_err_ubar)
     worst = np.maximum(sup_u, sup_ubar)
-    slope, intercept = fit_rate_slope(list(n_half_values), worst)
-    return RateStudyResult(
-        np.asarray(list(n_half_values)), np.asarray(samples),
-        np.asarray(sup_u), np.asarray(sup_ubar), slope, intercept,
-    )
+    slope, intercept = fit_rate_slope(cfg.ntilde_list, worst)
+    return RateStudyResult(np.asarray(cfg.ntilde_list),
+                           np.asarray(cfg.m_samples), np.asarray(sup_u),
+                           np.asarray(sup_ubar), slope, intercept)

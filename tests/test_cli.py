@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from infbsde import (DirectConfig, Grid, GridSolveConfig, NnPicardConfig,
-                     RngStream, SchemeParams, contraction_nn_solve,
-                     estimate_c_constants, problem_by_name)
-from infbsde.cli import (_DEFAULTS, _build, _format, _sweep_seed, build_parser,
-                         run)
+                     RateStudyConfig, RngStream, SchemeParams,
+                     contraction_nn_solve, estimate_c_constants,
+                     problem_by_name)
+from infbsde.cli import (_DEFAULTS, _ContractionConfig, _build, _format,
+                         _sweep_seed, build_parser, run)
 from infbsde.neural import load_checkpoint
 from test_cold_start import COMMANDS
 
@@ -631,7 +632,8 @@ def test_config_echo_reproduces_run(tmp_path, capsys, name):
 @pytest.mark.parametrize("command, cls", [
     ("grid-solve", GridSolveConfig), ("nn-picard", NnPicardConfig),
     ("nn-direct", DirectConfig), (("kz-sweep", "nn-picard"), NnPicardConfig),
-    (("kz-sweep", "nn-direct"), DirectConfig)])
+    (("kz-sweep", "nn-direct"), DirectConfig), ("rate-study", RateStudyConfig),
+    ("contraction", _ContractionConfig)])
 def test_cli_defaults_are_the_class_defaults(command, cls):
     cfg = dict(_DEFAULTS[command], problem="linear-constant")
     assert _build(cls, cfg) == cls(problem="linear-constant")
@@ -796,6 +798,13 @@ def test_sweep_rejects_other_schemes_key_at_its_default(tmp_path, capsys,
       for bound, degree in (("-1", "1"), ("0", "1"), ("nan", "1"),
                             ("inf", "1"), ("1", "-1"), ("1", "nan"),
                             ("1", "inf"))],
+    # ... given together
+    pytest.param(["grid-solve", "--problem", "linear-constant",
+                  "--trunc-bound", "1", "--ntilde", "1", "--M", "2",
+                  "--iters", "1"], id="grid-solve-trunc-bound-alone"),
+    pytest.param(["rate-study", "--problem", "linear-constant",
+                  "--trunc-degree", "1", "--ntilde-list", "1,2,3", "--k", "1",
+                  "--iters", "1"], id="rate-study-trunc-degree-alone"),
     # a negative seed, on every subcommand
     *[pytest.param([*argv, "--problem", "arctan-const-sigma", "--seed", "-1"],
                    id=f"{argv[0]}-seed-1") for argv in COMMANDS],
@@ -865,6 +874,33 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "never"
     assert run(argv + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid-solve", "--trunc-bound", "1"], ["rate-study", "--trunc-degree", "1"]],
+    ids=lambda argv: argv[0])
+def test_half_truncation_pair_is_named(tmp_path, capsys, argv):
+    assert run(argv + ["--problem", "linear-constant",
+                       "--out", str(tmp_path / "never")]) == 2
+    assert ("config error: trunc_bound and trunc_degree go together"
+            in capsys.readouterr().err)
+
+
+# a flag is taken only as it is spelled: argparse would otherwise read a
+# unique prefix as the whole flag (these runs exited 0, so budgets are small)
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rate-study", "--problem", "linear-constant", "--ntilde",
+                  "1,2,3", "--k", "1", "--iters", "1"], id="rate-study-ntilde"),
+    pytest.param(["nn-direct", "--problem", "linear-constant", "--epo", "1",
+                  "--hid", "3", "--steps", "1", "--M-x", "2", "--M", "2",
+                  "--m-err", "2"], id="nn-direct-epo-hid"),
+])
+def test_abbreviated_flag_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                       argv):
+    out = tmp_path / "never"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -955,8 +991,8 @@ def test_problem_built_once(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_rate_study_builds_each_grid_once(tmp_path, capsys, monkeypatch):
-    """The template's grid and one per mesh: the solves reuse the
-    configs' grids."""
+    """One grid per mesh, and no other: the solves reuse the configs'
+    grids."""
     from infbsde import grid
 
     builds = []
@@ -971,7 +1007,7 @@ def test_rate_study_builds_each_grid_once(tmp_path, capsys, monkeypatch):
                 "2,3,4", "--k", "1", "--iters", "1",
                 "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert sorted(builds) == [2, 2, 3, 4]
+    assert sorted(builds) == [2, 3, 4]
 
 
 def test_traced_entry_points_are_reached(tmp_path, monkeypatch):

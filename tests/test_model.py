@@ -9,7 +9,7 @@ from infbsde import (GeneratorSpec, InconsistentDerivatives, NonPositiveRate,
                      PROBLEM_CONSTANTS, PROBLEM_NAMES, SchemeParams,
                      UnknownProblem, brownian_sde, manufacture_problem,
                      monotonicity_margin, problem_by_name, tanh_sigma_sde)
-from infbsde.cli import _SPREAD, build_parser
+from infbsde.cli import _OVERRIDES, build_parser
 from infbsde.model import as_points, row_sum
 
 
@@ -118,7 +118,7 @@ class TestProblemConstants:
         subparsers, = [action for action in build_parser()._actions
                        if action.dest == "command"]
         flags = [flag for action in subparsers.choices[command]._actions
-                 if action.dest in _SPREAD["overrides"]
+                 if action.dest in _OVERRIDES
                  for flag in action.option_strings]
         assert flags == expected
 

@@ -8,8 +8,8 @@ import pytest
 
 from infbsde import (FitUnderdetermined, FreshDraws, GridFunction,
                      GridSolveConfig, NonFiniteValue, NonPositiveRate,
-                     RngStream, SchemeParams, UnknownProblem, fit_rate_slope,
-                     picard_step, r_sample_batch, rate_study,
+                     RateStudyConfig, RngStream, SchemeParams, UnknownProblem,
+                     fit_rate_slope, picard_step, r_sample_batch, rate_study,
                      sample_fk_batch, solve)
 from infbsde import picard_grid
 
@@ -19,6 +19,13 @@ def config(**kwargs):
                 m_samples=4000, n_iters=1, seed=11)
     base.update(kwargs)
     return GridSolveConfig(**base)
+
+
+def study(**kwargs):
+    base = dict(problem="linear-constant", dim=1, half_width=1.0, n_iters=1,
+                seed=11, ntilde_list=(2, 3, 4), k=10.0)
+    base.update(kwargs)
+    return RateStudyConfig(**base)
 
 
 # Run settings that every config class rejects at construction, as the
@@ -74,14 +81,25 @@ class TestConfig:
                        id=f"half_width{value}")
           for value in (0.0, -1.0, np.inf, np.nan)],
         pytest.param({"pad": -1}, ValueError, id="pad-1"),
-        # a finite positive bound and a finite non-negative degree
-        *[pytest.param({"truncation": pair}, ValueError,
-                       id=f"truncation{pair[0]},{pair[1]}")
-          for pair in ((-1.0, 1.0), (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                       (1.0, -1.0), (1.0, np.nan), (1.0, np.inf))]])
+        # a finite positive bound and a finite non-negative degree, given
+        # together
+        *[pytest.param({"trunc_bound": bound, "trunc_degree": degree},
+                       ValueError, id=f"truncation{bound},{degree}")
+          for bound, degree in ((-1.0, 1.0), (0.0, 1.0), (np.nan, 1.0),
+                                (np.inf, 1.0), (1.0, -1.0), (1.0, np.nan),
+                                (1.0, np.inf))],
+        *[pytest.param({key: 1.0}, ValueError, id=key)
+          for key in ("trunc_bound", "trunc_degree")]])
     def test_rejects_what_the_cli_rejects(self, settings, error):
         with pytest.raises(error):
             build_run(GridSolveConfig, settings)
+
+    @pytest.mark.parametrize("cls", [GridSolveConfig, RateStudyConfig])
+    def test_thread_count_checked_on_construction(self, monkeypatch, cls):
+        monkeypatch.setenv("BSDE_THREADS", "abc")
+        with pytest.raises(ValueError, match="BSDE_THREADS must be a "
+                           "positive integer, not 'abc'"):
+            cls(problem="linear-constant")
 
 
 class TestSingleStep:
@@ -173,7 +191,7 @@ class TestSingleStep:
         assert any(calls)
 
     def test_truncation_bounds_weighted_norm(self):
-        result = solve(config(truncation=(0.1, 0.0)))
+        result = solve(config(trunc_bound=0.1, trunc_degree=0.0))
         joint = np.sqrt(np.sum(result.final.u**2, axis=1)
                         + np.sum(result.final.ubar**2, axis=(1, 2)))
         assert joint.max() <= 0.2 + 1e-12
@@ -443,25 +461,38 @@ class TestRateFit:
         with pytest.raises(FitUnderdetermined):
             fit_rate_slope([2, 2, 2], [0.1, 0.05, 0.03])
         with pytest.raises(FitUnderdetermined):
-            rate_study(config(), [2, 3, 3, 2], k=10.0)
+            study(ntilde_list=(2, 3, 3, 2))
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -5.0, 0.0])
     def test_rate_study_needs_finite_positive_k(self, k):
         with pytest.raises(ValueError, match="k must be"):
-            rate_study(config(), [2, 3, 4], k=k)
+            study(k=k)
 
     @pytest.mark.parametrize("k, half_width", [
         (1e308, 1.0), (1e300, 1.0), (1e6, 1e-90), (1.0, 1e100)])
     def test_rate_study_rejects_counts_beyond_int64(self, monkeypatch, k,
                                                     half_width):
-        # the counts are checked before the first level runs
+        # the counts are checked on construction, before any level runs
         monkeypatch.setattr(picard_grid, "solve", None)
         with pytest.raises(ValueError, match="no int64 sample count"):
-            rate_study(config(half_width=half_width), [2, 3, 4], k=k)
+            study(half_width=half_width, k=k)
+
+    @pytest.mark.parametrize("settings, message", [
+        pytest.param({"ntilde_list": (0, 1, 2)}, "ntilde_list entries",
+                     id="ntilde0"),
+        *[pytest.param({"half_width": value}, "grid requires",
+                       id=f"half_width{value}")
+          for value in (0.0, -1.0, np.inf, np.nan)],
+        pytest.param({"pad": -1}, "grid requires", id="pad-1")])
+    def test_rate_study_checks_its_meshes_on_construction(self, settings,
+                                                           message):
+        with pytest.raises(ValueError, match=message):
+            study(**settings)
 
     def test_rate_study_smoke(self):
-        cfg = config(overrides={"mu": 1.0}, half_width=2.0, n_iters=4)
-        result = rate_study(cfg, [2, 3, 4], k=10.0)
+        cfg = study(overrides={"mu": 1.0}, half_width=2.0, n_iters=4)
+        np.testing.assert_array_equal(cfg.m_samples, [10, 51, 160])
+        result = rate_study(cfg)
         np.testing.assert_array_equal(result.n_half, [2, 3, 4])
         np.testing.assert_array_equal(result.m_samples, [10, 51, 160])
         assert result.sup_err_u.shape == (3,)
@@ -470,4 +501,4 @@ class TestRateFit:
 
     def test_rate_study_needs_three_sizes(self):
         with pytest.raises(FitUnderdetermined):
-            rate_study(config(), [2, 3], k=10.0)
+            study(ntilde_list=(2, 3))
