@@ -20,7 +20,7 @@ config = RateStudyConfig(
 result = rate_study(config)
 
 print(f"{'n_half':>7} {'M':>7} {'sup |du|':>10} {'sup |dubar|':>12}")
-for n, m, eu, eb in zip(result.n_half, result.m_samples,
+for n, m, eu, eb in zip(config.ntilde_list, config.m_samples,
                         result.sup_err_u, result.sup_err_ubar):
     print(f"{n:>7} {m:>7} {eu:>10.5f} {eb:>12.5f}")
 

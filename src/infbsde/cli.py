@@ -177,6 +177,16 @@ def _add_flag(sub: argparse.ArgumentParser, flag: str, key: str) -> None:
                          choices=_SCHEMES if key == "scheme" else None)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports unknown flags under the subcommand's usage, not the top's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once and shared by every call."""
@@ -184,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="infbsde",
         description="Monte Carlo solvers for infinite-horizon BSDE systems",
         allow_abbrev=False)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_SubcommandParser)
     for command, (text, flags) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, help=text, allow_abbrev=False)
         sub.add_argument("--config", help="JSON file with config values")
@@ -319,12 +330,11 @@ def _run_rate_study(config: RateStudyConfig, outdir: str) -> int:
     _write_csv(os.path.join(outdir, "rate_study.csv"),
                ["ntilde", "M", "sup_err_u", "sup_err_ubar"],
                [[int(n), int(m), float(eu), float(eb)]
-                for n, m, eu, eb in zip(result.n_half, result.m_samples,
-                                        result.sup_err_u,
-                                        result.sup_err_ubar)])
+                for n, m, eu, eb in zip(config.ntilde_list, config.m_samples,
+                                        result.sup_err_u, result.sup_err_ubar)])
     _write_json(os.path.join(outdir, "rate_fit.json"),
                 {"slope": result.slope, "intercept": result.intercept})
-    mesh = 2.0 + result.n_half
+    mesh = 2.0 + np.asarray(config.ntilde_list)
     _svg.line_plot(
         os.path.join(outdir, "rate_fit.svg"), mesh,
         {"sup error": np.maximum(result.sup_err_u, result.sup_err_ubar),

@@ -1,11 +1,11 @@
 """Grid-based Picard iteration and the mesh-refinement rate study.
 
-Each iteration draws fresh samples at every extended-grid node (several
-iterations drawn ahead in one sampler call while they fit ``DRAW_ROWS``),
-averages the single-draw estimator applied to the interpolated previous
-iterate, and (optionally) applies growth truncation.  Errors are reported
-on the inner nodes only, unweighted, against the analytic solution, else
-nan.
+Each iteration takes fresh samples at every extended-grid node from the
+solve's one :class:`FreshDraws`, which owns the node chunks and draws the
+iterations ahead in groups that fit ``DRAW_ROWS``; it averages the
+single-draw estimator applied to the interpolated previous iterate, and
+(optionally) applies growth truncation.  Errors are reported on the inner
+nodes only, unweighted, against the analytic solution, else nan.
 """
 from __future__ import annotations
 
@@ -14,13 +14,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fixedpoint import point_means, r_sample_batch, truncate_growth
-from .grid import (Grid, GridFunction, check_grid, node_errors,
-                   truncated_nodes)
+from .grid import (Grid, GridFunction, GridMismatch, check_grid,
+                   node_errors, truncated_nodes)
 from .model import RunConfig, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
@@ -126,76 +126,76 @@ DRAW_ROWS = 1 << 15
 
 
 class FreshDraws:
-    """The fresh per-node draws of consecutive Picard iterations.
+    """The fresh per-node draws of a solve's Picard iterations.
 
-    Iteration ``k`` of the group draws node ``i`` from
-    ``streams[k].substream(i)``.  The first time a chunk of nodes is taken,
-    one sampler call draws it for every iteration of the group; the chunk
-    keeps the later iterations' rows until they are taken, one iteration per
-    :func:`picard_step`.  Point ``i`` of a sampler call equals a call on that
-    point alone, so grouping changes no value.  Threads may take different
-    chunks at once; each chunk is taken by one thread at a time, so each
-    touches only its own entry.
+    Iteration ``k`` draws node ``i`` from ``streams[k].substream(i)``.
+    Construction cuts the nodes into ``chunks`` of about ``CHUNK_ROWS`` rows
+    and the iterations into groups of ``group``, which fit ``DRAW_ROWS``.
+    A chunk's first take in a group draws it for the whole group in one
+    sampler call; point ``i`` of a call equals a call on that point alone,
+    so neither cut changes a value.  Threads may take different chunks at
+    once, each chunk on one thread at a time.
     """
 
-    def __init__(self, streams: Sequence[RngStream]):
-        self.streams = list(streams)
-        self._ahead: Dict[range, List[FkBatch]] = {}
+    def __init__(self, cfg: GridSolveConfig, streams: Sequence[RngStream]):
+        self.cfg, self.streams = cfg, list(streams)
+        n_nodes, m = cfg.grid.n_nodes, cfg.m_samples
+        per_chunk = max(1, CHUNK_ROWS // m)
+        self.chunks = [range(start, min(start + per_chunk, n_nodes))
+                       for start in range(0, n_nodes, per_chunk)]
+        self.group = max(1, DRAW_ROWS // (n_nodes * m))
+        # per chunk, its untaken iterations: a stream until drawn, then rows
+        self._ahead = [list(self.streams) for _ in self.chunks]
 
-    def take(self, cfg: GridSolveConfig, chunk: range,
-             nodes: np.ndarray) -> FkBatch:
-        """The next iteration's ``m_samples`` draws at each of ``nodes``,
-        the grid nodes whose indices are ``chunk``."""
-        ahead = self._ahead.get(chunk)
-        if ahead is None:
-            fk = sample_fk_batch(
-                cfg.built_problem, cfg.params,
-                np.tile(nodes, (len(self.streams), 1)), cfg.m_samples, cfg.dt,
-                [stream.substream(node) for stream in self.streams
-                 for node in chunk])
-            ahead = self._ahead[chunk] = fk.split(len(self.streams))
+    def take(self, index: int) -> FkBatch:
+        """Chunk ``index``'s draws for its next iteration."""
+        cfg, chunk, ahead = self.cfg, self.chunks[index], self._ahead[index]
         if not ahead:
             raise ValueError(f"all {len(self.streams)} iterations of nodes "
                              f"{chunk.start}-{chunk.stop - 1} were taken")
+        if isinstance(ahead[0], RngStream):
+            group = ahead[:self.group]
+            fk = sample_fk_batch(cfg.built_problem, cfg.params, np.tile(
+                cfg.grid.nodes[chunk], (len(group), 1)), cfg.m_samples, cfg.dt,
+                [stream.substream(node) for stream in group for node in chunk])
+            ahead[:len(group)] = fk.split(len(group))
         return ahead.pop(0)
 
 
-def picard_step(v: GridFunction, cfg: GridSolveConfig,
-                draws: FreshDraws) -> GridFunction:
+def picard_step(v: GridFunction, draws: FreshDraws) -> GridFunction:
     """One Picard update: the next iteration of ``draws`` against the
-    interpolant of ``v``.
+    interpolant of ``v``, which must live on ``draws.cfg.grid``.
 
-    Nodes are evaluated in chunks of consecutive indices, one
-    :meth:`FreshDraws.take` per chunk, which changes no value.
+    Nodes are evaluated in ``draws.chunks``, one :meth:`FreshDraws.take`
+    per chunk, which changes no value.
     """
-    grid, problem = v.grid, cfg.built_problem
-    m, dim_y = cfg.m_samples, problem.gen.dim_y
-    u_new = np.empty((grid.n_nodes, dim_y))
-    ubar_new = np.empty((grid.n_nodes, dim_y, grid.dim))
-    nodes = grid.nodes
+    cfg = draws.cfg
+    grid, problem = cfg.grid, cfg.built_problem
+    if v.grid != grid:
+        raise GridMismatch("the iterate and the draws live on other lattices")
+    u_new = np.empty((grid.n_nodes, problem.gen.dim_y))
+    ubar_new = np.empty((grid.n_nodes, problem.gen.dim_y, grid.dim))
 
-    def update(chunk: range) -> None:
-        rows = slice(chunk.start, chunk.stop)
-        fk = draws.take(cfg, chunk, nodes[rows])
-        u_new[rows], ubar_new[rows] = point_means(
-            r_sample_batch(problem, cfg.params, v, fk), chunk, "node")
+    def update(index: int) -> None:
+        chunk = draws.chunks[index]
+        u_new[chunk], ubar_new[chunk] = point_means(r_sample_batch(
+            problem, cfg.params, v, draws.take(index)), chunk, "node")
 
-    per_chunk = max(1, CHUNK_ROWS // m)
-    chunks = [range(start, min(start + per_chunk, grid.n_nodes))
-              for start in range(0, grid.n_nodes, per_chunk)]
-    workers = min(_worker_count(), len(chunks))
+    indices = range(len(draws.chunks))
+    workers = min(_worker_count(), len(indices))
     if workers < 2:
-        for chunk in chunks:
-            update(chunk)
+        for index in indices:
+            update(index)
     else:
         # each chunk runs in a copy of the caller's context, as in
         # asyncio.to_thread, so the caller's np.errstate holds on the workers
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ctx, chunk: ctx.run(update, chunk),
-                          [contextvars.copy_context() for _ in chunks], chunks))
+            list(pool.map(lambda ctx, index: ctx.run(update, index),
+                          [contextvars.copy_context() for _ in indices],
+                          indices))
 
     if cfg.trunc_bound is not None:
-        u_new, ubar_new = truncate_growth((u_new, ubar_new), nodes,
+        u_new, ubar_new = truncate_growth((u_new, ubar_new), grid.nodes,
                                           cfg.trunc_bound, cfg.trunc_degree)
     return GridFunction(grid, u_new, ubar_new)
 
@@ -216,16 +216,12 @@ def solve(cfg: GridSolveConfig,
         base_stream = RngStream(cfg.seed)
     exact = None if problem.analytic is None else problem.analytic(cfg.grid.nodes)
 
-    # iteration n draws from base_stream.substream(n), up to DRAW_ROWS rows
-    # ahead; the first iteration of a group pays for drawing all of it
-    ahead = max(1, DRAW_ROWS // (cfg.grid.n_nodes * cfg.m_samples))
+    draws = FreshDraws(cfg, [base_stream.substream(n)
+                             for n in range(1, cfg.n_iters + 1)])
     reports = []
     for n in range(1, cfg.n_iters + 1):
         start = time.perf_counter()
-        if (n - 1) % ahead == 0:
-            draws = FreshDraws([base_stream.substream(k) for k in
-                                range(n, min(n + ahead, cfg.n_iters + 1))])
-        v = picard_step(v, cfg, draws)
+        v = picard_step(v, draws)
         elapsed = time.perf_counter() - start
         sup_u = sup_ubar = np.nan
         if exact is not None:
@@ -261,8 +257,6 @@ def fit_rate_slope(n_half_values: Sequence[int],
 
 @dataclass
 class RateStudyResult:
-    n_half: np.ndarray
-    m_samples: np.ndarray
     sup_err_u: np.ndarray
     sup_err_ubar: np.ndarray
     slope: float
@@ -308,14 +302,10 @@ def rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     errors.
     """
     shared = {f.name: getattr(cfg, f.name) for f in fields(GridRunConfig)}
-    sup_u, sup_ubar = [], []
-    for run, (nh, m) in enumerate(zip(cfg.ntilde_list, cfg.m_samples)):
-        mesh = GridSolveConfig(**shared, n_half=int(nh), m_samples=m)
-        last = solve(mesh, RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
-        sup_u.append(last.sup_err_u)
-        sup_ubar.append(last.sup_err_ubar)
-    worst = np.maximum(sup_u, sup_ubar)
-    slope, intercept = fit_rate_slope(cfg.ntilde_list, worst)
-    return RateStudyResult(np.asarray(cfg.ntilde_list),
-                           np.asarray(cfg.m_samples), np.asarray(sup_u),
-                           np.asarray(sup_ubar), slope, intercept)
+    last = [solve(GridSolveConfig(**shared, n_half=int(nh), m_samples=m),
+                  RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
+            for run, (nh, m) in enumerate(zip(cfg.ntilde_list, cfg.m_samples))]
+    sup_u = np.array([report.sup_err_u for report in last])
+    sup_ubar = np.array([report.sup_err_ubar for report in last])
+    return RateStudyResult(sup_u, sup_ubar, *fit_rate_slope(
+        cfg.ntilde_list, np.maximum(sup_u, sup_ubar)))

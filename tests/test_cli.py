@@ -904,6 +904,24 @@ def test_abbreviated_flag_exits_two_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+# an unknown flag is reported under the subcommand's usage line (argparse
+# printed the top-level one, which names no subcommand's flags)
+@pytest.mark.parametrize("argv, unknown", [
+    pytest.param(["contraction", "--problem", "arctan-const-sigma", "--p", "2"],
+                 "--p 2", id="contraction-p"),
+    pytest.param(["rate-study", "--problem", "arctan-const-sigma", "--ntilde",
+                  "2,3,4"], "--ntilde 2,3,4", id="rate-study-ntilde"),
+])
+def test_unknown_flag_shows_the_subcommands_usage(tmp_path, capsys, argv,
+                                                  unknown):
+    out = tmp_path / "never"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: infbsde {argv[0]} ")
+    assert f"unrecognized arguments: {unknown}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
 @pytest.mark.parametrize("command", ["grid-solve", "rate-study"])
 def test_bad_thread_count_exits_two_and_writes_nothing(

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infbsde import (FitUnderdetermined, FreshDraws, GridFunction,
-                     GridSolveConfig, NonFiniteValue, NonPositiveRate,
-                     RateStudyConfig, RngStream, SchemeParams, UnknownProblem,
-                     fit_rate_slope, picard_step, r_sample_batch, rate_study,
-                     sample_fk_batch, solve)
+                     GridMismatch, GridSolveConfig, NonFiniteValue,
+                     NonPositiveRate, RateStudyConfig, RngStream, SchemeParams,
+                     UnknownProblem, fit_rate_slope, picard_step,
+                     r_sample_batch, rate_study, sample_fk_batch, solve)
 from infbsde import picard_grid
 
 
@@ -119,8 +121,8 @@ class TestSingleStep:
         result = solve(cfg)
         grid = cfg.grid
         v0 = GridFunction.zero(grid, 1)
-        stepped = picard_step(v0, cfg,
-                              FreshDraws([RngStream(cfg.seed).substream(1)]))
+        stepped = picard_step(
+            v0, FreshDraws(cfg, [RngStream(cfg.seed).substream(1)]))
         np.testing.assert_array_equal(result.final.u, stepped.u)
         np.testing.assert_array_equal(result.final.ubar, stepped.ubar)
 
@@ -130,7 +132,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, FreshDraws([RngStream(0)]))
+            picard_step(v, FreshDraws(cfg, [RngStream(0)]))
 
     def test_callers_error_state_holds_on_every_thread(self, monkeypatch):
         # two threads on chunks of one node: the caller's np.errstate
@@ -142,7 +144,7 @@ class TestSingleStep:
         v = GridFunction(grid, np.full((grid.n_nodes, 1), np.inf),
                          np.zeros((grid.n_nodes, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-            picard_step(v, cfg, FreshDraws([RngStream(0)]))
+            picard_step(v, FreshDraws(cfg, [RngStream(0)]))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_node_is_named(self, monkeypatch, threads):
@@ -174,8 +176,8 @@ class TestSingleStep:
         monkeypatch.setattr(picard_grid, "sample_fk_batch", sample)
         monkeypatch.setattr(picard_grid, "r_sample_batch", poisoned)
         with pytest.raises(NonFiniteValue, match=f"at node {bad}$"):
-            picard_step(random_iterate(grid, 0), cfg,
-                        FreshDraws([RngStream(0)]))
+            picard_step(random_iterate(grid, 0),
+                        FreshDraws(cfg, [RngStream(0)]))
 
     def test_interpolation_clamps_outside_box(self, monkeypatch):
         calls = []
@@ -220,7 +222,7 @@ def assert_equals_per_node_reference(monkeypatch, cfg):
         ref_ubar[node] = comp2.mean(axis=0)
     for threads in ("1", "2"):
         monkeypatch.setenv("BSDE_THREADS", threads)
-        stepped = picard_step(v, cfg, FreshDraws([rng]))
+        stepped = picard_step(v, FreshDraws(cfg, [rng]))
         np.testing.assert_array_equal(stepped.u, ref_u)
         np.testing.assert_array_equal(stepped.ubar, ref_ubar)
 
@@ -268,10 +270,10 @@ class TestDeterminism:
 
         monkeypatch.delenv("BSDE_THREADS", raising=False)
         monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", no_pool)
-        serial = picard_step(v, cfg, FreshDraws([RngStream(0)]))
+        serial = picard_step(v, FreshDraws(cfg, [RngStream(0)]))
         monkeypatch.setenv("BSDE_THREADS", "2")
         monkeypatch.setattr(picard_grid, "ThreadPoolExecutor", pool)
-        threaded = picard_step(v, cfg, FreshDraws([RngStream(0)]))
+        threaded = picard_step(v, FreshDraws(cfg, [RngStream(0)]))
         np.testing.assert_array_equal(serial.u, threaded.u)
         np.testing.assert_array_equal(serial.ubar, threaded.ubar)
 
@@ -298,7 +300,7 @@ def stepped_solve(cfg):
     v = GridFunction.zero(cfg.grid, cfg.built_problem.gen.dim_y)
     base = RngStream(cfg.seed)
     for n in range(1, cfg.n_iters + 1):
-        v = picard_step(v, cfg, FreshDraws([base.substream(n)]))
+        v = picard_step(v, FreshDraws(cfg, [base.substream(n)]))
     return v
 
 
@@ -392,12 +394,54 @@ class TestDrawAhead:
 
     def test_each_iteration_is_taken_once(self):
         cfg = config(m_samples=50)
-        draws = FreshDraws([RngStream(0).substream(n) for n in (1, 2)])
+        draws = FreshDraws(cfg, [RngStream(0).substream(n) for n in (1, 2)])
         v = GridFunction.zero(cfg.grid, 1)
         for _ in range(2):
-            v = picard_step(v, cfg, draws)
+            v = picard_step(v, draws)
         with pytest.raises(ValueError, match="all 2 iterations"):
-            picard_step(v, cfg, draws)
+            picard_step(v, draws)
+
+
+class TestFreshDraws:
+    def test_one_draws_object_per_solve(self, monkeypatch):
+        # five iterations in groups of two: one object draws all three groups
+        cfg = config(m_samples=50, n_iters=5)
+        monkeypatch.setattr(picard_grid, "DRAW_ROWS",
+                            2 * cfg.grid.n_nodes * cfg.m_samples)
+        built = []
+        real = picard_grid.FreshDraws
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(picard_grid, "FreshDraws", counted)
+        solve(cfg)
+        assert len(built) == 1
+        assert built[0].group == 2 and len(built[0].streams) == 5
+
+    def test_iterate_on_another_lattice_raises(self, monkeypatch):
+        # nothing is drawn for an iterate the draws do not fit
+        def no_draws(*args):
+            raise AssertionError("drew for a mismatched iterate")
+
+        monkeypatch.setattr(picard_grid, "sample_fk_batch", no_draws)
+        draws = FreshDraws(config(), [RngStream(0)])
+        with pytest.raises(GridMismatch):
+            picard_step(GridFunction.zero(config(n_half=3).grid, 1), draws)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 2), n_half=st.integers(1, 6),
+           pad=st.integers(0, 2), m=st.integers(2, 30000))
+    def test_chunks_cut_the_nodes_in_order(self, dim, n_half, pad, m):
+        cfg = config(dim=dim, n_half=n_half, pad=pad, m_samples=m)
+        chunks = FreshDraws(cfg, [RngStream(0)]).chunks
+        per_chunk = max(1, picard_grid.CHUNK_ROWS // m)
+        assert ([node for chunk in chunks for node in chunk]
+                == list(range(cfg.grid.n_nodes)))
+        assert all(chunk.step == 1 for chunk in chunks)
+        assert all(len(chunk) == per_chunk for chunk in chunks[:-1])
+        assert 1 <= len(chunks[-1]) <= per_chunk
 
 
 class TestContraction:
@@ -491,10 +535,9 @@ class TestRateFit:
 
     def test_rate_study_smoke(self):
         cfg = study(overrides={"mu": 1.0}, half_width=2.0, n_iters=4)
+        np.testing.assert_array_equal(cfg.ntilde_list, [2, 3, 4])
         np.testing.assert_array_equal(cfg.m_samples, [10, 51, 160])
         result = rate_study(cfg)
-        np.testing.assert_array_equal(result.n_half, [2, 3, 4])
-        np.testing.assert_array_equal(result.m_samples, [10, 51, 160])
         assert result.sup_err_u.shape == (3,)
         assert np.all(result.sup_err_u > 0)
         assert np.isfinite(result.slope) and np.isfinite(result.intercept)
