@@ -31,6 +31,7 @@ from .analysis import (ReportRow, brownian_c_infinity, contraction_report,
                        estimate_c_constants)
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_csv, write_grid_csv
+# problem_by_name builds this module's configs (RunConfig); the tracer wraps it
 from .model import (PROBLEM_CONSTANTS, RunConfig, monotonicity_margin,
                     problem_by_name)
 from .neural import save_checkpoint
@@ -66,11 +67,6 @@ class _ContractionConfig(RunConfig):
     probe_half_width: float = 3.0
     n_mu0_probes: int = 16
     grid: Grid = field(init=False, repr=False, compare=False)
-
-    @staticmethod
-    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
-        # this module's name, for the tracer (see RunConfig)
-        return problem_by_name(name, d, overrides)
 
     def __post_init__(self):
         super().__post_init__()
@@ -497,7 +493,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         # fail fast on bad names/values before creating any output
         built = (_build(_CONFIGS[command], cfg) if command in _CONFIGS
                  else _build_kz_sweep(cfg))
-    except (ValueError, TypeError) as exc:
+    # a config whose grids cannot be allocated is a config error too
+    except (ValueError, TypeError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = args.out or f"runs/{command}"

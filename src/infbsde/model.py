@@ -7,6 +7,7 @@ are ``(m, d)`` arrays; generator values are ``(m, d')``; gradient-side values
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -180,19 +181,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problem = self._problem_by_name(self.problem, self.dim, self.overrides)
+        # the problem_by_name global of the module that defines the class,
+        # else this module's: an entry point the benchmark's tracer wraps
+        build = getattr(sys.modules.get(type(self).__module__),
+                        "problem_by_name", problem_by_name)
+        problem = build(self.problem, self.dim, self.overrides)
         check_step(problem.sde, self.dt)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # an attribute, not a field: the fields are the settings
         object.__setattr__(self, "built_problem", problem)
-
-    @staticmethod
-    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
-        # the solver modules' configs override this to build through their
-        # own module's problem_by_name, an entry point the benchmark's
-        # tracer wraps
-        return problem_by_name(name, d, overrides)
 
 
 @dataclass(frozen=True)
@@ -298,13 +296,6 @@ def manufacture_problem(
     """
     _check_derivatives(u, grad_u, hess_u, f0, sde.dim)
 
-    def ubar(x):
-        x = as_points(x, sde.dim)
-        if sde.is_brownian:
-            return grad_u(x)
-        return np.einsum("mij,mjk->mik", grad_u(x),
-                         sde.coefficients(x).diffusion)
-
     def ubar_and_operator(x):
         # ubar and 1/2 Tr(hess_u sigma sigma^T) + drift . grad_u, shape (m, d'),
         # from one evaluation of grad_u and sigma
@@ -332,7 +323,9 @@ def manufacture_problem(
         return f0.f(x, y, z) - op - at_solution
 
     gen = replace(f0, f=f, x_terms=correction_terms)
-    analytic = AnalyticSolution(u=lambda x: u(as_points(x, sde.dim)), ubar=ubar)
+    analytic = AnalyticSolution(
+        u=lambda x: u(as_points(x, sde.dim)),
+        ubar=lambda x: ubar_and_operator(as_points(x, sde.dim))[0])
     return Problem(name=name, sde=sde, gen=gen, analytic=analytic, mu0_std=mu0_std)
 
 

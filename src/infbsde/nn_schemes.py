@@ -18,6 +18,7 @@ import numpy as np
 
 from .fixedpoint import (Branch, Candidate, NonFiniteValue, branches,
                          one_draw_terms, r_sample_batch)
+# problem_by_name builds this module's configs (RunConfig); the tracer wraps it
 from .model import (GeneratorSpec, Problem, RunConfig, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
@@ -39,11 +40,6 @@ class NnConfig(RunConfig):
     base_lr: float = 5e-4
     lr_decay: float = 0.9
     lr_decay_period: int = 1000
-
-    @staticmethod
-    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
-        # this module's name, for the tracer (see RunConfig)
-        return problem_by_name(name, d, overrides)
 
     def __post_init__(self):
         super().__post_init__()

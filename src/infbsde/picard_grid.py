@@ -21,6 +21,7 @@ import numpy as np
 from .fixedpoint import point_means, r_sample_batch, truncate_growth
 from .grid import (Grid, GridFunction, GridMismatch, check_grid,
                    node_errors, truncated_nodes)
+# problem_by_name builds this module's configs (RunConfig); the tracer wraps it
 from .model import RunConfig, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
@@ -60,11 +61,6 @@ class GridRunConfig(RunConfig):
     n_iters: int = 10
     trunc_bound: Optional[float] = None
     trunc_degree: Optional[float] = None
-
-    @staticmethod
-    def _problem_by_name(name: str, d: int, overrides: Optional[dict]):
-        # this module's name, for the tracer (see RunConfig)
-        return problem_by_name(name, d, overrides)
 
     def __post_init__(self):
         super().__post_init__()
@@ -270,12 +266,16 @@ class RateStudyConfig(GridRunConfig):
     Mesh ``i`` is ``half_width / n`` with ``m_samples[i] = round(k * n^4
     / half_width^4)`` draws per node, at least 2, for ``n = ntilde_list[i]``.
     Construction raises ValueError unless every entry is at least 1, three
-    are distinct, ``0 < k < inf`` and every count fits in int64.
+    are distinct, ``0 < k < inf`` and every count fits in int64.  It then
+    builds ``meshes``, one :class:`GridSolveConfig` per mesh with the
+    study's shared settings, and so every grid the study runs on.
     """
 
     ntilde_list: Tuple[int, ...] = (5, 8, 12, 16, 20)
     k: float = 200.0
     m_samples: Tuple[int, ...] = field(init=False)
+    meshes: Tuple[GridSolveConfig, ...] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -291,20 +291,21 @@ class RateStudyConfig(GridRunConfig):
             raise ValueError(f"no int64 sample counts for k = {self.k} and "
                              f"half_width = {self.half_width}")
         object.__setattr__(self, "m_samples", counts)
+        shared = {f.name: getattr(self, f.name) for f in fields(GridRunConfig)}
+        object.__setattr__(self, "meshes", tuple(
+            GridSolveConfig(**shared, n_half=int(n), m_samples=m)
+            for n, m in zip(self.ntilde_list, counts)))
 
 
 def rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     """Refinement study at fixed box size: mesh shrinks, samples grow.
 
-    Each mesh runs as a :class:`GridSolveConfig` with the study's shared
-    settings, and the sup error over the inner nodes at the final iterate
-    is recorded.  The fitted slope uses the larger of the two component
-    errors.
+    Each of ``cfg.meshes`` is solved, and the sup error over the inner
+    nodes at the final iterate is recorded.  The fitted slope uses the
+    larger of the two component errors.
     """
-    shared = {f.name: getattr(cfg, f.name) for f in fields(GridRunConfig)}
-    last = [solve(GridSolveConfig(**shared, n_half=int(nh), m_samples=m),
-                  RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
-            for run, (nh, m) in enumerate(zip(cfg.ntilde_list, cfg.m_samples))]
+    last = [solve(mesh, RngStream(cfg.seed, stream_id=run + 1)).reports[-1]
+            for run, mesh in enumerate(cfg.meshes)]
     sup_u = np.array([report.sup_err_u for report in last])
     sup_ubar = np.array([report.sup_err_ubar for report in last])
     return RateStudyResult(sup_u, sup_ubar, *fit_rate_slope(

@@ -776,6 +776,15 @@ def test_sweep_rejects_other_schemes_key_at_its_default(tmp_path, capsys,
                  id="grid-solve-R-nan"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--d", "0"],
                  id="grid-solve-d0"),
+    # grids too large to allocate: each asks for more than the 128 TiB a
+    # process can address, so the host's overcommit setting does not matter
+    pytest.param(["grid-solve", "--problem", "arctan-const-sigma", "--d",
+                  "12"], id="grid-solve-d12-out-of-memory"),
+    pytest.param(["contraction", "--problem", "arctan-const-sigma", "--d",
+                  "14"], id="contraction-d14-out-of-memory"),
+    pytest.param(["rate-study", "--problem", "arctan-const-sigma", "--d",
+                  "20", "--ntilde-list", "2,3,4"],
+                 id="rate-study-d20-out-of-memory"),
     # a dimension below 1 is rejected before any output (small budgets, so
     # a run that wrongly starts ends fast)
     pytest.param(["nn-picard", "--problem", "arctan-const-sigma", "--d", "0",

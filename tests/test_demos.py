@@ -1,6 +1,6 @@
 """Every name a demo script or a README code block imports from infbsde
 exists, and so does every test file, demo and module attribute that the
-README names.
+README names; every command-line flag appears in the README.
 
 The sources are parsed, not run, so this costs milliseconds; it catches a
 demo, a doc example or a README sentence left behind when a public name, a
@@ -137,3 +137,12 @@ def test_readme_module_names_resolve():
     missing += [f"infbsde.{m}.{name}" for m, name in dotted
                 if not hasattr(importlib.import_module(f"infbsde.{m}"), name)]
     assert not missing, f"README names missing attributes: {missing}"
+
+
+def test_readme_names_every_flag():
+    from infbsde import cli
+    flags = {*cli._COMMON_FLAGS,
+             *(flag for _, table in cli._SUBCOMMANDS.values()
+               for flag in table)}
+    missing = sorted(flag for flag in flags if f"`{flag}`" not in README)
+    assert not missing, f"README does not name flags: {missing}"

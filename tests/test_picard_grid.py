@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infbsde import (FitUnderdetermined, FreshDraws, GridFunction,
-                     GridMismatch, GridSolveConfig, NonFiniteValue,
-                     NonPositiveRate, RateStudyConfig, RngStream, SchemeParams,
-                     UnknownProblem, fit_rate_slope, picard_step,
-                     r_sample_batch, rate_study, sample_fk_batch, solve)
-from infbsde import picard_grid
+                     GridMismatch, GridRunConfig, GridSolveConfig,
+                     NonFiniteValue, NonPositiveRate, RateStudyConfig,
+                     RngStream, RunConfig, SchemeParams, UnknownProblem,
+                     fit_rate_slope, picard_step, r_sample_batch, rate_study,
+                     sample_fk_batch, solve)
+from infbsde import model, picard_grid
 
 
 def config(**kwargs):
@@ -55,7 +56,39 @@ def build_run(cls, settings):
                   "params": SchemeParams(**rates)})
 
 
+@dataclasses.dataclass(frozen=True)
+class LocalRun(RunConfig):
+    """A config class whose module has no ``problem_by_name`` global."""
+
+
+def counting_builds(monkeypatch, module):
+    """Record each call of ``module.problem_by_name`` from now on."""
+    calls = []
+    real = module.problem_by_name
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "problem_by_name", counting)
+    return calls
+
+
 class TestConfig:
+    def test_builds_through_its_modules_problem_by_name(self, monkeypatch):
+        calls = counting_builds(monkeypatch, picard_grid)
+        cfg = config()
+        assert calls == [("linear-constant", 1, None)]
+        assert cfg.built_problem.name == "linear-constant"
+
+    def test_module_without_a_builder_builds_through_model(self,
+                                                            monkeypatch):
+        assert not hasattr(sys.modules[__name__], "problem_by_name")
+        calls = counting_builds(monkeypatch, model)
+        cfg = LocalRun("linear-constant", overrides={"mu": 4.0})
+        assert calls == [("linear-constant", 1, {"mu": 4.0})]
+        assert cfg.built_problem.name == "linear-constant"
+
     def test_mesh(self):
         assert config(n_half=10, half_width=3.0).mesh == pytest.approx(0.3)
 
@@ -532,6 +565,21 @@ class TestRateFit:
                                                            message):
         with pytest.raises(ValueError, match=message):
             study(**settings)
+
+    def test_rate_study_builds_its_meshes_on_construction(self,
+                                                            monkeypatch):
+        cfg = study(pad=1, n_iters=2, overrides={"mu": 1.0})
+        shared = [f.name for f in dataclasses.fields(GridRunConfig)]
+        assert [(mesh.n_half, mesh.m_samples) for mesh in cfg.meshes] == \
+            list(zip(cfg.ntilde_list, cfg.m_samples))
+        for mesh in cfg.meshes:
+            assert type(mesh) is GridSolveConfig
+            assert {k: getattr(mesh, k) for k in shared} == \
+                {k: getattr(cfg, k) for k in shared}
+        # running the study constructs no config
+        monkeypatch.setattr(GridSolveConfig, "__post_init__", None)
+        result = rate_study(cfg)
+        assert result.sup_err_u.shape == (3,)
 
     def test_rate_study_smoke(self):
         cfg = study(overrides={"mu": 1.0}, half_width=2.0, n_iters=4)
