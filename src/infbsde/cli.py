@@ -9,7 +9,7 @@ output is written.  Every run echoes its effective config to
 carry 17 significant digits.
 
 Exit codes: 0 success, 2 config error (nothing written), 1 numerical
-failure.
+failure or memory exhausted while running.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import os
 import sys
 from dataclasses import (MISSING, astuple, dataclass, field, fields,
                          is_dataclass, replace)
-from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (ClassVar, Dict, List, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class ConfigParse(ValueError):
 # problem constants, in table order, and mu0_std
 _OVERRIDES = (*dict.fromkeys(key for constants in PROBLEM_CONSTANTS.values()
                              for key in constants), "mu0_std")
-_SCHEMES = {"nn-picard": NnPicardConfig, "nn-direct": DirectConfig}
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,50 @@ class _ContractionConfig(RunConfig):
             self.probe_half_width / self.probe_n_half))
 
 
-# the config class of every subcommand but kz-sweep, whose scheme picks it
+def _sweep_seed(base_seed: int, kz_index: int, rep: int) -> int:
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(kz_index, rep))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+@dataclass(frozen=True)
+class _KzSweepConfig:
+    """A z-Lipschitz sweep: ``reps`` runs of the ``scheme`` config ``base``
+    at each kz of ``kz_list``.  ``cells``, built on construction, holds per
+    kz ``reps`` copies of ``base`` with that kz (the ``swept`` key) and
+    seeds from ``_sweep_seed``."""
+
+    base: NnPicardConfig
+    scheme: str = "nn-picard"
+    kz_list: Tuple[float, ...] = (0.4, 1.6, 2.8, 4.0, 5.2)
+    reps: int = 5
+    cells: list = field(init=False, repr=False, compare=False)
+    swept: ClassVar[str] = "kz"
+
+    def __post_init__(self):
+        if not self.kz_list:
+            raise ValueError("kz_list must be non-empty")
+        if self.reps < 1:
+            raise ValueError("reps must be at least 1")
+        base, reps = self.base, range(self.reps)
+        object.__setattr__(self, "cells", [
+            [replace(base, overrides={**(base.overrides or {}), "kz": kz},
+                     seed=_sweep_seed(base.seed, i, rep)) for rep in reps]
+            for i, kz in enumerate(self.kz_list)])
+
+
+# a z-Lipschitz sweep of the direct scheme
+@dataclass(frozen=True)
+class _DirectSweepConfig(_KzSweepConfig):
+    base: DirectConfig
+    scheme: str = "nn-direct"
+
+
+# the config class of every subcommand; a sweep's scheme picks its class
 _CONFIGS = {"grid-solve": GridSolveConfig, "rate-study": RateStudyConfig,
-            **_SCHEMES, "contraction": _ContractionConfig}
+            "nn-picard": NnPicardConfig, "nn-direct": DirectConfig,
+            "contraction": _ContractionConfig,
+            **{("kz-sweep", cls.scheme): cls
+               for cls in (_KzSweepConfig, _DirectSweepConfig)}}
 
 
 def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
@@ -92,7 +132,7 @@ def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
     A nested dataclass (``params``) spreads into its own fields and
     ``overrides`` into the ``_OVERRIDES`` keys.  ``Optional[X]`` reads as
     ``X``; a field without a default maps to None.  A field the class sets
-    itself (``init=False``) has no key.
+    itself (``init=False``), and the key it sweeps (``swept``), have no key.
     """
     hints = get_type_hints(cls)
     out = {}
@@ -106,17 +146,11 @@ def _flat_fields(cls) -> Dict[str, Tuple[object, object]]:
             if get_origin(kind) is Union:
                 kind = next(a for a in get_args(kind) if a is not type(None))
             out[f.name] = (kind, None if f.default is MISSING else f.default)
+    out.pop(getattr(cls, "swept", None), None)
     return out
 
 
 _FIELDS = {command: _flat_fields(cls) for command, cls in _CONFIGS.items()}
-# a sweep takes its scheme's keys but kz, which each cell sets
-_SWEEP = {"scheme": (str, "nn-picard"),
-          "kz_list": (Tuple[float, ...], [0.4, 1.6, 2.8, 4.0, 5.2]),
-          "reps": (int, 5)}
-_FIELDS.update({("kz-sweep", scheme): {
-    **{k: v for k, v in _FIELDS[scheme].items() if k != "kz"}, **_SWEEP}
-    for scheme in _SCHEMES})
 _DEFAULTS = {command: {k: default for k, (_, default) in table.items()}
              for command, table in _FIELDS.items()}
 _KINDS = {k: kind for table in _FIELDS.values() for k, (kind, _) in table.items()}
@@ -166,11 +200,9 @@ def _add_flag(sub: argparse.ArgumentParser, flag: str, key: str) -> None:
     kind = _KINDS[key]
     if kind is bool:
         sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
-    elif get_origin(kind) is tuple:
-        sub.add_argument(flag, dest=key, type=_list_of(get_args(kind)[0]))
     else:
-        sub.add_argument(flag, dest=key, type=kind,
-                         choices=_SCHEMES if key == "scheme" else None)
+        sub.add_argument(flag, dest=key, type=_list_of(get_args(kind)[0])
+                         if get_origin(kind) is tuple else kind)
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -201,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(command: str, args: argparse.Namespace) -> Dict:
+def _merge(command: str, args: argparse.Namespace) -> Tuple[object, Dict]:
+    """The run's ``_CONFIGS`` key and flat keys: defaults, file, flags."""
     data = {}
     if getattr(args, "config", None):
         try:
@@ -214,28 +247,26 @@ def _merge(command: str, args: argparse.Namespace) -> Dict:
         # a config echo names its own subcommand; accept it when it matches
         echoed = data.pop("command", None)
         if echoed is not None and echoed != command:
-            raise ConfigParse(
-                f"config file is for {echoed!r}, not {command!r}")
+            raise ConfigParse(f"config file is for {echoed!r}, not {command!r}")
         data.pop("out", None)
     given = {k: v for k, v in vars(args).items()
              if k not in ("command", "config", "out") and v is not None}
     name = table = command
     if command == "kz-sweep":
-        # the scheme picks the sweep's keys, so it resolves first
+        # the scheme picks the sweep's class, so it resolves first
         name = _cast(str, given.get("scheme", data.get(
-            "scheme", _SWEEP["scheme"][1])), "scheme")
-        if name not in _SCHEMES:
-            raise ConfigParse(f"unknown scheme {name!r}")
+            "scheme", _KzSweepConfig.scheme)), "scheme")
         table = (command, name)
+        if table not in _CONFIGS:
+            raise ConfigParse(f"unknown scheme {name!r}")
     cfg = dict(_DEFAULTS[table])
-    # kz-sweep sets kz itself, so the shared --kz flag is not its key
     unused = sorted((data.keys() | given.keys()) - cfg.keys())
     if unused:
         raise ConfigParse(f"{name} does not take {', '.join(unused)}")
     cfg.update({**data, **given})
     if cfg.get("problem") in (None, ""):
         raise ConfigParse("a problem name is required (--problem or config)")
-    return cfg
+    return table, cfg
 
 
 def _cast(kind, value, key: str):
@@ -258,10 +289,6 @@ def _cast(kind, value, key: str):
     raise ConfigParse(f"{key} must be of type {name}, not {value!r}")
 
 
-def _value(cfg: Dict, key: str):
-    return _cast(_KINDS[key], cfg[key], key)
-
-
 def _build(cls, cfg: Dict):
     """Config class ``cls`` from the flat keys of ``cfg``.
 
@@ -274,10 +301,10 @@ def _build(cls, cfg: Dict):
         if is_dataclass(hints[f.name]):
             kwargs[f.name] = _build(hints[f.name], cfg)
         elif f.name == "overrides":
-            kwargs[f.name] = {k: _value(cfg, k) for k in _OVERRIDES
+            kwargs[f.name] = {k: _cast(_KINDS[k], cfg[k], k) for k in _OVERRIDES
                               if cfg.get(k) is not None} or None
         elif cfg.get(f.name) is not None:
-            kwargs[f.name] = _value(cfg, f.name)
+            kwargs[f.name] = _cast(_KINDS[f.name], cfg[f.name], f.name)
     return cls(**kwargs)
 
 
@@ -395,57 +422,32 @@ def _run_contraction(config: _ContractionConfig, outdir: str) -> int:
     return 0
 
 
-def _sweep_seed(base_seed: int, kz_index: int, rep: int) -> int:
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(kz_index, rep))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _build_kz_sweep(cfg: Dict):
-    """The sweep's scheme, kz values and one config per (kz, rep) cell."""
-    scheme = cfg["scheme"]
-    kz_values = list(_value(cfg, "kz_list"))
-    if not kz_values:
-        raise ConfigParse("kz_list must be non-empty")
-    reps = _value(cfg, "reps")
-    if reps < 1:
-        raise ConfigParse("reps must be at least 1")
-    base = _build(_SCHEMES[scheme], cfg)
-    cells = [[replace(base, overrides={**(base.overrides or {}), "kz": kz},
-                      seed=_sweep_seed(base.seed, i, rep))
-              for rep in range(reps)] for i, kz in enumerate(kz_values)]
-    return scheme, kz_values, cells
-
-
-def _run_kz_sweep(built, outdir: str) -> int:
-    scheme, kz_values, cells = built
-    solver = contraction_nn_solve if scheme == "nn-picard" else direct_nn_solve
+def _run_kz_sweep(config: _KzSweepConfig, outdir: str) -> int:
+    solver = (contraction_nn_solve if config.scheme == "nn-picard"
+              else direct_nn_solve)
     rows = []
-    per_kz: List[List[float]] = []
-    for kz, configs in zip(kz_values, cells):
-        errs = []
-        for rep, config in enumerate(configs):
+    for kz, cells in zip(config.kz_list, config.cells):
+        for rep, cell in enumerate(cells):
             try:
-                last = solver(config).trace[-1]
-                du, dubar = last.rel_err_u, last.rel_err_ubar
+                last = solver(cell).trace[-1]
+                rows.append([kz, rep, last.rel_err_u, last.rel_err_ubar])
             except NonFiniteValue:
-                du = dubar = float("inf")
-            rows.append([kz, rep, du, dubar])
-            errs.append(du)
-        per_kz.append(errs)
+                rows.append([kz, rep, float("inf"), float("inf")])
     _write_csv(os.path.join(outdir, "kz_sweep.csv"),
                ["kz", "rep", "du", "dubar"], rows)
     levels = (10, 25, 50, 75, 90)
+    per_kz = np.reshape([row[2] for row in rows], (len(config.kz_list), -1))
     # a kz with an infinite cell gets no point
     quantiles = np.array([np.percentile(errs, levels) if np.isfinite(errs).all()
                           else np.full(5, np.inf) for errs in per_kz])
-    _svg.line_plot(os.path.join(outdir, "kz_sweep.svg"), kz_values,
+    _svg.line_plot(os.path.join(outdir, "kz_sweep.svg"), config.kz_list,
                    {f"{q}%": quantiles[:, i] for i, q in enumerate(levels)},
-                   f"Error vs z-Lipschitz constant ({scheme})",
+                   f"Error vs z-Lipschitz constant ({config.scheme})",
                    "K_z", "relative error of u")
     return 0
 
 
-# per subcommand: the runner of what its config built
+# per subcommand: the runner of its config
 _RUNNERS = {"grid-solve": _run_grid_solve, "rate-study": _run_rate_study,
             "nn-picard": _run_nn_picard, "nn-direct": _run_nn_direct,
             "contraction": _run_contraction, "kz-sweep": _run_kz_sweep}
@@ -482,17 +484,15 @@ def _keep_freed_heap() -> None:
 
 def run(argv: Optional[List[str]] = None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command
     try:
-        cfg = _merge(command, args)
+        table, cfg = _merge(command, args)
         # fail fast on bad names/values before creating any output
-        built = (_build(_CONFIGS[command], cfg) if command in _CONFIGS
-                 else _build_kz_sweep(cfg))
+        config = _build(_CONFIGS[table], cfg)
     # a config whose grids cannot be allocated is a config error too
     except (ValueError, TypeError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -501,9 +501,12 @@ def run(argv: Optional[List[str]] = None) -> int:
     os.makedirs(outdir, exist_ok=True)
     _echo_config(outdir, command, cfg)
     try:
-        return _RUNNERS[command](built, outdir)
+        return _RUNNERS[command](config, outdir)
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

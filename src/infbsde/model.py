@@ -296,25 +296,30 @@ def manufacture_problem(
     """
     _check_derivatives(u, grad_u, hess_u, f0, sde.dim)
 
-    def ubar_and_operator(x):
-        # ubar and 1/2 Tr(hess_u sigma sigma^T) + drift . grad_u, shape (m, d'),
-        # from one evaluation of grad_u and sigma
+    def ubar_terms(x):
+        # grad_u, the SDE's coefficients and ubar = grad_u . sigma, from one
+        # evaluation each; Brownian dynamics (sigma = I) need no coefficients
         grad = grad_u(x)
         if sde.is_brownian:
-            # sigma = I and drift = 0: the products with them change no value
-            return grad, 0.5 * row_sum(np.diagonal(hess_u(x), axis1=2, axis2=3))
+            return grad, None, grad
         coef = sde.coefficients(x)
-        sig = coef.diffusion
-        ssq = np.einsum("mak,mbk->mab", sig, sig)
-        op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
-        # skipping a zero drift is exact: op, an einsum sum, is never -0.0
-        if coef.drift is not None:
-            op += np.einsum("mij,mj->mi", grad, coef.drift)
-        return np.einsum("mij,mjk->mik", grad, sig), op
+        return grad, coef, np.einsum("mij,mjk->mik", grad, coef.diffusion)
 
     def correction_terms(x):
+        # 1/2 Tr(hess_u sigma sigma^T) + drift . grad_u, shape (m, d'), and
+        # f0(x, u, ubar), from one ubar_terms evaluation
         x = as_points(x, sde.dim)
-        ubar_x, op = ubar_and_operator(x)
+        grad, coef, ubar_x = ubar_terms(x)
+        if sde.is_brownian:
+            # sigma = I and drift = 0: the products with them change no value
+            op = 0.5 * row_sum(np.diagonal(hess_u(x), axis1=2, axis2=3))
+        else:
+            sig = coef.diffusion
+            ssq = np.einsum("mak,mbk->mab", sig, sig)
+            op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
+            # skipping a zero drift is exact: op, an einsum sum, is never -0.0
+            if coef.drift is not None:
+                op += np.einsum("mij,mj->mi", grad, coef.drift)
         return op, f0.f(x, u(x), ubar_x)
 
     def f(x, y, z, x_terms=None):
@@ -325,7 +330,7 @@ def manufacture_problem(
     gen = replace(f0, f=f, x_terms=correction_terms)
     analytic = AnalyticSolution(
         u=lambda x: u(as_points(x, sde.dim)),
-        ubar=lambda x: ubar_and_operator(as_points(x, sde.dim))[0])
+        ubar=lambda x: ubar_terms(as_points(x, sde.dim))[2])
     return Problem(name=name, sde=sde, gen=gen, analytic=analytic, mu0_std=mu0_std)
 
 

@@ -7,18 +7,19 @@ import json
 import os
 import subprocess
 import sys
+import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infbsde import (DirectConfig, Grid, GridSolveConfig, NnPicardConfig,
-                     RateStudyConfig, RngStream, SchemeParams,
-                     contraction_nn_solve, estimate_c_constants,
+from infbsde import (DirectConfig, Grid, NnPicardConfig, RngStream,
+                     SchemeParams, contraction_nn_solve, estimate_c_constants,
                      problem_by_name)
-from infbsde.cli import (_DEFAULTS, _ContractionConfig, _build, _format,
-                         _sweep_seed, build_parser, run)
+from infbsde.cli import (_CONFIGS, _DEFAULTS, _ContractionConfig,
+                         _KzSweepConfig, _build, _format, _sweep_seed,
+                         build_parser, run)
 from infbsde.neural import load_checkpoint
 from test_cold_start import COMMANDS
 
@@ -629,14 +630,66 @@ def test_config_echo_reproduces_run(tmp_path, capsys, name):
     assert len(output_files(first)) >= 2
 
 
-@pytest.mark.parametrize("command, cls", [
-    ("grid-solve", GridSolveConfig), ("nn-picard", NnPicardConfig),
-    ("nn-direct", DirectConfig), (("kz-sweep", "nn-picard"), NnPicardConfig),
-    (("kz-sweep", "nn-direct"), DirectConfig), ("rate-study", RateStudyConfig),
-    ("contraction", _ContractionConfig)])
+@pytest.mark.parametrize("command, cls", _CONFIGS.items())
 def test_cli_defaults_are_the_class_defaults(command, cls):
-    cfg = dict(_DEFAULTS[command], problem="linear-constant")
-    assert _build(cls, cfg) == cls(problem="linear-constant")
+    problem = "arctan-const-sigma"  # a sweep needs a problem with kz
+    cfg = dict(_DEFAULTS[command], problem=problem)
+    if issubclass(cls, _KzSweepConfig):
+        # the sweep's own defaults and its scheme's
+        default = cls(typing.get_type_hints(cls)["base"](problem=problem))
+    else:
+        default = cls(problem=problem)
+    assert _build(cls, cfg) == default
+
+
+class TestKzSweepConfig:
+    """The sweep's settings as a config class, built in Python."""
+
+    def test_cells(self):
+        base = NnPicardConfig(problem="arctan-const-sigma", seed=9,
+                              overrides={"c": 3.0})
+        config = _KzSweepConfig(base, kz_list=(0.5, 1.5), reps=2)
+        assert [[(cell.overrides, cell.seed) for cell in row]
+                for row in config.cells] == [
+            [({"c": 3.0, "kz": kz}, _sweep_seed(9, i, rep)) for rep in (0, 1)]
+            for i, kz in enumerate((0.5, 1.5))]
+        assert config.cells[1][0] == dataclasses.replace(
+            base, overrides={"c": 3.0, "kz": 1.5}, seed=_sweep_seed(9, 1, 0))
+
+    @pytest.mark.parametrize("problem, kwargs, message", [
+        ("arctan-const-sigma", {"kz_list": ()}, "kz_list must be non-empty"),
+        ("arctan-const-sigma", {"reps": 0}, "reps must be at least 1"),
+        ("linear-constant", {},
+         "unsupported override(s) for 'linear-constant': ['kz']")],
+        ids=["empty-kz-list", "reps-0", "problem-without-kz"])
+    def test_bad_settings_rejected(self, problem, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            _KzSweepConfig(NnPicardConfig(problem=problem), **kwargs)
+        assert str(info.value) == message
+
+    # the config_echo.json of TINY_RUNS["kz-sweep-direct"] as written before
+    # the sweep's settings had a config class
+    EARLIER_ECHO = {
+        "base_lr": 0.002, "c": None, "c0": None, "command": "kz-sweep",
+        "dim": 1, "discount_y": 2.0, "discount_z": 2.0, "dt": None,
+        "eps": None, "exp_rate": 1.5, "gamma_rate": 1.5, "hidden": [4],
+        "kz_list": [0.5, 2.0], "lr_decay": 0.8, "lr_decay_period": 300,
+        "m_err": 16, "m_inner": 4, "m_starts": 4, "mu": None,
+        "mu0_std": None, "n_epochs": 1, "problem": "arctan-const-sigma",
+        "reps": 2, "scheme": "nn-direct", "seed": 11, "steps_per_epoch": 2}
+
+    def test_earlier_echo_reruns(self, tmp_path, capsys):
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(self.EARLIER_ECHO, indent=2,
+                                   sort_keys=True) + "\n", encoding="utf-8")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(TINY_RUNS["kz-sweep-direct"] + ["--out", str(first)]) == 0
+        assert run(["kz-sweep", "--config", str(echo),
+                    "--out", str(second)]) == 0
+        capsys.readouterr()
+        for name in ("kz_sweep.csv", "kz_sweep.svg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (second / "config_echo.json").read_bytes() == echo.read_bytes()
 
 
 @pytest.mark.parametrize("scheme, cls, name", [
@@ -967,6 +1020,23 @@ def test_rate_study_with_exact_meshes_exits_one(tmp_path, capsys):
                 "--out", str(out)]) == 1
     assert ("numerical failure: no log slope: the errors must be finite and "
             "positive, got [0.0, 0.0, 0.0]") in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["config_echo.json"]
+
+
+def test_memory_exhausted_while_running_exits_one(tmp_path, capsys,
+                                                  monkeypatch):
+    from infbsde import cli
+
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 728. TiB for an array with "
+                          "shape (100000000000000, 1) and data type float64")
+
+    monkeypatch.setattr(cli, "solve", out_of_memory)
+    out = tmp_path / "o"
+    assert run(grid_args(out)) == 1
+    assert capsys.readouterr().err == (
+        "out of memory: Unable to allocate 728. TiB for an array with shape "
+        "(100000000000000, 1) and data type float64\n")
     assert [path.name for path in out.iterdir()] == ["config_echo.json"]
 
 

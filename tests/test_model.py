@@ -258,6 +258,37 @@ class TestBrownianDriverPath:
             np.einsum("mij,mjk->mik", grad_u(x),
                       sde.coefficients(x).diffusion))
 
+    @pytest.mark.parametrize("name,dim", [
+        ("arctan-const-sigma", 2), ("linear-constant", 2),
+        ("arctan-tanh-sigma", 1)])
+    def test_ubar_builds_no_hessian(self, monkeypatch, name, dim):
+        calls, captured = [], {}
+        real = model_mod.manufacture_problem
+
+        def spy(u, grad_u, hess_u, f0, sde, **kwargs):
+            def counting_hess_u(x):
+                calls.append(len(x))
+                return hess_u(x)
+            captured["grad_u"] = grad_u
+            return real(u, grad_u, counting_hess_u, f0, sde, **kwargs)
+
+        monkeypatch.setattr(model_mod, "manufacture_problem", spy)
+        problem = problem_by_name(name, dim)
+        x = np.random.default_rng(dim).normal(0.0, 3.0, (500, dim))
+        x[:3] = np.array([0.0, -0.0, -1e-300])[:, None]
+        calls.clear()
+        ubar = problem.analytic.ubar(x)
+        assert calls == []
+        # the generator's x-only terms still take the operator, Hessian and all
+        problem.gen.x_terms(x)
+        assert calls == [500]
+        # ubar is grad_u . sigma, and grad_u itself for Brownian dynamics,
+        # bit for bit
+        grad = captured["grad_u"](x)
+        expected = grad if problem.sde.is_brownian else np.einsum(
+            "mij,mjk->mik", grad, problem.sde.coefficients(x).diffusion)
+        assert ubar.tobytes() == expected.tobytes()
+
 
 def _pde_residual_arctan(problem, x, c, kz, sigma, dsigma):
     """Residual of the elliptic equation using the test's own calculus."""
