@@ -24,10 +24,10 @@ from .neural import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .nn_schemes import (DirectConfig, MissingDriverDerivatives, NnConfig,
                          NnPicardConfig, NnSolveResult, TraceRow,
                          contraction_nn_solve, direct_nn_solve)
-from .picard_grid import (FitUnderdetermined, FreshDraws, GridRunConfig,
-                          GridSolveConfig, GridSolveResult, IterationReport,
-                          RateStudyConfig, RateStudyResult, fit_rate_slope,
-                          picard_step, rate_study, solve)
+from .picard_grid import (FitUnderdetermined, FreshDraws, FrozenDraws,
+                          GridRunConfig, GridSolveConfig, GridSolveResult,
+                          IterationReport, RateStudyConfig, RateStudyResult,
+                          fit_rate_slope, picard_step, rate_study, solve)
 from .simulate import (DegenerateDiffusion, FkBatch, RngStream,
                        sample_fk_batch, sample_mu0)
 

@@ -170,7 +170,8 @@ _PICARD_FLAGS = {"--M": "m_samples", "--iters": "n_iters",
                  "--steps": "train_steps", "--warm-start": "warm_start"}
 _SUBCOMMANDS = {
     "grid-solve": ("grid Picard scheme",
-                   {**_GRID_FLAGS, "--ntilde": "n_half", "--M": "m_samples"}),
+                   {**_GRID_FLAGS, "--ntilde": "n_half", "--M": "m_samples",
+                    "--draws": "draws", "--tol": "tol"}),
     "rate-study": ("mesh refinement study",
                    {**_GRID_FLAGS, "--k": "k", "--ntilde-list": "ntilde_list"}),
     "nn-picard": ("contraction-based NN scheme", {**_NN_FLAGS, **_PICARD_FLAGS}),

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import Problem, SchemeParams
+from .model import Problem, SchemeParams, block_sum
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
@@ -78,9 +78,11 @@ def point_means(comps: Sequence[np.ndarray], labels: Sequence,
                 noun: str = "point") -> Tuple[np.ndarray, ...]:
     """Mean of each array in ``comps`` over each of ``len(labels)`` equal
     blocks of consecutive rows, one per point, bit for bit as over the block
-    alone; NonFiniteValue names the label of the first non-finite point."""
+    alone (``mean(axis=1)``); NonFiniteValue names the label of the first
+    non-finite point."""
     k = len(labels)
-    means = tuple(c.reshape(k, -1, *c.shape[1:]).mean(axis=1) for c in comps)
+    means = tuple(block_sum(c.reshape(k, -1, *c.shape[1:])) / (len(c) // k)
+                  for c in comps)
     finite = np.all([np.isfinite(mean).reshape(k, -1).all(axis=1)
                      for mean in means], axis=0)
     if not finite.all():

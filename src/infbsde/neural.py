@@ -13,7 +13,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import as_points
+from .model import as_points, block_sum
 from .simulate import RngStream, check_stream
 
 # per-layer pre-activation buffers, then per-hidden-layer activation buffers
@@ -36,20 +36,6 @@ def _views(flat: np.ndarray, shapes) -> List[np.ndarray]:
         out.append(flat[start:stop].reshape(shape))
         start = stop
     return out
-
-
-def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
-    """``a.sum(axis=0)`` into ``out``, bit for bit.
-
-    On a C-contiguous array of two or more columns einsum adds the rows in
-    the order numpy's axis-0 sum does, 2-3x faster.  numpy sums a single
-    column, or a column-major array, pairwise instead, so those keep the
-    reduction (np.sum's ufunc, called without its per-call wrapper).
-    """
-    if a.shape[1] > 1 and a.flags.c_contiguous:
-        np.einsum("ij->j", a, out=out)
-    else:
-        np.add.reduce(a, axis=0, out=out)
 
 
 class Mlp:
@@ -153,7 +139,8 @@ class Mlp:
         """
         grads = out.parts
         for k in range(len(self.weights) - 1, -1, -1):
-            _column_sums(delta, grads[2 * k + 1])
+            # the bias gradient: delta's column sums, as one block
+            block_sum(delta[None], out=grads[2 * k + 1][None])
             np.matmul(acts[k].T, delta, out=grads[2 * k])
             if k > 0:
                 mask = np.greater(pre[k - 1], 0.0, out=pre[k - 1])

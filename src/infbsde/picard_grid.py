@@ -1,11 +1,13 @@
 """Grid-based Picard iteration and the mesh-refinement rate study.
 
-Each iteration takes fresh samples at every extended-grid node from the
-solve's one :class:`FreshDraws`, which owns the node chunks and draws the
-iterations ahead in groups that fit ``DRAW_ROWS``; it averages the
-single-draw estimator applied to the interpolated previous iterate, and
-(optionally) applies growth truncation.  Errors are reported on the inner
-nodes only, unweighted, against the analytic solution, else nan.
+Each iteration takes samples at every extended-grid node from the solve's
+one draws object, which owns the node chunks: :class:`FreshDraws` draws
+every iteration anew, ahead in groups that fit ``DRAW_ROWS``, and
+:class:`FrozenDraws` draws once and reuses the batch, so the iteration is a
+fixed map.  It averages the single-draw estimator applied to the
+interpolated previous iterate, and (optionally) applies growth truncation.
+Errors are reported on the inner nodes only, unweighted, against the
+analytic solution, else nan.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .fixedpoint import point_means, r_sample_batch, truncate_growth
 from .grid import (Grid, GridFunction, GridMismatch, check_grid,
-                   node_errors, truncated_nodes)
+                   node_errors, sup_diff, truncated_nodes)
 # problem_by_name builds this module's configs (RunConfig); the tracer wraps it
 from .model import RunConfig, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
@@ -81,10 +83,19 @@ class GridRunConfig(RunConfig):
 @dataclass(frozen=True)
 class GridSolveConfig(GridRunConfig):
     """Configuration of one grid Picard run: ``m_samples`` draws per node
-    on the mesh ``half_width / n_half``.  Construction builds ``grid``."""
+    on the mesh ``half_width / n_half``.  Construction builds ``grid``.
+
+    ``draws`` is ``"fresh"`` (new draws every iteration, the scheme the
+    error analysis covers) or ``"frozen"`` (one batch per node, reused:
+    the empirical map; see :class:`FrozenDraws`).  A finite positive
+    ``tol`` ends the solve at the first iteration whose
+    :func:`~infbsde.grid.sup_diff` from the previous iterate is below it.
+    """
 
     n_half: int = 10
     m_samples: int = 40000
+    draws: str = "fresh"
+    tol: Optional[float] = None
     grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,6 +104,11 @@ class GridSolveConfig(GridRunConfig):
             raise ValueError("n_half must be at least 1")
         if self.m_samples < 2:
             raise ValueError("m_samples must be at least 2")
+        if self.draws not in ("fresh", "frozen"):
+            raise ValueError(f"draws must be 'fresh' or 'frozen', "
+                             f"not {self.draws!r}")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, not {self.tol}")
         object.__setattr__(self, "grid", Grid(self.dim, self.n_half,
                                               self.mesh, self.pad))
 
@@ -111,8 +127,9 @@ class IterationReport:
 
 # Draws per sample_fk_batch and r_sample_batch call.  Nodes are grouped until
 # a chunk holds about this many rows, so each numpy call in the estimator is
-# long enough to release the GIL for the other worker; see CHANGES.md for how
-# it was chosen.
+# long enough that its fixed cost per call stays small; see CHANGES.md for how
+# it was chosen.  Drawing and the corner gathers hold the GIL, so a second
+# worker overlaps only the rest (README.md).
 CHUNK_ROWS = 12000
 # Rows a solve draws ahead: consecutive iterations are grouped while their
 # rows, nodes x m_samples each, fit in this budget, and each chunk draws all
@@ -135,35 +152,73 @@ class FreshDraws:
 
     def __init__(self, cfg: GridSolveConfig, streams: Sequence[RngStream]):
         self.cfg, self.streams = cfg, list(streams)
-        n_nodes, m = cfg.grid.n_nodes, cfg.m_samples
-        per_chunk = max(1, CHUNK_ROWS // m)
-        self.chunks = [range(start, min(start + per_chunk, n_nodes))
-                       for start in range(0, n_nodes, per_chunk)]
-        self.group = max(1, DRAW_ROWS // (n_nodes * m))
+        self.chunks = _node_chunks(cfg)
+        self.group = max(1, DRAW_ROWS // (cfg.grid.n_nodes * cfg.m_samples))
         # per chunk, its untaken iterations: a stream until drawn, then rows
         self._ahead = [list(self.streams) for _ in self.chunks]
 
     def take(self, index: int) -> FkBatch:
         """Chunk ``index``'s draws for its next iteration."""
-        cfg, chunk, ahead = self.cfg, self.chunks[index], self._ahead[index]
+        chunk, ahead = self.chunks[index], self._ahead[index]
         if not ahead:
             raise ValueError(f"all {len(self.streams)} iterations of nodes "
                              f"{chunk.start}-{chunk.stop - 1} were taken")
         if isinstance(ahead[0], RngStream):
             group = ahead[:self.group]
-            fk = sample_fk_batch(cfg.built_problem, cfg.params, np.tile(
-                cfg.grid.nodes[chunk], (len(group), 1)), cfg.m_samples, cfg.dt,
-                [stream.substream(node) for stream in group for node in chunk])
-            ahead[:len(group)] = fk.split(len(group))
+            ahead[:len(group)] = _draw(self.cfg, chunk, group).split(len(group))
         return ahead.pop(0)
 
 
-def picard_step(v: GridFunction, draws: FreshDraws) -> GridFunction:
+class FrozenDraws:
+    """One batch of draws per node, handed out on every iteration.
+
+    With the same batch each time, the Picard iteration applies one
+    deterministic map, the empirical (sample-average) map of the draws, and
+    converges to its fixed point.  Node ``i`` draws once, from
+    ``streams[0].substream(i)``, so the first iteration equals the first
+    fresh one; the other streams are not used.  ``chunks`` are cut as in
+    :class:`FreshDraws`, and a chunk is drawn at its first take.  The
+    solve keeps every batch, ``2 + 3d`` floats per row.
+    """
+
+    def __init__(self, cfg: GridSolveConfig, streams: Sequence[RngStream]):
+        self.cfg, self.streams = cfg, list(streams)
+        self.chunks = _node_chunks(cfg)
+        self._batches = [None] * len(self.chunks)
+
+    def take(self, index: int) -> FkBatch:
+        """Chunk ``index``'s draws, the same batch on every take."""
+        if self._batches[index] is None:
+            self._batches[index] = _draw(self.cfg, self.chunks[index],
+                                         self.streams[:1])
+        return self._batches[index]
+
+
+def _node_chunks(cfg: GridSolveConfig) -> list:
+    """The nodes of ``cfg.grid`` in consecutive chunks of about
+    ``CHUNK_ROWS`` rows."""
+    n_nodes, per_chunk = cfg.grid.n_nodes, max(1, CHUNK_ROWS // cfg.m_samples)
+    return [range(start, min(start + per_chunk, n_nodes))
+            for start in range(0, n_nodes, per_chunk)]
+
+
+def _draw(cfg: GridSolveConfig, chunk: range,
+          streams: Sequence[RngStream]) -> FkBatch:
+    """The draws of the nodes ``chunk`` for each of ``streams``, in one
+    sampler call (through this module's ``sample_fk_batch``), stream by
+    stream; point ``i`` equals a call on that point alone."""
+    return sample_fk_batch(cfg.built_problem, cfg.params, np.tile(
+        cfg.grid.nodes[chunk], (len(streams), 1)), cfg.m_samples, cfg.dt,
+        [stream.substream(node) for stream in streams for node in chunk])
+
+
+def picard_step(v: GridFunction,
+                draws: FreshDraws | FrozenDraws) -> GridFunction:
     """One Picard update: the next iteration of ``draws`` against the
     interpolant of ``v``, which must live on ``draws.cfg.grid``.
 
-    Nodes are evaluated in ``draws.chunks``, one :meth:`FreshDraws.take`
-    per chunk, which changes no value.
+    Nodes are evaluated in ``draws.chunks``, one ``draws.take`` per chunk,
+    which changes no value.
     """
     cfg = draws.cfg
     grid, problem = cfg.grid, cfg.built_problem
@@ -204,7 +259,9 @@ class GridSolveResult:
 
 def solve(cfg: GridSolveConfig,
           base_stream: Optional[RngStream] = None) -> GridSolveResult:
-    """Run the Picard iteration from the zero grid function."""
+    """Run the Picard iteration from the zero grid function, for
+    ``cfg.n_iters`` iterations or until one moves the iterate by less than
+    ``cfg.tol``."""
     problem = cfg.built_problem
     v = GridFunction.zero(cfg.grid, problem.gen.dim_y)
     inner = truncated_nodes(cfg.grid)
@@ -212,18 +269,20 @@ def solve(cfg: GridSolveConfig,
         base_stream = RngStream(cfg.seed)
     exact = None if problem.analytic is None else problem.analytic(cfg.grid.nodes)
 
-    draws = FreshDraws(cfg, [base_stream.substream(n)
-                             for n in range(1, cfg.n_iters + 1)])
+    draws = (FrozenDraws if cfg.draws == "frozen" else FreshDraws)(
+        cfg, [base_stream.substream(n) for n in range(1, cfg.n_iters + 1)])
     reports = []
     for n in range(1, cfg.n_iters + 1):
         start = time.perf_counter()
-        v = picard_step(v, draws)
+        v, v_old = picard_step(v, draws), v
         elapsed = time.perf_counter() - start
         sup_u = sup_ubar = np.nan
         if exact is not None:
             err_u, err_ubar = node_errors(v, *exact)
             sup_u, sup_ubar = float(err_u[inner].max()), float(err_ubar[inner].max())
         reports.append(IterationReport(n, sup_u, sup_ubar, elapsed))
+        if cfg.tol is not None and sup_diff(v, v_old) < cfg.tol:
+            break
     return GridSolveResult(v, reports)
 
 

@@ -114,6 +114,22 @@ class TestGridSolve:
         assert (first / "grid_solution.csv").read_bytes() == \
             (second / "grid_solution.csv").read_bytes()
 
+    def test_loose_tol_shortens_iterations(self, tmp_path):
+        # the first step moves the iterate by less than 1e9, so the solve
+        # stops there, with the rows and solution of a one-iteration run
+        full, short, one = (tmp_path / name for name in ("f", "s", "o"))
+        assert run(grid_args(full)) == 0
+        assert run(grid_args(short) + ["--tol", "1e9"]) == 0
+        assert run(grid_args(one) + ["--iters", "1"]) == 0
+        assert len(read_csv(full / "iterations.csv")) == 3
+        assert without_seconds(read_csv(short / "iterations.csv")) == \
+            without_seconds(read_csv(one / "iterations.csv"))
+        assert (short / "grid_solution.csv").read_bytes() == \
+            (one / "grid_solution.csv").read_bytes()
+        echo = json.loads((short / "config_echo.json").read_text(
+            encoding="utf-8"))
+        assert (echo["tol"], echo["draws"]) == (1e9, "fresh")
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "linear-constant",
@@ -579,6 +595,10 @@ def test_csv_floats_carry_full_precision(tmp_path):
 # one tiny seeded run per subcommand (both kz-sweep schemes)
 TINY_RUNS = {
     "grid-solve": grid_args("unused")[:-2],
+    "grid-solve-frozen": ["grid-solve", "--problem", "arctan-const-sigma",
+                          "--d", "2", "--ntilde", "2", "--M", "50",
+                          "--iters", "6", "--draws", "frozen", "--tol",
+                          "1e-3", "--seed", "4"],
     "rate-study": ["rate-study", "--problem", "linear-constant", "--R", "1.0",
                    "--iters", "2", "--ntilde-list", "2,3,4", "--k", "4",
                    "--seed", "1"],
@@ -851,6 +871,14 @@ def test_sweep_rejects_other_schemes_key_at_its_default(tmp_path, capsys,
                   "1", "--M", "8"], id="kz-sweep-d0"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--p", "-1"],
                  id="grid-solve-p-1"),
+    # the draw policy is fresh or frozen, and a tolerance finite and positive
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--draws",
+                  "bogus", "--ntilde", "1", "--M", "2", "--iters", "1"],
+                 id="grid-solve-draws-bogus"),
+    *[pytest.param(["grid-solve", "--problem", "linear-constant", "--tol",
+                    value, "--ntilde", "1", "--M", "2", "--iters", "1"],
+                   id=f"grid-solve-tol{value}")
+      for value in ("0", "-1", "nan", "inf")],
     # truncation: a finite positive bound and a finite non-negative degree
     # (small budgets from here on, so a run that wrongly starts ends fast)
     *[pytest.param([*argv, "--problem", "linear-constant", "--trunc-bound",
@@ -1178,7 +1206,9 @@ class TestPinnedOutputs:
     ``rate-study`` on ``arctan-tanh-sigma`` (``EULER``).
 
     Recorded before the config classes took over the run checks, so that
-    no refactor moves a seeded output unseen.  The neural digests
+    no refactor moves a seeded output unseen.  The two ``grid-solve``
+    echoes were recorded again when ``draws`` and ``tol`` became
+    ``GridSolveConfig`` fields; every other digest is the original.  The neural digests
     (``nn-picard``, ``nn-direct``, ``kz-sweep``) depend on the matrix
     kernels numpy calls; they were recorded with OpenBLAS 0.3.31 on an
     x86-64 (Haswell kernels) host and may differ under another BLAS.
@@ -1187,8 +1217,8 @@ class TestPinnedOutputs:
     DIGESTS = {
         "grid-solve": {
             "config_echo.json":
-                "b9427840ea5fb3bb08ebdbf846b32695"
-                "7093f3dd9ae3d81ed8883b70538d557f",
+                "0bbb6054a1a77bdca9d76e41a28b1478"
+                "7a31f0a061a91602dc466f1d21cfa28d",
             "grid_solution.csv":
                 "69d334aafde875193f5437728ea8c681"
                 "1824814688627366630ed6c2400ab837",
@@ -1262,8 +1292,8 @@ class TestPinnedOutputs:
             ["grid-solve", "--problem", "arctan-tanh-sigma", "--dt", "0.02",
              "--ntilde", "6", "--M", "500", "--iters", "4"],
             {"config_echo.json":
-                "969b5942acc4a6121a48cccc0d2e3c30"
-                "d8a7210fa3a59381aa990facdf743ee5",
+                "ebc9e7f8eaa1bf7d1339affc8e03f35a"
+                "d1819fca58907a5d64ec3cf58524e52d",
              "grid_solution.csv":
                 "f089e2ae9d62007679e9813a378f085d"
                 "8093a4c714aea99aef724dc77fe56320",

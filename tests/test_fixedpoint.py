@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from infbsde import (Grid, GridFunction, Mlp, NonFiniteValue, RngStream,
                      SchemeParams, estimate_phi, poly_weight, problem_by_name,
                      r_sample_batch, sample_fk_batch, truncate_growth)
-from infbsde import fixedpoint
+from infbsde import fixedpoint, model
 from infbsde.simulate import FkBatch
 
 PARAMS = SchemeParams(2.0, 2.0, 1.5, 1.5)
@@ -269,6 +269,35 @@ class TestPhiBatch:
         assert est.value[1].shape == est.std_err[1].shape == (100, 1, 2)
         assert est.m == 100
         assert len(np.unique(est.value[0])) == 100
+
+
+class TestPointMeans:
+    """Numpy's ``mean(axis=1)`` per block of ``m`` rows, bit for bit, with
+    the blocks of two or more trailing values summed by einsum."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_same_bits_as_numpy(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        k, m = 5, 1500
+        comps = (rng.standard_cauchy((k * m, 1)) * scale,
+                 rng.standard_cauchy((k * m, 1, dim)) * scale)
+        means = fixedpoint.point_means(comps, range(k))
+        for got, c in zip(means, comps):
+            want = c.reshape(k, m, *c.shape[1:]).mean(axis=1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_block_sums_overflow_as_numpy(self, dim):
+        # rows near 1e308 overflow part way through the sum, to the same
+        # infinity; a column-major block keeps numpy's reduction
+        rng = np.random.default_rng(10 + dim)
+        blocks = rng.choice([-1.7e308, 1.7e308, 1e300], (3, 40, 1, dim))
+        for a in (blocks, np.asfortranarray(blocks)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.reduce(a, axis=1)
+                got = model.block_sum(a)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPointStdErrs:

@@ -555,6 +555,53 @@ def _old_arctan_formulas(dim, c, kz):
     return u, f0, f0_y, f0_z, operator, f
 
 
+def _old_manufactured_driver(u, grad_u, hess_u, f0, sde):
+    """A manufactured problem's driver as it read before ``f0`` took its
+    x-only terms: ``f0`` at the iterate and at the solution each take
+    their own ``|x|``."""
+
+    def f(x, y, z):
+        grad = grad_u(x)
+        if sde.is_brownian:
+            ubar = grad
+            op = 0.5 * row_sum(np.diagonal(hess_u(x), axis1=2, axis2=3))
+        else:
+            sig = sde.coefficients(x).diffusion
+            ubar = np.einsum("mij,mjk->mik", grad, sig)
+            ssq = np.einsum("mak,mbk->mab", sig, sig)
+            op = 0.5 * np.einsum("miab,mab->mi", hess_u(x), ssq)
+        return f0.f(x, y, z) - op - f0.f(x, u(x), ubar)
+
+    return f
+
+
+class TestDriverXTerms:
+    CASES = [(name, dim) for name in PROBLEM_NAMES
+             for dim in ((1,) if name == "arctan-tanh-sigma" else (1, 2, 3))]
+
+    @pytest.mark.parametrize("name, dim", CASES)
+    def test_x_terms_give_the_full_driver(self, monkeypatch, name, dim):
+        captured = {}
+        real = model_mod.manufacture_problem
+
+        def spy(u, grad_u, hess_u, f0, sde, **kwargs):
+            captured["old"] = _old_manufactured_driver(u, grad_u, hess_u, f0,
+                                                       sde)
+            return real(u, grad_u, hess_u, f0, sde, **kwargs)
+
+        monkeypatch.setattr(model_mod, "manufacture_problem", spy)
+        gen = problem_by_name(name, dim).gen
+        rng = np.random.default_rng(80 + dim)
+        x = rng.normal(0.0, 2.0, (300, dim))
+        x[:3] = 0.0
+        y = rng.normal(size=(300, 1))
+        z = rng.normal(size=(300, 1, dim))
+        full = gen.f(x, y, z)
+        assert gen.f(x, y, z, x_terms=gen.x_terms(x)).tobytes() == \
+            full.tobytes()
+        assert full.tobytes() == captured["old"](x, y, z).tobytes()
+
+
 class TestShortAxisReductions:
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
     def test_driver_equals_numpy_reductions(self, monkeypatch, dim):
@@ -587,5 +634,10 @@ class TestShortAxisReductions:
             np.testing.assert_array_equal(problem.gen.f(x, y, z_in),
                                           f(x, y, z))
         np.testing.assert_array_equal(problem.analytic.u(x), u(x))
-        op, _ = problem.gen.x_terms(x)
+        # x_terms: the operator, f0 at the solution, and f0's own |x|
+        op, at_solution, x_norm = problem.gen.x_terms(x)
         np.testing.assert_array_equal(op, operator(x))
+        np.testing.assert_array_equal(at_solution,
+                                      ref_f0(x, u(x), problem.analytic.ubar(x)))
+        np.testing.assert_array_equal(x_norm, np.linalg.norm(x, axis=1,
+                                                             keepdims=True))

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infbsde import (FitUnderdetermined, FreshDraws, GridFunction,
-                     GridMismatch, GridRunConfig, GridSolveConfig,
+from infbsde import (FitUnderdetermined, FreshDraws, FrozenDraws,
+                     GridFunction, GridMismatch, GridRunConfig,
+                     GridSolveConfig,
                      NonFiniteValue, NonPositiveRate, RateStudyConfig,
                      RngStream, RunConfig, SchemeParams, UnknownProblem,
                      fit_rate_slope, picard_step, r_sample_batch, rate_study,
-                     sample_fk_batch, solve)
+                     sample_fk_batch, solve, sup_diff)
 from infbsde import model, picard_grid
 
 
@@ -124,7 +125,10 @@ class TestConfig:
                                 (np.inf, 1.0), (1.0, -1.0), (1.0, np.nan),
                                 (1.0, np.inf))],
         *[pytest.param({key: 1.0}, ValueError, id=key)
-          for key in ("trunc_bound", "trunc_degree")]])
+          for key in ("trunc_bound", "trunc_degree")],
+        pytest.param({"draws": "bogus"}, ValueError, id="draws-bogus"),
+        *[pytest.param({"tol": value}, ValueError, id=f"tol{value}")
+          for value in (0.0, -1.0, np.inf, np.nan)]])
     def test_rejects_what_the_cli_rejects(self, settings, error):
         with pytest.raises(error):
             build_run(GridSolveConfig, settings)
@@ -475,6 +479,106 @@ class TestFreshDraws:
         assert all(chunk.step == 1 for chunk in chunks)
         assert all(len(chunk) == per_chunk for chunk in chunks[:-1])
         assert 1 <= len(chunks[-1]) <= per_chunk
+
+
+def fk_arrays(fk):
+    return [getattr(fk, f.name) for f in dataclasses.fields(fk)]
+
+
+class TestFrozenDraws:
+    @pytest.mark.parametrize("name, dim, dt, n_half, m", DRAW_CASES)
+    def test_every_take_hands_back_iteration_ones_batch(self, monkeypatch,
+                                                       name, dim, dt, n_half,
+                                                       m):
+        # chunks of three nodes, each drawn once, through the module's
+        # sample_fk_batch, from the first stream; a frozen solve leaves the
+        # batch as fresh draws' first iteration gives it, bit for bit
+        cfg = config(problem=name, dim=dim, dt=dt, n_half=n_half,
+                     half_width=2.0, m_samples=m, n_iters=4)
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 3 * m)
+        streams = [RngStream(cfg.seed).substream(n) for n in range(1, 5)]
+        calls = []
+        real = picard_grid.sample_fk_batch
+
+        def counted(*args):
+            calls.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(picard_grid, "sample_fk_batch", counted)
+        frozen = FrozenDraws(cfg, streams)
+        v = GridFunction.zero(cfg.grid, 1)
+        for _ in range(4):
+            v = picard_step(v, frozen)
+        assert len(calls) == len(frozen.chunks) == -(-cfg.grid.n_nodes // 3)
+        assert calls[0] == [streams[0].substream(node) for node in range(3)]
+        fresh = FreshDraws(cfg, streams)
+        for index in range(len(frozen.chunks)):
+            batch = frozen.take(index)
+            assert frozen.take(index) is batch
+            for got, want in zip(fk_arrays(batch),
+                                 fk_arrays(fresh.take(index))):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, dim, dt, n_half, m", DRAW_CASES)
+    def test_first_iteration_equals_fresh(self, name, dim, dt, n_half, m):
+        cfg = config(problem=name, dim=dim, dt=dt, n_half=n_half,
+                     half_width=2.0, m_samples=m, n_iters=3)
+        frozen = solve(dataclasses.replace(cfg, draws="frozen"))
+        fresh = solve(cfg)
+        assert frozen.reports[0].sup_err_u == fresh.reports[0].sup_err_u
+        assert frozen.reports[0].sup_err_ubar == fresh.reports[0].sup_err_ubar
+        first = solve(dataclasses.replace(cfg, n_iters=1))
+        one = solve(dataclasses.replace(cfg, n_iters=1, draws="frozen"))
+        np.testing.assert_array_equal(one.final.u, first.final.u)
+        np.testing.assert_array_equal(one.final.ubar, first.final.ubar)
+        # later iterations reuse the first draws, so they differ from fresh
+        assert not np.array_equal(frozen.final.u, fresh.final.u)
+
+    def test_one_map_on_every_iteration(self):
+        # the same iterate maps to the same bits on every take
+        cfg = config(problem="arctan-const-sigma", dim=2, n_half=2,
+                     half_width=2.0, m_samples=100)
+        draws = FrozenDraws(cfg, [RngStream(0)])
+        v = random_iterate(cfg.grid, 3)
+        first, second = picard_step(v, draws), picard_step(v, draws)
+        np.testing.assert_array_equal(first.u, second.u)
+        np.testing.assert_array_equal(first.ubar, second.ubar)
+
+    def test_thread_count_does_not_change_result(self, monkeypatch):
+        # 25 chunks of one node, drawn at their first take on either thread
+        cfg = config(problem="arctan-const-sigma", dim=2, n_half=2,
+                     half_width=2.0, m_samples=40, n_iters=4, draws="frozen")
+        monkeypatch.setattr(picard_grid, "CHUNK_ROWS", 40)
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BSDE_THREADS", threads)
+            results.append(solve(cfg))
+        one, two = results
+        np.testing.assert_array_equal(one.final.u, two.final.u)
+        np.testing.assert_array_equal(one.final.ubar, two.final.ubar)
+        assert [(r.sup_err_u, r.sup_err_ubar) for r in one.reports] == [
+            (r.sup_err_u, r.sup_err_ubar) for r in two.reports]
+
+    def test_tol_stops_at_the_first_small_step(self):
+        # on frozen draws the steps shrink geometrically; the solve stops at
+        # the first that moves the iterate by less than tol, and ends where
+        # a solve of that many iterations does
+        cfg = config(problem="arctan-const-sigma", n_half=3, half_width=2.0,
+                     m_samples=200, n_iters=30, draws="frozen")
+        steps, v = [], GridFunction.zero(cfg.grid, 1)
+        draws = FrozenDraws(cfg, [RngStream(cfg.seed).substream(1)])
+        for _ in range(cfg.n_iters):
+            v, v_old = picard_step(v, draws), v
+            steps.append(sup_diff(v, v_old))
+        tol = 1e-4
+        stop = next(n for n, step in enumerate(steps, 1) if step < tol)
+        assert 1 < stop < cfg.n_iters
+        short = solve(dataclasses.replace(cfg, tol=tol))
+        assert [r.n for r in short.reports] == list(range(1, stop + 1))
+        fixed = solve(dataclasses.replace(cfg, n_iters=stop))
+        np.testing.assert_array_equal(short.final.u, fixed.final.u)
+        np.testing.assert_array_equal(short.final.ubar, fixed.final.ubar)
+        assert len(solve(cfg).reports) == cfg.n_iters
 
 
 class TestContraction:
