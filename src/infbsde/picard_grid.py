@@ -128,8 +128,8 @@ class IterationReport:
 # Draws per sample_fk_batch and r_sample_batch call.  Nodes are grouped until
 # a chunk holds about this many rows, so each numpy call in the estimator is
 # long enough that its fixed cost per call stays small; see CHANGES.md for how
-# it was chosen.  Drawing and the corner gathers hold the GIL, so a second
-# worker overlaps only the rest (README.md).
+# it was chosen.  The interpolation's corner gathers do not overlap on two
+# workers; drawing and the arithmetic do (README.md).
 CHUNK_ROWS = 12000
 # Rows a solve draws ahead: consecutive iterations are grouped while their
 # rows, nodes x m_samples each, fit in this budget, and each chunk draws all
