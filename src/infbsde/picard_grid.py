@@ -87,9 +87,11 @@ class GridSolveConfig(GridRunConfig):
 
     ``draws`` is ``"fresh"`` (new draws every iteration, the scheme the
     error analysis covers) or ``"frozen"`` (one batch per node, reused:
-    the empirical map; see :class:`FrozenDraws`).  A finite positive
-    ``tol`` ends the solve at the first iteration whose
-    :func:`~infbsde.grid.sup_diff` from the previous iterate is below it.
+    the empirical map; see :class:`FrozenDraws`), whose batches must fit
+    ``FROZEN_BYTES``.  On frozen draws only, a finite positive ``tol``
+    ends the solve at the first iteration whose
+    :func:`~infbsde.grid.sup_diff` from the previous iterate is below it;
+    fresh iterates never settle below the Monte Carlo noise.
     """
 
     n_half: int = 10
@@ -109,8 +111,17 @@ class GridSolveConfig(GridRunConfig):
                              f"not {self.draws!r}")
         if self.tol is not None and not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, not {self.tol}")
+        if self.tol is not None and self.draws != "frozen":
+            raise ValueError("tol needs draws='frozen': fresh iterates "
+                             "never settle below the Monte Carlo noise")
         object.__setattr__(self, "grid", Grid(self.dim, self.n_half,
                                               self.mesh, self.pad))
+        held = self.grid.n_nodes * self.m_samples * (2 + 3 * self.dim) * 8
+        if self.draws == "frozen" and held > FROZEN_BYTES:
+            raise ValueError(
+                f"frozen draws would hold {held / 2**20:.0f} MiB, above the "
+                f"{FROZEN_BYTES // 2**20} MiB bound: lower n_half or "
+                f"m_samples, or use fresh draws")
 
     @property
     def mesh(self) -> float:
@@ -136,6 +147,10 @@ CHUNK_ROWS = 12000
 # of a group's iterations in one sampler call (one Euler loop).  A solve
 # whose iteration alone exceeds it draws one iteration at a time.
 DRAW_ROWS = 1 << 15
+# Bytes a frozen solve may keep: every node's batch, m_samples rows of
+# 2 + 3d floats.  Configs A and C of the README hold 34 and 43 MB; grid-solve
+# at its default mesh and M holds 1.1 GB in d=2, above this bound.
+FROZEN_BYTES = 1 << 30
 
 
 class FreshDraws:
@@ -152,73 +167,58 @@ class FreshDraws:
 
     def __init__(self, cfg: GridSolveConfig, streams: Sequence[RngStream]):
         self.cfg, self.streams = cfg, list(streams)
-        self.chunks = _node_chunks(cfg)
-        self.group = max(1, DRAW_ROWS // (cfg.grid.n_nodes * cfg.m_samples))
+        n_nodes, m = cfg.grid.n_nodes, cfg.m_samples
+        per_chunk = max(1, CHUNK_ROWS // m)
+        self.chunks = [range(start, min(start + per_chunk, n_nodes))
+                       for start in range(0, n_nodes, per_chunk)]
+        self.group = max(1, DRAW_ROWS // (n_nodes * m))
         # per chunk, its untaken iterations: a stream until drawn, then rows
         self._ahead = [list(self.streams) for _ in self.chunks]
 
     def take(self, index: int) -> FkBatch:
         """Chunk ``index``'s draws for its next iteration."""
-        chunk, ahead = self.chunks[index], self._ahead[index]
+        cfg, chunk, ahead = self.cfg, self.chunks[index], self._ahead[index]
         if not ahead:
             raise ValueError(f"all {len(self.streams)} iterations of nodes "
                              f"{chunk.start}-{chunk.stop - 1} were taken")
         if isinstance(ahead[0], RngStream):
             group = ahead[:self.group]
-            ahead[:len(group)] = _draw(self.cfg, chunk, group).split(len(group))
+            fk = sample_fk_batch(cfg.built_problem, cfg.params, np.tile(
+                cfg.grid.nodes[chunk], (len(group), 1)), cfg.m_samples, cfg.dt,
+                [stream.substream(node) for stream in group for node in chunk])
+            ahead[:len(group)] = fk.split(len(group))
         return ahead.pop(0)
 
 
-class FrozenDraws:
+class FrozenDraws(FreshDraws):
     """One batch of draws per node, handed out on every iteration.
 
     With the same batch each time, the Picard iteration applies one
     deterministic map, the empirical (sample-average) map of the draws, and
-    converges to its fixed point.  Node ``i`` draws once, from
-    ``streams[0].substream(i)``, so the first iteration equals the first
-    fresh one; the other streams are not used.  ``chunks`` are cut as in
-    :class:`FreshDraws`, and a chunk is drawn at its first take.  The
-    solve keeps every batch, ``2 + 3d`` floats per row.
+    converges to its fixed point.  These are the fresh draws of
+    ``streams[0]`` alone, so the first iteration equals the first fresh one;
+    the other streams are not used.  A chunk is drawn at its first take and
+    kept: the solve holds every batch, ``2 + 3d`` floats per row, which
+    :class:`GridSolveConfig` bounds by ``FROZEN_BYTES``.
     """
 
     def __init__(self, cfg: GridSolveConfig, streams: Sequence[RngStream]):
-        self.cfg, self.streams = cfg, list(streams)
-        self.chunks = _node_chunks(cfg)
-        self._batches = [None] * len(self.chunks)
+        super().__init__(cfg, list(streams)[:1])
+        self._batches = {}
 
     def take(self, index: int) -> FkBatch:
         """Chunk ``index``'s draws, the same batch on every take."""
-        if self._batches[index] is None:
-            self._batches[index] = _draw(self.cfg, self.chunks[index],
-                                         self.streams[:1])
+        if index not in self._batches:
+            self._batches[index] = super().take(index)
         return self._batches[index]
 
 
-def _node_chunks(cfg: GridSolveConfig) -> list:
-    """The nodes of ``cfg.grid`` in consecutive chunks of about
-    ``CHUNK_ROWS`` rows."""
-    n_nodes, per_chunk = cfg.grid.n_nodes, max(1, CHUNK_ROWS // cfg.m_samples)
-    return [range(start, min(start + per_chunk, n_nodes))
-            for start in range(0, n_nodes, per_chunk)]
-
-
-def _draw(cfg: GridSolveConfig, chunk: range,
-          streams: Sequence[RngStream]) -> FkBatch:
-    """The draws of the nodes ``chunk`` for each of ``streams``, in one
-    sampler call (through this module's ``sample_fk_batch``), stream by
-    stream; point ``i`` equals a call on that point alone."""
-    return sample_fk_batch(cfg.built_problem, cfg.params, np.tile(
-        cfg.grid.nodes[chunk], (len(streams), 1)), cfg.m_samples, cfg.dt,
-        [stream.substream(node) for stream in streams for node in chunk])
-
-
-def picard_step(v: GridFunction,
-                draws: FreshDraws | FrozenDraws) -> GridFunction:
+def picard_step(v: GridFunction, draws: FreshDraws) -> GridFunction:
     """One Picard update: the next iteration of ``draws`` against the
     interpolant of ``v``, which must live on ``draws.cfg.grid``.
 
-    Nodes are evaluated in ``draws.chunks``, one ``draws.take`` per chunk,
-    which changes no value.
+    Nodes are evaluated in ``draws.chunks``, one :meth:`FreshDraws.take`
+    per chunk, which changes no value.
     """
     cfg = draws.cfg
     grid, problem = cfg.grid, cfg.built_problem

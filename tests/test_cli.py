@@ -118,9 +118,10 @@ class TestGridSolve:
         # the first step moves the iterate by less than 1e9, so the solve
         # stops there, with the rows and solution of a one-iteration run
         full, short, one = (tmp_path / name for name in ("f", "s", "o"))
-        assert run(grid_args(full)) == 0
-        assert run(grid_args(short) + ["--tol", "1e9"]) == 0
-        assert run(grid_args(one) + ["--iters", "1"]) == 0
+        frozen = ["--draws", "frozen"]
+        assert run(grid_args(full) + frozen) == 0
+        assert run(grid_args(short) + frozen + ["--tol", "1e9"]) == 0
+        assert run(grid_args(one) + frozen + ["--iters", "1"]) == 0
         assert len(read_csv(full / "iterations.csv")) == 3
         assert without_seconds(read_csv(short / "iterations.csv")) == \
             without_seconds(read_csv(one / "iterations.csv"))
@@ -128,7 +129,7 @@ class TestGridSolve:
             (one / "grid_solution.csv").read_bytes()
         echo = json.loads((short / "config_echo.json").read_text(
             encoding="utf-8"))
-        assert (echo["tol"], echo["draws"]) == (1e9, "fresh")
+        assert (echo["tol"], echo["draws"]) == (1e9, "frozen")
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -871,14 +872,22 @@ def test_sweep_rejects_other_schemes_key_at_its_default(tmp_path, capsys,
                   "1", "--M", "8"], id="kz-sweep-d0"),
     pytest.param(["grid-solve", "--problem", "linear-constant", "--p", "-1"],
                  id="grid-solve-p-1"),
-    # the draw policy is fresh or frozen, and a tolerance finite and positive
+    # the draw policy is fresh or frozen, a tolerance finite and positive
+    # and only on frozen draws, and frozen batches fit FROZEN_BYTES (d=2 at
+    # the default mesh and M would hold 1.1 GB)
     pytest.param(["grid-solve", "--problem", "linear-constant", "--draws",
                   "bogus", "--ntilde", "1", "--M", "2", "--iters", "1"],
                  id="grid-solve-draws-bogus"),
-    *[pytest.param(["grid-solve", "--problem", "linear-constant", "--tol",
-                    value, "--ntilde", "1", "--M", "2", "--iters", "1"],
-                   id=f"grid-solve-tol{value}")
+    *[pytest.param(["grid-solve", "--problem", "linear-constant", "--draws",
+                    "frozen", "--tol", value, "--ntilde", "1", "--M", "2",
+                    "--iters", "1"], id=f"grid-solve-tol{value}")
       for value in ("0", "-1", "nan", "inf")],
+    pytest.param(["grid-solve", "--problem", "linear-constant", "--tol",
+                  "1e-3", "--ntilde", "1", "--M", "2", "--iters", "1"],
+                 id="grid-solve-tol-fresh"),
+    pytest.param(["grid-solve", "--problem", "arctan-const-sigma", "--d", "2",
+                  "--draws", "frozen", "--iters", "1"],
+                 id="grid-solve-frozen-d2-default-mesh"),
     # truncation: a finite positive bound and a finite non-negative degree
     # (small budgets from here on, so a run that wrongly starts ends fast)
     *[pytest.param([*argv, "--problem", "linear-constant", "--trunc-bound",

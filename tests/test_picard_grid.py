@@ -127,8 +127,15 @@ class TestConfig:
         *[pytest.param({key: 1.0}, ValueError, id=key)
           for key in ("trunc_bound", "trunc_degree")],
         pytest.param({"draws": "bogus"}, ValueError, id="draws-bogus"),
-        *[pytest.param({"tol": value}, ValueError, id=f"tol{value}")
-          for value in (0.0, -1.0, np.inf, np.nan)]])
+        *[pytest.param({"tol": value, "draws": "frozen"}, ValueError,
+                       id=f"tol{value}")
+          for value in (0.0, -1.0, np.inf, np.nan)],
+        # a stop tolerance only on frozen draws, whose steps shrink
+        pytest.param({"tol": 1e-3}, ValueError, id="tol-fresh"),
+        # frozen batches over FROZEN_BYTES: 441 nodes x 40000 rows x 8
+        # floats in d=2 at the default mesh and M
+        pytest.param({"draws": "frozen", "dim": 2}, ValueError,
+                     id="frozen-d2-default-mesh")])
     def test_rejects_what_the_cli_rejects(self, settings, error):
         with pytest.raises(error):
             build_run(GridSolveConfig, settings)
@@ -558,6 +565,18 @@ class TestFrozenDraws:
         np.testing.assert_array_equal(one.final.ubar, two.final.ubar)
         assert [(r.sup_err_u, r.sup_err_ubar) for r in one.reports] == [
             (r.sup_err_u, r.sup_err_ubar) for r in two.reports]
+
+    def test_frozen_memory_bound(self, monkeypatch):
+        # m_samples rows of 2 + 3d floats per node: 21 x 40000 x 5 x 8 B
+        # at d=1 and the default mesh, within the bound and rejected below it
+        held = 21 * 40000 * 5 * 8
+        assert held <= picard_grid.FROZEN_BYTES
+        cfg = build_run(GridSolveConfig, {"draws": "frozen"})
+        assert cfg.grid.n_nodes * cfg.m_samples == 21 * 40000
+        monkeypatch.setattr(picard_grid, "FROZEN_BYTES", held - 1)
+        with pytest.raises(ValueError, match="frozen draws would hold"):
+            build_run(GridSolveConfig, {"draws": "frozen"})
+        build_run(GridSolveConfig, {})  # fresh draws hold no batch
 
     def test_tol_stops_at_the_first_small_step(self):
         # on frozen draws the steps shrink geometrically; the solve stops at
