@@ -32,8 +32,8 @@ from .analysis import (ReportRow, brownian_c_infinity, contraction_report,
 from .fixedpoint import NonFiniteValue
 from .grid import Grid, _format, write_csv, write_grid_csv
 # problem_by_name builds this module's configs (RunConfig); the tracer wraps it
-from .model import (PROBLEM_CONSTANTS, RunConfig, monotonicity_margin,
-                    problem_by_name)
+from .model import (PROBLEM_CONSTANTS, RunConfig, at_least, check_bounds,
+                    monotonicity_margin, problem_by_name)
 from .neural import save_checkpoint
 from .nn_schemes import (DirectConfig, NnPicardConfig, TraceRow,
                          contraction_nn_solve, direct_nn_solve)
@@ -61,18 +61,14 @@ class _ContractionConfig(RunConfig):
     start-law draws."""
 
     weight_degree: float = 0.0
-    m_samples: int = 100000
-    probe_n_half: int = 5
+    m_samples: int = at_least(2, 100000)
+    probe_n_half: int = at_least(1, 5)
     probe_half_width: float = 3.0
-    n_mu0_probes: int = 16
+    n_mu0_probes: int = at_least(0, 16)
     grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        for key, low in (("m_samples", 2), ("probe_n_half", 1),
-                         ("n_mu0_probes", 0)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be at least {low}")
         if not 0 <= self.weight_degree < np.inf:
             raise ValueError("weight_degree must be finite and non-negative")
         object.__setattr__(self, "grid", Grid(
@@ -95,15 +91,14 @@ class _KzSweepConfig:
     base: NnPicardConfig
     scheme: str = "nn-picard"
     kz_list: Tuple[float, ...] = (0.4, 1.6, 2.8, 4.0, 5.2)
-    reps: int = 5
+    reps: int = at_least(1, 5)
     cells: list = field(init=False, repr=False, compare=False)
     swept: ClassVar[str] = "kz"
 
     def __post_init__(self):
         if not self.kz_list:
             raise ValueError("kz_list must be non-empty")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        check_bounds(self)
         base, reps = self.base, range(self.reps)
         object.__setattr__(self, "cells", [
             [replace(base, overrides={**(base.overrides or {}), "kz": kz},

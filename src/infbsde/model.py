@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -175,35 +175,51 @@ class SchemeParams:
                 f"non-positive or non-finite parameter(s): {', '.join(bad)}")
 
 
+def at_least(low: int, default):
+    """A dataclass field defaulting to ``default`` whose value, or each
+    entry of a sequence value, must be at least ``low`` (check_bounds)."""
+    return field(default=default, metadata={"at_least": low})
+
+
+def check_bounds(config) -> None:
+    """Raise ValueError for the first field of the dataclass ``config``
+    below the bound its :func:`at_least` declares; None passes."""
+    for f in fields(config):
+        low = f.metadata.get("at_least")
+        value = None if low is None else getattr(config, f.name)
+        if value is not None and np.min(value, initial=low) < low:
+            name = f"{f.name} entries" if np.ndim(value) else f.name
+            raise ValueError(f"{name} must be at least {low}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Settings every run shares: the problem and its constant overrides
     (the start-law width ``mu0_std`` among them), the scheme parameters,
     the Euler step ``dt`` (non-Brownian dynamics only) and the seed.
 
-    Construction raises ValueError unless the problem builds, its
-    dynamics have the Euler step they need and the seed is non-negative.
-    It keeps the problem it built as ``built_problem``, which the solvers
-    read, so a run builds its problem once; ``dataclasses.replace``
-    builds it anew.
+    Construction raises ValueError unless every field of the class holds
+    its :func:`at_least` bound, the problem builds and its dynamics have
+    the Euler step they need.  It keeps the problem it built as
+    ``built_problem``, which the solvers read, so a run builds its problem
+    once; ``dataclasses.replace`` builds it anew.
     """
 
     problem: str
-    dim: int = 1
+    dim: int = at_least(1, 1)
     overrides: Optional[dict] = None
     params: SchemeParams = field(default_factory=SchemeParams)
     dt: Optional[float] = None
-    seed: int = 0
+    seed: int = at_least(0, 0)
 
     def __post_init__(self):
+        check_bounds(self)
         # the problem_by_name global of the module that defines the class,
         # else this module's: an entry point the benchmark's tracer wraps
         build = getattr(sys.modules.get(type(self).__module__),
                         "problem_by_name", problem_by_name)
         problem = build(self.problem, self.dim, self.overrides)
         check_step(problem.sde, self.dt)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # an attribute, not a field: the fields are the settings
         object.__setattr__(self, "built_problem", problem)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .fixedpoint import (Branch, Candidate, NonFiniteValue, branches,
                          one_draw_terms, r_sample_batch)
 # problem_by_name builds this module's configs (RunConfig); the tracer wraps it
-from .model import (GeneratorSpec, Problem, RunConfig, bind_driver,
+from .model import (GeneratorSpec, Problem, RunConfig, at_least, bind_driver,
                     problem_by_name)
 from .neural import AdamState, Gradient, Mlp, Workspace, adam_step
 from .simulate import FkBatch, RngStream, sample_fk_batch, sample_mu0
@@ -35,24 +35,18 @@ class NnConfig(RunConfig):
     of ``20 + dim`` units.  ADAM's step size ``base_lr * lr_decay**(step //
     lr_decay_period)`` must be finite and positive, and must not grow."""
 
-    hidden: Optional[Tuple[int, ...]] = None
-    m_err: int = 1000
+    hidden: Optional[Tuple[int, ...]] = at_least(1, None)
+    m_err: int = at_least(1, 1000)
     base_lr: float = 5e-4
     lr_decay: float = 0.9
-    lr_decay_period: int = 1000
+    lr_decay_period: int = at_least(1, 1000)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.m_err < 1:
-            raise ValueError("m_err must be at least 1")
-        if any(width < 1 for width in self.hidden_widths()):
-            raise ValueError("hidden widths must be at least 1")
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError("base_lr must be finite and positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
-        if self.lr_decay_period < 1:
-            raise ValueError("lr_decay_period must be at least 1")
 
     def hidden_widths(self) -> Tuple[int, ...]:
         return self.hidden if self.hidden is not None else (20 + self.dim,) * 2
@@ -62,19 +56,10 @@ class NnConfig(RunConfig):
 class NnPicardConfig(NnConfig):
     """Contraction-based scheme: one regression problem per Picard iteration."""
 
-    n_iters: int = 5
-    m_samples: int = 512
-    train_steps: int = 3000
+    n_iters: int = at_least(1, 5)
+    m_samples: int = at_least(1, 512)
+    train_steps: int = at_least(0, 3000)
     warm_start: bool = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.m_samples < 1:
-            raise ValueError("m_samples must be at least 1")
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be at least 1")
-        if self.train_steps < 0:
-            raise ValueError("train_steps must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -86,24 +71,13 @@ class DirectConfig(NnConfig):
     and decays faster than the Picard regression's.
     """
 
-    n_epochs: int = 30
-    steps_per_epoch: int = 75
-    m_starts: int = 512
-    m_inner: int = 100
+    n_epochs: int = at_least(1, 30)
+    steps_per_epoch: int = at_least(0, 75)
+    m_starts: int = at_least(1, 512)
+    m_inner: int = at_least(2, 100)  # the loss pairs two inner halves
     base_lr: float = 2e-3
     lr_decay: float = 0.8
-    lr_decay_period: int = 300
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.m_starts < 1:
-            raise ValueError("m_starts must be at least 1")
-        if self.m_inner < 2:
-            raise ValueError("m_inner must be at least 2 (paired halves)")
-        if self.n_epochs < 1:
-            raise ValueError("n_epochs must be at least 1")
-        if self.steps_per_epoch < 0:
-            raise ValueError("steps_per_epoch must be non-negative")
+    lr_decay_period: int = at_least(1, 300)
 
 
 @dataclass(frozen=True)

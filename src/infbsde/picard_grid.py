@@ -24,7 +24,7 @@ from .fixedpoint import point_means, r_sample_batch, truncate_growth
 from .grid import (Grid, GridFunction, GridMismatch, check_grid,
                    node_errors, sup_diff, truncated_nodes)
 # problem_by_name builds this module's configs (RunConfig); the tracer wraps it
-from .model import RunConfig, problem_by_name
+from .model import RunConfig, at_least, problem_by_name
 from .simulate import FkBatch, RngStream, sample_fk_batch
 
 
@@ -60,7 +60,7 @@ class GridRunConfig(RunConfig):
 
     pad: int = 0
     half_width: float = 3.0
-    n_iters: int = 10
+    n_iters: int = at_least(1, 10)
     trunc_bound: Optional[float] = None
     trunc_degree: Optional[float] = None
 
@@ -69,8 +69,6 @@ class GridRunConfig(RunConfig):
         _worker_count()
         # the box and padding every mesh shares, checked as a grid would
         check_grid(self.dim, 0, self.half_width, self.pad)
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be at least 1")
         if (self.trunc_bound is None) != (self.trunc_degree is None):
             raise ValueError("trunc_bound and trunc_degree go together")
         if self.trunc_bound is not None and not (
@@ -94,18 +92,14 @@ class GridSolveConfig(GridRunConfig):
     fresh iterates never settle below the Monte Carlo noise.
     """
 
-    n_half: int = 10
-    m_samples: int = 40000
+    n_half: int = at_least(1, 10)
+    m_samples: int = at_least(2, 40000)
     draws: str = "fresh"
     tol: Optional[float] = None
     grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_half < 1:
-            raise ValueError("n_half must be at least 1")
-        if self.m_samples < 2:
-            raise ValueError("m_samples must be at least 2")
         if self.draws not in ("fresh", "frozen"):
             raise ValueError(f"draws must be 'fresh' or 'frozen', "
                              f"not {self.draws!r}")
@@ -261,7 +255,7 @@ def solve(cfg: GridSolveConfig,
           base_stream: Optional[RngStream] = None) -> GridSolveResult:
     """Run the Picard iteration from the zero grid function, for
     ``cfg.n_iters`` iterations or until one moves the iterate by less than
-    ``cfg.tol``."""
+    ``cfg.tol``.  Frozen draws derive iteration 1's stream alone."""
     problem = cfg.built_problem
     v = GridFunction.zero(cfg.grid, problem.gen.dim_y)
     inner = truncated_nodes(cfg.grid)
@@ -269,8 +263,9 @@ def solve(cfg: GridSolveConfig,
         base_stream = RngStream(cfg.seed)
     exact = None if problem.analytic is None else problem.analytic(cfg.grid.nodes)
 
+    count = 1 if cfg.draws == "frozen" else cfg.n_iters
     draws = (FrozenDraws if cfg.draws == "frozen" else FreshDraws)(
-        cfg, [base_stream.substream(n) for n in range(1, cfg.n_iters + 1)])
+        cfg, [base_stream.substream(n) for n in range(1, count + 1)])
     reports = []
     for n in range(1, cfg.n_iters + 1):
         start = time.perf_counter()
@@ -330,7 +325,7 @@ class RateStudyConfig(GridRunConfig):
     study's shared settings, and so every grid the study runs on.
     """
 
-    ntilde_list: Tuple[int, ...] = (5, 8, 12, 16, 20)
+    ntilde_list: Tuple[int, ...] = at_least(1, (5, 8, 12, 16, 20))
     k: float = 200.0
     m_samples: Tuple[int, ...] = field(init=False)
     meshes: Tuple[GridSolveConfig, ...] = field(init=False, repr=False,
@@ -338,8 +333,6 @@ class RateStudyConfig(GridRunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if min(self.ntilde_list, default=1) < 1:
-            raise ValueError("ntilde_list entries must be at least 1")
         _check_rate_study(self.ntilde_list, self.k)
         try:
             counts = tuple(max(2, round(self.k * n**4 / self.half_width**4))

@@ -976,6 +976,61 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def entry_type(hint):
+    """``X`` for a field typed ``X``, ``Optional[X]`` or ``Tuple[X, ...]``,
+    and whether the field holds a tuple."""
+    if typing.get_origin(hint) is typing.Union:
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return typing.get_args(hint)[0], True
+    return hint, False
+
+
+def declared_bounds(cls):
+    """``(key, low, entries)`` of every ``at_least`` field of ``cls`` and of
+    the config classes it nests; ``entries`` marks a tuple field."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from declared_bounds(hints[f.name])
+        elif "at_least" in f.metadata:
+            yield f.name, f.metadata["at_least"], entry_type(hints[f.name])[1]
+
+
+def table_id(command):
+    return command if isinstance(command, str) else "-".join(command)
+
+
+@pytest.mark.parametrize("cls", _CONFIGS.values(),
+                         ids=[table_id(command) for command in _CONFIGS])
+def test_every_count_field_declares_its_bound(cls):
+    # pad is checked with the box it pads (grid.check_grid)
+    hints = typing.get_type_hints(cls)
+    counts = [f for f in dataclasses.fields(cls) if f.init
+              and f.name != "pad" and entry_type(hints[f.name])[0] is int]
+    assert counts
+    assert [f.name for f in counts if "at_least" not in f.metadata] == []
+
+
+@pytest.mark.parametrize("command, key, low, entries", [
+    pytest.param(command, key, low, entries, id=f"{table_id(command)}-{key}")
+    for command, cls in _CONFIGS.items()
+    for key, low, entries in declared_bounds(cls)])
+def test_config_below_a_declared_bound_exits_two(tmp_path, capsys, command,
+                                                 key, low, entries):
+    settings = {"problem": "arctan-const-sigma",
+                key: [low - 1] if entries else low - 1}
+    if isinstance(command, tuple):
+        command, settings["scheme"] = command
+    path, out = tmp_path / "cfg.json", tmp_path / "never"
+    path.write_text(json.dumps(settings), encoding="utf-8")
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    name = f"{key} entries" if entries else key
+    assert (f"config error: {name} must be at least {low}\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["grid-solve", "--trunc-bound", "1"], ["rate-study", "--trunc-degree", "1"]],
     ids=lambda argv: argv[0])

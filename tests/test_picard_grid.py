@@ -578,6 +578,25 @@ class TestFrozenDraws:
             build_run(GridSolveConfig, {"draws": "frozen"})
         build_run(GridSolveConfig, {})  # fresh draws hold no batch
 
+    @pytest.mark.parametrize("name, dim, dt", [
+        pytest.param("arctan-const-sigma", dim, None, id=f"brownian-d{dim}")
+        for dim in (1, 2, 3)] + [
+        pytest.param("arctan-tanh-sigma", 1, 0.1, id="euler-d1")])
+    def test_frozen_bound_counts_every_kept_byte(self, monkeypatch, name,
+                                                 dim, dt):
+        # the bound counts exactly the bytes of every batch a FrozenDraws
+        # keeps, so a new FkBatch field cannot slip past FROZEN_BYTES
+        cfg = config(problem=name, dim=dim, dt=dt, n_half=1, half_width=2.0,
+                     m_samples=30, draws="frozen")
+        draws = FrozenDraws(cfg, [RngStream(cfg.seed)])
+        kept = sum(array.nbytes for index in range(len(draws.chunks))
+                   for array in fk_arrays(draws.take(index)))
+        monkeypatch.setattr(picard_grid, "FROZEN_BYTES", kept)
+        dataclasses.replace(cfg)
+        monkeypatch.setattr(picard_grid, "FROZEN_BYTES", kept - 1)
+        with pytest.raises(ValueError, match="frozen draws would hold"):
+            dataclasses.replace(cfg)
+
     def test_tol_stops_at_the_first_small_step(self):
         # on frozen draws the steps shrink geometrically; the solve stops at
         # the first that moves the iterate by less than tol, and ends where
@@ -598,6 +617,22 @@ class TestFrozenDraws:
         np.testing.assert_array_equal(short.final.u, fixed.final.u)
         np.testing.assert_array_equal(short.final.ubar, fixed.final.ubar)
         assert len(solve(cfg).reports) == cfg.n_iters
+
+    @pytest.mark.parametrize("n_iters", [1, 10, 10**6])
+    def test_frozen_solve_derives_one_iteration_stream(self, n_iters):
+        # frozen draws use iteration 1's stream alone, so a large cap ended
+        # by tol (here after two iterations) derives no other
+        derived = []
+
+        class Counting(RngStream):
+            def substream(self, index):
+                derived.append(index)
+                return super().substream(index)
+
+        cfg = config(m_samples=100, n_iters=n_iters, draws="frozen", tol=1e-9)
+        result = solve(cfg, Counting(cfg.seed))
+        assert derived == [1]
+        assert len(result.reports) == min(n_iters, 2)
 
 
 class TestContraction:
